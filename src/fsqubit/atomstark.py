@@ -65,15 +65,6 @@ class PolarizationVector:
         if self.e0sq < 0:
             raise ValueError("e0sq must be >= 0")
 
-    @classmethod
-    def from_field(cls, e_field: np.ndarray) -> "PolarizationVector":
-        """Build from a complex field vector; e0sq = |E|^2 / 4."""
-        e = np.asarray(e_field, dtype=complex)
-        norm = float(np.linalg.norm(e))
-        if norm == 0.0:
-            raise ValueError("zero field has no polarization")
-        return cls(epsilon=e / norm, e0sq=norm**2 / 4.0)
-
 
 @dataclass(frozen=True)
 class StateInfo:
@@ -286,6 +277,23 @@ def polarization_in_field_frame(epsilon: np.ndarray, phi_deg: float) -> np.ndarr
     ])
 
 
+def axis_projection(e, phi_deg):
+    """(|u3|^2, e0sq) of tweezer-frame complex fields ``e[..., 3]``.
+
+    |u3|^2 is the squared projection of the unit polarization on a
+    transverse bias field at ``phi_deg`` (0 where the field vanishes) and
+    e0sq = |E|^2 / 4. ``phi_deg`` may be an array broadcasting against
+    ``e[..., 0]``.
+    """
+    e = np.asarray(e)
+    isum = np.sum(np.abs(e) ** 2, axis=-1)
+    phi = np.radians(phi_deg)
+    u3num = e[..., 0] * np.cos(phi) + e[..., 1] * np.sin(phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u3_sq = np.where(isum > 0, np.abs(u3num) ** 2 / isum, 0.0)
+    return u3_sq, isum / 4.0
+
+
 def gaussian_center_polarization(tweezer: TweezerConfig) -> PolarizationVector:
     """Linear polarization with the Gaussian focal-center reduced field."""
     if tweezer.target_waist_nm is None:
@@ -314,26 +322,23 @@ def m0_light_shift(alpha_s_au: float, alpha_t_au: float, j: int,
     return -e_hz * (alpha_s_au - tensor)
 
 
+def state_light_shift(table: PolarizabilityTable, label: str,
+                      wavelength_nm: float, u3_sq, e0sq):
+    """m_J = 0 shift in Hz of one tabulated state (vectorized)."""
+    a_s, a_t = table.alpha(label, wavelength_nm)
+    return m0_light_shift(a_s, a_t, table.state(label).j, u3_sq, e0sq)
+
+
 def differential_shift_from_projection(table: PolarizabilityTable,
                                        wavelength_nm: float,
                                        u3_sq, e0sq):
     """Vectorized perturbative differential shift (Hz).
 
     ``u3_sq`` is |eps_hat . B_hat|^2 and ``e0sq`` the reduced squared field;
-    both may be arrays of equal shape.
+    both may be arrays that broadcast together.
     """
-    u3_sq = np.asarray(u3_sq, dtype=float)
-    e_hz = np.asarray(e0sq, dtype=float) * E0SQ_AU_HZ
-
-    def m0(label: str):
-        info = table.state(label)
-        a_s, a_t = table.alpha(label, wavelength_nm)
-        if info.j < 1:
-            return -a_s * e_hz
-        fac = (info.j + 1.0) / (2.0 * info.j - 1.0)
-        return -e_hz * (a_s - a_t * fac * (3.0 * u3_sq - 1.0) / 2.0)
-
-    return m0(GROUND) - m0(EXCITED)
+    return (state_light_shift(table, GROUND, wavelength_nm, u3_sq, e0sq)
+            - state_light_shift(table, EXCITED, wavelength_nm, u3_sq, e0sq))
 
 
 def differential_light_shift(env: FieldEnvironment,

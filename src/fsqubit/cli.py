@@ -31,6 +31,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -56,9 +57,18 @@ class ConfigError(FsqubitError):
 
 # ---------------------------------------------------------------- loading
 
+def _finite_float(text):
+    # NaN/Infinity literals and overflowing ones like 1e400
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config")
+    return value
+
+
 def _load_config(path) -> dict:
     with open(path) as fh:
-        cfg = json.load(fh)
+        cfg = json.load(fh, parse_float=_finite_float,
+                        parse_constant=_finite_float)
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     # a meta.json from a previous run embeds the config it ran with
@@ -118,12 +128,9 @@ def check_config(cfg: dict, subcommand: str) -> list[str]:
             issues.append("range: tweezer.na must be < 1")
         _check_pos(issues, tw, "tweezer", "waist_nm")
         _check_pos(issues, tw, "tweezer", "filling_factor")
-        ax = tw.get("pol_axis")
-        if ax is not None and (not isinstance(ax, list) or len(ax) != 2
-                               or not all(_is_num(a) for a in ax)
-                               or (ax[0] == 0 and ax[1] == 0)):
-            issues.append("value: tweezer.pol_axis must be two numbers, "
-                          "not both zero")
+        if "pol_axis" in tw:
+            issues.append("schema: tweezer.pol_axis is retired; "
+                          "field.phi_deg alone sets the polarization angle")
 
     fl = _check_block(issues, cfg, "field", required=True)
     if fl is not None:
@@ -135,6 +142,12 @@ def check_config(cfg: dict, subcommand: str) -> list[str]:
         elif not (_is_num(phi) or phi == "magic"):
             issues.append("value: field.phi_deg must be a number or "
                           "'magic'")
+    # the magic roots use the Gaussian center polarization of the waist
+    if tw is not None and tw.get("waist_nm") is None and (
+            subcommand == "magic-find"
+            or (fl is not None and fl.get("phi_deg") == "magic")):
+        issues.append("missing: tweezer.waist_nm is required for magic "
+                      "roots (field.phi_deg 'magic' or magic-find)")
 
     needs_fringe = subcommand in ("ramsey", "t2", "magic-scan", "phinoise")
     dr = _check_block(issues, cfg, "drive",
@@ -302,8 +315,7 @@ def _tweezer_from(cfg) -> TweezerConfig:
         target_waist_nm=(float(tw["waist_nm"])
                          if tw.get("waist_nm") is not None else None),
         filling_factor=(float(tw["filling_factor"])
-                        if tw.get("filling_factor") is not None else None),
-        pol_axis=tuple(tw.get("pol_axis", (1.0, 0.0))))
+                        if tw.get("filling_factor") is not None else None))
 
 
 def _noise_from(cfg) -> NoiseModel:
@@ -411,11 +423,6 @@ def _phi_context(scn):
     return {"field": None, "env": None, "table": None}
 
 
-def _spawned_seed(master_seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence(
-        entropy=master_seed, spawn_key=(tag,)).generate_state(1)[0])
-
-
 # ---------------------------------------------------------------- writers
 
 def _write_json(obj):
@@ -464,10 +471,7 @@ def _run_trace(cfg, subcommand):
             **_phi_context(scn))
         return scn, trace, None
     f_fr = scn.f_fringe_hz()
-    if subcommand == "t2":
-        t, wp = _burst_grid_s(cfg, f_fr)
-    else:
-        wp = None
+    t, wp = _burst_grid_s(cfg, f_fr) if subcommand == "t2" else (t, None)
     sim = (dynamics.simulate_echo if proto["name"] == "echo"
            else dynamics.simulate_ramsey)
     kwargs = dict(motional_model=proto["motional_model"],
@@ -480,26 +484,27 @@ def _run_trace(cfg, subcommand):
     return scn, trace, wp
 
 
-def _cmd_rabi(cfg):
-    scn, trace, _ = _run_trace(cfg, "rabi")
+def _cmd_trace(subcommand, cfg):
+    scn, trace, _ = _run_trace(cfg, subcommand)
     return _trace_artifacts(trace, scn.noise), scn.resolved()
 
 
-def _cmd_ramsey(cfg):
-    scn, trace, _ = _run_trace(cfg, "ramsey")
-    return _trace_artifacts(trace, scn.noise), scn.resolved()
-
-
-def _envelope_fit_json(t_s, contrast):
+def _envelope_fit(points):
+    """contrast.csv artifact and envelope-fit JSON of windowed contrasts."""
+    art = ("contrast.csv", _write_rows(
+        ["t_s", "contrast", "contrast_err"],
+        [[f"{p.t_s:.12e}", f"{p.contrast:.9e}", f"{p.contrast_err:.9e}"]
+         for p in points]))
     try:
-        fit = analysis.fit_t2_envelope(t_s, contrast)
+        fit = analysis.fit_t2_envelope([p.t_s for p in points],
+                                       [p.contrast for p in points])
     except NoDecayObserved as exc:
-        return {"model": "gaussian_envelope",
-                "status": "no_decay_observed",
-                "t2_lower_bound_s": exc.t2_lower_bound_s}
+        return art, {"model": "gaussian_envelope",
+                     "status": "no_decay_observed",
+                     "t2_lower_bound_s": exc.t2_lower_bound_s}
     out = fit.to_json_dict()
     out["status"] = "ok"
-    return out
+    return art, out
 
 
 def _cmd_t2(cfg):
@@ -507,14 +512,9 @@ def _cmd_t2(cfg):
     points = analysis.extract_contrast(trace.t_s, trace.p32_mean,
                                        scn.f_fringe_hz(),
                                        window_periods=wp)
-    fit = _envelope_fit_json([p.t_s for p in points],
-                             [p.contrast for p in points])
+    contrast_csv, fit = _envelope_fit(points)
     arts = _trace_artifacts(trace, scn.noise)
-    arts.append(("contrast.csv", _write_rows(
-        ["t_s", "contrast", "contrast_err"],
-        [[f"{p.t_s:.12e}", f"{p.contrast:.9e}", f"{p.contrast_err:.9e}"]
-         for p in points])))
-    arts.append(("fit.json", _write_json(fit)))
+    arts += [contrast_csv, ("fit.json", _write_json(fit))]
     resolved = scn.resolved()
     resolved["fit"] = fit
     return arts, resolved
@@ -543,7 +543,7 @@ def _cmd_magic_scan(cfg):
                                              field=scn.field)
         trace = dynamics.simulate_ramsey(
             trap_k, scn.temperature_K, scn.noise, scn.omega_rad_s(), f_fr,
-            t, trials, _spawned_seed(seed, 500 + k),
+            t, trials, dynamics.spawn_seed(seed, 500 + k),
             motional_model=proto["motional_model"],
             instantaneous_pulses=proto["instantaneous_pulses"])
         point = analysis.extract_contrast(trace.t_s, trace.p32_mean, f_fr,
@@ -641,17 +641,14 @@ def _cmd_fit(cfg):
     else:
         points = analysis.extract_contrast(trace.t_s, trace.p32_mean,
                                            f_fr, window_periods=wp)
-        arts = [("contrast.csv", _write_rows(
-            ["t_s", "contrast", "contrast_err"],
-            [[f"{p.t_s:.12e}", f"{p.contrast:.9e}",
-              f"{p.contrast_err:.9e}"] for p in points]))]
-        out = _envelope_fit_json([p.t_s for p in points],
-                                 [p.contrast for p in points])
+        contrast_csv, out = _envelope_fit(points)
+        arts = [contrast_csv]
     arts.append(("fit.json", _write_json(out)))
     return arts, {"fit": out}
 
 
-_HANDLERS = {"rabi": _cmd_rabi, "ramsey": _cmd_ramsey, "t2": _cmd_t2,
+_HANDLERS = {"rabi": partial(_cmd_trace, "rabi"),
+             "ramsey": partial(_cmd_trace, "ramsey"), "t2": _cmd_t2,
              "magic-scan": _cmd_magic_scan, "phinoise": _cmd_phinoise,
              "shiftmap": _cmd_shiftmap, "magic-find": _cmd_magic_find,
              "fit": _cmd_fit}

@@ -12,9 +12,11 @@ model (just 2 pi dU_center for the classical model), so a cold atom in a
 magic trap sits exactly on resonance and thermal occupation produces the
 residual per-shot detunings. Shot-to-shot noise (one motional sample, one
 Rabi amplitude, one field angle, one detuning offset per trial) is frozen
-within a shot. Ramsey's second pi/2 pulse carries phi_L = -2 pi f_fr t_R,
-the phase-reset convention that writes a synthetic fringe at f_fr; the echo
-inserts a pi pulse about +y between two half periods of free evolution.
+within a shot. Each protocol is a module-level segment list (``RABI``,
+``RAMSEY``, ``ECHO``) walked by one Monte-Carlo engine. Ramsey's second
+pi/2 pulse carries phi_L = -2 pi f_fr t_R, the phase-reset convention that
+writes a synthetic fringe at f_fr; the echo inserts a pi pulse about +y
+between two half periods of free evolution.
 
 SPAM convention: unprepared population stays in the dark manifold and
 contributes zero signal; readout infidelity scales multiplicatively. The
@@ -38,8 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analysis
-from .atomstark import differential_shift_from_projection
-from .focalfield import sample_at
+from .atomstark import axis_projection, differential_shift_from_projection
 from .params import FieldEnvironment, NoiseModel
 from .trapmodel import (TrapCharacterization, classical_sample,
                         detuning_for_sample, fock_sample,
@@ -165,9 +166,10 @@ def drive_reference_rad_s(trap: TrapCharacterization,
     raise ValueError(f"unknown motional model {motional_model!r}")
 
 
-def _trial_rng(master_seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=master_seed, spawn_key=(trial,))))
+def spawn_seed(master_seed: int, tag: int) -> int:
+    """Master seed of sub-run ``tag`` (one point of a scan)."""
+    return int(np.random.SeedSequence(
+        entropy=master_seed, spawn_key=(tag,)).generate_state(1)[0])
 
 
 def _draw_trials(trap, temperature_K, noise, trials, master_seed,
@@ -185,7 +187,8 @@ def _draw_trials(trap, temperature_K, noise, trials, master_seed,
     om_f = np.empty(trials)
     phi_dev = np.empty(trials)
     for k in range(trials):
-        rng = _trial_rng(master_seed, k)
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=master_seed, spawn_key=(k,))))
         for s in range(detuning_sets):
             if motional_model == "fock":
                 n = [sample_fock_thermal(temperature_K, om, rng)
@@ -208,26 +211,14 @@ def _phi_noise_delta_rad_s(field, env: FieldEnvironment, table,
                            phi_dev_deg: np.ndarray) -> np.ndarray:
     """Per-trial detuning from field-angle jitter, evaluated exactly at the
     trap center."""
-    s = sample_at(field, 0.0, 0.0, 0.0)
-    lam = env.tweezer.wavelength_nm
+    e = field.field_at(0.0, 0.0, 0.0)
+    phi = env.field.phi_deg
 
     def du_at(phi_deg):
-        phi = np.radians(phi_deg)
-        u3num = (s.epsilon[0] * np.cos(phi) + s.epsilon[1] * np.sin(phi))
         return differential_shift_from_projection(
-            table, lam, np.abs(u3num) ** 2, s.e0sq)
+            table, env.tweezer.wavelength_nm, *axis_projection(e, phi_deg))
 
-    du_nom = du_at(env.field.phi_deg)
-    return 2.0 * math.pi * (du_at(env.field.phi_deg + phi_dev_deg) - du_nom)
-
-
-def _require_phi_context(noise, field, env, table) -> None:
-    if noise.phi_jitter_std_deg > 0 and (field is None or env is None
-                                         or table is None):
-        raise ValueError(
-            "phi_jitter_std_deg > 0 needs the field context (field, env, "
-            "table) to map angle jitter onto shifts; pass them or use "
-            "simulate_t2_vs_phinoise")
+    return 2.0 * math.pi * (du_at(phi + phi_dev_deg) - du_at(phi))
 
 
 def _accumulate(p_block, acc):
@@ -247,14 +238,66 @@ def _accumulate(p_block, acc):
     acc[0] = n
 
 
-def _finish_trace(t_grid, acc, trials, master_seed) -> TraceResult:
-    mean = acc[1]
-    if trials > 1:
-        sem = np.sqrt(acc[2] / (trials - 1) / trials)
-    else:
-        sem = np.zeros_like(mean)
-    return TraceResult(t_s=np.asarray(t_grid, dtype=float),
-                       p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem,
+# Protocols as segment lists of (kind, size, laser phase, detuning set).
+# A "pulse" rotates by the nominal angle ``size`` (duration size / Omega,
+# or an ideal rotation with instantaneous pulses); "drive" and "free" last
+# ``size`` times the grid time with the drive on or off. The phase
+# "fringe" is the Ramsey phase reset -2 pi f_fr t. Detuning set 1 is a
+# fresh draw when the detuning fluctuates, else set 0 again.
+RABI = (("drive", 1.0, 0.0, 0),)
+RAMSEY = (("pulse", math.pi / 2, 0.0, 0),
+          ("free", 1.0, 0.0, 0),
+          ("pulse", math.pi / 2, "fringe", 0))
+ECHO = (("pulse", math.pi / 2, 0.0, 0),
+        ("free", 0.5, 0.0, 0),
+        ("pulse", math.pi, math.pi / 2, 1),
+        ("free", 0.5, 0.0, 1),
+        ("pulse", math.pi / 2, "fringe", 1))
+
+
+def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
+                  omega_rad_s, f_fringe_hz, t_grid_s, trials: int,
+                  master_seed: int, motional_model: str,
+                  instantaneous_pulses: bool, detuning_sets: int,
+                  field, env, table) -> TraceResult:
+    """Draw the trials, add angle jitter, propagate blocks of trials through
+    ``segments`` from 3P0, apply SPAM and accumulate P(3P2) per grid time."""
+    jitter = noise.phi_jitter_std_deg > 0
+    if jitter and any(x is None for x in (field, env, table)):
+        raise ValueError(
+            "phi_jitter_std_deg > 0 needs the field context (field, env, "
+            "table) to map angle jitter onto shifts; pass them or use "
+            "simulate_t2_vs_phinoise")
+    t = np.asarray(t_grid_s, dtype=float)
+    deltas, om_f, phi_dev = _draw_trials(trap, temperature_K, noise, trials,
+                                         master_seed, motional_model,
+                                         detuning_sets=detuning_sets)
+    if jitter:
+        deltas = deltas + _phi_noise_delta_rad_s(field, env, table, phi_dev)
+    omegas = omega_rad_s * om_f
+    fringe = (-2.0 * math.pi * f_fringe_hz * t)[None, :]
+    acc = [0, None, None]
+    for i0 in range(0, trials, _TRIAL_BLOCK):
+        sl = slice(i0, min(i0 + _TRIAL_BLOCK, trials))
+        om = omegas[sl, None]
+        a, b = 1.0, 0.0
+        for kind, size, phi_l, dset in segments:
+            de = deltas[min(dset, detuning_sets - 1), sl, None]
+            if kind == "free":
+                seg = (0.0, de, size * t[None, :])
+            elif kind == "drive":
+                seg = (om, de, size * t[None, :])
+            elif instantaneous_pulses:
+                seg = (1.0, 0.0, size)
+            else:
+                seg = (om, de, size / omega_rad_s)
+            phase = fringe if phi_l == "fringe" else phi_l
+            a, b = _segment_apply(a, b, seg[0], seg[1], phase, seg[2])
+        p = apply_spam(np.clip(np.abs(b) ** 2, 0.0, 1.0), noise)
+        _accumulate(p, acc)
+    n, mean, m2 = acc
+    sem = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)
+    return TraceResult(t_s=t, p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem,
                        trials=trials, master_seed=master_seed)
 
 
@@ -265,31 +308,9 @@ def simulate_rabi(trap, temperature_K, noise: NoiseModel, omega_rad_s,
     """Continuous drive from 3P0: per trial a motional sample sets the
     detuning, the Rabi amplitude jitters shot to shot, and P(3P2)(t) is
     averaged; SPAM is applied to the ensemble."""
-    _require_phi_context(noise, field, env, table)
-    t = np.asarray(t_grid_s, dtype=float)
-    deltas, om_f, phi_dev = _draw_trials(trap, temperature_K, noise, trials,
-                                         master_seed, motional_model)
-    delta = deltas[0]
-    if noise.phi_jitter_std_deg > 0:
-        delta = delta + _phi_noise_delta_rad_s(field, env, table, phi_dev)
-    omegas = omega_rad_s * om_f
-    acc = [0, None, None]
-    for i0 in range(0, trials, _TRIAL_BLOCK):
-        sl = slice(i0, min(i0 + _TRIAL_BLOCK, trials))
-        _, b = _segment_apply(1.0, 0.0, omegas[sl, None], delta[sl, None],
-                              0.0, t[None, :])
-        p = apply_spam(np.clip(np.abs(b) ** 2, 0.0, 1.0), noise)
-        _accumulate(p, acc)
-    return _finish_trace(t, acc, trials, master_seed)
-
-
-def _pulse_params(omega_nominal, omega_trial, delta_trial, angle,
-                  instantaneous):
-    """(omega, delta, duration) arrays for a pulse of the given nominal
-    rotation angle."""
-    if instantaneous:
-        return 1.0, 0.0, angle
-    return omega_trial, delta_trial, angle / omega_nominal
+    return _run_sequence(RABI, trap, temperature_K, noise, omega_rad_s, 0.0,
+                         t_grid_s, trials, master_seed, motional_model,
+                         False, 1, field, env, table)
 
 
 def simulate_ramsey(trap, temperature_K, noise: NoiseModel, omega_rad_s,
@@ -301,28 +322,10 @@ def simulate_ramsey(trap, temperature_K, noise: NoiseModel, omega_rad_s,
     phi_L = -2 pi f_fr t_R. Pulse durations are pi/(2 Omega_nominal); the
     per-trial Rabi amplitude and detuning act during the pulses unless
     ``instantaneous_pulses`` (oracle mode) is set."""
-    _require_phi_context(noise, field, env, table)
-    t_r = np.asarray(t_r_grid_s, dtype=float)
-    deltas, om_f, phi_dev = _draw_trials(trap, temperature_K, noise, trials,
-                                         master_seed, motional_model)
-    delta = deltas[0]
-    if noise.phi_jitter_std_deg > 0:
-        delta = delta + _phi_noise_delta_rad_s(field, env, table, phi_dev)
-    omegas = omega_rad_s * om_f
-    phi2 = -2.0 * math.pi * f_fringe_hz * t_r
-    acc = [0, None, None]
-    for i0 in range(0, trials, _TRIAL_BLOCK):
-        sl = slice(i0, min(i0 + _TRIAL_BLOCK, trials))
-        om = omegas[sl, None]
-        de = delta[sl, None]
-        p_om, p_de, p_t = _pulse_params(omega_rad_s, om, de, math.pi / 2,
-                                        instantaneous_pulses)
-        a, b = _segment_apply(1.0, 0.0, p_om, p_de, 0.0, p_t)
-        a, b = _segment_apply(a, b, 0.0, de, 0.0, t_r[None, :])
-        a, b = _segment_apply(a, b, p_om, p_de, phi2[None, :], p_t)
-        p = apply_spam(np.clip(np.abs(b) ** 2, 0.0, 1.0), noise)
-        _accumulate(p, acc)
-    return _finish_trace(t_r, acc, trials, master_seed)
+    return _run_sequence(RAMSEY, trap, temperature_K, noise, omega_rad_s,
+                         f_fringe_hz, t_r_grid_s, trials, master_seed,
+                         motional_model, instantaneous_pulses, 1,
+                         field, env, table)
 
 
 def simulate_echo(trap, temperature_K, noise: NoiseModel, omega_rad_s,
@@ -337,40 +340,11 @@ def simulate_echo(trap, temperature_K, noise: NoiseModel, omega_rad_s,
     the motional sample and detuning offset are redrawn for the second
     half (and the closing pulses), modeling a correlation time shorter
     than the sequence."""
-    _require_phi_context(noise, field, env, table)
-    t = np.asarray(t_grid_s, dtype=float)
-    n_sets = 2 if fluctuating_detuning else 1
-    deltas, om_f, phi_dev = _draw_trials(trap, temperature_K, noise, trials,
-                                         master_seed, motional_model,
-                                         detuning_sets=n_sets)
-    delta1 = deltas[0]
-    delta2 = deltas[1] if fluctuating_detuning else deltas[0]
-    if noise.phi_jitter_std_deg > 0:
-        dphi = _phi_noise_delta_rad_s(field, env, table, phi_dev)
-        delta1 = delta1 + dphi
-        delta2 = delta2 + dphi
-    omegas = omega_rad_s * om_f
-    phi2 = -2.0 * math.pi * f_fringe_hz * t
-    acc = [0, None, None]
-    for i0 in range(0, trials, _TRIAL_BLOCK):
-        sl = slice(i0, min(i0 + _TRIAL_BLOCK, trials))
-        om = omegas[sl, None]
-        de1 = delta1[sl, None]
-        de2 = delta2[sl, None]
-        h_om, h_de, h_t = _pulse_params(omega_rad_s, om, de1, math.pi / 2,
-                                        instantaneous_pulses)
-        a, b = _segment_apply(1.0, 0.0, h_om, h_de, 0.0, h_t)
-        a, b = _segment_apply(a, b, 0.0, de1, 0.0, 0.5 * t[None, :])
-        pi_om, pi_de, pi_t = _pulse_params(omega_rad_s, om, de2, math.pi,
-                                           instantaneous_pulses)
-        a, b = _segment_apply(a, b, pi_om, pi_de, math.pi / 2, pi_t)
-        a, b = _segment_apply(a, b, 0.0, de2, 0.0, 0.5 * t[None, :])
-        f_om, f_de, f_t = _pulse_params(omega_rad_s, om, de2, math.pi / 2,
-                                        instantaneous_pulses)
-        a, b = _segment_apply(a, b, f_om, f_de, phi2[None, :], f_t)
-        p = apply_spam(np.clip(np.abs(b) ** 2, 0.0, 1.0), noise)
-        _accumulate(p, acc)
-    return _finish_trace(t, acc, trials, master_seed)
+    return _run_sequence(ECHO, trap, temperature_K, noise, omega_rad_s,
+                         f_fringe_hz, t_grid_s, trials, master_seed,
+                         motional_model, instantaneous_pulses,
+                         2 if fluctuating_detuning else 1,
+                         field, env, table)
 
 
 def ramsey_burst_grid(t2_guess_s: float, f_fringe_hz: float,
@@ -435,10 +409,9 @@ def simulate_t2_vs_phinoise(field, env: FieldEnvironment, table, trap,
     points = []
     for k, dphi in enumerate(delta_phi_grid_deg):
         noise_k = replace(noise, phi_jitter_std_deg=float(dphi))
-        seed_k = int(np.random.SeedSequence(
-            entropy=master_seed, spawn_key=(10_000 + k,)).generate_state(1)[0])
         trace = simulate_ramsey(trap, temperature_K, noise_k, omega_rad_s,
-                                f_fringe_hz, t_r_grid_s, trials, seed_k,
+                                f_fringe_hz, t_r_grid_s, trials,
+                                spawn_seed(master_seed, 10_000 + k),
                                 motional_model=motional_model,
                                 field=field, env=env, table=table)
         contrasts = analysis.extract_contrast(trace.t_s, trace.p32_mean,

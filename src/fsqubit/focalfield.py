@@ -1,8 +1,9 @@
 """Vector focal fields of a tightly focused tweezer and light-shift maps.
 
 Coordinates are in the tweezer frame: x along the input linear
-polarization, z along propagation. ``TweezerConfig.pol_axis`` only
-records how that frame sits in the lab; no computation here uses it.
+polarization, z along propagation. How that frame sits in the lab is not
+modelled; only the bias-field angle from x (``MagneticField.phi_deg``)
+enters the shifts.
 Fields are complex amplitudes in V/m with intensity (eps0 c / 2)|E|^2.
 
 The focal field of an aplanatic lens is built from three angular
@@ -256,11 +257,6 @@ class GaussianField:
         return e
 
 
-def gaussian_fallback_field(waist_m: float, power_w: float,
-                            wavelength_nm: float) -> GaussianField:
-    return GaussianField(waist_m, power_w, wavelength_nm)
-
-
 @dataclass(frozen=True)
 class FieldSample:
     """Field at one point: complex vector, unit polarization, e0sq."""
@@ -289,9 +285,6 @@ class LightShiftMap:
     x_m: np.ndarray
     y_m: np.ndarray
     du_hz: np.ndarray
-    phi_deg: float | None = None
-    wavelength_nm: float | None = None
-    power_W: float | None = None
 
     @property
     def center_hz(self) -> float:
@@ -316,19 +309,11 @@ def lightshift_map(field, env: FieldEnvironment,
     ax = np.linspace(-half_extent_m, half_extent_m, n)
     xx, yy = np.meshgrid(ax, ax)
     e = field.field_at(xx.ravel(), yy.ravel(), np.zeros(xx.size))
-    isum = np.sum(np.abs(e) ** 2, axis=-1)
-    phi = math.radians(env.field.phi_deg)
-    u3num = e[:, 0] * math.cos(phi) + e[:, 1] * math.sin(phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u3_sq = np.where(isum > 0, np.abs(u3num) ** 2 / isum, 0.0)
     lam = field.config.wavelength_nm if hasattr(field, "config") \
         else env.tweezer.wavelength_nm
     du = atomstark.differential_shift_from_projection(
-        table, lam, u3_sq, isum / 4.0)
-    return LightShiftMap(ax.copy(), ax.copy(), du.reshape(n, n),
-                         phi_deg=env.field.phi_deg,
-                         wavelength_nm=lam,
-                         power_W=env.tweezer.power_W)
+        table, lam, *atomstark.axis_projection(e, env.field.phi_deg))
+    return LightShiftMap(ax.copy(), ax.copy(), du.reshape(n, n))
 
 
 def write_map_csv(m: LightShiftMap, path) -> None:

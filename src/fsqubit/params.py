@@ -3,8 +3,9 @@
 These are deliberately dumb containers with validation; physics lives in the
 modules that consume them. Frames and conventions:
 
-* The tweezer propagates along +z. The transverse plane holds the input
-  (linear) polarization axis ``pol_axis``.
+* The tweezer propagates along +z; its input (linear) polarization defines
+  the transverse x axis. The lab orientation of that axis is not modelled
+  (configs no longer take a ``pol_axis``).
 * ``MagneticField.phi_deg`` is the angle between the input-polarization axis
   and the field direction; the field lies in the transverse plane. Angles are
   wrapped to [0, 180) — the physics is invariant under phi -> phi + 180.
@@ -12,8 +13,7 @@ modules that consume them. Frames and conventions:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class TweezerConfig:
 
     ``filling_factor`` is the input-beam 1/e^2 radius over the pupil radius;
     None means "calibrate it so the focal 1/e^2 radius hits
-    ``target_waist_nm``". ``pol_axis`` is the transverse input-polarization
-    direction (need not be normalized on input).
+    ``target_waist_nm``".
     """
 
     wavelength_nm: float
@@ -44,7 +43,6 @@ class TweezerConfig:
     na: float
     target_waist_nm: float | None = None
     filling_factor: float | None = None
-    pol_axis: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self) -> None:
         if self.wavelength_nm <= 0:
@@ -58,11 +56,6 @@ class TweezerConfig:
         if self.target_waist_nm is None and self.filling_factor is None:
             raise ValueError("either target_waist_nm or filling_factor "
                              "must be given")
-        n = math.hypot(*self.pol_axis)
-        if n == 0:
-            raise ValueError("pol_axis must be a nonzero 2-vector")
-        object.__setattr__(
-            self, "pol_axis", (self.pol_axis[0] / n, self.pol_axis[1] / n))
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,8 @@ focal polarization structure), so the trap is characterized per state: depth
 at the focal center and harmonic frequencies from centered second
 differences of the local m_J = 0 light shift. The motional state of the atom
 is sampled either as Fock numbers in the 3P0 ladder (default) or as a
-classical phase-space point, and each sample maps to a static detuning for
-the internal-state dynamics:
+classical position, and each sample maps to a static detuning for the
+internal-state dynamics:
 
 * Fock:       delta = 2 pi dU_center + sum_i (w_i^3P0 - w_i^3P2)(n_i + 1/2)
 * classical:  delta = 2 pi dU(r), the local differential potential over hbar,
@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import focalfield
-from .atomstark import PolarizabilityTable, m0_light_shift
+from .atomstark import (PolarizabilityTable, axis_projection,
+                        state_light_shift)
 from .constants import H_PLANCK, HBAR, K_B, MASS_SR88
 from .errors import ModelMismatch, NotTrapping
 from .params import FieldEnvironment, TweezerConfig
@@ -86,27 +87,14 @@ class TrapCharacterization:
 
 def _state_energies_hz(field, table: PolarizabilityTable,
                        wavelength_nm: float, phi_deg: float,
-                       xs, ys, zs) -> dict[str, np.ndarray]:
-    """m_J = 0 energies U/h at the given points for both states."""
-    e = np.asarray(field.field_at(np.asarray(xs, dtype=float),
-                                  np.asarray(ys, dtype=float),
-                                  np.asarray(zs, dtype=float)))
-    isum = np.sum(np.abs(e) ** 2, axis=-1)
-    if np.any(isum == 0.0):
+                       points) -> dict[str, np.ndarray]:
+    """m_J = 0 energies U/h at ``points[k] = (x, y, z)`` for both states."""
+    u3_sq, e0sq = axis_projection(field.field_at(*points.T), phi_deg)
+    if np.any(e0sq == 0.0):
         raise NotTrapping("zero field on the stencil: no trap here")
-    phi = math.radians(phi_deg)
-    u3num = e[..., 0] * math.cos(phi) + e[..., 1] * math.sin(phi)
-    u3_sq = np.abs(u3num) ** 2 / isum
-    e0sq = isum / 4.0
-    out = {}
-    for label in _STATE_LABELS:
-        info = table.state(label)
-        a_s, a_t = table.alpha(label, wavelength_nm)
-        out[label] = np.array([
-            m0_light_shift(a_s, a_t, info.j, u, s)
-            for u, s in zip(u3_sq.ravel(), e0sq.ravel())
-        ]).reshape(u3_sq.shape)
-    return out
+    return {label: state_light_shift(table, label, wavelength_nm, u3_sq,
+                                     e0sq)
+            for label in _STATE_LABELS}
 
 
 def characterize_trap(config: TweezerConfig, env: FieldEnvironment,
@@ -132,8 +120,7 @@ def characterize_trap(config: TweezerConfig, env: FieldEnvironment,
                      [0, -step, 0], [0, step, 0],
                      [0, 0, -step], [0, 0, step]])
     energies = _state_energies_hz(field, table, config.wavelength_nm,
-                                  env.field.phi_deg,
-                                  offs[:, 0], offs[:, 1], offs[:, 2])
+                                  env.field.phi_deg, offs)
     depths = {}
     omegas = {}
     for label in _STATE_LABELS:
@@ -163,14 +150,12 @@ class MotionalSample:
     """One frozen motional state, tagged by model kind.
 
     kind = "fock": ``n`` holds (n_x, n_y, n_z). kind = "classical":
-    ``position_m`` (and optionally ``velocity_mps``) hold the phase-space
-    point.
+    ``position_m`` holds the sampled position.
     """
 
     kind: str
     n: np.ndarray | None = None
     position_m: np.ndarray | None = None
-    velocity_mps: np.ndarray | None = None
 
 
 def fock_sample(n) -> MotionalSample:
@@ -180,15 +165,11 @@ def fock_sample(n) -> MotionalSample:
     return MotionalSample(kind="fock", n=arr.astype(np.int64))
 
 
-def classical_sample(position_m, velocity_mps=None) -> MotionalSample:
+def classical_sample(position_m) -> MotionalSample:
     pos = np.asarray(position_m, dtype=float)
     if pos.shape != (3,):
         raise ValueError("position must be a 3-vector in meters")
-    vel = (np.zeros(3) if velocity_mps is None
-           else np.asarray(velocity_mps, dtype=float))
-    if vel.shape != (3,):
-        raise ValueError("velocity must be a 3-vector in m/s")
-    return MotionalSample(kind="classical", position_m=pos, velocity_mps=vel)
+    return MotionalSample(kind="classical", position_m=pos)
 
 
 def sample_fock_thermal(temperature_K: float, omega_rad_s: float,

@@ -282,6 +282,18 @@ class TestDifferentialShift:
         du_b = atomstark.differential_light_shift(env_b, table)
         assert du_a == pytest.approx(du_b, rel=1e-10, abs=1e-6)
 
+    def test_axis_projection_matches_field_frame(self):
+        rng = np.random.default_rng(5)
+        e = rng.normal(size=(64, 3)) + 1j * rng.normal(size=(64, 3))
+        e *= 10.0 ** rng.uniform(-3.0, 8.0, size=(64, 1))
+        for phi in (0.0, 17.3, 54.7356, 90.0, 151.0):
+            u3_sq, e0sq = atomstark.axis_projection(e, phi)
+            for k, ek in enumerate(e):
+                norm = np.linalg.norm(ek)
+                u = atomstark.polarization_in_field_frame(ek / norm, phi)
+                assert abs(u3_sq[k] - abs(u[2]) ** 2) <= 1e-14
+                assert e0sq[k] == pytest.approx(norm ** 2 / 4.0, rel=1e-14)
+
 
 class TestMagicPoints:
     def test_magic_angle_inversion_oracle(self, table):

@@ -90,6 +90,31 @@ class TestValidate:
         assert any("unknown key 'powr'" in i
                    for i in json.loads(out)["issues"])
 
+    @pytest.mark.parametrize("sub,phi", [("ramsey", "magic"),
+                                         ("magic-find", 0.0)])
+    def test_magic_roots_need_waist(self, tmp_path, sub, phi):
+        cfg = base_cfg()
+        cfg["tweezer"] = {"wavelength_nm": 539.91, "power_mW": 0.046,
+                          "na": 0.5, "filling_factor": 1.0}
+        cfg["field"]["phi_deg"] = phi
+        path = write_cfg(tmp_path, cfg)
+        code, out, _ = run_cli("validate", "--config", path,
+                               "--subcommand", sub)
+        assert code == 2
+        assert any(i.startswith("missing: tweezer.waist_nm")
+                   for i in json.loads(out)["issues"])
+
+    def test_retired_pol_axis(self, tmp_path):
+        cfg = base_cfg()
+        cfg["tweezer"]["pol_axis"] = [0.0, 1.0]
+        path = write_cfg(tmp_path, cfg)
+        code, out, _ = run_cli("validate", "--config", path,
+                               "--subcommand", "rabi")
+        assert code == 2
+        issues = json.loads(out)["issues"]
+        assert [i.split(":")[0] for i in issues if "pol_axis" in i] \
+            == ["schema"]
+
 
 class TestErrorHandling:
     def test_malformed_config_leaves_no_output(self, tmp_path):
@@ -116,6 +141,28 @@ class TestErrorHandling:
         assert code == 1
         payload = json.loads(err.strip())
         assert payload["error"]["type"] == "ConfigError"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("section,key,literal", [
+        ("tweezer", "power_mW", "NaN"),
+        ("field", "phi_deg", "Infinity"),
+        ("drive", "rabi_kHz", "-Infinity"),
+        ("tweezer", "power_mW", "1e400")])
+    def test_non_finite_number_rejected(self, tmp_path, section, key,
+                                        literal):
+        cfg = base_cfg(temperature_uK=0)
+        cfg[section][key] = "@"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg).replace('"@"', literal))
+        code, out, _ = run_cli("validate", "--config", str(path),
+                               "--subcommand", "ramsey")
+        assert code == 2
+        assert json.loads(out)["issues"][0].startswith("schema:")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli("ramsey", "--config", str(path),
+                               "--out", str(out_dir))
+        assert code == 1
+        assert json.loads(err.strip())["error"]["type"] == "ConfigError"
         assert not out_dir.exists()
 
     def test_module_entrypoint_runs(self, tmp_path):

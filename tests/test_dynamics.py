@@ -276,6 +276,20 @@ class TestBurstGrid:
             assert p.contrast == pytest.approx(1.0, abs=1e-9)
 
 
+class TestDeterminismContract:
+    @pytest.mark.parametrize("model", ["fock", "classical"])
+    @pytest.mark.parametrize("sets", [1, 2])
+    def test_draws_independent_of_trial_count(self, model, sets):
+        # trial k's draws depend on (seed, k) only, never on the count
+        noise = NoiseModel(rabi_frac_std=0.05, phi_jitter_std_deg=0.3,
+                           detuning_offset_std=2 * math.pi * 200.0)
+        short, long = (dynamics._draw_trials(
+            mismatched_trap(), 5e-6, noise, n, 21, model, detuning_sets=sets)
+            for n in (300, 700))
+        for a, b in zip(short, long):
+            np.testing.assert_array_equal(a, b[..., :300])
+
+
 class TestTraceCSV:
     def test_roundtrip(self, tmp_path):
         tr = dynamics.simulate_rabi(magic_trap(), 0.0, NOISELESS, OMEGA,

@@ -141,20 +141,20 @@ class TestPower:
 
 class TestGaussianFallback:
     def test_peak_intensity_exact(self):
-        g = focalfield.gaussian_fallback_field(600e-9, 2e-3, 540.0)
+        g = focalfield.GaussianField(600e-9, 2e-3, 540.0)
         e = g.field_at(0.0, 0.0, 0.0)
         i0 = 0.5 * EPS0 * C_LIGHT * np.abs(e[0]) ** 2
         assert i0 == pytest.approx(2 * 2e-3 / (math.pi * 600e-9 ** 2),
                                    rel=1e-12)
 
     def test_flux_equals_power(self):
-        g = focalfield.gaussian_fallback_field(600e-9, 2e-3, 540.0)
+        g = focalfield.GaussianField(600e-9, 2e-3, 540.0)
         assert plane_flux(g, 0.0, 3e-6) == pytest.approx(2e-3, rel=1e-3)
         assert plane_flux(g, 1e-6, 4e-6) == pytest.approx(2e-3, rel=1e-3)
 
     def test_axial_profile_rayleigh(self):
         w0, lam = 600e-9, 540e-9
-        g = focalfield.gaussian_fallback_field(w0, 2e-3, 540.0)
+        g = focalfield.GaussianField(w0, 2e-3, 540.0)
         z_r = math.pi * w0 ** 2 / lam
         i_center = np.abs(g.field_at(0.0, 0.0, 0.0)[0]) ** 2
         i_zr = np.abs(g.field_at(0.0, 0.0, z_r)[0]) ** 2
@@ -164,7 +164,7 @@ class TestGaussianFallback:
         cfg = TweezerConfig(wavelength_nm=539.91, power_W=1e-3, na=0.12,
                             filling_factor=1.0)
         fld = focalfield.build_field(cfg)
-        g = focalfield.gaussian_fallback_field(fld.waist_m, 1e-3, 539.91)
+        g = focalfield.GaussianField(fld.waist_m, 1e-3, 539.91)
         r = np.linspace(0, fld.waist_m, 9)
         zero = np.zeros_like(r)
         for pts in ((r, zero), (zero, r)):

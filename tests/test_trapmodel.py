@@ -27,7 +27,7 @@ def rng_from(seed):
 
 
 def gaussian_trap(power_w=1e-3, waist_m=600e-9):
-    return focalfield.gaussian_fallback_field(waist_m, power_w, 539.91)
+    return focalfield.GaussianField(waist_m, power_w, 539.91)
 
 
 class TestCharacterize:
