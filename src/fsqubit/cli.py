@@ -65,9 +65,21 @@ def _finite_float(text):
     return value
 
 
+def _float_sized_int(text):
+    # integer literals too large for a float, like a 400-digit power_mW
+    value = int(text)
+    try:
+        float(value)
+    except OverflowError:
+        raise ConfigError(f"{len(text)}-digit integer in config is too "
+                          "large for a float") from None
+    return value
+
+
 def _load_config(path) -> dict:
     with open(path) as fh:
         cfg = json.load(fh, parse_float=_finite_float,
+                        parse_int=_float_sized_int,
                         parse_constant=_finite_float)
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")

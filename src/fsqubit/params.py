@@ -13,6 +13,7 @@ modules that consume them. Frames and conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -45,6 +46,11 @@ class TweezerConfig:
     filling_factor: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("wavelength_nm", "power_W", "na", "target_waist_nm",
+                     "filling_factor"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ValueError(f"{name} must be finite")
         if self.wavelength_nm <= 0:
             raise ValueError("wavelength must be positive")
         if self.power_W < 0:

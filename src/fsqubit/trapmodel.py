@@ -108,8 +108,9 @@ def characterize_trap(config: TweezerConfig, env: FieldEnvironment,
     amplitudes; ``config`` supplies the wavelength, ``env.field`` the
     quantization-axis angle.
 
-    Raises :class:`NotTrapping` if either state has non-negative center
-    energy or non-positive curvature along any axis.
+    Raises :class:`NotTrapping` if either state has a center energy that
+    is not negative or a curvature that is not positive along some axis
+    (NaN included).
     """
     if field is None:
         field = focalfield.build_field(config)
@@ -125,14 +126,14 @@ def characterize_trap(config: TweezerConfig, env: FieldEnvironment,
     omegas = {}
     for label in _STATE_LABELS:
         u = energies[label]
-        if u[0] >= 0.0:
+        if not u[0] < 0.0:
             raise NotTrapping(f"{label}: center energy {u[0]:.3g} Hz is not "
                               "below the free-space asymptote")
         depths[label] = -float(u[0])
         om = np.empty(3)
         for i, axis in enumerate("xyz"):
             curv_hz_m2 = (u[1 + 2 * i] - 2.0 * u[0] + u[2 + 2 * i]) / step ** 2
-            if curv_hz_m2 <= 0.0:
+            if not curv_hz_m2 > 0.0:
                 raise NotTrapping(f"{label}: non-positive curvature along "
                                   f"{axis}")
             om[i] = math.sqrt(H_PLANCK * curv_hz_m2 / MASS_SR88)

@@ -147,7 +147,9 @@ class TestErrorHandling:
         ("tweezer", "power_mW", "NaN"),
         ("field", "phi_deg", "Infinity"),
         ("drive", "rabi_kHz", "-Infinity"),
-        ("tweezer", "power_mW", "1e400")])
+        ("tweezer", "power_mW", "1e400"),
+        pytest.param("tweezer", "power_mW", "1" + "0" * 400,
+                     id="tweezer-power_mW-400-digit-int")])
     def test_non_finite_number_rejected(self, tmp_path, section, key,
                                         literal):
         cfg = base_cfg(temperature_uK=0)

@@ -1,10 +1,12 @@
 """Focal-field construction: vector diffraction, calibration, shift maps.
 
 Oracles used here:
-  * transverse-plane flux is independent of z for a lossless focus
-    (Parseval in the angular domain), so flux(z) == flux(0) == beam power;
-  * a Gaussian beam is the exact low-aperture limit, giving analytic
-    peak intensity 2P/(pi w0^2) and Rayleigh range pi w0^2 / lambda;
+  * the total transverse-plane flux equals the beam power in every plane z
+    of a lossless focus; it is measured by radial quadrature out to 10 and
+    20 waists, with the 1/R diffraction tail extrapolated away;
+  * a Gaussian beam has analytic peak intensity 2P/(pi w0^2) and Rayleigh
+    range pi w0^2 / lambda; at low aperture the focus is the paraxial
+    Hankel transform of the pupil-truncated Gaussian;
   * symmetry: the longitudinal component vanishes identically on the
     optical axis, the cross-polarized component on both principal axes,
     and the whole map under point reflection.
@@ -14,11 +16,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import j0
 
 from fsqubit import FieldEnvironment, MagneticField, TweezerConfig
 from fsqubit import focalfield
 from fsqubit.constants import C_LIGHT, EPS0
-from fsqubit.errors import GridTooCoarse, UnreachableWaist
+from fsqubit.errors import UnreachableWaist
 
 REF = TweezerConfig(wavelength_nm=539.91, power_W=1.45e-3, na=0.5,
                     target_waist_nm=564.0)
@@ -36,6 +40,23 @@ def plane_flux(field, z_m, half_extent_m, n=201):
     e = field.field_at(xx.ravel(), yy.ravel(), np.full(xx.size, z_m))
     it = np.abs(e[:, 0]) ** 2 + np.abs(e[:, 1]) ** 2
     return 0.5 * EPS0 * C_LIGHT * it.sum() * dx * dx
+
+
+def radial_flux(field, z_m, r_lo, r_hi, panels=20, n=16):
+    """Flux through the annulus r_lo < rho < r_hi in the plane z_m.
+
+    At phi = 45 deg, |Ex|^2 + |Ey|^2 = |i00|^2 + |i02|^2, the azimuthal mean
+    of the transverse intensity, so one ray carries the whole annulus.
+    """
+    x, w = np.polynomial.legendre.leggauss(n)
+    edges = np.linspace(r_lo, r_hi, panels + 1)
+    a, b = edges[:-1, None], edges[1:, None]
+    rho = (0.5 * (b - a) * (x + 1) + a).ravel()
+    wq = (0.5 * (b - a) * w).ravel()
+    u = rho / math.sqrt(2)
+    e = field.field_at(u, u, np.full(rho.size, z_m))
+    it = np.abs(e[:, 0]) ** 2 + np.abs(e[:, 1]) ** 2
+    return 0.5 * EPS0 * C_LIGHT * 2 * math.pi * float(np.sum(it * rho * wq))
 
 
 class TestCalibration:
@@ -56,6 +77,16 @@ class TestCalibration:
                             target_waist_nm=50_000.0)
         with pytest.raises(UnreachableWaist):
             focalfield.build_field(cfg)
+
+    @pytest.mark.parametrize("key", ["wavelength_nm", "power_W", "na",
+                                     "target_waist_nm", "filling_factor"])
+    def test_non_finite_config_rejected(self, key):
+        kwargs = dict(wavelength_nm=539.91, power_W=1e-3, na=0.5,
+                      target_waist_nm=564.0, filling_factor=1.0)
+        for bad in (math.nan, math.inf):
+            kwargs[key] = bad
+            with pytest.raises(ValueError):
+                TweezerConfig(**kwargs)
 
     def test_explicit_filling_factor_skips_calibration(self):
         cfg = TweezerConfig(wavelength_nm=539.91, power_W=1e-3, na=0.5,
@@ -108,35 +139,26 @@ class TestFieldStructure:
 
 
 class TestPower:
-    def test_flux_matches_power_at_focus(self, ref_field):
-        flux = plane_flux(ref_field, 0.0, 5 * ref_field.waist_m)
-        assert abs(flux / REF.power_W - 1) < 2e-3
-
-    def test_flux_independent_of_z(self, ref_field):
+    @pytest.mark.parametrize("z_over_zr", [0.0, -1.0, -0.5, 0.5, 1.0])
+    def test_total_flux_matches_power(self, ref_field, z_over_zr):
         w0 = ref_field.waist_m
-        z_r = math.pi * w0 ** 2 / (REF.wavelength_nm * 1e-9)
-        f0 = plane_flux(ref_field, 0.0, 6 * w0)
-        for z in (-z_r, -0.5 * z_r, 0.5 * z_r, z_r):
-            fz = plane_flux(ref_field, z, 6 * w0)
-            assert abs(fz / f0 - 1) < 2e-3
+        z = z_over_zr * math.pi * w0 ** 2 / (REF.wavelength_nm * 1e-9)
+        f10 = radial_flux(ref_field, z, 0.0, 10 * w0)
+        f20 = f10 + radial_flux(ref_field, z, 10 * w0, 20 * w0)
+        # the diffraction tail beyond R carries flux ~ 1/R
+        assert abs((2 * f20 - f10) / REF.power_W - 1) < 2e-4
 
-    def test_normalize_power_rejects_coarse_grid(self, ref_field):
-        w0 = ref_field.waist_m
-        x = np.arange(-3 * w0, 3 * w0, w0 / 4)
-        xx, yy = np.meshgrid(x, x)
-        e = ref_field.field_at(xx.ravel(), yy.ravel(), np.zeros(xx.size))
-        e = e.reshape(xx.shape + (3,))
-        with pytest.raises(GridTooCoarse):
-            focalfield.normalize_power(e, w0 / 4, w0 / 4, 1e-3)
+    @pytest.mark.parametrize("f0", [0.05, 0.747, 40.0])
+    def test_pupil_flux_matches_adaptive_quadrature(self, f0):
+        fld = focalfield.TweezerField(REF, f0)
 
-    def test_normalize_power_rejects_truncated_grid(self, ref_field):
-        w0 = ref_field.waist_m
-        x = np.arange(-0.3 * w0, 0.3 * w0, w0 / 20)
-        xx, yy = np.meshgrid(x, x)
-        e = ref_field.field_at(xx.ravel(), yy.ravel(), np.zeros(xx.size))
-        e = e.reshape(xx.shape + (3,))
-        with pytest.raises(GridTooCoarse):
-            focalfield.normalize_power(e, w0 / 20, w0 / 20, 1e-3)
+        def integrand(t):
+            f_sq = math.exp(-2 * (math.sin(t) / (f0 * REF.na)) ** 2)
+            return f_sq * math.sin(t) * (1 + math.cos(t) ** 2)
+
+        ref = quad(integrand, 0.0, fld.theta_max, epsabs=0, epsrel=1e-13)[0]
+        expect = EPS0 * C_LIGHT * 2 * math.pi / fld.k ** 2 * ref
+        assert fld._unit_flux() == pytest.approx(expect, rel=1e-13)
 
 
 class TestGaussianFallback:
@@ -164,24 +186,25 @@ class TestGaussianFallback:
         cfg = TweezerConfig(wavelength_nm=539.91, power_W=1e-3, na=0.12,
                             filling_factor=1.0)
         fld = focalfield.build_field(cfg)
-        g = focalfield.GaussianField(fld.waist_m, 1e-3, 539.91)
+        # paraxial focus of the pupil-truncated Gaussian g(s), s = sin t:
+        # E(rho) ~ int_0^NA g(s) J0(k rho s) s ds, with the flux fixed to P
+        # by Parseval, 2 pi / k^2 int_0^NA g(s)^2 s ds
+        a = cfg.filling_factor * cfg.na
+        x, w = np.polynomial.legendre.leggauss(64)
+        s = 0.5 * cfg.na * (x + 1)
+        gs = np.exp(-(s / a) ** 2) * s * 0.5 * cfg.na * w
+        norm = (2 * math.pi / fld.k ** 2 * a ** 2 / 4
+                * -math.expm1(-2 * (cfg.na / a) ** 2))
         r = np.linspace(0, fld.waist_m, 9)
         zero = np.zeros_like(r)
+        i_oracle = cfg.power_W * (j0(fld.k * np.outer(r, s)) @ gs) ** 2 / norm
         for pts in ((r, zero), (zero, r)):
             e_dw = fld.field_at(pts[0], pts[1], zero)
-            e_g = g.field_at(pts[0], pts[1], zero)
-            i_dw = np.sum(np.abs(e_dw) ** 2, axis=-1)
-            i_g = np.sum(np.abs(e_g) ** 2, axis=-1)
-            assert np.all(np.abs(i_dw / i_g - 1) < 0.05)
+            i_dw = 0.5 * EPS0 * C_LIGHT * np.sum(np.abs(e_dw) ** 2, axis=-1)
+            assert np.all(np.abs(i_dw / i_oracle - 1) < 0.02)
 
 
 class TestSamples:
-    def test_sample_fields(self, ref_field):
-        s = focalfield.sample_at(ref_field, 200e-9, -100e-9, 50e-9)
-        assert np.linalg.norm(s.epsilon) == pytest.approx(1.0, rel=1e-12)
-        assert s.e0sq == pytest.approx(
-            np.sum(np.abs(s.e_field) ** 2) / 4.0, rel=1e-12)
-
     def test_center_e0sq_near_gaussian_estimate(self, ref_field):
         i0 = 2 * REF.power_W / (math.pi * ref_field.waist_m ** 2)
         e0sq_gauss = i0 / (2 * EPS0 * C_LIGHT)
@@ -250,9 +273,8 @@ class TestMap:
         m = focalfield.lightshift_map(ref_field, env, table, n=41)
         n = m.du_hz.shape[0] // 2
         center = m.du_hz[n, n]
-        s = focalfield.sample_at(ref_field, 0.0, 0.0, 0.0)
         expect = atomstark.differential_shift_from_projection(
-            table, REF.wavelength_nm, 1.0, s.e0sq)
+            table, REF.wavelength_nm, 1.0, ref_field.center_e0sq)
         assert center == pytest.approx(float(expect), rel=1e-9)
         assert center == pytest.approx(-200e3, rel=0.35)
         assert np.all(np.abs(m.du_hz) <= np.abs(center) * (1 + 1e-9))

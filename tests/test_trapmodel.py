@@ -80,6 +80,11 @@ class TestCharacterize:
             trapmodel.characterize_trap(REF, ENV0, bad,
                                         field=gaussian_trap())
 
+    def test_nan_power_not_trapping(self, table):
+        with pytest.raises(NotTrapping):
+            trapmodel.characterize_trap(REF, ENV0, table,
+                                        field=gaussian_trap(math.nan))
+
     def test_magic_trap_frequency_mismatch_is_along_pol(self, table,
                                                         magic_field_env):
         field, env = magic_field_env
