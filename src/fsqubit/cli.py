@@ -16,8 +16,9 @@ Each run computes everything first, then writes its data files plus
 partial artifacts. ``meta.json`` embeds the effective config; passing a
 ``meta.json`` back as ``--config`` reproduces the run. Any module error
 prints one JSON object (``{"error": {"type", "message"}}``) on stderr and
-exits 1. ``validate`` prints an issue report on stdout and exits 0 when
-clean, 2 when issues were found.
+exits 1. ``validate`` checks every key, unknown ones included, against one
+schema table and prints an issue report on stdout; it exits 0 when clean,
+2 when issues were found.
 
 The default polarizability table comes from ``$FSQUBIT_TABLE`` or the
 packaged fixture; ``"table"`` in the config overrides both.
@@ -29,10 +30,12 @@ import argparse
 import csv
 import json
 import math
+import operator
 import os
 import sys
 from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,11 +47,6 @@ SCHEMA_VERSION = 1
 
 _SIM_COMMANDS = ("rabi", "ramsey", "t2", "magic-scan", "phinoise")
 _RUN_COMMANDS = _SIM_COMMANDS + ("shiftmap", "magic-find", "fit")
-
-_TOP_KEYS = {"schema_version", "table", "tweezer", "field", "drive",
-             "temperature_uK", "noise", "protocol", "time_grid",
-             "burst_grid", "angle_scan", "phi_noise_scan", "map_grid",
-             "fit", "trials", "seed"}
 
 
 class ConfigError(FsqubitError):
@@ -77,10 +75,13 @@ def _float_sized_int(text):
 
 
 def _load_config(path) -> dict:
-    with open(path) as fh:
-        cfg = json.load(fh, parse_float=_finite_float,
-                        parse_int=_float_sized_int,
-                        parse_constant=_finite_float)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh, parse_float=_finite_float,
+                            parse_int=_float_sized_int,
+                            parse_constant=_finite_float)
+    except (ValueError, RecursionError) as exc:  # bad bytes/JSON, deep nesting
+        raise ConfigError(f"unreadable config: {exc!r}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     # a meta.json from a previous run embeds the config it ran with
@@ -91,254 +92,230 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+# ----------------------------------------------------------------- schema
+# A checker returns None for a good value, else an issue in which '{}'
+# stands for the key's dotted name.
+
+_SYMBOLS = {"gt": ">", "ge": ">=", "lt": "<", "le": "<="}  # operator names
 
 
-def _check_block(issues, cfg, name, required):
-    block = cfg.get(name)
-    if block is None:
-        if required:
-            issues.append(f"missing: section '{name}' is required")
-        return None
-    if not isinstance(block, dict):
-        issues.append(f"type: '{name}' must be an object")
-        return None
-    return block
+def _number(kind=(int, float), **bounds):
+    """A finite number, or an integer when ``kind`` is int, in bounds."""
+    noun = "an integer" if kind is int else "a number"
+    text = " and ".join(f"{_SYMBOLS[op]} {b:g}" for op, b in bounds.items())
+
+    def check(v):
+        if (not isinstance(v, kind) or isinstance(v, bool)
+                or not math.isfinite(v)):
+            return f"type: {{}} must be {noun}"
+        if not all(getattr(operator, op)(v, b) for op, b in bounds.items()):
+            return f"range: {{}} must be {text}"
+    return check
 
 
-def _check_pos(issues, block, section, key, required=False,
-               nonneg=False) -> None:
-    if key not in block:
-        if required:
-            issues.append(f"missing: {section}.{key} is required")
-        return
-    v = block[key]
-    if not _is_num(v):
-        issues.append(f"type: {section}.{key} must be a number")
-    elif nonneg and v < 0:
-        issues.append(f"range: {section}.{key} must be >= 0")
-    elif not nonneg and v <= 0:
-        issues.append(f"range: {section}.{key} must be > 0")
+def _instance(kind, noun):
+    return lambda v: None if isinstance(v, kind) else \
+        f"type: {{}} must be {noun}"
+
+
+def _choice(*options):
+    # type-exact, so that true does not pass for the integer 1
+    text = " or ".join(map(repr, options))
+    return lambda v: None if any(type(v) is type(o) and v == o
+                                 for o in options) else \
+        f"value: {{}} must be {text}"
+
+
+def _angle(v):
+    if v != "magic" and _number()(v):
+        return "value: {} must be a number or 'magic'"
+
+
+def _nonempty_list(item):
+    return lambda v: next(filter(None, map(item, v)), None) \
+        if isinstance(v, list) and v else "type: {} must be a non-empty list"
+
+
+class _Key(NamedTuple):
+    check: Callable
+    default: object = None
+    required: tuple = ()  # the commands that need the key
+
+
+_ALL = _RUN_COMMANDS  # needed wherever its section is present
+_POS, _NONNEG = _number(gt=0), _number(ge=0)
+_SPAM = _number(gt=0, le=1)  # trace_ideal.csv divides by the SPAM factor
+_PERIODS = _number(ge=1)  # extract_contrast needs a full fringe period
+_WINDOW_POINTS = _number(int, ge=6)  # and six points in each window
+_SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
+    None: ((), {
+        "schema_version": _Key(_choice(SCHEMA_VERSION), required=_ALL),
+        "table": _Key(_instance(str, "a string")),
+        "temperature_uK": _Key(_NONNEG, 0.0),
+        "trials": _Key(_number(int, ge=1), required=_SIM_COMMANDS),
+        "seed": _Key(_number(int, ge=0), required=_SIM_COMMANDS)}),
+    "tweezer": (_ALL, {
+        "wavelength_nm": _Key(_POS, required=_ALL),
+        "power_mW": _Key(_POS, required=_ALL),
+        "na": _Key(_number(gt=0, lt=1), required=_ALL),
+        "waist_nm": _Key(_POS),
+        "filling_factor": _Key(_POS),
+        "pol_axis": _Key(lambda v: "schema: {} is retired; field.phi_deg "
+                         "alone sets the polarization angle")}),
+    "field": (_ALL, {
+        "magnitude_G": _Key(_NONNEG, required=_ALL),
+        "phi_deg": _Key(_angle, required=_ALL)}),
+    "drive": (_SIM_COMMANDS, {
+        "rabi_kHz": _Key(_POS, required=_SIM_COMMANDS),
+        "fringe_MHz": _Key(_POS, required=_SIM_COMMANDS[1:])}),  # not rabi
+    "noise": ((), {
+        "rabi_frac_std": _Key(_NONNEG, 0.0),
+        "phi_jitter_std_deg": _Key(_NONNEG, 0.0),
+        "detuning_offset_std_Hz": _Key(_NONNEG, 0.0),
+        "prep_efficiency": _Key(_SPAM, 1.0),
+        "readout_fidelity": _Key(_SPAM, 1.0)}),
+    "protocol": ((), {
+        "name": _Key(_choice("ramsey", "echo", "rabi"), "ramsey"),
+        "motional_model": _Key(_choice("fock", "classical"), "fock"),
+        "instantaneous_pulses": _Key(_instance(bool, "a boolean"), False),
+        "fluctuating_detuning": _Key(_instance(bool, "a boolean"), False)}),
+    "time_grid": (("rabi", "ramsey"), {
+        "start_us": _Key(_NONNEG, 0.0),
+        "stop_us": _Key(_POS, required=_ALL),
+        "points": _Key(_number(int, ge=2), required=_ALL)}),
+    "burst_grid": (("t2", "phinoise"), {
+        "t2_guess_us": _Key(_POS, required=_ALL),
+        "n_windows": _Key(_number(int, ge=4), 9),  # four points to fit T2
+        "points_per_window": _Key(_WINDOW_POINTS, 28),
+        "window_periods": _Key(_PERIODS, 5.0),
+        "span_factor": _Key(_POS, 2.5)}),
+    "angle_scan": (("magic-scan",), {
+        "start_deg": _Key(_NONNEG, required=_ALL),
+        "stop_deg": _Key(_POS, required=_ALL),
+        "points": _Key(_number(int, ge=2), required=_ALL),
+        "t_r_us": _Key(_POS, required=_ALL),
+        "normalize": _Key(_choice("max", "none"), "max"),
+        "window_periods": _Key(_PERIODS, 5.0),
+        "points_per_window": _Key(_WINDOW_POINTS, 28)}),
+    "phi_noise_scan": (("phinoise",), {  # values_deg, or the ramp below
+        "values_deg": _Key(_nonempty_list(_NONNEG)),
+        "start_deg": _Key(_NONNEG),
+        "stop_deg": _Key(_POS),
+        "points": _Key(_number(int, ge=2))}),
+    "map_grid": ((), {
+        "half_extent_nm": _Key(_POS),
+        "points": _Key(_number(int, ge=11), 101)}),
+    "fit": (("fit",), {
+        "trace_csv": _Key(_instance(str, "a string"), required=_ALL),
+        "mode": _Key(_choice("sinusoid", "envelope"), required=_ALL),
+        "f_fringe_MHz": _Key(_POS),
+        "window_periods": _Key(_PERIODS, 5.0)}),
+}
+
+
+def _get(cfg, section, key):
+    """section.key (section None: top level); absent or null: the default."""
+    value = (cfg if section is None else cfg.get(section) or {}).get(key)
+    return _SCHEMA[section][1][key].default if value is None else value
 
 
 def check_config(cfg: dict, subcommand: str) -> list[str]:
-    """Structural and physics sanity issues; empty list means runnable."""
+    """Structural and physics sanity issues; empty list means runnable.
+
+    Every key is checked against ``_SCHEMA``; the rules that span several
+    keys run once that pass is clean."""
     issues: list[str] = []
-    if cfg.get("schema_version") != SCHEMA_VERSION:
-        issues.append(
-            f"schema: schema_version must be {SCHEMA_VERSION}")
-    for key in sorted(set(cfg) - _TOP_KEYS):
-        issues.append(f"schema: unknown key '{key}'")
+    for section, (needed_by, keys) in _SCHEMA.items():
+        block = cfg if section is None else cfg.get(section)
+        prefix = "" if section is None else section + "."
+        if block is None:
+            if subcommand in needed_by:
+                issues.append(f"missing: section '{section}' is required")
+            continue
+        if not isinstance(block, dict):
+            issues.append(f"type: {section} must be an object")
+            continue
+        known = keys.keys() | (_SCHEMA.keys() if section is None else set())
+        issues += [f"schema: unknown key '{prefix}{key}'"
+                   for key in block if key not in known]
+        for key, spec in keys.items():
+            if block.get(key) is None:
+                if subcommand in spec.required:
+                    issues.append(f"missing: {prefix}{key} is required")
+            elif problem := spec.check(block[key]):
+                issues.append(problem.format(prefix + key))
+    return issues or _rule_issues(cfg, subcommand)
 
-    tw = _check_block(issues, cfg, "tweezer", required=True)
-    if tw is not None:
-        _check_pos(issues, tw, "tweezer", "wavelength_nm", required=True)
-        _check_pos(issues, tw, "tweezer", "power_mW", required=True)
-        _check_pos(issues, tw, "tweezer", "na", required=True)
-        if _is_num(tw.get("na")) and tw["na"] >= 1:
-            issues.append("range: tweezer.na must be < 1")
-        _check_pos(issues, tw, "tweezer", "waist_nm")
-        _check_pos(issues, tw, "tweezer", "filling_factor")
-        if "pol_axis" in tw:
-            issues.append("schema: tweezer.pol_axis is retired; "
-                          "field.phi_deg alone sets the polarization angle")
 
-    fl = _check_block(issues, cfg, "field", required=True)
-    if fl is not None:
-        _check_pos(issues, fl, "field", "magnitude_G", required=True,
-                   nonneg=True)
-        phi = fl.get("phi_deg", "missing")
-        if phi == "missing":
-            issues.append("missing: field.phi_deg is required")
-        elif not (_is_num(phi) or phi == "magic"):
-            issues.append("value: field.phi_deg must be a number or "
-                          "'magic'")
-    # the magic roots use the Gaussian center polarization of the waist
-    if tw is not None and tw.get("waist_nm") is None and (
-            subcommand == "magic-find"
-            or (fl is not None and fl.get("phi_deg") == "magic")):
-        issues.append("missing: tweezer.waist_nm is required for magic "
-                      "roots (field.phi_deg 'magic' or magic-find)")
-
-    needs_fringe = subcommand in ("ramsey", "t2", "magic-scan", "phinoise")
-    dr = _check_block(issues, cfg, "drive",
-                      required=subcommand in _SIM_COMMANDS)
-    if dr is not None:
-        _check_pos(issues, dr, "drive", "rabi_kHz",
-                   required=subcommand in _SIM_COMMANDS)
-        _check_pos(issues, dr, "drive", "fringe_MHz",
-                   required=needs_fringe)
-
-    if "temperature_uK" in cfg:
-        v = cfg["temperature_uK"]
-        if not _is_num(v) or v < 0:
-            issues.append("range: temperature_uK must be a number >= 0")
-
-    nz = _check_block(issues, cfg, "noise", required=False)
-    if nz is not None:
-        for key in ("rabi_frac_std", "phi_jitter_std_deg",
-                    "detuning_offset_std_Hz"):
-            _check_pos(issues, nz, "noise", key, nonneg=True)
-        for key in ("prep_efficiency", "readout_fidelity"):
-            if key in nz and (not _is_num(nz[key])
-                              or not 0 <= nz[key] <= 1):
-                issues.append(f"range: noise.{key} must be in [0, 1]")
-
-    pr = _check_block(issues, cfg, "protocol", required=False)
-    name = "ramsey"
-    if pr is not None:
-        name = pr.get("name", "ramsey")
+def _rule_issues(cfg, subcommand) -> list[str]:
+    issues: list[str] = []
+    tw = cfg["tweezer"]
+    if tw.get("waist_nm") is None:
+        # the magic roots use the Gaussian center polarization of the waist
+        if subcommand == "magic-find" or cfg["field"]["phi_deg"] == "magic":
+            issues.append("missing: tweezer.waist_nm is required for magic "
+                          "roots (field.phi_deg 'magic' or magic-find)")
+        elif subcommand != "fit" and tw.get("filling_factor") is None:
+            issues.append("missing: tweezer.waist_nm or "
+                          "tweezer.filling_factor is required")
+    # without a protocol block, the rabi command runs Rabi
+    if cfg.get("protocol") is not None and subcommand in _SIM_COMMANDS:
+        name = _get(cfg, "protocol", "name")
         allowed = {"rabi": ("rabi",), "ramsey": ("ramsey", "echo"),
-                   "t2": ("ramsey", "echo")}.get(subcommand,
-                                                 ("ramsey",))
-        if subcommand in _SIM_COMMANDS and name not in allowed:
+                   "t2": ("ramsey", "echo")}.get(subcommand, ("ramsey",))
+        if name not in allowed:
             issues.append(f"value: protocol.name {name!r} not valid for "
                           f"'{subcommand}' (allowed: {sorted(allowed)})")
-        if pr.get("motional_model", "fock") not in ("fock", "classical"):
-            issues.append("value: protocol.motional_model must be 'fock' "
-                          "or 'classical'")
-        for key in ("instantaneous_pulses", "fluctuating_detuning"):
-            if key in pr and not isinstance(pr[key], bool):
-                issues.append(f"type: protocol.{key} must be a boolean")
-
-    tg = _check_block(issues, cfg, "time_grid",
-                      required=subcommand in ("rabi", "ramsey"))
-    if tg is not None:
-        _check_pos(issues, tg, "time_grid", "start_us", nonneg=True)
-        _check_pos(issues, tg, "time_grid", "stop_us", required=True)
-        pts = tg.get("points")
-        if not isinstance(pts, int) or pts < 2:
-            issues.append("range: time_grid.points must be an integer "
-                          ">= 2")
-        elif (_is_num(tg.get("stop_us")) and
-              tg.get("stop_us", 1) <= tg.get("start_us", 0.0)):
-            issues.append("range: time_grid.stop_us must exceed start_us")
-
-    bg = _check_block(issues, cfg, "burst_grid",
-                      required=subcommand in ("t2", "phinoise"))
-    if bg is not None:
-        _check_pos(issues, bg, "burst_grid", "t2_guess_us", required=True)
-        for key in ("n_windows", "points_per_window"):
-            if key in bg and (not isinstance(bg[key], int)
-                              or bg[key] < 2):
-                issues.append(f"range: burst_grid.{key} must be an "
-                              "integer >= 2")
-        _check_pos(issues, bg, "burst_grid", "window_periods")
-        _check_pos(issues, bg, "burst_grid", "span_factor")
-
-    sc = _check_block(issues, cfg, "angle_scan",
-                      required=subcommand == "magic-scan")
-    if sc is not None:
-        _check_pos(issues, sc, "angle_scan", "start_deg", required=True,
-                   nonneg=True)
-        _check_pos(issues, sc, "angle_scan", "stop_deg", required=True)
-        if not isinstance(sc.get("points"), int) or sc["points"] < 2:
-            issues.append("range: angle_scan.points must be an integer "
-                          ">= 2")
-        _check_pos(issues, sc, "angle_scan", "t_r_us", required=True)
-        if sc.get("normalize", "max") not in ("max", "none"):
-            issues.append("value: angle_scan.normalize must be 'max' or "
-                          "'none'")
-
-    ps = _check_block(issues, cfg, "phi_noise_scan",
-                      required=subcommand == "phinoise")
-    if ps is not None:
-        vals = ps.get("values_deg")
-        if vals is not None:
-            if (not isinstance(vals, list) or len(vals) < 1
-                    or not all(_is_num(v) and v >= 0 for v in vals)):
-                issues.append("value: phi_noise_scan.values_deg must be "
-                              "a list of numbers >= 0")
-        else:
-            _check_pos(issues, ps, "phi_noise_scan", "start_deg",
-                       required=True, nonneg=True)
-            _check_pos(issues, ps, "phi_noise_scan", "stop_deg",
-                       required=True)
-            if (not isinstance(ps.get("points"), int)
-                    or ps["points"] < 2):
-                issues.append("range: phi_noise_scan.points must be an "
-                              "integer >= 2")
-
-    mg = _check_block(issues, cfg, "map_grid", required=False)
-    if mg is not None:
-        if mg.get("half_extent_nm") is not None:
-            _check_pos(issues, mg, "map_grid", "half_extent_nm")
-        if "points" in mg and (not isinstance(mg["points"], int)
-                               or mg["points"] < 11):
-            issues.append("range: map_grid.points must be an integer "
-                          ">= 11")
-
-    ft = _check_block(issues, cfg, "fit", required=subcommand == "fit")
-    if ft is not None:
-        path = ft.get("trace_csv")
-        if not isinstance(path, str):
-            issues.append("missing: fit.trace_csv is required")
-        elif not Path(path).exists():
-            issues.append(f"file: fit.trace_csv {path!r} does not exist")
-        mode = ft.get("mode")
-        if mode not in ("sinusoid", "envelope"):
-            issues.append("value: fit.mode must be 'sinusoid' or "
-                          "'envelope'")
-        if ft.get("f_fringe_MHz") is not None:
-            _check_pos(issues, ft, "fit", "f_fringe_MHz")
-        elif mode == "envelope":
-            issues.append("missing: fit.f_fringe_MHz is required for "
-                          "envelope mode")
-        _check_pos(issues, ft, "fit", "window_periods")
-
-    if subcommand in _SIM_COMMANDS:
-        if not isinstance(cfg.get("trials"), int) or cfg["trials"] < 1:
-            issues.append("range: trials must be an integer >= 1")
-        if not isinstance(cfg.get("seed"), int) or cfg["seed"] < 0:
-            issues.append("missing: seed must be an integer >= 0 (runs "
-                          "never seed from the clock)")
-
+    if (cfg.get("time_grid") is not None and cfg["time_grid"]["stop_us"]
+            <= _get(cfg, "time_grid", "start_us")):
+        issues.append("range: time_grid.stop_us must exceed start_us")
+    ps = cfg.get("phi_noise_scan")
+    if ps is not None and ps.get("values_deg") is None:
+        issues += [f"missing: phi_noise_scan.{key} is required without "
+                   "values_deg" for key in ("start_deg", "stop_deg", "points")
+                   if ps.get(key) is None]
+    ft = cfg.get("fit") or {}
+    if ft and not Path(ft["trace_csv"]).exists():
+        issues.append(f"file: fit.trace_csv {ft['trace_csv']!r} does not "
+                      "exist")
+    if ft.get("mode") == "envelope" and ft.get("f_fringe_MHz") is None:
+        issues.append("missing: fit.f_fringe_MHz is required in envelope mode")
     # table loadability and wavelength coverage - the one check that
     # touches the filesystem beyond the config itself
-    spec = cfg.get("table")
-    if spec is not None and not isinstance(spec, str):
-        issues.append("type: table must be a string")
-        spec = None
     try:
-        table = atomstark.load_table(spec)
+        table = atomstark.load_table(cfg.get("table"))
     except (FsqubitError, OSError) as exc:
-        issues.append(f"file: polarizability table: {exc}")
-        table = None
-    lam = tw.get("wavelength_nm") if tw else None
-    if table is not None and _is_num(lam):
-        for state in (atomstark.GROUND, atomstark.EXCITED):
-            lo, hi = table.span_nm(state)
-            if not lo <= lam <= hi:
-                issues.append(
-                    f"coverage: wavelength {lam} nm outside table span "
-                    f"[{lo:g}, {hi:g}] nm for {state}")
+        return issues + [f"file: polarizability table: {exc}"]
+    lam = tw["wavelength_nm"]
+    for state in (atomstark.GROUND, atomstark.EXCITED):
+        lo, hi = table.span_nm(state)
+        if not lo <= lam <= hi:
+            issues.append(f"coverage: wavelength {lam} nm outside table "
+                          f"span [{lo:g}, {hi:g}] nm for {state}")
     return issues
 
 
 # ---------------------------------------------------------------- builders
 
 def _tweezer_from(cfg) -> TweezerConfig:
-    tw = cfg["tweezer"]
+    tw = partial(_get, cfg, "tweezer")
+    optional = lambda key: None if tw(key) is None else float(tw(key))
     return TweezerConfig(
-        wavelength_nm=float(tw["wavelength_nm"]),
-        power_W=float(tw["power_mW"]) * 1e-3,
-        na=float(tw["na"]),
-        target_waist_nm=(float(tw["waist_nm"])
-                         if tw.get("waist_nm") is not None else None),
-        filling_factor=(float(tw["filling_factor"])
-                        if tw.get("filling_factor") is not None else None))
+        wavelength_nm=float(tw("wavelength_nm")),
+        power_W=float(tw("power_mW")) * 1e-3, na=float(tw("na")),
+        target_waist_nm=optional("waist_nm"),
+        filling_factor=optional("filling_factor"))
 
 
 def _noise_from(cfg) -> NoiseModel:
-    nz = cfg.get("noise", {})
+    nz = partial(_get, cfg, "noise")
     return NoiseModel(
-        rabi_frac_std=float(nz.get("rabi_frac_std", 0.0)),
-        phi_jitter_std_deg=float(nz.get("phi_jitter_std_deg", 0.0)),
+        rabi_frac_std=float(nz("rabi_frac_std")),
+        phi_jitter_std_deg=float(nz("phi_jitter_std_deg")),
         detuning_offset_std=2 * math.pi
-        * float(nz.get("detuning_offset_std_Hz", 0.0)),
-        prep_efficiency=float(nz.get("prep_efficiency", 1.0)),
-        readout_fidelity=float(nz.get("readout_fidelity", 1.0)))
+        * float(nz("detuning_offset_std_Hz")),
+        prep_efficiency=float(nz("prep_efficiency")),
+        readout_fidelity=float(nz("readout_fidelity")))
 
 
 def _resolve_phi(cfg, table, tweezer) -> tuple[float, bool]:
@@ -368,7 +345,7 @@ class _Scenario:
             MagneticField(float(cfg["field"]["magnitude_G"]),
                           self.phi_deg))
         self.noise = _noise_from(cfg)
-        self.temperature_K = float(cfg.get("temperature_uK", 0.0)) * 1e-6
+        self.temperature_K = float(_get(cfg, None, "temperature_uK")) * 1e-6
         self._field = None
         self._trap = None
 
@@ -392,12 +369,8 @@ class _Scenario:
         return float(self.cfg["drive"]["fringe_MHz"]) * 1e6
 
     def protocol(self) -> dict:
-        pr = dict(self.cfg.get("protocol", {}))
-        pr.setdefault("name", "ramsey")
-        pr.setdefault("motional_model", "fock")
-        pr.setdefault("instantaneous_pulses", False)
-        pr.setdefault("fluctuating_detuning", False)
-        return pr
+        return {key: _get(self.cfg, "protocol", key)
+                for key in _SCHEMA["protocol"][1]}
 
     def resolved(self) -> dict:
         out = {"phi_deg": self.phi_deg,
@@ -411,20 +384,19 @@ class _Scenario:
 
 
 def _time_grid_s(cfg) -> np.ndarray:
-    tg = cfg["time_grid"]
-    return np.linspace(float(tg.get("start_us", 0.0)) * 1e-6,
-                       float(tg["stop_us"]) * 1e-6, int(tg["points"]))
+    tg = partial(_get, cfg, "time_grid")
+    return np.linspace(float(tg("start_us")) * 1e-6,
+                       float(tg("stop_us")) * 1e-6, int(tg("points")))
 
 
 def _burst_grid_s(cfg, f_fringe_hz) -> tuple[np.ndarray, float]:
-    bg = cfg["burst_grid"]
-    wp = float(bg.get("window_periods", 5.0))
+    bg = partial(_get, cfg, "burst_grid")
+    wp = float(bg("window_periods"))
     grid = dynamics.ramsey_burst_grid(
-        float(bg["t2_guess_us"]) * 1e-6, f_fringe_hz,
-        n_windows=int(bg.get("n_windows", 9)),
-        points_per_window=int(bg.get("points_per_window", 28)),
-        window_periods=wp,
-        span_factor=float(bg.get("span_factor", 2.5)))
+        float(bg("t2_guess_us")) * 1e-6, f_fringe_hz,
+        n_windows=int(bg("n_windows")),
+        points_per_window=int(bg("points_per_window")),
+        window_periods=wp, span_factor=float(bg("span_factor")))
     return grid, wp
 
 
@@ -534,17 +506,17 @@ def _cmd_t2(cfg):
 
 def _cmd_magic_scan(cfg):
     scn = _Scenario(cfg)
-    sc = cfg["angle_scan"]
+    sc = partial(_get, cfg, "angle_scan")
     proto = scn.protocol()
     trials, seed = int(cfg["trials"]), int(cfg["seed"])
     f_fr = scn.f_fringe_hz()
-    wp = float(sc.get("window_periods", 5.0))
-    ppw = int(sc.get("points_per_window", 28))
+    wp = float(sc("window_periods"))
+    ppw = int(sc("points_per_window"))
     width = wp / f_fr
-    t0 = float(sc["t_r_us"]) * 1e-6
+    t0 = float(sc("t_r_us")) * 1e-6
     t = t0 + (np.arange(ppw) / ppw) * width
-    phis = np.linspace(float(sc["start_deg"]), float(sc["stop_deg"]),
-                       int(sc["points"]))
+    phis = np.linspace(float(sc("start_deg")), float(sc("stop_deg")),
+                       int(sc("points")))
     rows = []
     contrasts = []
     for k, phi in enumerate(phis):
@@ -562,15 +534,14 @@ def _cmd_magic_scan(cfg):
                                           window_periods=wp)[0]
         contrasts.append((float(phi), point.contrast, point.contrast_err))
     cmax = max(c for _, c, _ in contrasts)
-    norm = cmax if (sc.get("normalize", "max") == "max" and cmax > 0) \
-        else 1.0
+    norm = cmax if (sc("normalize") == "max" and cmax > 0) else 1.0
     for phi, c, cerr in contrasts:
         rows.append([f"{phi:.6f}", f"{c:.9e}", f"{cerr:.9e}",
                      f"{c / norm:.9e}"])
     arts = [("scan.csv", _write_rows(
         ["phi_deg", "contrast", "contrast_err", "contrast_norm"], rows))]
     resolved = scn.resolved()
-    resolved["t_r_us"] = float(sc["t_r_us"])
+    resolved["t_r_us"] = float(sc("t_r_us"))
     resolved["contrast_max"] = cmax
     return arts, resolved
 
@@ -603,12 +574,11 @@ def _cmd_phinoise(cfg):
 
 def _cmd_shiftmap(cfg):
     scn = _Scenario(cfg)
-    mg = cfg.get("map_grid", {})
-    half = mg.get("half_extent_nm")
+    half = _get(cfg, "map_grid", "half_extent_nm")
     shift_map = focalfield.lightshift_map(
         scn.field, scn.env, scn.table,
         half_extent_m=None if half is None else float(half) * 1e-9,
-        n=int(mg.get("points", 101)))
+        n=int(_get(cfg, "map_grid", "points")))
     arts = [("map.csv", lambda p: focalfield.write_map_csv(shift_map, p))]
     resolved = scn.resolved()
     resolved["center_hz"] = shift_map.center_hz
@@ -633,12 +603,12 @@ def _cmd_magic_find(cfg):
 
 
 def _cmd_fit(cfg):
-    ft = cfg["fit"]
-    trace = dynamics.read_trace_csv(ft["trace_csv"])
-    wp = float(ft.get("window_periods", 5.0))
-    f_fr = (float(ft["f_fringe_MHz"]) * 1e6
-            if ft.get("f_fringe_MHz") is not None else None)
-    if ft["mode"] == "sinusoid":
+    ft = partial(_get, cfg, "fit")
+    trace = dynamics.read_trace_csv(ft("trace_csv"))
+    wp = float(ft("window_periods"))
+    f_fr = (None if ft("f_fringe_MHz") is None
+            else float(ft("f_fringe_MHz")) * 1e6)
+    if ft("mode") == "sinusoid":
         fit = analysis.fit_sinusoid(trace.t_s, trace.p32_mean,
                                     fixed_freq_hz=f_fr)
         model = (fit.offset + fit.amplitude
@@ -710,7 +680,7 @@ def _validate(args) -> int:
     try:
         cfg = _load_config(args.config)
         issues = check_config(cfg, args.subcommand)
-    except (json.JSONDecodeError, OSError, ConfigError) as exc:
+    except (OSError, ConfigError) as exc:
         issues = [f"schema: {exc}"]
     print(json.dumps({"config": str(args.config), "issues": issues},
                      indent=2, sort_keys=True))
@@ -741,7 +711,7 @@ def _parser() -> argparse.ArgumentParser:
     v = sub.add_parser("validate",
                        help="check a config without running it")
     v.add_argument("--config", required=True)
-    v.add_argument("--subcommand", default="ramsey",
+    v.add_argument("--subcommand", default="ramsey", choices=_RUN_COMMANDS,
                    help="command the config is meant for (default ramsey)")
     return parser
 

@@ -77,10 +77,13 @@ class PulseSegment:
     phi_l_rad: float
 
     def __post_init__(self) -> None:
-        if self.duration_s < 0:
-            raise ValueError("segment duration must be >= 0")
-        if self.omega_rad_s < 0:
-            raise ValueError("Rabi frequency must be >= 0")
+        if not 0 <= self.duration_s < math.inf:
+            raise ValueError("segment duration must be finite and >= 0")
+        if not 0 <= self.omega_rad_s < math.inf:
+            raise ValueError("Rabi frequency must be finite and >= 0")
+        if not (math.isfinite(self.delta_rad_s)
+                and math.isfinite(self.phi_l_rad)):
+            raise ValueError("detuning and phase must be finite")
 
 
 def _segment_apply(a, b, omega, delta, phi_l, duration):
@@ -130,10 +133,13 @@ class TraceResult:
     master_seed: int
 
     def __post_init__(self) -> None:
-        if np.any(self.p32_mean < -1e-12) or np.any(self.p32_mean > 1 + 1e-12):
+        if not np.all(np.isfinite(self.t_s)):
+            raise ValueError("times must be finite")
+        if not np.all((self.p32_mean >= -1e-12)
+                      & (self.p32_mean <= 1 + 1e-12)):
             raise ValueError("mean populations must lie in [0, 1]")
-        if np.any(self.p32_sem < 0):
-            raise ValueError("standard errors must be >= 0")
+        if not np.all((self.p32_sem >= 0) & (self.p32_sem < np.inf)):
+            raise ValueError("standard errors must be finite and >= 0")
 
 
 def write_trace_csv(trace: TraceResult, path) -> None:

@@ -25,8 +25,10 @@ class MagneticField:
     phi_deg: float
 
     def __post_init__(self) -> None:
-        if self.magnitude_G < 0:
-            raise ValueError("field magnitude must be >= 0")
+        if not 0 <= self.magnitude_G < math.inf:
+            raise ValueError("field magnitude must be finite and >= 0")
+        if not math.isfinite(self.phi_deg):
+            raise ValueError("field angle must be finite")
         object.__setattr__(self, "phi_deg", float(self.phi_deg) % 180.0)
 
 
@@ -92,8 +94,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         for name in ("rabi_frac_std", "phi_jitter_std_deg",
                      "detuning_offset_std"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         for name in ("prep_efficiency", "readout_fidelity"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:

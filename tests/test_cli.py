@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -10,6 +11,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsqubit import cli, dynamics
 
@@ -35,6 +38,13 @@ def base_cfg(**over) -> dict:
     }
     cfg.update(over)
     return cfg
+
+
+# the sections each command needs beyond base_cfg
+EXTRA = {"t2": {"burst_grid": {"t2_guess_us": 450.0}},
+         "magic-scan": {"angle_scan": {"start_deg": 0.0, "stop_deg": 30.0,
+                                       "points": 3, "t_r_us": 600.0}},
+         "fit": {"fit": {"trace_csv": "trace.csv", "mode": "sinusoid"}}}
 
 
 def write_cfg(tmp_path, cfg, name="cfg.json"):
@@ -116,6 +126,43 @@ class TestValidate:
             == ["schema"]
 
 
+    @pytest.mark.parametrize("sub,key,value,prefix", [
+        ("ramsey", "time_grid.start_us", "0", "type: time_grid.start_us"),
+        ("t2", "burst_grid.points_per_window", 3,
+         "range: burst_grid.points_per_window"),
+        ("t2", "burst_grid.window_periods", 0.5,
+         "range: burst_grid.window_periods"),
+        ("t2", "burst_grid.n_windows", 3, "range: burst_grid.n_windows"),
+        ("magic-scan", "angle_scan.window_periods", 0.5,
+         "range: angle_scan.window_periods"),
+        ("fit", "fit.window_periods", 0.5, "range: fit.window_periods"),
+        ("magic-scan", "angle_scan.points_per_window", 0,
+         "range: angle_scan.points_per_window"),
+        ("ramsey", "noise.readout_fidelty", 0.9,
+         "schema: unknown key 'noise.readout_fidelty'"),
+        ("ramsey", "trials", True, "type: trials"),
+        ("ramsey", "seed", True, "type: seed"),
+        ("ramsey", "schema_version", True, "value: schema_version"),
+        ("ramsey", "noise.prep_efficiency", 0,
+         "range: noise.prep_efficiency"),
+        ("ramsey", "tweezer.waist_nm", None,
+         "missing: tweezer.waist_nm or tweezer.filling_factor")])
+    def test_rejected_value(self, tmp_path, sub, key, value, prefix):
+        cfg = base_cfg(**EXTRA.get(sub, {}))
+        *sections, name = key.split(".")
+        block = cfg
+        for section in sections:
+            block = block.setdefault(section, {})
+        if value is None:
+            del block[name]
+        else:
+            block[name] = value
+        code, out, _ = run_cli("validate", "--config",
+                               write_cfg(tmp_path, cfg), "--subcommand", sub)
+        assert code == 2
+        assert any(i.startswith(prefix) for i in json.loads(out)["issues"])
+
+
 class TestErrorHandling:
     def test_malformed_config_leaves_no_output(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -156,6 +203,22 @@ class TestErrorHandling:
         cfg[section][key] = "@"
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg).replace('"@"', literal))
+        code, out, _ = run_cli("validate", "--config", str(path),
+                               "--subcommand", "ramsey")
+        assert code == 2
+        assert json.loads(out)["issues"][0].startswith("schema:")
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli("ramsey", "--config", str(path),
+                               "--out", str(out_dir))
+        assert code == 1
+        assert json.loads(err.strip())["error"]["type"] == "ConfigError"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("raw", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["undecodable", "deep-nesting"])
+    def test_unreadable_config_rejected(self, tmp_path, raw):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(raw)
         code, out, _ = run_cli("validate", "--config", str(path),
                                "--subcommand", "ramsey")
         assert code == 2
@@ -276,6 +339,59 @@ class TestShippedConfigs:
                                "--subcommand", sub)
         assert code == 0, out
         assert json.loads(out)["issues"] == []
+
+
+    def test_readme_example_validates_clean(self, tmp_path):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        section = readme.read_text().split("### Config format", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        code, out, _ = run_cli("validate", "--config",
+                               write_cfg(tmp_path, json.loads(example)),
+                               "--subcommand", "ramsey")
+        assert code == 0, out
+
+
+SHIPPED = [(json.loads(p.values[0].read_text()), p.values[1])
+           for p in _shipped_configs()]
+# (config index, section or None for the top level, key)
+SITES = [(i, None, key) for i, (cfg, _) in enumerate(SHIPPED) for key in cfg]
+SITES += [(i, section, key) for i, (cfg, _) in enumerate(SHIPPED)
+          for section, block in cfg.items() if isinstance(block, dict)
+          for key in block]
+DROP = object()
+
+
+@pytest.fixture(scope="module")
+def mutant_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutant")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(SITES))
+def test_mutated_config_fails_validate_or_builds(mutant_dir, site):
+    index, section, key = site
+    for value in (DROP, -1.0, 0, True, "x", [], 1e300):
+        cfg, sub = json.loads(json.dumps(SHIPPED[index][0])), SHIPPED[index][1]
+        block = cfg if section is None else cfg[section]
+        if value is DROP:
+            del block[key]
+        else:
+            block[key] = value
+        args = argparse.Namespace(config=write_cfg(mutant_dir, cfg),
+                                  subcommand=sub)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli._validate(args)
+        assert code in (0, 2), out.getvalue()
+        if code == 2:
+            continue
+        cli._tweezer_from(cfg)
+        cli._noise_from(cfg)
+        if cfg.get("time_grid") is not None:
+            assert np.all(np.isfinite(cli._time_grid_s(cfg)))
+        if cfg.get("burst_grid") is not None:
+            fringe_hz = float(cfg["drive"]["fringe_MHz"]) * 1e6
+            grid, _ = cli._burst_grid_s(cfg, fringe_hz)
+            assert np.all(np.isfinite(grid))
 
 
 @pytest.mark.slow

@@ -89,6 +89,37 @@ class TestEvolveSegment:
             dynamics.PulseSegment(1e-6, -OMEGA, 0.0, 0.0)
 
 
+def _trace(**bad):
+    arrays = dict(t_s=np.zeros(2), p32_mean=np.zeros(2), p32_sem=np.zeros(2))
+    arrays.update({key: np.array([0.0, v]) for key, v in bad.items()})
+    return dynamics.TraceResult(trials=1, master_seed=0, **arrays)
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda bad: MagneticField(bad, 0.0), id="field-magnitude"),
+    pytest.param(lambda bad: MagneticField(3.0, bad), id="field-angle"),
+    pytest.param(lambda bad: NoiseModel(rabi_frac_std=bad), id="noise-rabi"),
+    pytest.param(lambda bad: NoiseModel(phi_jitter_std_deg=bad),
+                 id="noise-phi"),
+    pytest.param(lambda bad: NoiseModel(detuning_offset_std=bad),
+                 id="noise-detuning"),
+    pytest.param(lambda bad: dynamics.PulseSegment(bad, OMEGA, 0.0, 0.0),
+                 id="segment-duration"),
+    pytest.param(lambda bad: dynamics.PulseSegment(1e-6, bad, 0.0, 0.0),
+                 id="segment-omega"),
+    pytest.param(lambda bad: dynamics.PulseSegment(1e-6, OMEGA, bad, 0.0),
+                 id="segment-delta"),
+    pytest.param(lambda bad: dynamics.PulseSegment(1e-6, OMEGA, 0.0, bad),
+                 id="segment-phase"),
+    pytest.param(lambda bad: _trace(t_s=bad), id="trace-time"),
+    pytest.param(lambda bad: _trace(p32_mean=bad), id="trace-mean"),
+    pytest.param(lambda bad: _trace(p32_sem=bad), id="trace-sem")])
+def test_non_finite_parameters_rejected(build):
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            build(bad)
+
+
 class TestApplySpam:
     def test_identity(self):
         p = np.linspace(0, 1, 11)
