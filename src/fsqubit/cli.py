@@ -147,6 +147,8 @@ _POS, _NONNEG = _number(gt=0), _number(ge=0)
 _SPAM = _number(gt=0, le=1)  # trace_ideal.csv divides by the SPAM factor
 _PERIODS = _number(ge=1)  # extract_contrast needs a full fringe period
 _WINDOW_POINTS = _number(int, ge=6)  # and six points in each window
+# burst-grid ceilings; the shipped configs end by 4 ms, within 1000 windows
+_BURST_MAX_END_S, _BURST_MAX_WINDOWS = 1.0, 1e5
 _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
     None: ((), {
         "schema_version": _Key(_choice(SCHEMA_VERSION), required=_ALL),
@@ -156,7 +158,8 @@ _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
         "seed": _Key(_number(int, ge=0), required=_SIM_COMMANDS)}),
     "tweezer": (_ALL, {
         "wavelength_nm": _Key(_POS, required=_ALL),
-        "power_mW": _Key(_POS, required=_ALL),
+        # far above any tweezer; 1e300 overflows the focal field
+        "power_mW": _Key(_number(gt=0, le=1e3), required=_ALL),
         "na": _Key(_number(gt=0, lt=1), required=_ALL),
         "waist_nm": _Key(_POS),
         "filling_factor": _Key(_POS),
@@ -269,6 +272,21 @@ def _rule_issues(cfg, subcommand) -> list[str]:
     if (cfg.get("time_grid") is not None and cfg["time_grid"]["stop_us"]
             <= _get(cfg, "time_grid", "start_us")):
         issues.append("range: time_grid.stop_us must exceed start_us")
+    fringe_mhz = (cfg.get("drive") or {}).get("fringe_MHz")
+    if cfg.get("burst_grid") is not None and fringe_mhz is not None:
+        bg = partial(_get, cfg, "burst_grid")
+        f_hz = float(fringe_mhz) * 1e6
+        width = float(bg("window_periods")) / f_hz
+        end = max(float(bg("span_factor")) * float(bg("t2_guess_us")) * 1e-6,
+                  bg("n_windows") * width)
+        windows = end * f_hz / float(bg("window_periods"))
+        # not (x <= cap): NaN fails too; past the caps the contrast
+        # windows overflow their integer index or the fits lose precision
+        if not (end <= _BURST_MAX_END_S and windows <= _BURST_MAX_WINDOWS):
+            issues.append(f"range: burst_grid ends at {end:.3g} s after "
+                          f"{windows:.3g} contrast windows; the limits are "
+                          f"{_BURST_MAX_END_S:g} s and "
+                          f"{_BURST_MAX_WINDOWS:g} windows")
     ps = cfg.get("phi_noise_scan")
     if ps is not None and ps.get("values_deg") is None:
         issues += [f"missing: phi_noise_scan.{key} is required without "
@@ -410,10 +428,12 @@ def _phi_context(scn):
 # ---------------------------------------------------------------- writers
 
 def _write_json(obj):
+    # serialized now, so a NaN or infinity raises before anything is written
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
     def write(path):
         with open(path, "w") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
     return write
 
 
@@ -647,9 +667,9 @@ def _tool_version() -> str:
 
 
 def _commit(out_dir: Path, artifacts, meta: dict) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     meta["artifacts"] = [name for name, _ in artifacts]
     everything = list(artifacts) + [("meta.json", _write_json(meta))]
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, writer in everything:
         tmp = out_dir / (name + ".tmp")
         try:

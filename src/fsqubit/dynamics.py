@@ -23,12 +23,14 @@ contributes zero signal; readout infidelity scales multiplicatively. The
 observed population is therefore eta_prep * F_read * P_ideal with no
 additive offset.
 
-Per-trial randomness derives from SeedSequence(master_seed, spawn_key=
-(trial,)); draw order within a trial is fixed (motional sample, detuning
-offset, then the second detuning set if the protocol uses one, then Rabi
-factor, then angle jitter), so results are reproducible bit-for-bit and
-independent of how trials would be partitioned across workers. Trial
-accumulation is a fixed-order block sum.
+Trial randomness is counter-based: uniform u[k, s] of trial k and draw
+slot s is a Philox4x32-10 output word pair under a key derived once from
+the master seed, computed for all trials in one vectorized pass. Slots
+are fixed: 0-2 motion and 3 detuning offset (set 0), 4 Rabi factor, 5
+angle jitter, 6-9 the second detuning set. Results are therefore
+reproducible bit-for-bit and independent of the trial count and of how
+trials would be partitioned across workers. Trial accumulation is a
+fixed-order block sum.
 """
 
 from __future__ import annotations
@@ -38,12 +40,12 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import analysis
 from .atomstark import axis_projection, differential_shift_from_projection
 from .params import FieldEnvironment, NoiseModel
-from .trapmodel import (TrapCharacterization, classical_sample,
-                        detuning_for_sample, fock_sample,
+from .trapmodel import (TrapCharacterization, detuning_for_sample,
                         sample_fock_thermal, sample_position_classical)
 
 # trial block size for the vectorized evolution (memory / determinism unit)
@@ -178,6 +180,63 @@ def spawn_seed(master_seed: int, tag: int) -> int:
         entropy=master_seed, spawn_key=(tag,)).generate_state(1)[0])
 
 
+# Philox4x32-10 constants: round multipliers and key (Weyl) increments
+_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
+_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+_LO32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def philox4x32(counter, key):
+    """Philox4x32-10 block function (Salmon et al., "Parallel random
+    numbers: as easy as 1, 2, 3", SC'11).
+
+    ``counter`` is four broadcastable arrays of 32-bit words, ``key`` two
+    32-bit words; returns the four output words as uint64 arrays holding
+    32-bit values.
+    """
+    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
+    k0, k1 = int(key[0]), int(key[1])
+    for _ in range(10):
+        p0 = _PHILOX_M[0] * c0
+        p1 = _PHILOX_M[1] * c2
+        c0, c1, c2, c3 = ((p1 >> _SHIFT32) ^ c1 ^ np.uint64(k0), p1 & _LO32,
+                          (p0 >> _SHIFT32) ^ c3 ^ np.uint64(k1), p0 & _LO32)
+        k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFF
+        k1 = (k1 + _PHILOX_W[1]) & 0xFFFFFFFF
+    return c0, c1, c2, c3
+
+
+def _to_unit(hi, lo):
+    # top 52 bits of the 64-bit word hi:lo, centred in their cell: exact
+    # in a double and strictly inside (0, 1)
+    m52 = ((hi << _SHIFT32) | lo) >> np.uint64(12)
+    return (m52.astype(float) + 0.5) * 2.0 ** -52
+
+
+def _trial_uniforms(master_seed: int, trials: int, slots: int) -> np.ndarray:
+    """Uniforms u[k, s] in (0, 1) for trial k and draw slot s.
+
+    Block b of trial k is Philox4x32-10 of the counter (k lo32, k hi32, b,
+    0) under the key SeedSequence(master_seed).generate_state(2); its four
+    words give slots 2b and 2b + 1. Each uniform is a pure function of
+    (seed, trial, slot).
+    """
+    key = np.random.SeedSequence(master_seed).generate_state(2)
+    k = np.arange(trials, dtype=np.uint64)[:, None]
+    blocks = np.arange((slots + 1) // 2, dtype=np.uint64)[None, :]
+    w = philox4x32((k & _LO32, k >> _SHIFT32, blocks, 0), key)
+    u = np.stack((_to_unit(w[0], w[1]), _to_unit(w[2], w[3])), axis=-1)
+    return u.reshape(trials, -1)[:, :slots]
+
+
+# Draw slots per trial: detuning set s takes motion (3 slots) and offset
+# (1 slot) from _SET_SLOTS[s]; slot 4 is the Rabi factor, slot 5 the angle
+# jitter. A second set therefore never moves the first set's draws.
+_SET_SLOTS = (0, 6)
+_RABI_SLOT, _PHI_SLOT = 4, 5
+
+
 def _draw_trials(trap, temperature_K, noise, trials, master_seed,
                  motional_model, detuning_sets=1):
     """Per-trial shot-static draws.
@@ -189,27 +248,20 @@ def _draw_trials(trap, temperature_K, noise, trials, master_seed,
     if trials < 1:
         raise ValueError("need at least one trial")
     d_ref = drive_reference_rad_s(trap, motional_model)
+    sampler = (sample_fock_thermal if motional_model == "fock"
+               else sample_position_classical)
+    u = _trial_uniforms(master_seed, trials, 4 * detuning_sets + 2)  # 6 or 10
     deltas = np.empty((detuning_sets, trials))
-    om_f = np.empty(trials)
-    phi_dev = np.empty(trials)
-    for k in range(trials):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=master_seed, spawn_key=(k,))))
-        for s in range(detuning_sets):
-            if motional_model == "fock":
-                n = [sample_fock_thermal(temperature_K, om, rng)
-                     for om in trap.omega_p0_rad_s]
-                sample = fock_sample(n)
-            else:
-                pos = sample_position_classical(
-                    temperature_K, trap.omega_p0_rad_s, rng)
-                sample = classical_sample(pos)
-            deltas[s, k] = (detuning_for_sample(sample, trap) - d_ref
-                            + rng.normal(0.0, noise.detuning_offset_std))
-        # |.|: an amplitude sign flip is a pi phase shift, unobservable
-        # from the ground state; keeps the Omega >= 0 invariant
-        om_f[k] = abs(rng.normal(1.0, noise.rabi_frac_std))
-        phi_dev[k] = rng.normal(0.0, noise.phi_jitter_std_deg)
+    for s, base in enumerate(_SET_SLOTS[:detuning_sets]):
+        sample = sampler(temperature_K, trap.omega_p0_rad_s,
+                         u[:, base:base + 3])
+        deltas[s] = (detuning_for_sample(sample, trap, motional_model)
+                     - d_ref
+                     + noise.detuning_offset_std * ndtri(u[:, base + 3]))
+    # |.|: an amplitude sign flip is a pi phase shift, unobservable from
+    # the ground state; keeps the Omega >= 0 invariant
+    om_f = np.abs(1.0 + noise.rabi_frac_std * ndtri(u[:, _RABI_SLOT]))
+    phi_dev = noise.phi_jitter_std_deg * ndtri(u[:, _PHI_SLOT])
     return deltas, om_f, phi_dev
 
 

@@ -5,7 +5,9 @@ focal polarization structure), so the trap is characterized per state: depth
 at the focal center and harmonic frequencies from centered second
 differences of the local m_J = 0 light shift. The motional state of the atom
 is sampled either as Fock numbers in the 3P0 ladder (default) or as a
-classical position, and each sample maps to a static detuning for the
+classical position. The samplers map a batch of uniforms in (0, 1) to
+samples by inverse CDF (geometric Fock law, normal quantile for
+positions), and each sample maps to a static detuning for the
 internal-state dynamics:
 
 * Fock:       delta = 2 pi dU_center + sum_i (w_i^3P0 - w_i^3P2)(n_i + 1/2)
@@ -24,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import focalfield
 from .atomstark import (PolarizabilityTable, axis_projection,
@@ -146,90 +149,58 @@ def characterize_trap(config: TweezerConfig, env: FieldEnvironment,
         du_center_hz=float(energies["3P0"][0] - energies["3P2"][0]))
 
 
-@dataclass(frozen=True)
-class MotionalSample:
-    """One frozen motional state, tagged by model kind.
+def sample_fock_thermal(temperature_K: float, omega_rad_s, u):
+    """Thermal Fock numbers from uniforms ``u`` in (0, 1), by the inverse
+    CDF of P(n) ~ exp(-n x), x = hbar w / kB T: n = floor(log u / -x).
 
-    kind = "fock": ``n`` holds (n_x, n_y, n_z). kind = "classical":
-    ``position_m`` holds the sampled position.
+    ``omega_rad_s`` broadcasts against ``u`` (one frequency, or one per
+    trailing axis); returns an int array of ``u``'s broadcast shape. T = 0
+    gives the ground state exactly.
     """
-
-    kind: str
-    n: np.ndarray | None = None
-    position_m: np.ndarray | None = None
-
-
-def fock_sample(n) -> MotionalSample:
-    arr = np.asarray(n)
-    if arr.shape != (3,) or np.any(arr < 0):
-        raise ValueError("n must be three non-negative occupation numbers")
-    return MotionalSample(kind="fock", n=arr.astype(np.int64))
-
-
-def classical_sample(position_m) -> MotionalSample:
-    pos = np.asarray(position_m, dtype=float)
-    if pos.shape != (3,):
-        raise ValueError("position must be a 3-vector in meters")
-    return MotionalSample(kind="classical", position_m=pos)
-
-
-def sample_fock_thermal(temperature_K: float, omega_rad_s: float,
-                        rng: np.random.Generator, size=None):
-    """Thermal Fock numbers for one mode: P(n) ~ exp(-n hbar w / kB T).
-
-    Returns a scalar int for ``size=None``, else an int array. T = 0 gives
-    the ground state exactly.
-    """
+    om = np.asarray(omega_rad_s, dtype=float)
     if temperature_K < 0:
         raise ValueError("temperature must be >= 0")
-    if omega_rad_s <= 0:
+    if np.any(om <= 0):
         raise ValueError("trap frequency must be positive")
     if temperature_K == 0.0:
-        return 0 if size is None else np.zeros(size, dtype=np.int64)
-    x = HBAR * omega_rad_s / (K_B * temperature_K)
-    # success probability 1 - exp(-x), written to stay exact for tiny x
-    p = -math.expm1(-x)
-    draw = rng.geometric(p, size=size) - 1
-    return int(draw) if size is None else draw.astype(np.int64)
+        return np.zeros(np.broadcast_shapes(np.shape(u), om.shape),
+                        dtype=np.int64)
+    x = HBAR * om / (K_B * temperature_K)
+    return np.floor(np.log(u) / -x).astype(np.int64)
 
 
-def sample_position_classical(temperature_K: float, omega_rad_s,
-                              rng: np.random.Generator, size=None):
-    """Thermal positions in a 3D harmonic well: independent Gaussians with
-    sigma_i = sqrt(kB T / m) / w_i. Returns shape (3,) or (size, 3)."""
+def sample_position_classical(temperature_K: float, omega_rad_s, u):
+    """Thermal positions in a 3D harmonic well from uniforms ``u`` of shape
+    (..., 3): independent Gaussians with sigma_i = sqrt(kB T / m) / w_i,
+    mapped through the normal quantile ``ndtri``."""
     om = np.asarray(omega_rad_s, dtype=float)
     if om.shape != (3,) or np.any(om <= 0):
         raise ValueError("need three positive trap frequencies")
     if temperature_K < 0:
         raise ValueError("temperature must be >= 0")
-    shape = (3,) if size is None else (size, 3)
+    if np.shape(u)[-1:] != (3,):
+        raise ValueError("need one uniform per axis in the last dimension")
     if temperature_K == 0.0:
-        return np.zeros(shape)
+        return np.zeros(np.shape(u))
     sigma = np.sqrt(K_B * temperature_K / MASS_SR88) / om
-    return rng.normal(0.0, sigma, size=shape)
+    return sigma * ndtri(u)
 
 
-def detuning_for_sample(sample: MotionalSample,
-                        trap: TrapCharacterization) -> float:
-    """Static detuning (rad/s) of one shot's motional sample.
+def detuning_for_sample(sample, trap: TrapCharacterization,
+                        motional_model: str) -> np.ndarray:
+    """Static detunings (rad/s) of motional samples of shape (..., 3).
 
-    Fock samples use the center shift plus the frequency-mismatch ladder;
-    classical samples evaluate the harmonic reconstruction of the local
-    differential potential at the sampled position.
+    ``"fock"`` samples are occupation numbers: the center shift plus the
+    frequency-mismatch ladder. ``"classical"`` samples are positions (m):
+    the harmonic reconstruction of the local differential potential.
+    Returns shape (...).
     """
-    if sample.kind == "fock":
-        if sample.n is None:
-            raise ModelMismatch("fock sample carries no occupation numbers")
-        return float(2.0 * math.pi * trap.du_center_hz
-                     + np.sum(trap.delta_omega_rad_s
-                              * (np.asarray(sample.n) + 0.5)))
-    if sample.kind == "classical":
-        if sample.position_m is None:
-            raise ModelMismatch("classical sample carries no position")
-        r2 = np.asarray(sample.position_m, dtype=float) ** 2
-        du_hz = (trap.du_center_hz
-                 + MASS_SR88 / (2.0 * H_PLANCK)
-                 * float(np.sum((trap.omega_p0_rad_s ** 2
-                                 - trap.omega_p2_rad_s ** 2) * r2)))
-        return 2.0 * math.pi * du_hz
-    raise ModelMismatch(f"unknown motional model kind {sample.kind!r}")
+    if motional_model == "fock":
+        return (2.0 * math.pi * trap.du_center_hz
+                + (np.asarray(sample) + 0.5) @ trap.delta_omega_rad_s)
+    if motional_model == "classical":
+        quad = (MASS_SR88 / (2.0 * H_PLANCK)
+                * (trap.omega_p0_rad_s ** 2 - trap.omega_p2_rad_s ** 2))
+        r2 = np.asarray(sample, dtype=float) ** 2
+        return 2.0 * math.pi * (trap.du_center_hz + r2 @ quad)
+    raise ModelMismatch(f"unknown motional model {motional_model!r}")

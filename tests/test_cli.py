@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import io
 import json
 import math
@@ -36,7 +37,7 @@ def base_cfg(**over) -> dict:
         "trials": 8,
         "seed": 11,
     }
-    cfg.update(over)
+    cfg.update(copy.deepcopy(over))  # callers must not edit EXTRA
     return cfg
 
 
@@ -146,7 +147,12 @@ class TestValidate:
         ("ramsey", "noise.prep_efficiency", 0,
          "range: noise.prep_efficiency"),
         ("ramsey", "tweezer.waist_nm", None,
-         "missing: tweezer.waist_nm or tweezer.filling_factor")])
+         "missing: tweezer.waist_nm or tweezer.filling_factor"),
+        ("ramsey", "tweezer.power_mW", 1e300, "range: tweezer.power_mW"),
+        ("t2", "burst_grid.span_factor", 1e300, "range: burst_grid ends"),
+        ("t2", "burst_grid.t2_guess_us", 1e300, "range: burst_grid ends"),
+        ("t2", "burst_grid.window_periods", 1e300,
+         "range: burst_grid ends")])
     def test_rejected_value(self, tmp_path, sub, key, value, prefix):
         cfg = base_cfg(**EXTRA.get(sub, {}))
         *sections, name = key.split(".")
@@ -228,6 +234,22 @@ class TestErrorHandling:
                                "--out", str(out_dir))
         assert code == 1
         assert json.loads(err.strip())["error"]["type"] == "ConfigError"
+        assert not out_dir.exists()
+
+    def test_non_finite_result_leaves_no_output(self, tmp_path,
+                                                monkeypatch):
+        # JSON has no NaN: a result holding one must fail the run whole
+        monkeypatch.setattr(cli.atomstark, "find_magic_angle",
+                            lambda env, table: math.nan)
+        cfg = base_cfg()
+        for key in ("drive", "time_grid", "trials", "seed"):
+            del cfg[key]
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli("magic-find", "--config",
+                               write_cfg(tmp_path, cfg), "--out",
+                               str(out_dir))
+        assert code == 1
+        assert json.loads(err.strip())["error"]["type"] == "ValueError"
         assert not out_dir.exists()
 
     def test_module_entrypoint_runs(self, tmp_path):

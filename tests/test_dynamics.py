@@ -321,6 +321,39 @@ class TestDeterminismContract:
             np.testing.assert_array_equal(a, b[..., :300])
 
 
+class TestPhilox:
+    # Random123 known-answer vectors: counter, key, output words
+    @pytest.mark.parametrize("counter,key,want", [
+        ((0, 0, 0, 0), (0, 0),
+         (0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8)),
+        ((0xffffffff,) * 4, (0xffffffff,) * 2,
+         (0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd)),
+        ((0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344),
+         (0xa4093822, 0x299f31d0),
+         (0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1))],
+        ids=["zeros", "ones", "pi-digits"])
+    def test_known_answer(self, counter, key, want):
+        got = dynamics.philox4x32(counter, key)
+        assert tuple(int(w) for w in got) == want
+
+    def test_uniforms_strictly_inside_unit_interval(self):
+        lo = dynamics._to_unit(np.uint64(0), np.uint64(0))
+        hi = dynamics._to_unit(np.uint64(0xffffffff), np.uint64(0xffffffff))
+        assert 0.0 < lo < hi < 1.0
+
+    @pytest.mark.parametrize("model", ["fock", "classical"])
+    def test_second_detuning_set_keeps_first_draws(self, model):
+        noise = NoiseModel(rabi_frac_std=0.05, phi_jitter_std_deg=0.3,
+                           detuning_offset_std=2 * math.pi * 200.0)
+        one, two = (dynamics._draw_trials(
+            mismatched_trap(), 5e-6, noise, 400, 21, model, detuning_sets=s)
+            for s in (1, 2))
+        np.testing.assert_array_equal(one[0][0], two[0][0])
+        np.testing.assert_array_equal(one[1], two[1])
+        np.testing.assert_array_equal(one[2], two[2])
+        assert not np.array_equal(two[0][0], two[0][1])
+
+
 class TestTraceCSV:
     def test_roundtrip(self, tmp_path):
         tr = dynamics.simulate_rabi(magic_trap(), 0.0, NOISELESS, OMEGA,
