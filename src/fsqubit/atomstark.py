@@ -343,8 +343,7 @@ def differential_shift_from_projection(table: PolarizabilityTable,
 
 def differential_light_shift(env: FieldEnvironment,
                              table: PolarizabilityTable,
-                             pol: PolarizationVector | None = None,
-                             wavelength_nm: float | None = None) -> float:
+                             pol: PolarizationVector | None = None) -> float:
     """Differential shift U(3P0) - U(3P2, m_J = 0) in Hz, second order.
 
     Only the squared projection of the polarization on the field axis
@@ -354,92 +353,61 @@ def differential_light_shift(env: FieldEnvironment,
     reduces to this one for large |B| and is tested against it.
 
     ``pol`` is given in the tweezer frame; default is the linear
-    Gaussian-center polarization of ``env.tweezer``. ``wavelength_nm``
-    overrides the tweezer wavelength (used by the magic-point scans).
+    Gaussian-center polarization of ``env.tweezer``.
     """
     if pol is None:
         pol = gaussian_center_polarization(env.tweezer)
-    lam = env.tweezer.wavelength_nm if wavelength_nm is None else wavelength_nm
-    u = polarization_in_field_frame(pol.epsilon, env.field.phi_deg)
-    u3_sq = float(np.abs(u[2]) ** 2)
-    return float(differential_shift_from_projection(table, lam, u3_sq,
-                                                    pol.e0sq))
+    u3_sq, _ = axis_projection(pol.epsilon, env.field.phi_deg)
+    return float(differential_shift_from_projection(
+        table, env.tweezer.wavelength_nm, u3_sq, pol.e0sq))
 
 
-# Relative-to-scan-scale tolerance for accepting an endpoint as a root.
-_ENDPOINT_TOL = 1e-5
+def find_magic_angle(env: FieldEnvironment,
+                     table: PolarizabilityTable) -> float | None:
+    """Field angle in [0, 90] deg where the differential shift vanishes.
 
-
-def _bisect_root(f, lo: float, hi: float, f_lo: float, f_hi: float,
-                 xtol: float) -> float:
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0) != (f_mid < 0):
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def _scan_for_root(f, grid: np.ndarray, xtol: float) -> float | None:
-    vals = np.array([f(x) for x in grid])
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
-        return float(grid[0])
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            return float(grid[i])
-        if (vals[i] < 0) != (vals[i + 1] < 0):
-            return _bisect_root(f, float(grid[i]), float(grid[i + 1]),
-                                vals[i], vals[i + 1], xtol)
-    if abs(vals[-1]) < _ENDPOINT_TOL * scale:
-        return float(grid[-1])
-    if abs(vals[0]) < _ENDPOINT_TOL * scale:
-        return float(grid[0])
-    return None
-
-
-def find_magic_angle(env: FieldEnvironment, table: PolarizabilityTable,
-                     wavelength_nm: float | None = None,
-                     pol: PolarizationVector | None = None) -> float | None:
-    """Field angle in [0, 90] deg where the differential shift crosses zero.
-
-    Returns None when no crossing exists (a value, not a failure). The
-    env's own phi is ignored. Resolution 1e-7 deg, so the shift
-    residual at the root stays far below map-scale shifts.
+    The shift D is affine in u = |eps . B_hat|^2 = cos^2 phi for the
+    Gaussian-center polarization, so its zero u* = D(0) / (D(0) - D(1)) is
+    closed form. None when u* lies outside [0, 1] (a value, not a failure);
+    0.0 when D vanishes at every angle. The env's own phi is ignored.
     """
-    def f(phi: float) -> float:
-        env_phi = FieldEnvironment(
-            env.tweezer, type(env.field)(env.field.magnitude_G, phi))
-        return differential_light_shift(env_phi, table, pol=pol,
-                                        wavelength_nm=wavelength_nm)
+    pol = gaussian_center_polarization(env.tweezer)
+    d1, d0 = (float(differential_shift_from_projection(
+        table, env.tweezer.wavelength_nm, u, pol.e0sq)) for u in (1.0, 0.0))
+    if d0 == d1:
+        return 0.0 if d0 == 0.0 else None
+    u_star = d0 / (d0 - d1)
+    if not 0.0 <= u_star <= 1.0:
+        return None
+    return math.degrees(math.acos(math.sqrt(u_star)))
 
-    return _scan_for_root(f, np.linspace(0.0, 90.0, 31), 1e-7)
 
-
-def find_magic_wavelength(env: FieldEnvironment, table: PolarizabilityTable,
-                          pol: PolarizationVector | None = None
-                          ) -> float | None:
+def find_magic_wavelength(env: FieldEnvironment,
+                          table: PolarizabilityTable) -> float | None:
     """Wavelength where the shift crosses zero at the env's field angle.
 
-    Scans the overlap of the two states' tabulated spans; None when the
-    shift does not change sign there. Resolution 1e-3 nm. The reduced
-    field is held fixed over the scan (a positive scale cannot move the
-    zero crossing).
+    The tables interpolate linearly, so the shift is piecewise linear on
+    the union of both states' knots: the root is the first zero knot, or
+    the first sign change solved by one linear interpolation, exact under
+    the tables' interpolation. None when the shift keeps its sign over the
+    overlap of the two spans.
     """
-    lo0, hi0 = table.span_nm(GROUND)
-    lo2, hi2 = table.span_nm(EXCITED)
+    (lo0, hi0), (lo2, hi2) = table.span_nm(GROUND), table.span_nm(EXCITED)
     lo, hi = max(lo0, lo2), min(hi0, hi2)
     if not hi > lo:
         raise WavelengthOutOfRange("tabulated spans do not overlap")
-    if pol is None:
-        pol = gaussian_center_polarization(env.tweezer)
-
-    def f(lam: float) -> float:
-        return differential_light_shift(env, table, pol=pol,
-                                        wavelength_nm=lam)
-
-    return _scan_for_root(f, np.linspace(lo, hi, 41), 1e-3)
+    pol = gaussian_center_polarization(env.tweezer)
+    u3_sq, _ = axis_projection(pol.epsilon, env.field.phi_deg)
+    lam = np.union1d(table.state(GROUND).wavelengths_nm,
+                     table.state(EXCITED).wavelengths_nm)
+    lam = lam[(lam >= lo) & (lam <= hi)]
+    du = np.array([differential_shift_from_projection(table, x, u3_sq,
+                                                      pol.e0sq) for x in lam])
+    sign = np.sign(du)
+    hits = np.flatnonzero(sign[:-1] * sign[1:] <= 0.0)  # a zero or a flip
+    if hits.size == 0:
+        return None
+    a, b = hits[0], hits[0] + 1
+    if du[a] == 0.0 or du[b] == 0.0:
+        return float(lam[a] if du[a] == 0.0 else lam[b])
+    return float(lam[a] + (lam[b] - lam[a]) * du[a] / (du[a] - du[b]))

@@ -153,7 +153,8 @@ _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
     None: ((), {
         "schema_version": _Key(_choice(SCHEMA_VERSION), required=_ALL),
         "table": _Key(_instance(str, "a string")),
-        "temperature_uK": _Key(_NONNEG, 0.0),
+        # 1 K, far above any trapped atom; 1e300 overflows the Fock draws
+        "temperature_uK": _Key(_number(ge=0, le=1e6), 0.0),
         "trials": _Key(_number(int, ge=1), required=_SIM_COMMANDS),
         "seed": _Key(_number(int, ge=0), required=_SIM_COMMANDS)}),
     "tweezer": (_ALL, {

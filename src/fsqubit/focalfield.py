@@ -269,7 +269,8 @@ def lightshift_map(field, env: FieldEnvironment,
 
     The local polarization (including the longitudinal part near the
     lobes) and local e0sq = |E|^2 / 4 enter the perturbative shift
-    pointwise; the bias-field direction comes from ``env.field``.
+    pointwise; the bias-field direction comes from ``env.field`` and the
+    wavelength from ``env.tweezer``, the config ``field`` was built from.
     """
     if half_extent_m is None:
         if field.waist_m is None:
@@ -278,10 +279,9 @@ def lightshift_map(field, env: FieldEnvironment,
     ax = np.linspace(-half_extent_m, half_extent_m, n)
     xx, yy = np.meshgrid(ax, ax)
     e = field.field_at(xx.ravel(), yy.ravel(), np.zeros(xx.size))
-    lam = field.config.wavelength_nm if hasattr(field, "config") \
-        else env.tweezer.wavelength_nm
     du = atomstark.differential_shift_from_projection(
-        table, lam, *atomstark.axis_projection(e, env.field.phi_deg))
+        table, env.tweezer.wavelength_nm,
+        *atomstark.axis_projection(e, env.field.phi_deg))
     return LightShiftMap(ax.copy(), ax.copy(), du.reshape(n, n))
 
 

@@ -166,7 +166,12 @@ def sample_fock_thermal(temperature_K: float, omega_rad_s, u):
         return np.zeros(np.broadcast_shapes(np.shape(u), om.shape),
                         dtype=np.int64)
     x = HBAR * om / (K_B * temperature_K)
-    return np.floor(np.log(u) / -x).astype(np.int64)
+    with np.errstate(divide="ignore", over="ignore"):
+        n = np.floor(np.log(u) / -x)
+    if not np.all(n < 2.0 ** 63):  # NaN and inf fail too
+        raise ValueError("thermal occupation is not finite or overflows "
+                         f"int64 at T = {temperature_K!r} K")
+    return n.astype(np.int64)
 
 
 def sample_position_classical(temperature_K: float, omega_rad_s, u):

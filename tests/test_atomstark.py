@@ -315,6 +315,39 @@ class TestMagicPoints:
             FieldEnvironment(REF_TWEEZER, MagneticField(8.0, 0.0)), table)
         assert abs(du) < 1e-3 * abs(du0)
 
+    def test_magic_angle_is_exact(self, table):
+        env0 = FieldEnvironment(REF_TWEEZER, MagneticField(8.0, 0.0))
+        phi = atomstark.find_magic_angle(env0, table)
+        env = FieldEnvironment(REF_TWEEZER, MagneticField(8.0, phi))
+        du = atomstark.differential_light_shift(env, table)
+        du0 = atomstark.differential_light_shift(env0, table)
+        assert abs(du) <= 1e-9 * abs(du0)
+
+    def test_magic_wavelength_is_exact(self, table):
+        # magic_find_phi0 conditions: the root is a zero of the tables'
+        # piecewise-linear shift, not a bracket midpoint
+        env = FieldEnvironment(REF_TWEEZER, MagneticField(8.0, 0.0))
+        lam = atomstark.find_magic_wavelength(env, table)
+        at_root = TweezerConfig(wavelength_nm=lam, power_W=1.45e-3, na=0.5,
+                                target_waist_nm=564.0)
+        du = atomstark.differential_light_shift(
+            FieldEnvironment(at_root, env.field), table)
+        assert abs(du) <= 1e-6
+
+    @pytest.mark.parametrize("a_s2,want", [(1000.0, 0.0), (900.0, None)])
+    def test_zero_tensor_table(self, a_s2, want):
+        # no tensor part: the shift is the same at every angle, so either
+        # every angle is magic (0.0 by convention) or none is
+        lam = np.array([530.0, 550.0])
+        states = {
+            "3P0": atomstark.StateInfo("3P0", 0, 0.0, lam,
+                                       np.full(2, 1000.0), np.zeros(2)),
+            "3P2": atomstark.StateInfo("3P2", 2, 1.5, lam,
+                                       np.full(2, a_s2), np.zeros(2))}
+        table = atomstark.PolarizabilityTable(states)
+        env = FieldEnvironment(REF_TWEEZER, MagneticField(8.0, 0.0))
+        assert atomstark.find_magic_angle(env, table) == want
+
     def test_no_crossing_returns_none(self, table):
         cfg = TweezerConfig(wavelength_nm=530.0, power_W=1.45e-3, na=0.5,
                             target_waist_nm=564.0)
@@ -346,6 +379,7 @@ class TestMagicPoints:
         env = FieldEnvironment(cfg, MagneticField(8.0, 0.0))
         phi = atomstark.find_magic_angle(env, table_755)
         assert phi == pytest.approx(90.0, abs=0.02)
+        assert phi == 90.0  # u* = 0 exactly: a tangency, no tolerance
 
     def test_755_block_fixture_relation(self, table_755):
         s0, _ = table_755.alpha("3P0", 755.0)

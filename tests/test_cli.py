@@ -149,6 +149,7 @@ class TestValidate:
         ("ramsey", "tweezer.waist_nm", None,
          "missing: tweezer.waist_nm or tweezer.filling_factor"),
         ("ramsey", "tweezer.power_mW", 1e300, "range: tweezer.power_mW"),
+        ("ramsey", "temperature_uK", 1e300, "range: temperature_uK"),
         ("t2", "burst_grid.span_factor", 1e300, "range: burst_grid ends"),
         ("t2", "burst_grid.t2_guess_us", 1e300, "range: burst_grid ends"),
         ("t2", "burst_grid.window_periods", 1e300,

@@ -220,6 +220,12 @@ def magic_map(ref_field, table):
     return focalfield.lightshift_map(ref_field, env, table, n=81), phi
 
 
+@pytest.fixture(scope="module")
+def off_magic_map(ref_field, table, magic_map):
+    env = FieldEnvironment(REF, MagneticField(8.0, magic_map[1] + 0.5))
+    return focalfield.lightshift_map(ref_field, env, table, n=81)
+
+
 class TestMap:
     def test_point_reflection_symmetry(self, magic_map):
         m, _ = magic_map
@@ -248,10 +254,20 @@ class TestMap:
         half = np.abs(m.x_m) <= ref_field.waist_m / 2
         assert self._quadratic_r2(m.x_m[half], along[half]) > 0.95
 
-    def test_quadratic_perpendicular_to_polarization(self, magic_map, ref_field):
-        # on the perpendicular axis the lobe term is absent, leaving a
-        # residual proportional to the intensity profile: cleanly quadratic
+    def test_y_axis_stays_magic(self, magic_map):
+        # on the perpendicular axis the field stays x-polarized, so the
+        # projection equals the center's and the shift vanishes to round-off
         m, _ = magic_map
+        n = m.du_hz.shape[0] // 2
+        scale = np.max(np.abs(m.du_hz))
+        assert np.max(np.abs(m.du_hz[:, n])) <= 1e-12 * scale
+
+    def test_quadratic_perpendicular_to_polarization(self, off_magic_map,
+                                                     ref_field):
+        # off the magic angle the perpendicular axis carries no lobe term,
+        # leaving a residual proportional to the intensity profile: cleanly
+        # quadratic
+        m = off_magic_map
         n = m.du_hz.shape[0] // 2
         half = np.abs(m.y_m) <= ref_field.waist_m / 2
         assert self._quadratic_r2(m.y_m[half], m.du_hz[half, n]) > 0.99

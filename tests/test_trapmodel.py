@@ -151,6 +151,13 @@ class TestFockSampling:
         with pytest.raises(ValueError):
             trapmodel.sample_fock_thermal(1e-6, 0.0, rng_from(4).random(8))
 
+    @pytest.mark.parametrize("t", [1e294, math.inf, math.nan])
+    def test_unrepresentable_occupation_rejected(self, t):
+        # 1e300 uK: log u / -x is inf or past int64, never cast silently
+        with pytest.raises(ValueError, match="occupation"):
+            trapmodel.sample_fock_thermal(t, self.OMEGA,
+                                          rng_from(4).random(8))
+
     def test_seeded_reproducibility(self):
         a = trapmodel.sample_fock_thermal(3e-6, self.OMEGA,
                                           rng_from(7).random(64))
