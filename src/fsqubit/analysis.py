@@ -1,12 +1,14 @@
 """Trace fitting and dephasing-time estimation.
 
 Fringe fits use the model A sin(2 pi f t + phi0) + c. With f fixed the
-problem is linear and solved exactly; with f free, the sum of squared
-residuals is scanned over a dense frequency grid (each evaluation is the
-exact linear solve) and the minimum refined by golden section. Contrast is
-twice the fitted amplitude on the 0-1 population scale. Coherence times come
-from a Gaussian envelope C0 exp(-t^2 / 2 T2^2) fitted by damped least
-squares with analytic Jacobians. The thermal dephasing estimate converts the
+problem is linear and solved exactly. Contrast is twice the fitted
+amplitude on the 0-1 population scale. Coherence times come from a
+Gaussian envelope C0 exp(-t^2 / 2 T2^2). The free-frequency fringe and the
+envelope each have one nonlinear parameter (f, or beta = 1 / 2 T2^2), so
+both are fitted by variable projection: the linear parameters are solved
+exactly at every trial value, the profiled sum of squared residuals is
+scanned on a grid, and its minimum is refined to the sign change of the
+analytic profiled slope. The thermal dephasing estimate converts the
 position-averaged spread of a differential shift map into the 1/e time of
 the equivalent Gaussian decay, 1 / (2 pi sigma).
 """
@@ -22,15 +24,14 @@ from .constants import K_B, MASS_SR88
 from .errors import (FitFailed, GridTooCoarse, NoDecayObserved,
                      WindowTooShort)
 
-# Free-frequency scan: grid points per 1/span of frequency resolution, and
-# the golden-section convergence target relative to the peak frequency.
+# Free-frequency scan: grid points per 1/span of frequency resolution.
 _SCAN_OVERSAMPLE = 4
-_GOLDEN_RTOL = 1e-12
 _MAX_SCAN_POINTS = 1 << 21
 
-# Damped least squares: iteration cap and relative-step convergence.
-_LM_MAX_ITER = 200
-_LM_STEP_RTOL = 1e-10
+# Envelope scan in beta t_max^2, about 64 points per decade. The top end
+# keeps exp(-2 beta t^2) a normal double, so the profiled C0 = g.c / g.g
+# never divides by an underflowed g.g.
+_ENVELOPE_GRID = np.geomspace(1e-3, 350.0, 356)
 
 
 @dataclass(frozen=True)
@@ -135,8 +136,30 @@ def _sinusoid_fit_from_coef(t, y, freq_hz, coef, design, ssr,
                        rms=math.sqrt(ssr / n))
 
 
+def _stationary_point(slope, grid: np.ndarray, k: int) -> float:
+    """Refine the grid argmin ``grid[k]`` of a profiled SSR.
+
+    Bisects the sign change (negative to positive) of the analytic slope
+    d SSR / d p between the argmin's two grid neighbours until the bracket
+    is two adjacent doubles (about 50 halvings for these grids). Keeps the
+    grid point when the slope does not change sign across that bracket.
+    """
+    lo = float(grid[max(k - 1, 0)])
+    hi = float(grid[min(k + 1, grid.size - 1)])
+    if not slope(lo) < 0.0 < slope(hi):
+        return float(grid[k])
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        if slope(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return mid
+
+
 def _scan_frequency(t: np.ndarray, y: np.ndarray) -> float:
-    """SSR minimum over frequency: dense exact-solve scan, then golden."""
+    """SSR minimum over frequency: dense exact-solve scan, then refined."""
     span = float(t.max() - t.min())
     dts = np.diff(np.sort(t))
     dt_min = float(dts[dts > 0].min())
@@ -177,27 +200,14 @@ def _scan_frequency(t: np.ndarray, y: np.ndarray) -> float:
         best_ssr[i0:i0 + chunk] = y0 @ y0 - np.sum(b * coef, axis=1)
     k = int(np.argmin(best_ssr))
 
-    def ssr_at(f):
-        return _linear_sinusoid_solve(t, y, f)[2]
+    def slope(f):
+        # d SSR / d f at the exact linear solve, up to the factor 4 pi
+        coef, design, _ = _linear_sinusoid_solve(t, y, f)
+        a_s, a_c = coef[:2]
+        r = design @ coef - y
+        return float(r @ (t * (a_s * design[:, 1] - a_c * design[:, 0])))
 
-    lo = freqs[max(k - 1, 0)]
-    hi = freqs[min(k + 1, n_f - 1)]
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = ssr_at(x1), ssr_at(x2)
-    for _ in range(200):
-        if hi - lo <= _GOLDEN_RTOL * hi:
-            break
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = ssr_at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = ssr_at(x2)
-    return float(0.5 * (lo + hi))
+    return _stationary_point(slope, freqs, k)
 
 
 def fit_sinusoid(t, y, fixed_freq_hz: float | None = None) -> SinusoidFit:
@@ -251,22 +261,19 @@ class ContrastPoint:
     contrast_err: float
 
 
-def extract_contrast(t, y, fringe_hz: float, window_periods: float = 5.0,
-                     normalize: str = "none") -> list[ContrastPoint]:
+def extract_contrast(t, y, fringe_hz: float,
+                     window_periods: float = 5.0) -> list[ContrastPoint]:
     """Windowed fixed-frequency contrast extraction.
 
     The trace is cut into consecutive windows of ``window_periods`` fringe
     periods; each window holding >= 6 points gets an exact linear fit and
-    contributes (mean time, 2A). ``normalize``: "none" for absolute
-    contrast, "first" to scale by the first window.
+    contributes (mean time, 2A).
     """
     if window_periods < 1.0:
         raise WindowTooShort(f"window of {window_periods} fringe periods; "
                              "need at least one full period")
     if fringe_hz <= 0:
         raise ValueError("fringe frequency must be positive")
-    if normalize not in ("none", "first"):
-        raise ValueError("normalize must be 'none' or 'first'")
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     width = window_periods / fringe_hz
@@ -286,23 +293,19 @@ def extract_contrast(t, y, fringe_hz: float, window_periods: float = 5.0,
                                     contrast_err=2.0 * fit.amplitude_err))
     if not points:
         raise WindowTooShort("no window holds enough points to fit")
-    if normalize == "first":
-        scale = points[0].contrast
-        if scale <= 0:
-            raise FitFailed("first-window contrast is zero; cannot "
-                            "normalize")
-        points = [ContrastPoint(p.t_s, p.contrast / scale,
-                                p.contrast_err / scale) for p in points]
     return points
 
 
 def fit_t2_envelope(t_s, contrast) -> EnvelopeFit:
-    """Fit C(t) = C0 exp(-t^2 / 2 T2^2) by damped least squares.
+    """Fit C(t) = C0 exp(-t^2 / 2 T2^2) by profiled least squares.
 
-    Initialized from the log-linear transform of the positive contrasts.
-    Raises :class:`NoDecayObserved` (carrying a lower bound on T2) when the
-    data show no decay over the scanned span, :class:`FitFailed` when
-    underdetermined or not converged.
+    With g = exp(-beta t^2), the best C0 at each beta is g.c / g.g, so the
+    sum of squared residuals is a function of beta alone. It is scanned on
+    a geometric grid in beta t_max^2 and its minimum refined to the sign
+    change of the analytic slope. Raises :class:`NoDecayObserved` (carrying
+    a lower bound on T2) when the data show no decay over the scanned span,
+    :class:`FitFailed` when underdetermined, when the decay is too fast to
+    resolve, or when the fitted C0 is not positive.
     """
     t = np.asarray(t_s, dtype=float)
     c = np.asarray(contrast, dtype=float)
@@ -310,70 +313,40 @@ def fit_t2_envelope(t_s, contrast) -> EnvelopeFit:
         raise FitFailed("t and contrast must be 1-d arrays of equal length")
     if t.size < 4:
         raise FitFailed("need >= 4 contrast points")
+    if not (np.isfinite(t).all() and np.isfinite(c).all()):
+        raise FitFailed("non-finite time or contrast")
     t_max = float(np.abs(t).max())
     if t_max == 0:
         raise FitFailed("degenerate time grid")
 
-    # init: ln C = ln C0 - beta t^2 on the positive points
-    pos = c > 0
-    if pos.sum() < 2:
-        raise FitFailed("not enough positive contrasts to initialize")
-    coef = np.polynomial.polynomial.polyfit(t[pos] ** 2, np.log(c[pos]), 1)
-    c0 = math.exp(coef[0])
-    beta = -float(coef[1])
-    if beta <= 0:
-        raise NoDecayObserved(
-            "log-linear slope is non-negative: no decay over the span",
-            t2_lower_bound_s=t_max)
-    beta = min(beta, 700.0 / t_max ** 2)   # keep exp(-beta t^2) above underflow
+    tsq = t ** 2
+    betas = _ENVELOPE_GRID / t_max ** 2
+    g = np.exp(-betas[:, None] * tsq)
+    gc, gg = g @ c, np.einsum("ij,ij->i", g, g)
+    k = int(np.argmin(-gc ** 2 / gg))   # SSR = c.c - (g.c)^2 / g.g
+    if k == betas.size - 1:
+        raise FitFailed("contrast decays faster than the time grid "
+                        "resolves")
 
-    lam = 1e-3
-    theta = np.array([c0, beta])
-    converged = False
-    for _ in range(_LM_MAX_ITER):
-        c0, beta = theta
-        model = c0 * np.exp(-beta * t ** 2)
-        r = model - c
-        ssr = float(r @ r)
-        jac = np.column_stack([model / c0, -t ** 2 * model])
-        g = jac.T @ jac
-        rhs = -jac.T @ r
-        for _damp in range(50):
-            try:
-                step = np.linalg.solve(g + lam * np.diag(np.diag(g)), rhs)
-            except np.linalg.LinAlgError:
-                raise FitFailed("normal equations singular in envelope "
-                                "fit") from None
-            trial = theta + step
-            if trial[0] <= 0:
-                lam *= 10
-                continue
-            mt = trial[0] * np.exp(-trial[1] * t ** 2)
-            ssr_t = float((mt - c) @ (mt - c))
-            if ssr_t <= ssr:
-                theta = trial
-                lam = max(lam / 10, 1e-12)
-                break
-            lam *= 10
-        else:
-            raise FitFailed("damping exhausted in envelope fit")
-        if np.all(np.abs(step) <= _LM_STEP_RTOL * np.abs(theta)):
-            converged = True
-            break
-    if not converged:
-        raise FitFailed("envelope fit did not converge in "
-                        f"{_LM_MAX_ITER} iterations")
+    def slope(beta):
+        # d SSR / d beta up to the positive factor 2 / (g.g)^2
+        g = np.exp(-beta * tsq)
+        gc, gg = g @ c, g @ g
+        return gc * (gg * (g * tsq @ c) - gc * (g * g @ tsq))
 
-    c0, beta = theta
-    if beta <= 0 or 1.0 - math.exp(-beta * t_max ** 2) < 0.02:
+    beta = _stationary_point(slope, betas, k)
+    g = np.exp(-beta * tsq)
+    c0 = float(g @ c / (g @ g))
+    if c0 <= 0:
+        raise FitFailed(f"fitted initial contrast {c0:.3g} is not positive")
+    if 1.0 - math.exp(-beta * t_max ** 2) < 0.02:
         raise NoDecayObserved(
             "predicted decay over the span is below 2%",
             t2_lower_bound_s=t_max)
     t2 = 1.0 / math.sqrt(2.0 * beta)
-    model = c0 * np.exp(-beta * t ** 2)
-    r = model - c
+    r = c0 * g - c
     ssr = float(r @ r)
-    jac = np.column_stack([model / c0, -t ** 2 * model])
+    jac = np.column_stack([g, -tsq * c0 * g])
     sigma_sq = ssr / max(t.size - 2, 1)
     try:
         cov = sigma_sq * np.linalg.inv(jac.T @ jac)
@@ -383,10 +356,10 @@ def fit_t2_envelope(t_s, contrast) -> EnvelopeFit:
     beta_err = math.sqrt(max(cov[1, 1], 0.0))
     c0_err = math.sqrt(max(cov[0, 0], 0.0))
     t2_err = beta_err * (2.0 * beta) ** -1.5
-    if not 0.0 < c0 <= 1.2:
+    if c0 > 1.2:
         raise FitFailed(f"fitted initial contrast {c0:.3g} outside (0, 1.2]"
                         "; input is not on the population scale")
-    return EnvelopeFit(t2_s=t2, c0=float(c0), t2_err_s=float(t2_err),
+    return EnvelopeFit(t2_s=t2, c0=c0, t2_err_s=float(t2_err),
                        c0_err=float(c0_err), rms=math.sqrt(ssr / t.size))
 
 

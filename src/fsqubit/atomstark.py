@@ -387,10 +387,12 @@ def find_magic_wavelength(env: FieldEnvironment,
     """Wavelength where the shift crosses zero at the env's field angle.
 
     The tables interpolate linearly, so the shift is piecewise linear on
-    the union of both states' knots: the root is the first zero knot, or
-    the first sign change solved by one linear interpolation, exact under
-    the tables' interpolation. None when the shift keeps its sign over the
-    overlap of the two spans.
+    the union of both states' knots: the root is the first isolated zero
+    knot, or the first sign change solved by one linear interpolation,
+    exact under the tables' interpolation. None when the shift keeps its
+    sign over the overlap of the two spans, or when its only zeros are
+    whole knot intervals on which it vanishes (no isolated root, as on the
+    755 nm table at phi = 90 deg, where it is zero at every knot).
     """
     (lo0, hi0), (lo2, hi2) = table.span_nm(GROUND), table.span_nm(EXCITED)
     lo, hi = max(lo0, lo2), min(hi0, hi2)
@@ -404,7 +406,11 @@ def find_magic_wavelength(env: FieldEnvironment,
     du = np.array([differential_shift_from_projection(table, x, u3_sq,
                                                       pol.e0sq) for x in lam])
     sign = np.sign(du)
-    hits = np.flatnonzero(sign[:-1] * sign[1:] <= 0.0)  # a zero or a flip
+    # knots bounding an interval on which the shift vanishes identically
+    run = (du[:-1] == 0.0) & (du[1:] == 0.0)
+    flat = np.append(run, False) | np.insert(run, 0, False)
+    hits = np.flatnonzero((sign[:-1] * sign[1:] <= 0.0)  # a zero or a flip
+                          & ~flat[:-1] & ~flat[1:])
     if hits.size == 0:
         return None
     a, b = hits[0], hits[0] + 1

@@ -57,6 +57,7 @@ _NODE_LADDER = (65, 129, 257, 513, 1025)
 _QUAD_RTOL = 1e-8
 _CHUNK = 8192
 _MEASURE_RANGE_M = 4e-5
+_FILLING_BRACKET = (0.05, 40.0)   # filling factors the calibration spans
 
 
 @lru_cache(maxsize=None)
@@ -180,9 +181,7 @@ def measure_waist(field) -> float:
     return float(brentq(f, lo, r[k], xtol=1e-12))
 
 
-def calibrate_filling_factor(config: TweezerConfig,
-                             f_lo: float = 0.05,
-                             f_hi: float = 40.0) -> float:
+def calibrate_filling_factor(config: TweezerConfig) -> float:
     """Filling factor whose focus has the configured target waist."""
     if config.target_waist_nm is None:
         raise ValueError("calibration needs target_waist_nm")
@@ -191,6 +190,7 @@ def calibrate_filling_factor(config: TweezerConfig,
     def gap(f0: float) -> float:
         return measure_waist(TweezerField(config, f0)) - target
 
+    f_lo, f_hi = _FILLING_BRACKET
     g_lo = gap(f_lo)
     g_hi = gap(f_hi)
     if g_lo < 0:

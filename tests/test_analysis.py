@@ -102,6 +102,25 @@ class TestFitSinusoidFreeF:
                                fit.phase_rad * fac[2],
                                fit.offset * fac[3]) + 1e-15
 
+    def test_frequency_at_stationary_point(self):
+        # the profiled slope dSSR/df, each side re-solved for (a_s, a_c, c),
+        # changes sign within 1e-12 relative of the fitted frequency
+        rng = np.random.default_rng(11)
+        y = sinusoid(self.T, 0.4, 1.3e6, 0.9, 0.5) + rng.normal(0, 0.03, 50)
+        fit = analysis.fit_sinusoid(self.T, y)
+
+        def slope(f):
+            w = 2 * math.pi * f * self.T
+            x = np.column_stack([np.sin(w), np.cos(w), np.ones_like(w)])
+            (a_s, a_c, c), *_ = np.linalg.lstsq(x, y, rcond=None)
+            model = a_s * np.sin(w) + a_c * np.cos(w) + c
+            dmodel = 2 * math.pi * self.T * (a_s * np.cos(w)
+                                             - a_c * np.sin(w))
+            return 2 * np.sum((model - y) * dmodel)
+
+        f = fit.freq_hz
+        assert slope(f * (1 - 1e-12)) < 0 < slope(f * (1 + 1e-12))
+
 
 class TestExtractContrast:
     F = 1.3e6
@@ -153,14 +172,6 @@ class TestExtractContrast:
         b = analysis.extract_contrast(t, y + 0.37, self.F)
         for pa, pb in zip(a, b):
             assert pa.contrast == pytest.approx(pb.contrast, abs=1e-12)
-
-    def test_normalize_to_first_window(self):
-        t = self.grid(5)
-        y = 0.5 * (1 + 0.8 * np.exp(-t / 2e-5)
-                   * np.cos(2 * math.pi * self.F * t))
-        pts = analysis.extract_contrast(t, y, self.F, normalize="first")
-        assert pts[0].contrast == pytest.approx(1.0, rel=1e-9)
-        assert pts[-1].contrast < 1.0
 
 
 class TestFitT2Envelope:
@@ -220,6 +231,76 @@ class TestFitT2Envelope:
         for _ in range(100):
             fac = 1.0 + rng.uniform(-0.05, 0.05, size=2)
             assert best <= ssr(fit.c0 * fac[0], fit.t2_s * fac[1]) + 1e-15
+
+    def test_beta_at_stationary_point(self):
+        # the nine windowed contrasts of the shipped t2_deep_phi0_3G run:
+        # the profiled slope dSSR/dbeta changes sign within 1e-12 relative
+        # of the fitted beta = 1 / 2 T2^2
+        t = np.array([1.854395604396e-06, 9.546703296703e-06,
+                      1.339285714286e-05, 2.108516483516e-05,
+                      2.877747252747e-05, 3.262362637363e-05,
+                      4.031593406593e-05, 4.416208791209e-05,
+                      5.185439560440e-05])
+        c = np.array([9.969598935e-01, 9.809567746e-01, 9.682922876e-01,
+                      9.347869492e-01, 8.923643263e-01, 8.686263488e-01,
+                      8.177298782e-01, 7.911726467e-01, 7.371280624e-01])
+        fit = analysis.fit_t2_envelope(t, c)
+
+        def slope(beta):
+            g = np.exp(-beta * t ** 2)
+            c0 = np.sum(g * c) / np.sum(g * g)
+            return 2 * np.sum((c0 * g - c) * (-c0 * t ** 2 * g))
+
+        beta = 1.0 / (2.0 * fit.t2_s ** 2)
+        assert slope(beta * (1 - 1e-12)) < 0 < slope(beta * (1 + 1e-12))
+
+    def test_rising_contrast_no_decay(self):
+        # the SSR minimum lies below the grid's slowest decay
+        t = np.linspace(0.0, 1e-3, 8)
+        with pytest.raises(NoDecayObserved) as exc:
+            analysis.fit_t2_envelope(t, 0.5 + 0.2 * t / t[-1])
+        assert exc.value.t2_lower_bound_s == pytest.approx(1e-3)
+
+    def test_decay_faster_than_grid_fails(self):
+        # every time within 5% of t_max, so the grid's fastest decay row
+        # is exp(-2 * 350 * 0.95^2) ~ 1e-274: still a normal double, and
+        # the argmin at that end is a failure, not a division by zero
+        t = np.linspace(0.95e-3, 1e-3, 8)
+        c = np.zeros(8)
+        c[0] = 1.0
+        with pytest.raises(FitFailed, match="faster"):
+            analysis.fit_t2_envelope(t, c)
+
+    def test_zero_contrast_fails_before_decay_rule(self):
+        t = np.linspace(0.0, 1e-3, 8)
+        with pytest.raises(FitFailed, match="not positive"):
+            analysis.fit_t2_envelope(t, np.zeros(8))
+
+    def test_non_finite_contrast_fails(self):
+        t = np.linspace(0.0, 1.2e-3, 12)
+        c = 0.9 * np.exp(-t ** 2 / (2 * 500e-6 ** 2))
+        c[3] = np.nan
+        with pytest.raises(FitFailed, match="non-finite"):
+            analysis.fit_t2_envelope(t, c)
+
+    def test_negative_envelope_fails(self):
+        t = np.linspace(0.0, 1.2e-3, 12)
+        c = -0.9 * np.exp(-t ** 2 / (2 * 500e-6 ** 2))
+        with pytest.raises(FitFailed, match="not positive"):
+            analysis.fit_t2_envelope(t, c)
+
+
+class TestStationaryPoint:
+    GRID = np.array([1.0, 2.0, 3.0, 4.0])
+
+    def test_bisects_the_slope_sign_change(self):
+        p = analysis._stationary_point(lambda x: x - 2.6, self.GRID, 2)
+        assert p == pytest.approx(2.6, rel=1e-15)
+
+    @pytest.mark.parametrize("slope", [lambda x: 1.0, lambda x: -1.0,
+                                       lambda x: 2.6 - x])
+    def test_no_sign_change_keeps_grid_point(self, slope):
+        assert analysis._stationary_point(slope, self.GRID, 2) == 3.0
 
 
 def quadratic_map(kappa_hz_m2, half_m=1e-6, n=201):

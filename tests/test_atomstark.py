@@ -381,6 +381,30 @@ class TestMagicPoints:
         assert phi == pytest.approx(90.0, abs=0.02)
         assert phi == 90.0  # u* = 0 exactly: a tangency, no tolerance
 
+    def test_755_block_magic_wavelength_none_at_90(self, table_755):
+        # the shift vanishes at every knot of the 755 nm table at 90 deg:
+        # no isolated root, so no table edge is reported as magic
+        cfg = TweezerConfig(wavelength_nm=755.0, power_W=2.0e-3, na=0.5,
+                            target_waist_nm=789.0)
+        env = FieldEnvironment(cfg, MagneticField(8.0, 90.0))
+        assert atomstark.find_magic_wavelength(env, table_755) is None
+
+    @pytest.mark.parametrize("a_s2,want", [
+        ([1100.0, 1000.0, 1000.0, 900.0], None),
+        ([1100.0, 1000.0, 900.0, 900.0], 540.0)])
+    def test_magic_wavelength_zero_interval(self, a_s2, want):
+        # scalar-only tables: a shift vanishing on a whole knot interval
+        # has no isolated root; a single zero knot is the root
+        lam = np.array([530.0, 540.0, 550.0, 560.0])
+        states = {
+            "3P0": atomstark.StateInfo("3P0", 0, 0.0, lam,
+                                       np.full(4, 1000.0), np.zeros(4)),
+            "3P2": atomstark.StateInfo("3P2", 2, 1.5, lam,
+                                       np.array(a_s2), np.zeros(4))}
+        table = atomstark.PolarizabilityTable(states)
+        env = FieldEnvironment(REF_TWEEZER, MagneticField(8.0, 0.0))
+        assert atomstark.find_magic_wavelength(env, table) == want
+
     def test_755_block_fixture_relation(self, table_755):
         s0, _ = table_755.alpha("3P0", 755.0)
         s2, t2 = table_755.alpha("3P2", 755.0)
