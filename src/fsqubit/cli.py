@@ -33,6 +33,7 @@ import math
 import operator
 import os
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -179,7 +180,8 @@ _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
         "prep_efficiency": _Key(_SPAM, 1.0),
         "readout_fidelity": _Key(_SPAM, 1.0)}),
     "protocol": ((), {
-        "name": _Key(_choice("ramsey", "echo", "rabi"), "ramsey"),
+        # no default here: _protocol defaults the name to the command
+        "name": _Key(_choice("ramsey", "echo", "rabi")),
         "motional_model": _Key(_choice("fock", "classical"), "fock"),
         "instantaneous_pulses": _Key(_instance(bool, "a boolean"), False),
         "fluctuating_detuning": _Key(_instance(bool, "a boolean"), False)}),
@@ -223,6 +225,16 @@ def _get(cfg, section, key):
     return _SCHEMA[section][1][key].default if value is None else value
 
 
+def _protocol(cfg, subcommand) -> dict:
+    """The protocol keys with their defaults; the name defaults to the
+    command: ``rabi`` runs Rabi, every other simulating command Ramsey."""
+    proto = {key: _get(cfg, "protocol", key)
+             for key in _SCHEMA["protocol"][1]}
+    if proto["name"] is None:
+        proto["name"] = "rabi" if subcommand == "rabi" else "ramsey"
+    return proto
+
+
 def check_config(cfg: dict, subcommand: str) -> list[str]:
     """Structural and physics sanity issues; empty list means runnable.
 
@@ -262,9 +274,8 @@ def _rule_issues(cfg, subcommand) -> list[str]:
         elif subcommand != "fit" and tw.get("filling_factor") is None:
             issues.append("missing: tweezer.waist_nm or "
                           "tweezer.filling_factor is required")
-    # without a protocol block, the rabi command runs Rabi
-    if cfg.get("protocol") is not None and subcommand in _SIM_COMMANDS:
-        name = _get(cfg, "protocol", "name")
+    if subcommand in _SIM_COMMANDS:
+        name = _protocol(cfg, subcommand)["name"]
         allowed = {"rabi": ("rabi",), "ramsey": ("ramsey", "echo"),
                    "t2": ("ramsey", "echo")}.get(subcommand, ("ramsey",))
         if name not in allowed:
@@ -351,10 +362,12 @@ def _resolve_phi(cfg, table, tweezer) -> tuple[float, bool]:
 
 
 class _Scenario:
-    """Shared lazy setup: table, env, focal field, trap."""
+    """Shared lazy setup: table, env, focal field, trap; ``simulate`` is
+    the one route from a command to the Monte-Carlo engine."""
 
-    def __init__(self, cfg: dict):
+    def __init__(self, cfg: dict, subcommand: str):
         self.cfg = cfg
+        self.protocol = _protocol(cfg, subcommand)
         self.table = atomstark.load_table(cfg.get("table"))
         self.tweezer = _tweezer_from(cfg)
         self.phi_deg, self.phi_was_magic = _resolve_phi(cfg, self.table,
@@ -387,9 +400,32 @@ class _Scenario:
     def f_fringe_hz(self) -> float:
         return float(self.cfg["drive"]["fringe_MHz"]) * 1e6
 
-    def protocol(self) -> dict:
-        return {key: _get(self.cfg, "protocol", key)
-                for key in _SCHEMA["protocol"][1]}
+    def simulate(self, t, seed: int, env=None,
+                 noise=None) -> dynamics.TraceResult:
+        """The config's protocol on the grid ``t``, with ``cfg["trials"]``
+        trials from master seed ``seed``.
+
+        ``env`` replaces the field environment (one angle of a scan), with
+        its trap characterized afresh; ``noise`` replaces the noise model.
+        """
+        if env is None:
+            env, trap = self.env, self.trap
+        else:
+            trap = trapmodel.characterize_trap(self.tweezer, env, self.table,
+                                               field=self.field)
+        proto, trials = self.protocol, int(self.cfg["trials"])
+        args = (trap, self.temperature_K,
+                self.noise if noise is None else noise, self.omega_rad_s())
+        kwargs = dict(motional_model=proto["motional_model"],
+                      field=self.field, env=env, table=self.table)
+        if proto["name"] == "rabi":
+            return dynamics.simulate_rabi(*args, t, trials, seed, **kwargs)
+        kwargs["instantaneous_pulses"] = proto["instantaneous_pulses"]
+        sim = dynamics.simulate_ramsey
+        if proto["name"] == "echo":
+            sim = dynamics.simulate_echo
+            kwargs["fluctuating_detuning"] = proto["fluctuating_detuning"]
+        return sim(*args, self.f_fringe_hz(), t, trials, seed, **kwargs)
 
     def resolved(self) -> dict:
         out = {"phi_deg": self.phi_deg,
@@ -417,13 +453,6 @@ def _burst_grid_s(cfg, f_fringe_hz) -> tuple[np.ndarray, float]:
         points_per_window=int(bg("points_per_window")),
         window_periods=wp, span_factor=float(bg("span_factor")))
     return grid, wp
-
-
-def _phi_context(scn):
-    """(field, env, table) when angle jitter is on, else Nones."""
-    if scn.noise.phi_jitter_std_deg > 0:
-        return {"field": scn.field, "env": scn.env, "table": scn.table}
-    return {"field": None, "env": None, "table": None}
 
 
 # ---------------------------------------------------------------- writers
@@ -464,33 +493,9 @@ def _trace_artifacts(trace, noise):
 
 # ------------------------------------------------------------- subcommands
 
-def _run_trace(cfg, subcommand):
-    scn = _Scenario(cfg)
-    proto = scn.protocol()
-    trials, seed = int(cfg["trials"]), int(cfg["seed"])
-    t = _time_grid_s(cfg) if subcommand != "t2" else None
-    if subcommand == "rabi" or proto["name"] == "rabi":
-        trace = dynamics.simulate_rabi(
-            scn.trap, scn.temperature_K, scn.noise, scn.omega_rad_s(), t,
-            trials, seed, motional_model=proto["motional_model"],
-            **_phi_context(scn))
-        return scn, trace, None
-    f_fr = scn.f_fringe_hz()
-    t, wp = _burst_grid_s(cfg, f_fr) if subcommand == "t2" else (t, None)
-    sim = (dynamics.simulate_echo if proto["name"] == "echo"
-           else dynamics.simulate_ramsey)
-    kwargs = dict(motional_model=proto["motional_model"],
-                  instantaneous_pulses=proto["instantaneous_pulses"],
-                  **_phi_context(scn))
-    if proto["name"] == "echo":
-        kwargs["fluctuating_detuning"] = proto["fluctuating_detuning"]
-    trace = sim(scn.trap, scn.temperature_K, scn.noise, scn.omega_rad_s(),
-                f_fr, t, trials, seed, **kwargs)
-    return scn, trace, wp
-
-
 def _cmd_trace(subcommand, cfg):
-    scn, trace, _ = _run_trace(cfg, subcommand)
+    scn = _Scenario(cfg, subcommand)
+    trace = scn.simulate(_time_grid_s(cfg), int(cfg["seed"]))
     return _trace_artifacts(trace, scn.noise), scn.resolved()
 
 
@@ -513,9 +518,11 @@ def _envelope_fit(points):
 
 
 def _cmd_t2(cfg):
-    scn, trace, wp = _run_trace(cfg, "t2")
-    points = analysis.extract_contrast(trace.t_s, trace.p32_mean,
-                                       scn.f_fringe_hz(),
+    scn = _Scenario(cfg, "t2")
+    f_fr = scn.f_fringe_hz()
+    t, wp = _burst_grid_s(cfg, f_fr)
+    trace = scn.simulate(t, int(cfg["seed"]))
+    points = analysis.extract_contrast(trace.t_s, trace.p32_mean, f_fr,
                                        window_periods=wp)
     contrast_csv, fit = _envelope_fit(points)
     arts = _trace_artifacts(trace, scn.noise)
@@ -526,10 +533,8 @@ def _cmd_t2(cfg):
 
 
 def _cmd_magic_scan(cfg):
-    scn = _Scenario(cfg)
+    scn = _Scenario(cfg, "magic-scan")
     sc = partial(_get, cfg, "angle_scan")
-    proto = scn.protocol()
-    trials, seed = int(cfg["trials"]), int(cfg["seed"])
     f_fr = scn.f_fringe_hz()
     wp = float(sc("window_periods"))
     ppw = int(sc("points_per_window"))
@@ -538,27 +543,20 @@ def _cmd_magic_scan(cfg):
     t = t0 + (np.arange(ppw) / ppw) * width
     phis = np.linspace(float(sc("start_deg")), float(sc("stop_deg")),
                        int(sc("points")))
-    rows = []
     contrasts = []
     for k, phi in enumerate(phis):
         env_k = FieldEnvironment(
             scn.tweezer, MagneticField(scn.env.field.magnitude_G,
                                        float(phi)))
-        trap_k = trapmodel.characterize_trap(scn.tweezer, env_k, scn.table,
-                                             field=scn.field)
-        trace = dynamics.simulate_ramsey(
-            trap_k, scn.temperature_K, scn.noise, scn.omega_rad_s(), f_fr,
-            t, trials, dynamics.spawn_seed(seed, 500 + k),
-            motional_model=proto["motional_model"],
-            instantaneous_pulses=proto["instantaneous_pulses"])
+        seed_k = dynamics.spawn_seed(int(cfg["seed"]), 500 + k)
+        trace = scn.simulate(t, seed_k, env=env_k)
         point = analysis.extract_contrast(trace.t_s, trace.p32_mean, f_fr,
                                           window_periods=wp)[0]
         contrasts.append((float(phi), point.contrast, point.contrast_err))
     cmax = max(c for _, c, _ in contrasts)
     norm = cmax if (sc("normalize") == "max" and cmax > 0) else 1.0
-    for phi, c, cerr in contrasts:
-        rows.append([f"{phi:.6f}", f"{c:.9e}", f"{cerr:.9e}",
-                     f"{c / norm:.9e}"])
+    rows = [[f"{phi:.6f}", f"{c:.9e}", f"{cerr:.9e}", f"{c / norm:.9e}"]
+            for phi, c, cerr in contrasts]
     arts = [("scan.csv", _write_rows(
         ["phi_deg", "contrast", "contrast_err", "contrast_norm"], rows))]
     resolved = scn.resolved()
@@ -568,33 +566,41 @@ def _cmd_magic_scan(cfg):
 
 
 def _cmd_phinoise(cfg):
-    scn = _Scenario(cfg)
+    """Ramsey T2 versus Gaussian field-angle noise of each amplitude
+    around the working angle; ``db_x_G`` is the transverse-field amplitude
+    |B| tan(delta_phi) that such angle noise corresponds to."""
+    scn = _Scenario(cfg, "phinoise")
     ps = cfg["phi_noise_scan"]
-    if ps.get("values_deg") is not None:
-        values = [float(v) for v in ps["values_deg"]]
-    else:
-        values = list(np.linspace(float(ps["start_deg"]),
-                                  float(ps["stop_deg"]),
-                                  int(ps["points"])))
+    values = ps.get("values_deg")
+    if values is None:
+        values = np.linspace(float(ps["start_deg"]), float(ps["stop_deg"]),
+                             int(ps["points"]))
     f_fr = scn.f_fringe_hz()
     grid, wp = _burst_grid_s(cfg, f_fr)
-    proto = scn.protocol()
-    points = dynamics.simulate_t2_vs_phinoise(
-        scn.field, scn.env, scn.table, scn.trap, scn.temperature_K,
-        scn.noise, scn.omega_rad_s(), f_fr, grid, values,
-        int(cfg["trials"]), int(cfg["seed"]),
-        motional_model=proto["motional_model"], window_periods=wp)
-    rows = [[f"{p.delta_phi_deg:.6f}", f"{p.t2_s:.9e}",
-             f"{p.t2_err_s:.9e}", f"{p.db_x_G:.9e}"] for p in points]
+    points = []
+    for k, dphi in enumerate(map(float, values)):
+        trace = scn.simulate(
+            grid, dynamics.spawn_seed(int(cfg["seed"]), 10_000 + k),
+            noise=replace(scn.noise, phi_jitter_std_deg=dphi))
+        contrasts = analysis.extract_contrast(trace.t_s, trace.p32_mean,
+                                              f_fr, window_periods=wp)
+        fit = analysis.fit_t2_envelope([c.t_s for c in contrasts],
+                                       [c.contrast for c in contrasts])
+        points.append({"delta_phi_deg": dphi, "t2_s": fit.t2_s,
+                       "t2_err_s": fit.t2_err_s,
+                       "db_x_G": scn.env.field.magnitude_G
+                       * math.tan(math.radians(dphi))})
+    rows = [[f"{p['delta_phi_deg']:.6f}", f"{p['t2_s']:.9e}",
+             f"{p['t2_err_s']:.9e}", f"{p['db_x_G']:.9e}"] for p in points]
     arts = [("phinoise.csv", _write_rows(
         ["delta_phi_deg", "t2_s", "t2_err_s", "db_x_G"], rows))]
     resolved = scn.resolved()
-    resolved["points"] = [p.to_json_dict() for p in points]
+    resolved["points"] = points
     return arts, resolved
 
 
 def _cmd_shiftmap(cfg):
-    scn = _Scenario(cfg)
+    scn = _Scenario(cfg, "shiftmap")
     half = _get(cfg, "map_grid", "half_extent_nm")
     shift_map = focalfield.lightshift_map(
         scn.field, scn.env, scn.table,
@@ -608,7 +614,7 @@ def _cmd_shiftmap(cfg):
 
 
 def _cmd_magic_find(cfg):
-    scn = _Scenario(cfg)
+    scn = _Scenario(cfg, "magic-find")
     angle = atomstark.find_magic_angle(scn.env, scn.table)
     wavelength = atomstark.find_magic_wavelength(scn.env, scn.table)
     fmt = lambda v, n: "nan" if v is None else f"{v:.{n}f}"

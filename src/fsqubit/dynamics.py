@@ -37,12 +37,11 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtri
 
-from . import analysis
 from .atomstark import axis_projection, differential_shift_from_projection
 from .params import FieldEnvironment, NoiseModel
 from .trapmodel import (TrapCharacterization, detuning_for_sample,
@@ -324,8 +323,7 @@ def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
             "phi_jitter_std_deg > 0 needs the field context (field, env, "
-            "table) to map angle jitter onto shifts; pass them or use "
-            "simulate_t2_vs_phinoise")
+            "table) to map angle jitter onto shifts")
     t = np.asarray(t_grid_s, dtype=float)
     deltas, om_f, phi_dev = _draw_trials(trap, temperature_K, noise, trials,
                                          master_seed, motional_model,
@@ -351,7 +349,7 @@ def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
                 seg = (om, de, size / omega_rad_s)
             phase = fringe if phi_l == "fringe" else phi_l
             a, b = _segment_apply(a, b, seg[0], seg[1], phase, seg[2])
-        p = apply_spam(np.clip(np.abs(b) ** 2, 0.0, 1.0), noise)
+        p = apply_spam(np.abs(b) ** 2, noise)
         _accumulate(p, acc)
     n, mean, m2 = acc
     sem = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)
@@ -435,50 +433,3 @@ def ramsey_burst_grid(t2_guess_s: float, f_fringe_hz: float,
     offsets = (np.arange(points_per_window) / points_per_window) * width
     return (starts[:, None] + offsets[None, :]).ravel()
 
-
-@dataclass(frozen=True)
-class PhiNoisePoint:
-    """Fitted coherence time at one field-angle noise amplitude."""
-
-    delta_phi_deg: float
-    t2_s: float
-    t2_err_s: float
-    db_x_G: float
-
-    def to_json_dict(self) -> dict:
-        return {"delta_phi_deg": self.delta_phi_deg, "t2_s": self.t2_s,
-                "t2_err_s": self.t2_err_s, "db_x_G": self.db_x_G}
-
-
-def simulate_t2_vs_phinoise(field, env: FieldEnvironment, table, trap,
-                            temperature_K, noise: NoiseModel, omega_rad_s,
-                            f_fringe_hz, t_r_grid_s, delta_phi_grid_deg,
-                            trials: int, master_seed: int,
-                            motional_model: str = "fock",
-                            window_periods: float = 5.0) \
-        -> list[PhiNoisePoint]:
-    """Ramsey T2 versus Gaussian field-angle noise around the working angle.
-
-    Per grid value the per-trial angle is drawn Gaussian around
-    ``env.field.phi_deg`` (normally the magic angle), the angle's exact
-    center-shift enters the detuning, and T2 comes from a Gaussian envelope
-    fit to windowed contrasts. ``db_x_G`` reports the transverse-field
-    amplitude |B| tan(delta_phi) that such angle noise corresponds to."""
-    points = []
-    for k, dphi in enumerate(delta_phi_grid_deg):
-        noise_k = replace(noise, phi_jitter_std_deg=float(dphi))
-        trace = simulate_ramsey(trap, temperature_K, noise_k, omega_rad_s,
-                                f_fringe_hz, t_r_grid_s, trials,
-                                spawn_seed(master_seed, 10_000 + k),
-                                motional_model=motional_model,
-                                field=field, env=env, table=table)
-        contrasts = analysis.extract_contrast(trace.t_s, trace.p32_mean,
-                                              f_fringe_hz,
-                                              window_periods=window_periods)
-        fit = analysis.fit_t2_envelope([c.t_s for c in contrasts],
-                                        [c.contrast for c in contrasts])
-        points.append(PhiNoisePoint(
-            delta_phi_deg=float(dphi), t2_s=fit.t2_s, t2_err_s=fit.t2_err_s,
-            db_x_G=env.field.magnitude_G
-            * math.tan(math.radians(float(dphi)))))
-    return points

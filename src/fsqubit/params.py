@@ -109,6 +109,3 @@ class NoiseModel:
         population is prep_efficiency * readout_fidelity * P_ideal.
         """
         return self.prep_efficiency * self.readout_fidelity
-
-
-NOISELESS = NoiseModel()

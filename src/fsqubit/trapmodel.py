@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from . import focalfield
 from .atomstark import (PolarizabilityTable, axis_projection,
                         state_light_shift)
 from .constants import H_PLANCK, HBAR, K_B, MASS_SR88
@@ -102,21 +101,18 @@ def _state_energies_hz(field, table: PolarizabilityTable,
 
 def characterize_trap(config: TweezerConfig, env: FieldEnvironment,
                       table: PolarizabilityTable,
-                      field=None) -> TrapCharacterization:
+                      field) -> TrapCharacterization:
     """Characterize both trapping potentials around the focal center.
 
-    ``field`` overrides the focal field (any object with ``field_at`` and
-    ``waist_m``, e.g. the Gaussian fallback); by default the full vector
-    field is built from ``config``. The field object is authoritative for
-    amplitudes; ``config`` supplies the wavelength, ``env.field`` the
-    quantization-axis angle.
+    ``field`` is the focal field: any object with ``field_at`` and
+    ``waist_m``, such as ``focalfield.build_field(config)`` or a
+    ``GaussianField``. It is authoritative for amplitudes; ``config``
+    supplies the wavelength, ``env.field`` the quantization-axis angle.
 
     Raises :class:`NotTrapping` if either state has a center energy that
     is not negative or a curvature that is not positive along some axis
     (NaN included).
     """
-    if field is None:
-        field = focalfield.build_field(config)
     step = field.waist_m * _STENCIL_FRACTION
     # 7-point stencil: center, then -/+ along each axis.
     offs = np.array([[0.0, 0.0, 0.0],

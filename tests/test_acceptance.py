@@ -225,11 +225,16 @@ def test_criterion_08_phinoise_study(shallow46, table, magic_env):
     t0 = time.perf_counter()
     dphis = [0.0, 0.1, 0.2, 0.3, 0.5]
     grid = dynamics.ramsey_burst_grid(1236e-6, F_FR, span_factor=1.5)
-    points = dynamics.simulate_t2_vs_phinoise(
-        shallow46["field"], magic_env["env"], table, magic_env["trap"],
-        1.4e-6, NOISELESS, OMEGA, F_FR, grid, dphis, trials=800,
-        master_seed=31)
-    t2s = [p.t2_s for p in points]
+    t2s = []
+    for k, dphi in enumerate(dphis):
+        trace = dynamics.simulate_ramsey(
+            magic_env["trap"], 1.4e-6, NoiseModel(phi_jitter_std_deg=dphi),
+            OMEGA, F_FR, grid, trials=800,
+            master_seed=dynamics.spawn_seed(31, 10_000 + k),
+            field=shallow46["field"], env=magic_env["env"], table=table)
+        pts = analysis.extract_contrast(trace.t_s, trace.p32_mean, F_FR)
+        t2s.append(analysis.fit_t2_envelope(
+            [p.t_s for p in pts], [p.contrast for p in pts]).t2_s)
     monotone = all(t2s[k + 1] <= t2s[k] for k in range(len(t2s) - 1))
     # angle amplitude reproducing T2 = 1.24 ms, log-interpolated
     target = 1.24e-3

@@ -548,3 +548,55 @@ class TestEndToEnd:
         assert rows[0, 1] > rows[1, 1] > 0
         assert rows[1, 3] == pytest.approx(
             8.0 * math.tan(math.radians(1.0)), rel=1e-9)
+
+    def test_magic_scan_with_angle_jitter(self, tmp_path):
+        # each scan angle carries the field context its jitter needs
+        cfg = base_cfg(**EXTRA["magic-scan"])
+        cfg["noise"] = {"phi_jitter_std_deg": 0.1}
+        del cfg["time_grid"]
+        path = write_cfg(tmp_path, cfg)
+        code, out, _ = run_cli("validate", "--config", path,
+                               "--subcommand", "magic-scan")
+        assert code == 0, out
+        code, _, err = run_cli("magic-scan", "--config", path, "--out",
+                               str(tmp_path / "out"))
+        assert code == 0, err
+        rows = np.loadtxt(tmp_path / "out" / "scan.csv", delimiter=",",
+                          skiprows=1)
+        assert rows.shape == (3, 4)
+        assert np.all(np.isfinite(rows))
+
+    def test_rabi_protocol_name_defaults_to_command(self, tmp_path):
+        cfg = base_cfg(protocol={"motional_model": "classical"})
+        path = write_cfg(tmp_path, cfg)
+        code, out, _ = run_cli("validate", "--config", path,
+                               "--subcommand", "rabi")
+        assert code == 0, out
+        assert json.loads(out)["issues"] == []
+        code, _, err = run_cli("rabi", "--config", path, "--out",
+                               str(tmp_path / "out"))
+        assert code == 0, err
+        # a Rabi drive starts in 3P0 and reaches 3P2 within a period
+        # (11.9 us at 84 kHz); a Ramsey fringe would start near 1
+        p = np.loadtxt(tmp_path / "out" / "trace.csv", delimiter=",",
+                       skiprows=1)[:, 1]
+        assert p[0] == 0.0
+        assert p.max() > 0.5
+
+    def test_phinoise_honours_instantaneous_pulses(self, tmp_path):
+        cfg = base_cfg(burst_grid={"t2_guess_us": 450.0, "n_windows": 5,
+                                   "points_per_window": 16},
+                       phi_noise_scan={"values_deg": [0.0, 0.3]})
+        del cfg["time_grid"]
+        t2s = []
+        for instantaneous in (False, True):
+            cfg["protocol"] = {"instantaneous_pulses": instantaneous}
+            out = tmp_path / str(instantaneous)
+            code, _, err = run_cli("phinoise", "--config",
+                                   write_cfg(tmp_path, cfg), "--out",
+                                   str(out))
+            assert code == 0, err
+            t2s.append(np.loadtxt(out / "phinoise.csv", delimiter=",",
+                                  skiprows=1)[:, 1])
+        # finite pulses carry the per-trial detuning, ideal ones do not
+        assert np.all(t2s[0] != t2s[1])
