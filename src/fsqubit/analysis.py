@@ -103,19 +103,32 @@ def _linear_sinusoid_solve(t: np.ndarray, y: np.ndarray, freq_hz: float):
     return coef, design, float(resid @ resid)
 
 
-def _sinusoid_fit_from_coef(t, y, freq_hz, coef, design, ssr,
-                            freq_err_hz) -> SinusoidFit:
+def _freq_column(t, coef, design) -> np.ndarray:
+    """d model / d f at the linear solve: 2 pi t (a_s cos - a_c sin)."""
+    a_s, a_c = coef[:2]
+    return 2.0 * math.pi * t * (a_s * design[:, 1] - a_c * design[:, 0])
+
+
+def _sinusoid_fit(t, y, freq_hz: float, free_freq: bool) -> SinusoidFit:
+    """Exact linear solve at ``freq_hz``; every error from sigma^2 (J^T J)^-1.
+
+    J holds the (sin, cos, 1) columns, plus the frequency column when f was
+    fitted, so the amplitude, phase and offset errors carry their
+    correlation with f; sigma^2 = SSR / (n - columns of J).
+    """
+    coef, design, ssr = _linear_sinusoid_solve(t, y, freq_hz)
+    jac = (np.column_stack([design, _freq_column(t, coef, design)])
+           if free_freq else design)
     n = t.size
     a_s, a_c, c = (float(v) for v in coef)
     amp = math.hypot(a_s, a_c)
     phase = math.atan2(a_c, a_s) if amp > 0 else 0.0
-    dof = max(n - (3 if freq_err_hz is None else 4), 1)
-    sigma_sq = ssr / dof
+    sigma_sq = ssr / max(n - jac.shape[1], 1)
     try:
-        cov = sigma_sq * np.linalg.inv(design.T @ design)
+        cov = sigma_sq * np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         raise FitFailed("sinusoid design matrix is singular") from None
-    var_s, var_c, var_off = np.diag(cov)
+    var_s, var_c, var_off = np.diag(cov)[:3]
     cov_sc = cov[0, 1]
     if amp > 0:
         # delta method through (a_s, a_c) -> (A, phi0)
@@ -129,8 +142,9 @@ def _sinusoid_fit_from_coef(t, y, freq_hz, coef, design, ssr,
         amp_err = math.sqrt(max(var_s, var_c))
         phase_err = math.pi
     return SinusoidFit(amplitude=amp, freq_hz=float(freq_hz),
-                       phase_rad=phase, offset=c,
-                       amplitude_err=amp_err, freq_err_hz=freq_err_hz,
+                       phase_rad=phase, offset=c, amplitude_err=amp_err,
+                       freq_err_hz=(math.sqrt(max(cov[3, 3], 0.0))
+                                    if free_freq else None),
                        phase_err_rad=phase_err,
                        offset_err=float(math.sqrt(var_off)),
                        rms=math.sqrt(ssr / n))
@@ -201,11 +215,9 @@ def _scan_frequency(t: np.ndarray, y: np.ndarray) -> float:
     k = int(np.argmin(best_ssr))
 
     def slope(f):
-        # d SSR / d f at the exact linear solve, up to the factor 4 pi
+        # d SSR / d f at the exact linear solve, up to the factor 2
         coef, design, _ = _linear_sinusoid_solve(t, y, f)
-        a_s, a_c = coef[:2]
-        r = design @ coef - y
-        return float(r @ (t * (a_s * design[:, 1] - a_c * design[:, 0])))
+        return float((design @ coef - y) @ _freq_column(t, coef, design))
 
     return _stationary_point(slope, freqs, k)
 
@@ -223,9 +235,7 @@ def fit_sinusoid(t, y, fixed_freq_hz: float | None = None) -> SinusoidFit:
     if fixed_freq_hz is not None:
         if t.size < 3:
             raise FitFailed("need >= 3 points for a fixed-frequency fit")
-        coef, design, ssr = _linear_sinusoid_solve(t, y, fixed_freq_hz)
-        return _sinusoid_fit_from_coef(t, y, fixed_freq_hz, coef, design,
-                                       ssr, freq_err_hz=None)
+        return _sinusoid_fit(t, y, fixed_freq_hz, free_freq=False)
     if t.size < 6:
         raise FitFailed("need >= 6 points for a free-frequency fit")
     if t.max() == t.min():
@@ -236,16 +246,7 @@ def fit_sinusoid(t, y, fixed_freq_hz: float | None = None) -> SinusoidFit:
     if f_hat * (t.max() - t.min()) < 1.0 + 1e-6:
         raise FitFailed("data span less than one full period of the "
                         "best-fit frequency")
-    coef, design, ssr = _linear_sinusoid_solve(t, y, f_hat)
-    # frequency uncertainty from the local curvature of SSR(f)
-    df = max(1e-4 / (t.max() - t.min()), abs(f_hat) * 1e-9)
-    ssr_p = _linear_sinusoid_solve(t, y, f_hat + df)[2]
-    ssr_m = _linear_sinusoid_solve(t, y, f_hat - df)[2]
-    curv = (ssr_p - 2 * ssr + ssr_m) / df ** 2
-    sigma_sq = ssr / max(t.size - 4, 1)
-    freq_err = math.sqrt(2 * sigma_sq / curv) if curv > 0 else math.inf
-    fit = _sinusoid_fit_from_coef(t, y, f_hat, coef, design, ssr,
-                                  freq_err_hz=freq_err)
+    fit = _sinusoid_fit(t, y, f_hat, free_freq=True)
     if not fit.well_resolved:
         raise FitFailed("no fringe resolved above the residual noise "
                         f"(amplitude {fit.amplitude:.3g}, rms {fit.rms:.3g})")

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,10 +144,9 @@ class PolarizabilityTable:
 
 
 def load_table(spec: str | Path | None = None) -> PolarizabilityTable:
-    """Load a table from a path, 'builtin:<name>', or $FSQUBIT_TABLE."""
-    if spec is None:
-        spec = os.environ.get("FSQUBIT_TABLE", "builtin:sr88_fixture")
-    spec = str(spec)
+    """Load a table from a path or 'builtin:<name>'; None is the packaged
+    'builtin:sr88_fixture'."""
+    spec = "builtin:sr88_fixture" if spec is None else str(spec)
     if spec.startswith("builtin:"):
         from importlib.resources import files
         path = files("fsqubit").joinpath(f"data/{spec[8:]}.csv")
@@ -367,13 +365,14 @@ def find_magic_angle(env: FieldEnvironment,
     """Field angle in [0, 90] deg where the differential shift vanishes.
 
     The shift D is affine in u = |eps . B_hat|^2 = cos^2 phi for the
-    Gaussian-center polarization, so its zero u* = D(0) / (D(0) - D(1)) is
-    closed form. None when u* lies outside [0, 1] (a value, not a failure);
-    0.0 when D vanishes at every angle. The env's own phi is ignored.
+    x polarization of the focal center (J1(0) = J2(0) = 0), so its zero
+    u* = D(0) / (D(0) - D(1)) is closed form. D is proportional to e0sq,
+    taken as 1: the root depends on the table and wavelength alone. None
+    when u* lies outside [0, 1] (a value, not a failure); 0.0 when D
+    vanishes at every angle. The env's own phi is ignored.
     """
-    pol = gaussian_center_polarization(env.tweezer)
     d1, d0 = (float(differential_shift_from_projection(
-        table, env.tweezer.wavelength_nm, u, pol.e0sq)) for u in (1.0, 0.0))
+        table, env.tweezer.wavelength_nm, u, 1.0)) for u in (1.0, 0.0))
     if d0 == d1:
         return 0.0 if d0 == 0.0 else None
     u_star = d0 / (d0 - d1)
@@ -392,19 +391,19 @@ def find_magic_wavelength(env: FieldEnvironment,
     exact under the tables' interpolation. None when the shift keeps its
     sign over the overlap of the two spans, or when its only zeros are
     whole knot intervals on which it vanishes (no isolated root, as on the
-    755 nm table at phi = 90 deg, where it is zero at every knot).
+    755 nm table at phi = 90 deg, where it is zero at every knot). The
+    shift is that of :func:`find_magic_angle`: x polarization, e0sq = 1.
     """
     (lo0, hi0), (lo2, hi2) = table.span_nm(GROUND), table.span_nm(EXCITED)
     lo, hi = max(lo0, lo2), min(hi0, hi2)
     if not hi > lo:
         raise WavelengthOutOfRange("tabulated spans do not overlap")
-    pol = gaussian_center_polarization(env.tweezer)
-    u3_sq, _ = axis_projection(pol.epsilon, env.field.phi_deg)
+    u3_sq, _ = axis_projection(np.array([1.0, 0.0, 0.0]), env.field.phi_deg)
     lam = np.union1d(table.state(GROUND).wavelengths_nm,
                      table.state(EXCITED).wavelengths_nm)
     lam = lam[(lam >= lo) & (lam <= hi)]
-    du = np.array([differential_shift_from_projection(table, x, u3_sq,
-                                                      pol.e0sq) for x in lam])
+    du = np.array([differential_shift_from_projection(table, x, u3_sq, 1.0)
+                   for x in lam])
     sign = np.sign(du)
     # knots bounding an interval on which the shift vanishes identically
     run = (du[:-1] == 0.0) & (du[1:] == 0.0)

@@ -20,8 +20,8 @@ exits 1. ``validate`` checks every key, unknown ones included, against one
 schema table and prints an issue report on stdout; it exits 0 when clean,
 2 when issues were found.
 
-The default polarizability table comes from ``$FSQUBIT_TABLE`` or the
-packaged fixture; ``"table"`` in the config overrides both.
+The polarizability table is the config's ``"table"`` (default: the
+packaged fixture) and nothing else, so ``meta.json`` records it.
 """
 
 from __future__ import annotations
@@ -266,14 +266,10 @@ def check_config(cfg: dict, subcommand: str) -> list[str]:
 def _rule_issues(cfg, subcommand) -> list[str]:
     issues: list[str] = []
     tw = cfg["tweezer"]
-    if tw.get("waist_nm") is None:
-        # the magic roots use the Gaussian center polarization of the waist
-        if subcommand == "magic-find" or cfg["field"]["phi_deg"] == "magic":
-            issues.append("missing: tweezer.waist_nm is required for magic "
-                          "roots (field.phi_deg 'magic' or magic-find)")
-        elif subcommand != "fit" and tw.get("filling_factor") is None:
-            issues.append("missing: tweezer.waist_nm or "
-                          "tweezer.filling_factor is required")
+    if (subcommand != "fit" and tw.get("waist_nm") is None
+            and tw.get("filling_factor") is None):
+        issues.append("missing: tweezer.waist_nm or tweezer.filling_factor "
+                      "is required")
     if subcommand in _SIM_COMMANDS:
         name = _protocol(cfg, subcommand)["name"]
         allowed = {"rabi": ("rabi",), "ramsey": ("ramsey", "echo"),
@@ -484,8 +480,7 @@ def _trace_artifacts(trace, noise):
     if scale != 1.0:
         ideal = dynamics.TraceResult(
             t_s=trace.t_s, p32_mean=np.clip(trace.p32_mean / scale, 0, 1),
-            p32_sem=trace.p32_sem / scale, trials=trace.trials,
-            master_seed=trace.master_seed)
+            p32_sem=trace.p32_sem / scale)
         arts.append(("trace_ideal.csv",
                      lambda p: dynamics.write_trace_csv(ideal, p)))
     return arts
@@ -568,7 +563,9 @@ def _cmd_magic_scan(cfg):
 def _cmd_phinoise(cfg):
     """Ramsey T2 versus Gaussian field-angle noise of each amplitude
     around the working angle; ``db_x_G`` is the transverse-field amplitude
-    |B| tan(delta_phi) that such angle noise corresponds to."""
+    |B| tan(delta_phi) that such angle noise corresponds to. A point with
+    no visible decay carries ``status`` and ``t2_lower_bound_s`` in place
+    of ``t2_s`` and ``t2_err_s``, and leaves those two CSV cells empty."""
     scn = _Scenario(cfg, "phinoise")
     ps = cfg["phi_noise_scan"]
     values = ps.get("values_deg")
@@ -584,14 +581,17 @@ def _cmd_phinoise(cfg):
             noise=replace(scn.noise, phi_jitter_std_deg=dphi))
         contrasts = analysis.extract_contrast(trace.t_s, trace.p32_mean,
                                               f_fr, window_periods=wp)
-        fit = analysis.fit_t2_envelope([c.t_s for c in contrasts],
-                                       [c.contrast for c in contrasts])
-        points.append({"delta_phi_deg": dphi, "t2_s": fit.t2_s,
-                       "t2_err_s": fit.t2_err_s,
+        _, fit = _envelope_fit(contrasts)
+        t2_keys = (("t2_s", "t2_err_s") if fit["status"] == "ok"
+                   else ("status", "t2_lower_bound_s"))
+        points.append({"delta_phi_deg": dphi,
+                       **{key: fit[key] for key in t2_keys},
                        "db_x_G": scn.env.field.magnitude_G
                        * math.tan(math.radians(dphi))})
-    rows = [[f"{p['delta_phi_deg']:.6f}", f"{p['t2_s']:.9e}",
-             f"{p['t2_err_s']:.9e}", f"{p['db_x_G']:.9e}"] for p in points]
+    rows = [[f"{p['delta_phi_deg']:.6f}",
+             *(f"{p[key]:.9e}" if key in p else ""
+               for key in ("t2_s", "t2_err_s")),
+             f"{p['db_x_G']:.9e}"] for p in points]
     arts = [("phinoise.csv", _write_rows(
         ["delta_phi_deg", "t2_s", "t2_err_s", "db_x_G"], rows))]
     resolved = scn.resolved()

@@ -7,10 +7,10 @@ vector by Omega_eff t about (Omega cos phi_L, Omega sin phi_L,
 -delta)/Omega_eff, Omega_eff = sqrt(Omega^2 + delta^2).
 
 The drive is referenced to the transition of the motional ground state in
-the trap: delta_ref = 2 pi dU_center + sum_i dOmega_i / 2 for the Fock
-model (just 2 pi dU_center for the classical model), so a cold atom in a
-magic trap sits exactly on resonance and thermal occupation produces the
-residual per-shot detunings. Shot-to-shot noise (one motional sample, one
+the trap: delta_ref is the trapmodel detuning ladder at a zero sample (n = 0
+for the Fock model, the trap center for the classical one), so a cold atom
+in a magic trap sits exactly on resonance and thermal occupation produces
+the residual per-shot detunings. Shot-to-shot noise (one motional sample, one
 Rabi amplitude, one field angle, one detuning offset per trial) is frozen
 within a shot. Each protocol is a module-level segment list (``RABI``,
 ``RAMSEY``, ``ECHO``) walked by one Monte-Carlo engine. Ramsey's second
@@ -44,8 +44,8 @@ from scipy.special import ndtri
 
 from .atomstark import axis_projection, differential_shift_from_projection
 from .params import FieldEnvironment, NoiseModel
-from .trapmodel import (TrapCharacterization, detuning_for_sample,
-                        sample_fock_thermal, sample_position_classical)
+from .trapmodel import (detuning_for_sample, sample_fock_thermal,
+                        sample_position_classical)
 
 # trial block size for the vectorized evolution (memory / determinism unit)
 _TRIAL_BLOCK = 512
@@ -130,8 +130,6 @@ class TraceResult:
     t_s: np.ndarray
     p32_mean: np.ndarray
     p32_sem: np.ndarray
-    trials: int
-    master_seed: int
 
     def __post_init__(self) -> None:
         if not np.all(np.isfinite(self.t_s)):
@@ -152,25 +150,12 @@ def write_trace_csv(trace: TraceResult, path) -> None:
 
 
 def read_trace_csv(path) -> TraceResult:
-    """Read a trace CSV; trial count and seed are not stored in the file
-    and come back as 0."""
+    """Read a trace CSV written by :func:`write_trace_csv`."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[1] != 3:
         raise ValueError(f"expected 3 columns t_s,p32_mean,p32_sem in {path}")
     return TraceResult(t_s=data[:, 0], p32_mean=data[:, 1],
-                       p32_sem=data[:, 2], trials=0, master_seed=0)
-
-
-def drive_reference_rad_s(trap: TrapCharacterization,
-                          motional_model: str = "fock") -> float:
-    """Detuning of the drive lock point: the T -> 0 line of the trapped
-    atom relative to free space."""
-    base = 2.0 * math.pi * trap.du_center_hz
-    if motional_model == "fock":
-        return base + 0.5 * float(np.sum(trap.delta_omega_rad_s))
-    if motional_model == "classical":
-        return base
-    raise ValueError(f"unknown motional model {motional_model!r}")
+                       p32_sem=data[:, 2])
 
 
 def spawn_seed(master_seed: int, tag: int) -> int:
@@ -242,11 +227,12 @@ def _draw_trials(trap, temperature_K, noise, trials, master_seed,
 
     Returns (deltas[sets, trials], omega_factor[trials],
     phi_dev_deg[trials]); deltas are already referenced to the drive lock
-    point and include the per-set detuning offset draw.
+    point, the zero sample's detuning, and include the per-set detuning
+    offset draw.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    d_ref = drive_reference_rad_s(trap, motional_model)
+    d_ref = detuning_for_sample(np.zeros(3), trap, motional_model)
     sampler = (sample_fock_thermal if motional_model == "fock"
                else sample_position_classical)
     u = _trial_uniforms(master_seed, trials, 4 * detuning_sets + 2)  # 6 or 10
@@ -353,8 +339,7 @@ def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
         _accumulate(p, acc)
     n, mean, m2 = acc
     sem = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)
-    return TraceResult(t_s=t, p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem,
-                       trials=trials, master_seed=master_seed)
+    return TraceResult(t_s=t, p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem)
 
 
 def simulate_rabi(trap, temperature_K, noise: NoiseModel, omega_rad_s,

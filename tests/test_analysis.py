@@ -102,6 +102,24 @@ class TestFitSinusoidFreeF:
                                fit.phase_rad * fac[2],
                                fit.offset * fac[3]) + 1e-15
 
+    def test_phase_error_carries_frequency_correlation(self):
+        # a window 100 us after t = 0: the phase at t = 0 is extrapolated
+        # through the fitted frequency, so its error must include the
+        # frequency uncertainty; the reported error matches the scatter of
+        # the fitted phases over 200 noise draws
+        t = 100e-6 + np.linspace(0.0, 4e-6, 120)
+        phases, errors = [], []
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            y = sinusoid(t, 0.3, 1.3e6, 0.7, 0.5) + rng.normal(0, 0.03,
+                                                                t.size)
+            fit = analysis.fit_sinusoid(t, y)
+            phases.append(fit.phase_rad)
+            errors.append(fit.phase_err_rad)
+        resultant = abs(np.mean(np.exp(1j * np.array(phases))))
+        circular_sd = math.sqrt(-2.0 * math.log(resultant))
+        assert 0.8 <= np.median(errors) / circular_sd <= 1.25
+
     def test_frequency_at_stationary_point(self):
         # the profiled slope dSSR/df, each side re-solved for (a_s, a_c, c),
         # changes sign within 1e-12 relative of the fitted frequency

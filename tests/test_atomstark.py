@@ -354,6 +354,23 @@ class TestMagicPoints:
         env = FieldEnvironment(cfg, MagneticField(8.0, 0.0))
         assert atomstark.find_magic_angle(env, table) is None
 
+    def test_roots_independent_of_intensity(self, table):
+        # the shift is proportional to e0sq, so both roots are functions of
+        # the table and the wavelength alone: bit-identical for the 46 uW
+        # and 1.45 mW tweezers and for one given only a filling factor
+        tweezers = [TweezerConfig(539.91, p, 0.5, target_waist_nm=564.0)
+                    for p in (46e-6, 1.45e-3)]
+        tweezers.append(TweezerConfig(539.91, 46e-6, 0.5,
+                                      filling_factor=1.0))
+        roots = set()
+        for tw in tweezers:
+            env = FieldEnvironment(tw, MagneticField(8.0, 0.0))
+            phi = atomstark.find_magic_angle(env, table)
+            env_magic = FieldEnvironment(tw, MagneticField(8.0, phi))
+            roots.add((phi, atomstark.find_magic_wavelength(env, table),
+                       atomstark.find_magic_wavelength(env_magic, table)))
+        assert len(roots) == 1
+
     def test_magic_wavelength_anchor(self, table):
         env = FieldEnvironment(REF_TWEEZER, MagneticField(8.0, 0.0))
         lam = atomstark.find_magic_wavelength(env, table)

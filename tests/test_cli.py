@@ -103,17 +103,29 @@ class TestValidate:
 
     @pytest.mark.parametrize("sub,phi", [("ramsey", "magic"),
                                          ("magic-find", 0.0)])
-    def test_magic_roots_need_waist(self, tmp_path, sub, phi):
+    def test_magic_roots_need_no_waist(self, tmp_path, sub, phi):
+        # the roots depend on the table alone, so filling_factor will do
         cfg = base_cfg()
         cfg["tweezer"] = {"wavelength_nm": 539.91, "power_mW": 0.046,
                           "na": 0.5, "filling_factor": 1.0}
         cfg["field"]["phi_deg"] = phi
-        path = write_cfg(tmp_path, cfg)
+        path = write_cfg(tmp_path, cfg, "ff.json")
         code, out, _ = run_cli("validate", "--config", path,
                                "--subcommand", sub)
-        assert code == 2
-        assert any(i.startswith("missing: tweezer.waist_nm")
-                   for i in json.loads(out)["issues"])
+        assert code == 0, out
+        assert json.loads(out)["issues"] == []
+        angles = []
+        for name, tweezer in (("ff", cfg["tweezer"]),
+                              ("waist", base_cfg()["tweezer"])):
+            path = write_cfg(tmp_path, {**cfg, "tweezer": tweezer},
+                             name + ".json")
+            out_dir = tmp_path / name
+            code, _, err = run_cli("magic-find", "--config", path,
+                                   "--out", str(out_dir))
+            assert code == 0, err
+            meta = json.loads((out_dir / "meta.json").read_text())
+            angles.append(meta["resolved"]["magic_phi_deg"])
+        assert angles[0] == angles[1]
 
     def test_retired_pol_axis(self, tmp_path):
         cfg = base_cfg()
@@ -285,22 +297,38 @@ class TestMagicFind:
         assert meta["subcommand"] == "magic-find"
         assert set(meta["artifacts"]) == {"magic.csv"}
 
+    def test_table_comes_from_config_only(self, tmp_path, monkeypatch):
+        # meta.json records the config, not the environment, so the
+        # environment must not pick the table
+        path = str(pathlib.Path(__file__).resolve().parents[1] / "configs"
+                   / "magic_find_phi0.json")
+        outs = [tmp_path / "plain", tmp_path / "env"]
+        code, _, err = run_cli("magic-find", "--config", path,
+                               "--out", str(outs[0]))
+        assert code == 0, err
+        monkeypatch.setenv("FSQUBIT_TABLE", "builtin:sr88_fixture_755")
+        code, _, err = run_cli("magic-find", "--config", path,
+                               "--out", str(outs[1]))
+        assert code == 0, err
+        for name in ("magic.csv", "meta.json"):
+            assert (outs[0] / name).read_bytes() \
+                == (outs[1] / name).read_bytes(), name
+
+
+def _synthetic_trace(tmp_path, t, y):
+    path = tmp_path / "trace.csv"
+    dynamics.write_trace_csv(dynamics.TraceResult(
+        t_s=t, p32_mean=y, p32_sem=np.zeros_like(t)), path)
+    return str(path)
+
 
 class TestFitSubcommand:
     F = 1.3e6
 
-    def _trace(self, tmp_path, y, t):
-        tr = dynamics.TraceResult(t_s=t, p32_mean=y,
-                                  p32_sem=np.zeros_like(t), trials=1,
-                                  master_seed=0)
-        path = tmp_path / "trace.csv"
-        dynamics.write_trace_csv(tr, path)
-        return str(path)
-
     def test_sinusoid_mode(self, tmp_path):
         t = np.linspace(0.0, 40e-6, 400)
         y = 0.5 + 0.45 * np.sin(2 * math.pi * self.F * t + 1.0)
-        trace = self._trace(tmp_path, y, t)
+        trace = _synthetic_trace(tmp_path, t, y)
         cfg = {"schema_version": 1, "tweezer": {
             "wavelength_nm": 539.91, "power_mW": 0.046, "na": 0.5},
             "field": {"magnitude_G": 3.0, "phi_deg": 0.0},
@@ -324,7 +352,7 @@ class TestFitSubcommand:
         t = np.linspace(0.0, 60e-6, 1200)
         y = 0.5 + 0.5 * np.cos(2 * math.pi * self.F * t) \
             * np.exp(-t ** 2 / (2 * t2 ** 2))
-        trace = self._trace(tmp_path, y, t)
+        trace = _synthetic_trace(tmp_path, t, y)
         cfg = {"schema_version": 1, "tweezer": {
             "wavelength_nm": 539.91, "power_mW": 0.046, "na": 0.5},
             "field": {"magnitude_G": 3.0, "phi_deg": 0.0},
@@ -417,8 +445,59 @@ def test_mutated_config_fails_validate_or_builds(mutant_dir, site):
             assert np.all(np.isfinite(grid))
 
 
+# per section, the keys that cut a shipped config to a quick run
+SMALL = {"time_grid": {"points": 21},
+         "burst_grid": {"n_windows": 5, "points_per_window": 12},
+         "angle_scan": {"points": 2},
+         "phi_noise_scan": {"values_deg": [0.0, 1.0]},
+         "map_grid": {"points": 11}}
+
+
+def _assert_meta_roundtrip(tmp_path, sub, cfg):
+    """Run ``cfg``, rerun its meta.json as the config: identical bytes."""
+    outs = [tmp_path / "run", tmp_path / "rerun"]
+    code, _, err = run_cli(sub, "--config", write_cfg(tmp_path, cfg),
+                           "--out", str(outs[0]))
+    assert code == 0, err
+    code, _, err = run_cli(sub, "--config", str(outs[0] / "meta.json"),
+                           "--out", str(outs[1]))
+    assert code == 0, err
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() \
+            == (outs[1] / name).read_bytes(), name
+
+
+# one shipped config per run command, the magic angle wherever it applies
+ROUNDTRIP = ("rabi_deep_phi0_3G", "ramsey_shallow_magic_8G",
+             "t2_shallow_magic_8G", "magic_scan_8G", "phinoise_magic_8G",
+             "shiftmap_magic_46uW", "magic_find_phi0")
+
+
 @pytest.mark.slow
 class TestEndToEnd:
+    @pytest.mark.parametrize("path,sub", [p for p in _shipped_configs()
+                                          if p.id in ROUNDTRIP])
+    def test_meta_roundtrip(self, tmp_path, path, sub):
+        cfg = json.loads(path.read_text())
+        for section, keys in SMALL.items():
+            if section in cfg:
+                cfg[section].update(keys)
+        if "trials" in cfg:
+            cfg["trials"] = 64
+        _assert_meta_roundtrip(tmp_path, sub, cfg)
+
+    def test_fit_meta_roundtrip(self, tmp_path):
+        t = np.linspace(0.0, 10e-6, 200)
+        y = 0.5 + 0.4 * np.sin(2 * math.pi * 1.3e6 * t + 0.3)
+        cfg = {"schema_version": 1, "tweezer": {
+            "wavelength_nm": 539.91, "power_mW": 0.046, "na": 0.5},
+            "field": {"magnitude_G": 3.0, "phi_deg": 0.0},
+            "fit": {"trace_csv": _synthetic_trace(tmp_path, t, y),
+                    "mode": "sinusoid"}}
+        _assert_meta_roundtrip(tmp_path, "fit", cfg)
+
     def test_rabi_rerun_and_meta_roundtrip(self, tmp_path):
         cfg = base_cfg()
         cfg["tweezer"]["power_mW"] = 1.45
@@ -582,6 +661,31 @@ class TestEndToEnd:
                        skiprows=1)[:, 1]
         assert p[0] == 0.0
         assert p.max() > 0.5
+
+    def test_phinoise_point_without_decay(self, tmp_path):
+        # a 20 us span at the magic angle: no decay at zero angle noise,
+        # clear decay at 2 degrees; the run reports both
+        path = pathlib.Path(__file__).resolve().parents[1] / "configs" \
+            / "phinoise_magic_8G.json"
+        cfg = json.loads(path.read_text())
+        cfg["burst_grid"].update(t2_guess_us=20.0, span_factor=1.0)
+        cfg["phi_noise_scan"] = {"values_deg": [0.0, 2.0]}
+        cfg["trials"] = 100
+        out = tmp_path / "out"
+        code, _, err = run_cli("phinoise", "--config",
+                               write_cfg(tmp_path, cfg), "--out", str(out))
+        assert code == 0, err
+        flat, decayed = json.loads(
+            (out / "meta.json").read_text())["resolved"]["points"]
+        assert flat["status"] == "no_decay_observed"
+        assert flat["t2_lower_bound_s"] > 0
+        assert set(flat) == {"delta_phi_deg", "status", "t2_lower_bound_s",
+                             "db_x_G"}
+        assert set(decayed) == {"delta_phi_deg", "t2_s", "t2_err_s",
+                                "db_x_G"}
+        rows = (out / "phinoise.csv").read_text().splitlines()
+        assert rows[1].split(",")[1:3] == ["", ""]
+        assert rows[2].split(",")[1] == f"{decayed['t2_s']:.9e}"
 
     def test_phinoise_honours_instantaneous_pulses(self, tmp_path):
         cfg = base_cfg(burst_grid={"t2_guess_us": 450.0, "n_windows": 5,

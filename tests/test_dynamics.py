@@ -13,7 +13,7 @@ import pytest
 
 from fsqubit import FieldEnvironment, MagneticField, NoiseModel
 from fsqubit import analysis, dynamics, trapmodel
-from fsqubit.errors import FitFailed
+from fsqubit.errors import FitFailed, ModelMismatch
 
 OMEGA = 2 * math.pi * 84e3
 F_FR = 1.3e6
@@ -92,7 +92,7 @@ class TestEvolveSegment:
 def _trace(**bad):
     arrays = dict(t_s=np.zeros(2), p32_mean=np.zeros(2), p32_sem=np.zeros(2))
     arrays.update({key: np.array([0.0, v]) for key, v in bad.items()})
-    return dynamics.TraceResult(trials=1, master_seed=0, **arrays)
+    return dynamics.TraceResult(**arrays)
 
 
 @pytest.mark.parametrize("build", [
@@ -192,6 +192,14 @@ class TestSimulateRabi:
 
 
 class TestSimulateRamsey:
+    def test_unknown_motional_model(self):
+        # one place rejects it: the detuning ladder of trapmodel
+        with pytest.raises(ModelMismatch):
+            dynamics.simulate_ramsey(magic_trap(), 0.0, NOISELESS, OMEGA,
+                                     F_FR, np.linspace(0.0, 5e-6, 11),
+                                     trials=4, master_seed=1,
+                                     motional_model="bogus")
+
     def test_magic_noiseless_fringe(self):
         t_r = np.linspace(0.0, 6.0 / F_FR, 160)
         tr = dynamics.simulate_ramsey(magic_trap(), 0.0, NOISELESS, OMEGA,
