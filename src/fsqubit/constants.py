@@ -15,22 +15,23 @@ scalar polarizability alpha (SI) has potential energy U = -alpha * e0sq.
 
 from __future__ import annotations
 
-import scipy.constants as _c
-
-H_PLANCK = _c.h                      # J s
-HBAR = _c.hbar                       # J s
-K_B = _c.k                           # J/K
-EPS0 = _c.epsilon_0                  # F/m
-C_LIGHT = _c.c                       # m/s
+# CODATA 2022 values, written out so that importing the package does not
+# load scipy and a CODATA revision cannot move results silently. Each
+# literal is the repr of the scipy.constants 1.17.1 value, bit for bit.
+H_PLANCK = 6.62607015e-34            # J s (exact)
+HBAR = 1.0545718176461565e-34        # J s, H_PLANCK / 2 pi
+K_B = 1.380649e-23                   # J/K (exact)
+EPS0 = 8.8541878188e-12              # F/m
+C_LIGHT = 299792458.0                # m/s (exact)
 
 # 1 atomic unit of polarizability, C^2 m^2 / J.
-AU_POLARIZABILITY = _c.value("atomic unit of electric polarizability")
+AU_POLARIZABILITY = 1.64877727212e-41
 
 # Bohr magneton over h, in Hz per gauss (1 G = 1e-4 T).
-MU_B_HZ_PER_G = _c.value("Bohr magneton") / _c.h * 1e-4
+MU_B_HZ_PER_G = 9.2740100657e-24 / H_PLANCK * 1e-4
 
-# Atom mass: the 88 u bosonic strontium isotope.
-MASS_SR88 = 87.9056 * _c.value("atomic mass constant")   # kg
+# Atom mass: the 88 u bosonic strontium isotope; atomic mass constant in kg.
+MASS_SR88 = 87.9056 * 1.66053906892e-27   # kg
 
 
 def intensity_to_e0sq(intensity_w_m2: float) -> float:

@@ -18,6 +18,17 @@ pi/2 pulse carries phi_L = -2 pi f_fr t_R, the phase-reset convention that
 writes a synthetic fringe at f_fr; the echo inserts a pi pulse about +y
 between two half periods of free evolution.
 
+The engine walks the segments with the state written as (a, b e^{i psi}) up
+to a global phase. Free evolution, diag(e^{-i delta t/2}, e^{+i delta t/2}),
+only adds delta t to the pending phase psi of each (trial, time) point, and
+a pulse at laser phase theta is R_z(theta) U(0) R_z(-theta) with
+R_z(x) = diag(1, e^{ix}), so theta enters psi on both sides of it. Pulse
+amplitudes therefore depend on the trial alone. psi is multiplied into b
+only before a drive or a pulse that is not the last segment (the echo pi
+pulse, the Rabi drive). A closing pulse V gives P(3P2) directly as
+|V10 a|^2 + |V11 b|^2 + 2 |c| cos(psi + arg c) with c = conj(V10 a) V11 b:
+one real cosine per trial and time for Ramsey.
+
 SPAM convention: unprepared population stays in the dark manifold and
 contributes zero signal; readout infidelity scales multiplicatively. The
 observed population is therefore eta_prep * F_read * P_ideal with no
@@ -87,8 +98,10 @@ class PulseSegment:
             raise ValueError("detuning and phase must be finite")
 
 
-def _segment_apply(a, b, omega, delta, phi_l, duration):
-    """Propagate amplitudes through one constant segment (broadcasting)."""
+def _su2_elements(omega, delta, duration):
+    """(u00, coupling, u11) of one constant segment at laser phase 0; the
+    phase phi_L multiplies the coupling by e^{-i phi_L} above the diagonal
+    and by e^{+i phi_L} below it (broadcasting)."""
     omega = np.asarray(omega, dtype=float)
     delta = np.asarray(delta, dtype=float)
     duration = np.asarray(duration, dtype=float)
@@ -97,9 +110,13 @@ def _segment_apply(a, b, omega, delta, phi_l, duration):
     cos_h = np.cos(half)
     # sin(half)/om_eff without the 0/0 at om_eff -> 0
     sdur = 0.5 * duration * np.sinc(half / math.pi)
-    u00 = cos_h - 1j * delta * sdur
-    u11 = cos_h + 1j * delta * sdur
-    coupling = -1j * omega * sdur
+    return (cos_h - 1j * delta * sdur, -1j * omega * sdur,
+            cos_h + 1j * delta * sdur)
+
+
+def _segment_apply(a, b, omega, delta, phi_l, duration):
+    """Propagate amplitudes through one constant segment (broadcasting)."""
+    u00, coupling, u11 = _su2_elements(omega, delta, duration)
     phase = np.exp(-1j * np.asarray(phi_l, dtype=float))
     u01 = coupling * phase
     u10 = coupling * np.conj(phase)
@@ -304,7 +321,14 @@ def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
                   instantaneous_pulses: bool, detuning_sets: int,
                   field, env, table) -> TraceResult:
     """Draw the trials, add angle jitter, propagate blocks of trials through
-    ``segments`` from 3P0, apply SPAM and accumulate P(3P2) per grid time."""
+    ``segments`` from 3P0, apply SPAM and accumulate P(3P2) per grid time.
+
+    Free segments and laser phases are diagonal and accumulate in the
+    pending phase psi of b, shape (trials, time); pulse amplitudes keep
+    shape (trials, 1). psi is applied (b *= e^{i psi}) before a non-final
+    pulse or a drive, which goes through the general ``_segment_apply``.
+    A final pulse V yields |V10 a|^2 + |V11 b|^2 + 2|c| cos(psi + arg c),
+    c = conj(V10 a) V11 b."""
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
@@ -318,25 +342,44 @@ def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
         deltas = deltas + _phi_noise_delta_rad_s(field, env, table, phi_dev)
     omegas = omega_rad_s * om_f
     fringe = (-2.0 * math.pi * f_fringe_hz * t)[None, :]
+    last = len(segments) - 1
     acc = [0, None, None]
     for i0 in range(0, trials, _TRIAL_BLOCK):
         sl = slice(i0, min(i0 + _TRIAL_BLOCK, trials))
         om = omegas[sl, None]
-        a, b = 1.0, 0.0
-        for kind, size, phi_l, dset in segments:
+        # the state is (a, b e^{i psi}) up to a global phase
+        a, b, psi = 1.0, 0.0, 0.0
+        for i, (kind, size, phi_l, dset) in enumerate(segments):
             de = deltas[min(dset, detuning_sets - 1), sl, None]
+            theta = fringe if phi_l == "fringe" else phi_l
             if kind == "free":
-                seg = (0.0, de, size * t[None, :])
-            elif kind == "drive":
-                seg = (om, de, size * t[None, :])
-            elif instantaneous_pulses:
-                seg = (1.0, 0.0, size)
+                psi = psi + de * (size * t[None, :])
+                continue
+            if kind == "drive":
+                a, b = _segment_apply(a, b * np.exp(1j * psi), om, de,
+                                      theta, size * t[None, :])
+                psi = 0.0
+                continue
+            # U(theta) = R_z(theta) U(0) R_z(-theta), R_z(x) = diag(1, e^{ix})
+            psi = psi - theta
+            if instantaneous_pulses:
+                om_p, de_p, dur = 1.0, 0.0, size
             else:
-                seg = (om, de, size / omega_rad_s)
-            phase = fringe if phi_l == "fringe" else phi_l
-            a, b = _segment_apply(a, b, seg[0], seg[1], phase, seg[2])
-        p = apply_spam(np.abs(b) ** 2, noise)
-        _accumulate(p, acc)
+                om_p, de_p, dur = om, de, size / omega_rad_s
+            if i < last:
+                a, b = _segment_apply(a, b * np.exp(1j * psi), om_p, de_p,
+                                      0.0, dur)
+                psi = theta
+                continue
+            _, v10, v11 = _su2_elements(om_p, de_p, dur)
+            x, y = v10 * a, v11 * b
+            c = np.conj(x) * y
+            p_ideal = (np.abs(x) ** 2 + np.abs(y) ** 2
+                       + 2.0 * np.abs(c) * np.cos(psi + np.angle(c)))
+            break
+        else:
+            p_ideal = np.abs(b) ** 2
+        _accumulate(apply_spam(p_ideal, noise), acc)
     n, mean, m2 = acc
     sem = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)
     return TraceResult(t_s=t, p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem)

@@ -1,9 +1,11 @@
 """Pulse-protocol simulations.
 
 Oracles: exact two-level rotation algebra (Rabi formula, composed pulses),
+the scalar one-state propagator chained over the engine's own draws,
 analytic Gaussian averages for shot-to-shot jitter (envelope
-exp(-sigma^2 t^2 / 2)), perfect echo refocusing of shot-static detunings,
-and the two-segment phase-variance law for a fluctuating detuning.
+exp(-sigma^2 t^2 / 2)), the exact thermal-ensemble Ramsey mean, perfect echo
+refocusing of shot-static detunings, and the two-segment phase-variance law
+for a fluctuating detuning.
 """
 
 import math
@@ -313,6 +315,92 @@ class TestBurstGrid:
         assert len(pts) == 9
         for p in pts:
             assert p.contrast == pytest.approx(1.0, abs=1e-9)
+
+
+def _scalar_mean(protocol, deltas, om_f, t_grid, instantaneous):
+    """Trial-mean P(3P2) from chaining the scalar ``evolve_segment`` over
+    explicit segments, one trial and one time at a time."""
+    p = np.zeros_like(t_grid)
+    free = lambda dur, d: dynamics.PulseSegment(dur, 0.0, d, 0.0)
+    for k, f in enumerate(om_f):
+        om, d1, d2 = OMEGA * f, deltas[0, k], deltas[-1, k]
+
+        def pulse(angle, delta, phase):
+            if instantaneous:
+                return dynamics.PulseSegment(angle, 1.0, 0.0, phase)
+            return dynamics.PulseSegment(angle / OMEGA, om, delta, phase)
+
+        for j, t in enumerate(t_grid):
+            fringe = -2 * math.pi * F_FR * t
+            segs = {
+                "rabi": [dynamics.PulseSegment(t, om, d1, 0.0)],
+                "ramsey": [pulse(math.pi / 2, d1, 0.0), free(t, d1),
+                           pulse(math.pi / 2, d1, fringe)],
+                "echo": [pulse(math.pi / 2, d1, 0.0), free(t / 2, d1),
+                         pulse(math.pi, d2, math.pi / 2), free(t / 2, d2),
+                         pulse(math.pi / 2, d2, fringe)]}[protocol]
+            state = dynamics.QubitState(1.0, 0.0)
+            for seg in segs:
+                state = dynamics.evolve_segment(state, seg)
+            p[j] += state.p32
+    return p / len(om_f)
+
+
+@pytest.mark.parametrize("protocol,instantaneous,sets", [
+    ("rabi", False, 1), ("ramsey", False, 1), ("ramsey", True, 1),
+    ("echo", False, 1), ("echo", True, 1), ("echo", False, 2),
+    ("echo", True, 2)])
+def test_engine_matches_scalar_propagator(protocol, instantaneous, sets):
+    # pins the pending-phase walk (signs of the laser and free-evolution
+    # phases) to the independent one-state propagator
+    trap, temp, trials, seed = mismatched_trap(), 3e-6, 5, 31
+    noise = NoiseModel(rabi_frac_std=0.05,
+                       detuning_offset_std=2 * math.pi * 2e3,
+                       prep_efficiency=0.9, readout_fidelity=0.95)
+    # 6.175 fringe periods per step: no laser phase is a multiple of pi
+    t = np.linspace(0.0, 57e-6, 13)
+    segments = {"rabi": dynamics.RABI, "ramsey": dynamics.RAMSEY,
+                "echo": dynamics.ECHO}[protocol]
+    deltas, om_f, _ = dynamics._draw_trials(trap, temp, noise, trials, seed,
+                                            "fock", detuning_sets=sets)
+    want = noise.spam_scale * _scalar_mean(protocol, deltas, om_f, t,
+                                           instantaneous)
+    got = dynamics._run_sequence(segments, trap, temp, noise, OMEGA, F_FR,
+                                 t, trials, seed, "fock", instantaneous,
+                                 sets, None, None, None)
+    np.testing.assert_allclose(got.p32_mean, want, rtol=0, atol=1e-12)
+
+
+def _fock_coherence(trap, temperature_K, sigma_off, t):
+    """phi(t) = E[e^{i delta t}] for thermal Fock ladders (geometric n_i
+    with q_i = e^{-hbar w_i / kB T}, lock point at n = 0) times a Gaussian
+    detuning offset."""
+    from fsqubit.constants import HBAR, K_B
+    q = np.exp(-HBAR * trap.omega_p0_rad_s / (K_B * temperature_K))
+    z = np.exp(1j * np.outer(t, trap.delta_omega_rad_s))
+    return (np.prod((1 - q) / (1 - q * z), axis=1)
+            * np.exp(-(sigma_off * t) ** 2 / 2))
+
+
+@pytest.mark.slow
+def test_ramsey_matches_exact_ensemble_mean():
+    # one assertion over Philox, the geometric inverse CDF, the detuning
+    # ladder and lock point, propagation and SPAM
+    trap, temp, sig = mismatched_trap(), 3e-6, 2 * math.pi * 300.0
+    noise = NoiseModel(detuning_offset_std=sig, prep_efficiency=0.9,
+                       readout_fidelity=0.95)
+    t = dynamics.ramsey_burst_grid(500e-6, F_FR)
+    tr = dynamics.simulate_ramsey(trap, temp, noise, OMEGA, F_FR, t,
+                                  trials=100_000, master_seed=2718,
+                                  instantaneous_pulses=True)
+    theta = -2 * math.pi * F_FR * t
+    exact = noise.spam_scale * 0.5 * (
+        1 + np.real(np.exp(1j * theta)
+                    * np.conj(_fock_coherence(trap, temp, sig, t))))
+    assert t.size == 252
+    # at t = 0 every trial reads the same population up to round-off, so
+    # the SEM vanishes and the mean must agree to 1e-12 there
+    assert np.all(np.abs(tr.p32_mean - exact) <= 4.5 * tr.p32_sem + 1e-12)
 
 
 class TestDeterminismContract:

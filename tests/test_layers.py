@@ -4,10 +4,14 @@ Physics modules sit below the Monte-Carlo engine, and only the CLI joins
 simulation to fits: ``dynamics`` returns traces and never fits them, and
 ``trapmodel`` characterizes the focal field it is given and never builds
 one.
+The constants are literals, so importing them loads no scipy.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -56,3 +60,12 @@ def test_every_module_is_listed():
 @pytest.mark.parametrize("module", sorted(LAYERS))
 def test_module_imports(module):
     assert package_imports(SRC / f"{module}.py") == LAYERS[module]
+
+
+def test_constants_load_no_scipy():
+    code = ("import sys, fsqubit.constants; "
+            "sys.exit('scipy' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          check=False)
+    assert done.returncode == 0
