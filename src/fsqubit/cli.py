@@ -301,9 +301,9 @@ def _rule_issues(cfg, subcommand) -> list[str]:
                    "values_deg" for key in ("start_deg", "stop_deg", "points")
                    if ps.get(key) is None]
     ft = cfg.get("fit") or {}
-    if ft and not Path(ft["trace_csv"]).exists():
-        issues.append(f"file: fit.trace_csv {ft['trace_csv']!r} does not "
-                      "exist")
+    if ft and not Path(ft["trace_csv"]).is_file():
+        issues.append(f"file: fit.trace_csv {ft['trace_csv']!r} is not a "
+                      "file")
     if ft.get("mode") == "envelope" and ft.get("f_fringe_MHz") is None:
         issues.append("missing: fit.f_fringe_MHz is required in envelope mode")
     # table loadability and wavelength coverage - the one check that

@@ -20,7 +20,10 @@ input beam with filling factor f0. The field of an x-polarized input is
 
 Integrals are evaluated by Gauss-Legendre quadrature with node doubling
 until another doubling moves no component by more than 1e-8 of the batch
-peak.
+peak. The Bessel functions J0, J1 and J2 come from ``scipy.special``,
+imported inside ``TweezerField._integrals`` at the first field evaluation,
+so importing this module loads no scipy. Waist and filling-factor roots
+use the in-package Brent solver ``_brent_root``.
 
 The overall amplitude is fixed by requiring the transverse-plane flux
 (eps0 c / 2) integral (|Ex|^2 + |Ey|^2) dA to equal the beam power. The
@@ -45,8 +48,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import j0, j1, jv
 
 from . import atomstark
 from .constants import C_LIGHT, EPS0
@@ -58,6 +59,7 @@ _QUAD_RTOL = 1e-8
 _CHUNK = 8192
 _MEASURE_RANGE_M = 4e-5
 _FILLING_BRACKET = (0.05, 40.0)   # filling factors the calibration spans
+_BRENT_RTOL = 4 * np.finfo(float).eps
 
 
 @lru_cache(maxsize=None)
@@ -103,6 +105,7 @@ class TweezerField:
         k01 = base * st
         k02 = base * (1.0 - ct)
 
+        from scipy.special import j0, j1, jv  # deferred: ~0.35 s to import
         arg = np.multiply.outer(self.k * np.asarray(rho, dtype=float), st)
         b0 = j0(arg)
         b1 = j1(arg)
@@ -151,6 +154,59 @@ class TweezerField:
         return out.reshape(shape + (3,))
 
 
+def _brent_root(f, xa, xb, xtol, rtol=_BRENT_RTOL, maxiter=100):
+    """Root of ``f`` bracketed by [xa, xb]: the Brent-Dekker iteration
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4) transcribed step for step from scipy's ``brentq.c``, with its
+    defaults, so it visits the same iterates and returns the same double.
+    """
+    def fx(x):
+        y = float(f(x))
+        if math.isnan(y):
+            raise ValueError(f"function value at x={x} is NaN")
+        return y
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):   # keep the best estimate in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:   # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:   # inverse quadratic extrapolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry   # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
+
+
 def _intensity_along_x(field, r):
     zero = np.zeros_like(r)
     e = field.field_at(r, zero, zero)
@@ -178,7 +234,7 @@ def measure_waist(field) -> float:
     def f(rr):
         return float(_intensity_along_x(field, np.array([rr]))[0]) - thresh
 
-    return float(brentq(f, lo, r[k], xtol=1e-12))
+    return _brent_root(f, lo, r[k], xtol=1e-12)
 
 
 def calibrate_filling_factor(config: TweezerConfig) -> float:
@@ -202,7 +258,7 @@ def calibrate_filling_factor(config: TweezerConfig) -> float:
         raise UnreachableWaist(
             f"target waist {config.target_waist_nm:.1f} nm is below the "
             "diffraction-limited spot of this aperture")
-    return float(brentq(gap, f_lo, f_hi, xtol=1e-6, rtol=1e-10))
+    return _brent_root(gap, f_lo, f_hi, xtol=1e-6, rtol=1e-10)
 
 
 def build_field(config: TweezerConfig) -> TweezerField:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .atomstark import (PolarizabilityTable, axis_projection,
                         state_light_shift)
@@ -183,6 +182,7 @@ def sample_position_classical(temperature_K: float, omega_rad_s, u):
         raise ValueError("need one uniform per axis in the last dimension")
     if temperature_K == 0.0:
         return np.zeros(np.shape(u))
+    from scipy.special import ndtri  # deferred: ~0.35 s to import
     sigma = np.sqrt(K_B * temperature_K / MASS_SR88) / om
     return sigma * ndtri(u)
 

@@ -193,14 +193,21 @@ class TestErrorHandling:
         assert "error" in json.loads(err.strip())
         assert not out_dir.exists()
 
-    def test_missing_trace_file_is_config_error(self, tmp_path):
+    @pytest.mark.parametrize("trace", ["nope.csv", "."],
+                             ids=["missing", "directory"])
+    def test_missing_trace_file_is_config_error(self, tmp_path, trace):
         cfg = {"schema_version": 1,
                "tweezer": {"wavelength_nm": 539.91, "power_mW": 0.046,
                            "na": 0.5},
                "field": {"magnitude_G": 3.0, "phi_deg": 0.0},
-               "fit": {"trace_csv": str(tmp_path / "nope.csv"),
+               "fit": {"trace_csv": str(tmp_path / trace),
                        "mode": "sinusoid"}}
         path = write_cfg(tmp_path, cfg)
+        code, out, _ = run_cli("validate", "--config", path,
+                               "--subcommand", "fit")
+        assert code == 2
+        assert any(i.startswith("file: fit.trace_csv")
+                   for i in json.loads(out)["issues"])
         out_dir = tmp_path / "out"
         code, _, err = run_cli("fit", "--config", path,
                                "--out", str(out_dir))

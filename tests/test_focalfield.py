@@ -9,7 +9,9 @@ Oracles used here:
     Hankel transform of the pupil-truncated Gaussian;
   * symmetry: the longitudinal component vanishes identically on the
     optical axis, the cross-polarized component on both principal axes,
-    and the whole map under point reflection.
+    and the whole map under point reflection;
+  * the in-package Brent root finder visits the same points and returns
+    the same double as ``scipy.optimize.brentq``, the test-only reference.
 """
 
 import math
@@ -17,6 +19,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import j0
 
 from fsqubit import FieldEnvironment, MagneticField, TweezerConfig
@@ -94,6 +97,53 @@ class TestCalibration:
         fld = focalfield.build_field(cfg)
         assert fld.filling_factor == 1.0
         assert 400e-9 < fld.waist_m < 1200e-9
+
+
+def _recorded(f):
+    """``f`` plus the list of points it is called at."""
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+    return g, calls
+
+
+class TestBrentRoot:
+    BRACKETS = {"cos": (lambda x: math.cos(x) - x, 0.0, 1.0),
+                "cubic": (lambda x: x ** 3 - 2 * x - 5, 2.0, 3.0),
+                "log": (math.log, 0.01, 100.0),
+                "root-at-a": (lambda x: x - 1.0, 1.0, 2.0),
+                "root-at-b": (lambda x: x * x - 4.0, 0.0, 2.0)}
+    # the two tolerance pairs shipped: measure_waist and the calibration
+    TOLERANCES = {"waist": {"xtol": 1e-12},
+                  "filling": {"xtol": 1e-6, "rtol": 1e-10}}
+
+    @pytest.mark.parametrize("tol", sorted(TOLERANCES))
+    @pytest.mark.parametrize("case", sorted(BRACKETS))
+    def test_same_double_and_iterates_as_scipy(self, case, tol):
+        f, a, b = self.BRACKETS[case]
+        ours, ours_calls = _recorded(f)
+        ref, ref_calls = _recorded(f)
+        root = focalfield._brent_root(ours, a, b, **self.TOLERANCES[tol])
+        assert root == brentq(ref, a, b, **self.TOLERANCES[tol])
+        assert ours_calls == ref_calls
+
+    @pytest.mark.parametrize("f,message", [
+        (lambda x: x * x + 1.0, "different signs"),
+        (lambda x: math.nan, "NaN")], ids=["no-sign-change", "nan"])
+    def test_bad_bracket_raises_value_error(self, f, message):
+        with pytest.raises(ValueError):
+            brentq(f, -1.0, 1.0, xtol=1e-12)
+        with pytest.raises(ValueError, match=message):
+            focalfield._brent_root(f, -1.0, 1.0, xtol=1e-12)
+
+    def test_exhausted_iterations_raise_runtime_error(self):
+        f = self.BRACKETS["cos"][0]
+        with pytest.raises(RuntimeError):
+            brentq(f, 0.0, 1.0, xtol=1e-12, maxiter=2)
+        with pytest.raises(RuntimeError, match="2 iterations"):
+            focalfield._brent_root(f, 0.0, 1.0, xtol=1e-12, maxiter=2)
 
 
 class TestFieldStructure:

@@ -4,18 +4,24 @@ Physics modules sit below the Monte-Carlo engine, and only the CLI joins
 simulation to fits: ``dynamics`` returns traces and never fits them, and
 ``trapmodel`` characterizes the focal field it is given and never builds
 one.
-The constants are literals, so importing them loads no scipy.
+The constants are literals and the root finder is in-package, so no
+module loads scipy on import: ``scipy.special`` is imported inside the
+three functions that call it, and only there.
 """
 
 import ast
+import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src/fsqubit"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src/fsqubit"
 
 LAYERS = {
     "__init__": {"params"},
@@ -62,10 +68,74 @@ def test_module_imports(module):
     assert package_imports(SRC / f"{module}.py") == LAYERS[module]
 
 
-def test_constants_load_no_scipy():
-    code = ("import sys, fsqubit.constants; "
-            "sys.exit('scipy' in sys.modules)")
+def run_python(code, *argv):
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          check=False)
-    assert done.returncode == 0
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          check=False, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("module", ["fsqubit.constants", "fsqubit.cli"])
+def test_constants_load_no_scipy(module):
+    done = run_python(f"import sys, {module}; "
+                      "sys.exit('scipy' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    """validate, magic-find and fit run without importing scipy."""
+    trace = tmp_path / "trace.csv"
+    rows = ["t_s,p32_mean,p32_sem"]
+    for i in range(40):
+        t = i * 2.5e-7
+        p = 0.5 + 0.4 * math.sin(2 * math.pi * 1.3e6 * t + 0.3)
+        rows.append(f"{t:.12e},{p:.9e},1e-2")
+    trace.write_text("\n".join(rows) + "\n")
+    fit_cfg = tmp_path / "fit.json"
+    fit_cfg.write_text(json.dumps({
+        "schema_version": 1,
+        "tweezer": {"wavelength_nm": 539.91, "power_mW": 0.046, "na": 0.5},
+        "field": {"magnitude_G": 3.0, "phi_deg": 0.0},
+        "fit": {"trace_csv": str(trace), "mode": "sinusoid"}}))
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        from fsqubit import cli
+        configs, fit_cfg, out = sys.argv[1:]
+        runs = [["validate", "--config", configs + "/t2_shallow_magic_8G.json",
+                 "--subcommand", "t2"],
+                ["magic-find", "--config", configs + "/magic_find_phi0.json",
+                 "--out", out + "/magic-find"],
+                ["fit", "--config", fit_cfg, "--out", out + "/fit"]]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(argv) for argv in runs]
+        print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
+        """)
+    done = run_python(code, str(ROOT / "configs"), str(fit_cfg),
+                      str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[0, 0, 0] []"
+
+
+def scipy_imports(path: pathlib.Path):
+    """(runs on import?, dotted name) for each scipy import in ``path``;
+    imports inside a function body run only when it is called."""
+    tree = ast.parse(path.read_text())
+    deferred = {id(node) for fn in ast.walk(tree)
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                for node in ast.walk(fn)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] == "scipy":
+                yield id(node) not in deferred, name
+
+
+def test_scipy_only_inside_functions_and_never_optimize():
+    found = [(path.name, at_import, name) for path in sorted(SRC.glob("*.py"))
+             for at_import, name in scipy_imports(path)]
+    assert not [f for f in found if f[1]]
+    assert not [f for f in found if f[2].startswith("scipy.optimize")]
