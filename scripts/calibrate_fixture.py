@@ -32,7 +32,9 @@ import argparse
 import math
 import pathlib
 
-from fsqubit.constants import e0sq_au_to_hz, intensity_to_e0sq
+from fsqubit.atomstark import E0SQ_AU_HZ
+from fsqubit.constants import (HBAR, H_PLANCK, K_B, MASS_SR88,
+                               intensity_to_e0sq)
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src/fsqubit/data"
 
@@ -63,7 +65,7 @@ GRID_755 = [748.0 + 2.0 * i for i in range(8)]             # 748..762 nm
 def reference_scale_hz_per_au() -> float:
     """Hz of shift per a.u. of polarizability at the reference tweezer."""
     i0 = 2.0 * REF_POWER_W / (math.pi * REF_WAIST_M**2)
-    return e0sq_au_to_hz(intensity_to_e0sq(i0))
+    return intensity_to_e0sq(i0) * E0SQ_AU_HZ
 
 
 def main_band_rows() -> list[tuple[str, float, float, float]]:
@@ -116,14 +118,10 @@ def measure_optics() -> None:
     1.9 ms and keep the phi-noise slope comfortably steep.
     """
     import numpy as np
-    import scipy.constants as sc
 
     from fsqubit import focalfield
     from fsqubit.params import TweezerConfig
-
-    h = sc.h
-    k_b = sc.k
-    mass = 87.9056 * sc.value("atomic mass constant")
+    from fsqubit.trapmodel import squared_jet
 
     p_shallow = 46e-6
     t_shallow = 1.4e-6
@@ -133,7 +131,7 @@ def measure_optics() -> None:
     w0 = fld.waist_m
     i_center = 4.0 * fld.center_e0sq
     a46_gauss = reference_scale_hz_per_au() * p_shallow / REF_POWER_W
-    a46_meas = e0sq_au_to_hz(fld.center_e0sq)
+    a46_meas = fld.center_e0sq * E0SQ_AU_HZ
     r_c = a46_meas / a46_gauss
 
     x = np.linspace(0.0, 1.5 * w0, 601)
@@ -144,25 +142,11 @@ def measure_optics() -> None:
     eta2m = i_long[k] / i_center
     x_lobe = x[k]
 
-    # small-x curvature of the longitudinal fraction and of the intensity
-    hh = w0 / 50
-    def izz(xx):
-        return np.abs(fld.field_at(np.atleast_1d(xx), np.zeros(1),
-                                   np.zeros(1))[:, 2][0]) ** 2
-    zeta = (izz(2 * hh) / (2 * hh) ** 2 * 4 - izz(hh) / hh ** 2) / 3 / i_center
-
-    def itot(xx, axis):
-        pt = [0.0, 0.0, 0.0]
-        pt[axis] = xx
-        e = fld.field_at(*[np.atleast_1d(p) for p in pt])
-        return float(np.sum(np.abs(e) ** 2))
-    curv = []
-    for axis in (0, 1, 2):
-        step = hh if axis < 2 else 4 * hh
-        c = (-itot(2 * step, axis) + 16 * itot(step, axis) - 30 * i_center
-             + 16 * itot(-step, axis) - itot(-2 * step, axis)) / (12 * step**2)
-        curv.append(abs(c) / i_center)
-    ixx, iyy, izz_c = curv
+    # exact curvatures at the focus: |E_z|^2 = zeta I0 x^2, and intensity
+    e0, d1, d2 = fld.focus_jet()
+    zeta = abs(d1[0, 2]) ** 2 / i_center
+    ixx, iyy, izz_c = (np.abs(squared_jet(e0, d1, d2)[1:].sum(axis=-1))
+                       / i_center)
 
     print(f"waist {w0*1e9:.2f} nm  f0 {fld.filling_factor:.4f}  "
           f"center-intensity ratio r_c {r_c:.4f}")
@@ -179,27 +163,27 @@ def measure_optics() -> None:
     tau = s_eff + (2.0 / 3.0) * g_au
     kappa = 1.5 * s_eff * a46_meas * zeta
     sig_x2_req = 1.0 / (2 * math.pi * math.sqrt(2) * kappa * tth_target)
-    s0 = k_b * t_shallow / (h * a46_meas * ixx * sig_x2_req)
+    s0 = K_B * t_shallow / (H_PLANCK * a46_meas * ixx * sig_x2_req)
     print(f"\nsolved: tau {tau:.3f} a.u.   s0 {s0:.1f} a.u.   "
           f"(g {g_au:.4f}, S {s_eff:.3f}, kappa {kappa:.4e} Hz/m^2)")
 
     # predicted operating numbers at these knobs
     phi_star = math.degrees(math.asin(math.sqrt(2 * g_au / (3 * tau))))
-    om = {ax: math.sqrt(h * s0 * a46_meas * c / mass)
+    om = {ax: math.sqrt(H_PLANCK * s0 * a46_meas * c / MASS_SR88)
           for ax, c in zip("xyz", (ixx, iyy, izz_c))}
-    om2_x = math.sqrt(om["x"] ** 2 + 2 * h * kappa / mass)
+    om2_x = math.sqrt(om["x"] ** 2 + 2 * H_PLANCK * kappa / MASS_SR88)
     d_om = om2_x - om["x"]
-    xq = {ax: sc.hbar * om[ax] / (k_b * t_shallow) for ax in om}
+    xq = {ax: HBAR * om[ax] / (K_B * t_shallow) for ax in om}
     sig_n = {ax: math.sqrt(math.exp(-xq[ax])) / (1 - math.exp(-xq[ax]))
              for ax in om}
     t2_magic = 1.0 / (d_om * sig_n["x"])
-    sig_x2 = k_b * t_shallow / (mass * om["x"] ** 2)
+    sig_x2 = K_B * t_shallow / (MASS_SR88 * om["x"] ** 2)
     tth = 1.0 / (2 * math.pi * math.sqrt(2) * kappa * sig_x2)
 
     def t2_phi0(power, temp):
         scale = power / p_shallow
         omp = {ax: om[ax] * math.sqrt(scale) for ax in om}
-        xx = {ax: sc.hbar * omp[ax] / (k_b * temp) for ax in omp}
+        xx = {ax: HBAR * omp[ax] / (K_B * temp) for ax in omp}
         sn = {ax: math.sqrt(math.exp(-xx[ax])) / (1 - math.exp(-xx[ax]))
               for ax in omp}
         # at phi = 0 every trap frequency differs by |g|/(2 s0) relatively
@@ -234,7 +218,7 @@ def measure_optics() -> None:
     ey2 = np.abs(e[:, 1]) ** 2 / i0_755
     in_waist = (xx.ravel() ** 2 + yy.ravel() ** 2) <= w755 ** 2
     ey2max = float(ey2[in_waist].max())
-    a755_w = e0sq_au_to_hz(f755.center_e0sq) / 1e-3
+    a755_w = f755.center_e0sq * E0SQ_AU_HZ / 1e-3
     print(f"\n755 block: waist {w755*1e9:.1f} nm  ey2max {ey2max:.3e}  "
           f"A755 {a755_w:.1f} Hz/au/mW")
     depth46 = s0 * a46_meas

@@ -200,7 +200,6 @@ _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
         "stop_deg": _Key(_POS, required=_ALL),
         "points": _Key(_number(int, ge=2), required=_ALL),
         "t_r_us": _Key(_POS, required=_ALL),
-        "normalize": _Key(_choice("max", "none"), "max"),
         "window_periods": _Key(_PERIODS, 5.0),
         "points_per_window": _Key(_WINDOW_POINTS, 28)}),
     "phi_noise_scan": (("phinoise",), {  # values_deg, or the ramp below
@@ -549,7 +548,7 @@ def _cmd_magic_scan(cfg):
                                           window_periods=wp)[0]
         contrasts.append((float(phi), point.contrast, point.contrast_err))
     cmax = max(c for _, c, _ in contrasts)
-    norm = cmax if (sc("normalize") == "max" and cmax > 0) else 1.0
+    norm = cmax if cmax > 0 else 1.0
     rows = [[f"{phi:.6f}", f"{c:.9e}", f"{cerr:.9e}", f"{c / norm:.9e}"]
             for phi, c, cerr in contrasts]
     arts = [("scan.csv", _write_rows(

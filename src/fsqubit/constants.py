@@ -37,8 +37,3 @@ MASS_SR88 = 87.9056 * 1.66053906892e-27   # kg
 def intensity_to_e0sq(intensity_w_m2: float) -> float:
     """Reduced squared field I/(2 eps0 c) for a plane-wave intensity."""
     return intensity_w_m2 / (2.0 * EPS0 * C_LIGHT)
-
-
-def e0sq_au_to_hz(e0sq: float) -> float:
-    """Energy scale (Hz) of 1 a.u. of polarizability at reduced field e0sq."""
-    return e0sq * AU_POLARIZABILITY / H_PLANCK

@@ -271,7 +271,7 @@ def _phi_noise_delta_rad_s(field, env: FieldEnvironment, table,
                            phi_dev_deg: np.ndarray) -> np.ndarray:
     """Per-trial detuning from field-angle jitter, evaluated exactly at the
     trap center."""
-    e = field.field_at(0.0, 0.0, 0.0)
+    e = field.focus_jet()[0]
     phi = env.field.phi_deg
 
     def du_at(phi_deg):

@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import atomstark
-from .constants import C_LIGHT, EPS0
+from .constants import C_LIGHT, EPS0, intensity_to_e0sq
 from .errors import QuadratureNotConverged, UnreachableWaist
 from .params import FieldEnvironment, TweezerConfig
 
@@ -97,14 +97,15 @@ class TweezerField:
         return (EPS0 * C_LIGHT * 2 * math.pi / self.k ** 2
                 * float(np.sum(apod ** 2 * st * (1.0 + ct ** 2) * wq)))
 
-    def _integrals(self, rho, z, n_nodes: int):
-        """The three pupil integrals at (rho, z), unnormalized."""
+    def _weights(self, n_nodes: int):
+        """sin t, cos t and the quadrature weights of i00, i01 and i02."""
         st, ct, apod, wq = self._pupil(n_nodes)
         base = apod * np.sqrt(ct) * st * wq
-        k00 = base * (1.0 + ct)
-        k01 = base * st
-        k02 = base * (1.0 - ct)
+        return st, ct, (base * (1.0 + ct), base * st, base * (1.0 - ct))
 
+    def _integrals(self, rho, z, n_nodes: int):
+        """The three pupil integrals at (rho, z), unnormalized."""
+        st, ct, (k00, k01, k02) = self._weights(n_nodes)
         from scipy.special import j0, j1, jv  # deferred: ~0.35 s to import
         arg = np.multiply.outer(self.k * np.asarray(rho, dtype=float), st)
         b0 = j0(arg)
@@ -137,6 +138,27 @@ class TweezerField:
         e[..., 1] = i02 * np.sin(2 * phi)
         e[..., 2] = -2j * i01 * np.cos(phi)
         return self.scale * e
+
+    def focus_jet(self):
+        """``(e[c], d1[i, c], d2[i, c])``: the field at the focus and its
+        first and pure second derivatives along axis i of x, y, z.
+
+        The pupil integrals differentiated under the integral sign at
+        rho = z = 0 (J0(a) ~ 1 - a^2/4, J1(a) ~ a/2, J2(a) ~ a^2/8,
+        e^{ikz cos t} ~ 1 + ikz cos t - (kz cos t)^2/2) are Bessel-free
+        moments on the 65-node rule.
+        """
+        st, ct, (k00, k01, k02) = self._weights(_NODE_LADDER[0])
+        m0, m1, m2, mx, mq, mz = self.scale * np.sum(
+            [k00, k00 * ct, k00 * ct ** 2, k00 * st ** 2, k02 * st ** 2,
+             k01 * st], axis=1)
+        k = self.k
+        jet = np.zeros((7, 3), dtype=complex)   # rows: e, d1[x, y, z], d2
+        jet[1, 2] = -1j * k * mz                # E_z = -2i i01 cos(phi)
+        # E_x is i00 + i02 on the x axis, i00 - i02 on the y axis
+        jet[[0, 3, 4, 5, 6], 0] = (m0, 1j * k * m1, k ** 2 * (mq / 4 - mx / 2),
+                                   -k ** 2 * (mq / 4 + mx / 2), -k ** 2 * m2)
+        return jet[0], jet[1:4], jet[4:]
 
     def field_at(self, x, y, z):
         """Complex field (V/m), shape broadcast(x, y, z) + (3,)."""
@@ -270,8 +292,7 @@ def build_field(config: TweezerConfig) -> TweezerField:
     fld = TweezerField(config, f0)
     fld.waist_m = measure_waist(fld)
     fld.scale = math.sqrt(config.power_W / fld._unit_flux())
-    e0 = fld.field_at(0.0, 0.0, 0.0)
-    fld.center_e0sq = float(np.sum(np.abs(e0) ** 2)) / 4.0
+    fld.center_e0sq = float(np.sum(np.abs(fld.focus_jet()[0]) ** 2)) / 4.0
     return fld
 
 
@@ -288,7 +309,17 @@ class GaussianField:
         self.wavelength_m = wavelength_nm * 1e-9
         self.rayleigh_m = math.pi * self.waist_m ** 2 / self.wavelength_m
         i0 = 2 * self.power_W / (math.pi * self.waist_m ** 2)
-        self.center_e0sq = i0 / (2 * EPS0 * C_LIGHT)
+        self.center_e0sq = intensity_to_e0sq(i0)
+
+    def focus_jet(self):
+        """``(e[c], d1[i, c], d2[i, c])`` at the focus, as for
+        :class:`TweezerField`: E0 exp(-r^2/w0^2) / sqrt(1 + (z/z_R)^2)
+        curves by -2 E0/w0^2 across the beam and -E0/z_R^2 along it."""
+        e0 = 2.0 * math.sqrt(self.center_e0sq)
+        jet = np.zeros((7, 3), dtype=complex)
+        d2_r = -2 * e0 / self.waist_m ** 2
+        jet[[0, 4, 5, 6], 0] = (e0, d2_r, d2_r, -e0 / self.rayleigh_m ** 2)
+        return jet[0], jet[1:4], jet[4:]
 
     def field_at(self, x, y, z):
         xb, yb, zb = np.broadcast_arrays(np.asarray(x, dtype=float),

@@ -2,12 +2,12 @@
 
 The two qubit states see different optical potentials (tensor shift plus
 focal polarization structure), so the trap is characterized per state: depth
-at the focal center and harmonic frequencies from centered second
-differences of the local m_J = 0 light shift. The motional state of the atom
-is sampled either as Fock numbers in the 3P0 ladder (default) or as a
-classical position. The samplers map a batch of uniforms in (0, 1) to
-samples by inverse CDF (geometric Fock law, normal quantile for
-positions), and each sample maps to a static detuning for the
+at the focal center and harmonic frequencies from the exact curvature of the
+local m_J = 0 light shift there, taken from the field's ``focus_jet``. The
+motional state of the atom is sampled either as Fock numbers in the 3P0
+ladder (default) or as a classical position. The samplers map a batch of
+uniforms in (0, 1) to samples by inverse CDF (geometric Fock law, normal
+quantile for positions), and each sample maps to a static detuning for the
 internal-state dynamics:
 
 * Fock:       delta = 2 pi dU_center + sum_i (w_i^3P0 - w_i^3P2)(n_i + 1/2)
@@ -27,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomstark import (PolarizabilityTable, axis_projection,
-                        state_light_shift)
+from .atomstark import PolarizabilityTable, state_light_shift
 from .constants import H_PLANCK, HBAR, K_B, MASS_SR88
 from .errors import ModelMismatch, NotTrapping
 from .params import FieldEnvironment, TweezerConfig
@@ -36,9 +35,6 @@ from .params import FieldEnvironment, TweezerConfig
 # States characterized, in (ground, excited) order.
 _STATE_LABELS = ("3P0", "3P2")
 _JSON_KEYS = ("3P0", "3P2_mJ0")
-
-# Finite-difference step as a fraction of the measured waist.
-_STENCIL_FRACTION = 1.0 / 50.0
 
 
 @dataclass(frozen=True)
@@ -86,16 +82,12 @@ class TrapCharacterization:
                    du_center_hz=float(d["du_center_hz"]))
 
 
-def _state_energies_hz(field, table: PolarizabilityTable,
-                       wavelength_nm: float, phi_deg: float,
-                       points) -> dict[str, np.ndarray]:
-    """m_J = 0 energies U/h at ``points[k] = (x, y, z)`` for both states."""
-    u3_sq, e0sq = axis_projection(field.field_at(*points.T), phi_deg)
-    if np.any(e0sq == 0.0):
-        raise NotTrapping("zero field on the stencil: no trap here")
-    return {label: state_light_shift(table, label, wavelength_nm, u3_sq,
-                                     e0sq)
-            for label in _STATE_LABELS}
+def squared_jet(f, f1, f2):
+    """|f|^2 and its pure second derivatives along x, y, z at the focus from
+    a ``focus_jet`` (f, f1, f2): (|f|^2)'' = 2 Re(conj(f) f'') + 2 |f'|^2."""
+    return np.concatenate(([np.abs(f) ** 2],
+                           2.0 * np.real(np.conj(f) * f2)
+                           + 2.0 * np.abs(f1) ** 2))
 
 
 def characterize_trap(config: TweezerConfig, env: FieldEnvironment,
@@ -103,45 +95,41 @@ def characterize_trap(config: TweezerConfig, env: FieldEnvironment,
                       field) -> TrapCharacterization:
     """Characterize both trapping potentials around the focal center.
 
-    ``field`` is the focal field: any object with ``field_at`` and
-    ``waist_m``, such as ``focalfield.build_field(config)`` or a
-    ``GaussianField``. It is authoritative for amplitudes; ``config``
-    supplies the wavelength, ``env.field`` the quantization-axis angle.
+    ``field`` is the focal field: any object with ``focus_jet``, such as
+    ``focalfield.build_field(config)`` or a ``GaussianField``. It is
+    authoritative for amplitudes; ``config`` supplies the wavelength,
+    ``env.field`` the quantization-axis angle.
+
+    The m_J = 0 shift is linear in e0sq = |E|^2/4 and u3_sq e0sq =
+    |B_hat . E|^2/4, so it maps their center values and curvatures exactly
+    to the depth and the trap curvature.
 
     Raises :class:`NotTrapping` if either state has a center energy that
     is not negative or a curvature that is not positive along some axis
     (NaN included).
     """
-    step = field.waist_m * _STENCIL_FRACTION
-    # 7-point stencil: center, then -/+ along each axis.
-    offs = np.array([[0.0, 0.0, 0.0],
-                     [-step, 0, 0], [step, 0, 0],
-                     [0, -step, 0], [0, step, 0],
-                     [0, 0, -step], [0, 0, step]])
-    energies = _state_energies_hz(field, table, config.wavelength_nm,
-                                  env.field.phi_deg, offs)
-    depths = {}
-    omegas = {}
-    for label in _STATE_LABELS:
-        u = energies[label]
-        if not u[0] < 0.0:
-            raise NotTrapping(f"{label}: center energy {u[0]:.3g} Hz is not "
+    e, d1, d2 = field.focus_jet()
+    phi = math.radians(env.field.phi_deg)
+    b_hat = np.array([math.cos(phi), math.sin(phi), 0.0])
+    # index 0: the center value; 1..3: the curvature along x, y, z
+    isum = squared_jet(e, d1, d2).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u3_sq = squared_jet(e @ b_hat, d1 @ b_hat, d2 @ b_hat) / isum
+    u = [state_light_shift(table, label, config.wavelength_nm, u3_sq,
+                           isum / 4.0) for label in _STATE_LABELS]
+    for label, v in zip(_STATE_LABELS, u):
+        if not v[0] < 0.0:
+            raise NotTrapping(f"{label}: center energy {v[0]:.3g} Hz is not "
                               "below the free-space asymptote")
-        depths[label] = -float(u[0])
-        om = np.empty(3)
-        for i, axis in enumerate("xyz"):
-            curv_hz_m2 = (u[1 + 2 * i] - 2.0 * u[0] + u[2 + 2 * i]) / step ** 2
-            if not curv_hz_m2 > 0.0:
-                raise NotTrapping(f"{label}: non-positive curvature along "
-                                  f"{axis}")
-            om[i] = math.sqrt(H_PLANCK * curv_hz_m2 / MASS_SR88)
-        omegas[label] = om
+        if not np.all(v[1:] > 0.0):
+            raise NotTrapping(f"{label}: non-positive curvature along "
+                              f"{'xyz'[np.argmin(v[1:] > 0.0)]}")
     return TrapCharacterization(
-        depth_p0_hz=depths["3P0"],
-        depth_p2_hz=depths["3P2"],
-        omega_p0_rad_s=omegas["3P0"],
-        omega_p2_rad_s=omegas["3P2"],
-        du_center_hz=float(energies["3P0"][0] - energies["3P2"][0]))
+        depth_p0_hz=-float(u[0][0]),
+        depth_p2_hz=-float(u[1][0]),
+        omega_p0_rad_s=np.sqrt(H_PLANCK * u[0][1:] / MASS_SR88),
+        omega_p2_rad_s=np.sqrt(H_PLANCK * u[1][1:] / MASS_SR88),
+        du_center_hz=float(u[0][0] - u[1][0]))
 
 
 def sample_fock_thermal(temperature_K: float, omega_rad_s, u):

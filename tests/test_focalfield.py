@@ -10,11 +10,17 @@ Oracles used here:
   * symmetry: the longitudinal component vanishes identically on the
     optical axis, the cross-polarized component on both principal axes,
     and the whole map under point reflection;
+  * the focus jet (field, gradient and pure second derivatives at the
+    origin) matches Richardson-extrapolated centered differences of the
+    field itself;
   * the in-package Brent root finder visits the same points and returns
     the same double as ``scipy.optimize.brentq``, the test-only reference.
 """
 
+import importlib.util
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -188,6 +194,45 @@ class TestFieldStructure:
         assert np.max(np.abs(fine - coarse)) < 1e-8 * scale
 
 
+def difference_jet(field, scale_m):
+    """(d1[i, c], d2[i, c]) at the focus from centered first and second
+    differences of ``field_at`` at steps scale/200 and scale/800, each
+    Richardson-extrapolated."""
+    steps = scale_m / np.array([200.0, 800.0])
+    pts = np.zeros((13, 3))
+    for i in range(3):
+        pts[1 + 4 * i:5 + 4 * i, i] = (-steps[0], steps[0],
+                                       -steps[1], steps[1])
+    e = field.field_at(*pts.T)
+    pm = e[1:].reshape(3, 2, 2, 3)      # axis, step, sign, component
+    d1 = (pm[:, :, 1] - pm[:, :, 0]) / (2 * steps[:, None])
+    d2 = (pm[:, :, 1] + pm[:, :, 0] - 2 * e[0]) / steps[:, None] ** 2
+    return ((16 * d1[:, 1] - d1[:, 0]) / 15,
+            (16 * d2[:, 1] - d2[:, 0]) / 15)
+
+
+class TestFocusJet:
+    @pytest.mark.parametrize("kind", ["tweezer", "gaussian"])
+    def test_center_is_field_at_origin(self, ref_field, kind):
+        fld = (ref_field if kind == "tweezer"
+               else focalfield.GaussianField(600e-9, 2e-3, 540.0))
+        e = fld.field_at(0.0, 0.0, 0.0)
+        err = np.max(np.abs(fld.focus_jet()[0] - e))
+        assert err <= 1e-12 * np.linalg.norm(e)
+
+    @pytest.mark.parametrize("kind", ["tweezer", "gaussian"])
+    def test_derivatives_match_differences(self, ref_field, kind):
+        fld = (ref_field if kind == "tweezer"
+               else focalfield.GaussianField(600e-9, 2e-3, 540.0))
+        e, d1, d2 = fld.focus_jet()
+        fd1, fd2 = difference_jet(fld, fld.waist_m)
+        e0 = np.linalg.norm(e)
+        np.testing.assert_allclose(d1, fd1, rtol=0,
+                                   atol=1e-7 * e0 / fld.waist_m)
+        np.testing.assert_allclose(d2, fd2, rtol=0,
+                                   atol=1e-7 * e0 / fld.waist_m ** 2)
+
+
 class TestPower:
     @pytest.mark.parametrize("z_over_zr", [0.0, -1.0, -0.5, 0.5, 1.0])
     def test_total_flux_matches_power(self, ref_field, z_over_zr):
@@ -344,3 +389,21 @@ class TestMap:
         assert center == pytest.approx(float(expect), rel=1e-9)
         assert center == pytest.approx(-200e3, rel=0.35)
         assert np.all(np.abs(m.du_hz) <= np.abs(center) * (1 + 1e-9))
+
+
+def test_calibrate_fixture_measure_optics_smoke(capsys):
+    """The fixture script's optics measurement runs on the focus jet,
+    prints its numbers and writes no table."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "calibrate_fixture", root / "scripts/calibrate_fixture.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    tables = {p: p.read_bytes() for p in script.DATA_DIR.glob("*.csv")}
+    script.measure_optics()
+    out = capsys.readouterr().out
+    zeta = float(re.search(r"zeta (\S+) /m\^2", out).group(1))
+    assert zeta == pytest.approx(2.9276e11, rel=1e-4)
+    assert "755 block" in out
+    assert {p: p.read_bytes()
+            for p in script.DATA_DIR.glob("*.csv")} == tables

@@ -1,9 +1,10 @@
 """Trap characterization and thermal sampling.
 
 Oracles: analytic Gaussian-beam curvature (omega_r = sqrt(4U/m w0^2),
-omega_z = sqrt(2U/m z_R^2)), Bose occupation mean and geometric law for
-Fock sampling, Gaussian moments for classical sampling, and the
-closed-form ladder detuning at n = 0.
+omega_z = sqrt(2U/m z_R^2)), the Richardson limit of centered second
+differences of the focal shift for the calibrated tweezers, Bose
+occupation mean and geometric law for Fock sampling, Gaussian moments for
+classical sampling, and the closed-form ladder detuning at n = 0.
 """
 
 import math
@@ -14,7 +15,8 @@ from scipy import stats
 
 from fsqubit import FieldEnvironment, MagneticField, TweezerConfig
 from fsqubit import atomstark, focalfield, trapmodel
-from fsqubit.constants import HBAR, H_PLANCK, K_B, MASS_SR88, e0sq_au_to_hz
+from fsqubit.atomstark import E0SQ_AU_HZ
+from fsqubit.constants import HBAR, H_PLANCK, K_B, MASS_SR88
 from fsqubit.errors import ModelMismatch, NotTrapping
 
 REF = TweezerConfig(wavelength_nm=539.91, power_W=1e-3, na=0.5,
@@ -30,19 +32,57 @@ def gaussian_trap(power_w=1e-3, waist_m=600e-9):
     return focalfield.GaussianField(waist_m, power_w, 539.91)
 
 
+def stencil_limit_omegas(field, env, table, wavelength_nm):
+    """Per-state trap frequencies from centered second differences of the
+    m_J = 0 shift at steps w/200 and w/800, Richardson-extrapolated: the
+    finite-difference limit the exact focal curvature must reach."""
+    steps = field.waist_m / np.array([200.0, 800.0])
+    pts = np.zeros((13, 3))
+    for i in range(3):
+        pts[1 + 4 * i:5 + 4 * i, i] = (-steps[0], steps[0],
+                                       -steps[1], steps[1])
+    u3_sq, e0sq = atomstark.axis_projection(field.field_at(*pts.T),
+                                            env.field.phi_deg)
+    out = {}
+    for label in ("3P0", "3P2"):
+        u = atomstark.state_light_shift(table, label, wavelength_nm, u3_sq,
+                                        e0sq)
+        pm = u[1:].reshape(3, 2, 2)     # axis, step, sign
+        curv = (pm.sum(axis=-1) - 2 * u[0]) / steps ** 2
+        out[label] = np.sqrt(H_PLANCK * (16 * curv[:, 1] - curv[:, 0]) / 15
+                             / MASS_SR88)
+    return out
+
+
 class TestCharacterize:
+    @pytest.mark.parametrize("tweezer", ["shallow46", "deep1450"])
+    @pytest.mark.parametrize("phi", [0.0, "magic", 45.0])
+    def test_frequencies_match_stencil_limit(self, table, shallow46, request,
+                                             tweezer, phi):
+        tw = request.getfixturevalue(tweezer)
+        phi_deg = shallow46["phi_magic_deg"] if phi == "magic" else phi
+        env = FieldEnvironment(tw["config"], MagneticField(8.0, phi_deg))
+        tc = trapmodel.characterize_trap(tw["config"], env, table,
+                                         field=tw["field"])
+        limit = stencil_limit_omegas(tw["field"], env, table,
+                                     tw["config"].wavelength_nm)
+        np.testing.assert_allclose(tc.omega_p0_rad_s, limit["3P0"],
+                                   rtol=1e-8)
+        np.testing.assert_allclose(tc.omega_p2_rad_s, limit["3P2"],
+                                   rtol=1e-8)
+
     def test_gaussian_analytic_frequencies(self, table):
         w0 = 600e-9
         g = gaussian_trap(waist_m=w0)
         tc = trapmodel.characterize_trap(REF, ENV0, table, field=g)
         s0, _ = table.alpha("3P0", 539.91)
-        u_hz = s0 * e0sq_au_to_hz(g.center_e0sq)
+        u_hz = s0 * g.center_e0sq * E0SQ_AU_HZ
         om_r = math.sqrt(4 * H_PLANCK * u_hz / (MASS_SR88 * w0 ** 2))
         om_z = math.sqrt(2 * H_PLANCK * u_hz / (MASS_SR88 * g.rayleigh_m ** 2))
         assert tc.depth_p0_hz == pytest.approx(u_hz, rel=1e-9)
-        assert tc.omega_p0_rad_s[0] == pytest.approx(om_r, rel=5e-3)
-        assert tc.omega_p0_rad_s[1] == pytest.approx(om_r, rel=5e-3)
-        assert tc.omega_p0_rad_s[2] == pytest.approx(om_z, rel=5e-3)
+        assert tc.omega_p0_rad_s[0] == pytest.approx(om_r, rel=1e-12)
+        assert tc.omega_p0_rad_s[1] == pytest.approx(om_r, rel=1e-12)
+        assert tc.omega_p0_rad_s[2] == pytest.approx(om_z, rel=1e-12)
 
     def test_power_scaling(self, table):
         t1 = trapmodel.characterize_trap(REF, ENV0, table,
