@@ -19,11 +19,13 @@ input beam with filling factor f0. The field of an x-polarized input is
     E ~ (i00 + i02 cos 2phi,  i02 sin 2phi,  -2 i i01 cos phi).
 
 Integrals are evaluated by Gauss-Legendre quadrature with node doubling
-until another doubling moves no component by more than 1e-8 of the batch
-peak. The Bessel functions J0, J1 and J2 come from ``scipy.special``,
-imported inside ``TweezerField._integrals`` at the first field evaluation,
-so importing this module loads no scipy. Waist and filling-factor roots
-use the in-package Brent solver ``_brent_root``.
+until another doubling moves no component by more than 1e-8 of the call
+peak, once per distinct (rho, z) of a ``field_at`` call. J0 and J1 come
+from ``scipy.special``, imported inside ``_bessel_j012`` at the first
+field evaluation, so importing this module loads no scipy. J2 follows
+from the recurrence J2(x) = 2 J1(x)/x - J0(x) (DLMF 10.6.1), or below
+x = 1e-3 from its series x^2/8 (1 - x^2/12). Waist and filling-factor
+roots use the in-package Brent solver ``_brent_root``.
 
 The overall amplitude is fixed by requiring the transverse-plane flux
 (eps0 c / 2) integral (|Ex|^2 + |Ey|^2) dA to equal the beam power. The
@@ -104,40 +106,18 @@ class TweezerField:
         return st, ct, (base * (1.0 + ct), base * st, base * (1.0 - ct))
 
     def _integrals(self, rho, z, n_nodes: int):
-        """The three pupil integrals at (rho, z), unnormalized."""
-        st, ct, (k00, k01, k02) = self._weights(n_nodes)
-        from scipy.special import j0, j1, jv  # deferred: ~0.35 s to import
-        arg = np.multiply.outer(self.k * np.asarray(rho, dtype=float), st)
-        b0 = j0(arg)
-        b1 = j1(arg)
-        b2 = jv(2, arg)
-        z = np.asarray(z, dtype=float)
-        if np.any(z != 0.0):
-            ph = np.exp(1j * self.k * np.multiply.outer(z, ct))
-            b0 = b0 * ph
-            b1 = b1 * ph
-            b2 = b2 * ph
-        return b0 @ k00, b1 @ k01, b2 @ k02
-
-    def _field_flat(self, x, y, z):
-        rho = np.hypot(x, y)
-        phi = np.arctan2(y, x)
-        prev = np.stack(self._integrals(rho, z, _NODE_LADDER[0]), axis=-1)
-        for n in _NODE_LADDER[1:]:
-            cur = np.stack(self._integrals(rho, z, n), axis=-1)
-            ref = np.max(np.abs(cur))
-            if np.max(np.abs(cur - prev)) < _QUAD_RTOL * ref:
-                i00, i01, i02 = cur[..., 0], cur[..., 1], cur[..., 2]
-                break
-            prev = cur
-        else:
-            raise QuadratureNotConverged(
-                f"pupil integrals not converged at {_NODE_LADDER[-1]} nodes")
-        e = np.empty(rho.shape + (3,), dtype=complex)
-        e[..., 0] = i00 + i02 * np.cos(2 * phi)
-        e[..., 1] = i02 * np.sin(2 * phi)
-        e[..., 2] = -2j * i01 * np.cos(phi)
-        return self.scale * e
+        """The three pupil integrals at 1-d (rho, z), unnormalized, as
+        rows of a (3, size) array; ``_CHUNK`` points at a time."""
+        st, ct, weights = self._weights(n_nodes)
+        out = np.empty((3, rho.size), dtype=complex)
+        for i in range(0, rho.size, _CHUNK):
+            s = slice(i, i + _CHUNK)
+            kz = self.k * np.multiply.outer(z[s], ct)
+            cos_kz, sin_kz = np.cos(kz), np.sin(kz)
+            bessel = _bessel_j012(np.multiply.outer(self.k * rho[s], st))
+            for row, b, w in zip(out, bessel, weights):
+                row[s] = (b * cos_kz) @ w + 1j * ((b * sin_kz) @ w)
+        return out
 
     def focus_jet(self):
         """``(e[c], d1[i, c], d2[i, c])``: the field at the focus and its
@@ -161,19 +141,48 @@ class TweezerField:
         return jet[0], jet[1:4], jet[4:]
 
     def field_at(self, x, y, z):
-        """Complex field (V/m), shape broadcast(x, y, z) + (3,)."""
+        """Complex field (V/m), shape broadcast(x, y, z) + (3,).
+
+        The pupil integrals are evaluated once per distinct (rho, z), on
+        the node count at which the whole call converges.
+        """
         xb, yb, zb = np.broadcast_arrays(np.asarray(x, dtype=float),
                                          np.asarray(y, dtype=float),
                                          np.asarray(z, dtype=float))
-        shape = xb.shape
-        xf = xb.ravel()
-        yf = yb.ravel()
-        zf = zb.ravel()
-        out = np.empty((xf.size, 3), dtype=complex)
-        for i in range(0, xf.size, _CHUNK):
-            s = slice(i, i + _CHUNK)
-            out[s] = self._field_flat(xf[s], yf[s], zf[s])
-        return out.reshape(shape + (3,))
+        phi = np.arctan2(yb, xb)
+        # distinct (rho, z) pairs, packed as rho + i z
+        pts, inv = np.unique(np.hypot(xb, yb) + 1j * zb, return_inverse=True)
+        prev = self._integrals(pts.real, pts.imag, _NODE_LADDER[0])
+        for n in _NODE_LADDER[1:]:
+            cur = self._integrals(pts.real, pts.imag, n)
+            ref = np.max(np.abs(cur), initial=0.0)
+            if np.max(np.abs(cur - prev), initial=0.0) <= _QUAD_RTOL * ref:
+                break
+            prev = cur
+        else:
+            raise QuadratureNotConverged(
+                f"pupil integrals not converged at {_NODE_LADDER[-1]} nodes")
+        i00, i01, i02 = cur[:, inv.reshape(phi.shape)]
+        e = np.empty(phi.shape + (3,), dtype=complex)
+        e[..., 0] = i00 + i02 * np.cos(2 * phi)
+        e[..., 1] = i02 * np.sin(2 * phi)
+        e[..., 2] = -2j * i01 * np.cos(phi)
+        return self.scale * e
+
+
+def _bessel_j012(x):
+    """J0, J1 and J2 at ``x`` >= 0. J2 is 2 J1(x)/x - J0(x) (DLMF 10.6.1),
+    or below x = 1e-3, where that difference cancels, its series
+    x^2/8 (1 - x^2/12)."""
+    from scipy.special import j0, j1  # deferred: ~0.35 s to import
+    b0 = j0(x)
+    b1 = j1(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b2 = 2 * b1 / x - b0
+    small = x < 1e-3
+    xs = x[small]
+    b2[small] = xs * xs / 8 * (1 - xs * xs / 12)
+    return b0, b1, b2
 
 
 def _brent_root(f, xa, xb, xtol, rtol=_BRENT_RTOL, maxiter=100):

@@ -14,7 +14,9 @@ Oracles used here:
     origin) matches Richardson-extrapolated centered differences of the
     field itself;
   * the in-package Brent root finder visits the same points and returns
-    the same double as ``scipy.optimize.brentq``, the test-only reference.
+    the same double as ``scipy.optimize.brentq``, the test-only reference;
+  * the kernel's J2, from J0 and J1 by recurrence, matches
+    ``scipy.special.jv(2, x)``, the test-only reference.
 """
 
 import importlib.util
@@ -26,7 +28,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import j0
+from scipy.special import j0, jv
 
 from fsqubit import FieldEnvironment, MagneticField, TweezerConfig
 from fsqubit import focalfield
@@ -192,6 +194,51 @@ class TestFieldStructure:
         fine = np.stack(ref_field._integrals(rho, z, 257), axis=-1)
         scale = np.max(np.abs(fine))
         assert np.max(np.abs(fine - coarse)) < 1e-8 * scale
+
+
+@pytest.fixture
+def rungs(monkeypatch):
+    """(node count, point count) of every ``_integrals`` call."""
+    seen = []
+    integrals = focalfield.TweezerField._integrals
+
+    def recording(self, rho, z, n_nodes):
+        seen.append((n_nodes, np.size(rho)))
+        return integrals(self, rho, z, n_nodes)
+
+    monkeypatch.setattr(focalfield.TweezerField, "_integrals", recording)
+    return seen
+
+
+class TestKernel:
+    def test_j2_matches_scipy_jv(self):
+        x = np.concatenate([[0.0], np.geomspace(1e-8, 1e-2, 2001),
+                            np.linspace(1e-2, 300, 20001)])
+        j2 = focalfield._bessel_j012(x)[2]
+        assert np.all(np.isfinite(j2))
+        assert j2[0] == 0.0
+        assert np.max(np.abs(j2 - jv(2, x))) < 2e-15
+
+    def test_call_converges_as_one(self, ref_field, rungs):
+        # 0.3 um sits once among near-axis points, which alone converge
+        # on 129 nodes, and once in the next chunk among points out to
+        # 40 um, which need 257; one call takes one rung for both
+        near = np.linspace(0.0, 0.3e-6, focalfield._CHUNK)
+        far = np.geomspace(0.3e-6, 4e-5, 50)
+        x = np.concatenate([near, far])
+        assert x.size > focalfield._CHUNK
+        e = ref_field.field_at(x, 0.0, 0.0)
+        assert np.array_equal(e[focalfield._CHUNK - 1], e[focalfield._CHUNK])
+        assert [n for n, _ in rungs] == [65, 129, 257]
+        assert {size for _, size in rungs} == {x.size - 1}
+
+    def test_map_evaluates_each_radius_once(self, ref_field, table, rungs):
+        env = FieldEnvironment(REF, MagneticField(8.0, 0.0))
+        m = focalfield.lightshift_map(ref_field, env, table,
+                                      half_extent_m=846e-9, n=101)
+        xx, yy = np.meshgrid(m.x_m, m.y_m)
+        assert np.unique(np.hypot(xx, yy)).size == 2731   # of 10201 points
+        assert rungs and all(size == 2731 for _, size in rungs)
 
 
 def difference_jet(field, scale_m):

@@ -139,3 +139,13 @@ def test_scipy_only_inside_functions_and_never_optimize():
              for at_import, name in scipy_imports(path)]
     assert not [f for f in found if f[1]]
     assert not [f for f in found if f[2].startswith("scipy.optimize")]
+
+
+def test_bessel_j2_by_recurrence_not_jv():
+    """focalfield builds J2 from J0 and J1, so those are the only scipy
+    names it imports, and no module imports the general-order ``jv``."""
+    names = {name for _, name in scipy_imports(SRC / "focalfield.py")}
+    assert names == {"scipy.special.j0", "scipy.special.j1"}
+    assert not [(path.name, name) for path in sorted(SRC.glob("*.py"))
+                for _, name in scipy_imports(path)
+                if name.split(".")[-1] == "jv"]
