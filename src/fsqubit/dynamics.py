@@ -54,6 +54,7 @@ import numpy as np
 
 from .atomstark import axis_projection, differential_shift_from_projection
 from .params import FieldEnvironment, NoiseModel
+from .special import ndtri
 from .trapmodel import (detuning_for_sample, sample_fock_thermal,
                         sample_position_classical)
 
@@ -248,22 +249,26 @@ def _draw_trials(trap, temperature_K, noise, trials, master_seed,
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    from scipy.special import ndtri  # deferred: ~0.35 s to import
     d_ref = detuning_for_sample(np.zeros(3), trap, motional_model)
     sampler = (sample_fock_thermal if motional_model == "fock"
                else sample_position_classical)
     u = _trial_uniforms(master_seed, trials, 4 * detuning_sets + 2)  # 6 or 10
+
+    def normal(std, slot):
+        # std * ndtri(u) is exactly +-0 at std = 0, so the quantile is skipped
+        return std * ndtri(u[:, slot]) if std else np.zeros(trials)
+
     deltas = np.empty((detuning_sets, trials))
     for s, base in enumerate(_SET_SLOTS[:detuning_sets]):
         sample = sampler(temperature_K, trap.omega_p0_rad_s,
                          u[:, base:base + 3])
         deltas[s] = (detuning_for_sample(sample, trap, motional_model)
                      - d_ref
-                     + noise.detuning_offset_std * ndtri(u[:, base + 3]))
+                     + normal(noise.detuning_offset_std, base + 3))
     # |.|: an amplitude sign flip is a pi phase shift, unobservable from
     # the ground state; keeps the Omega >= 0 invariant
-    om_f = np.abs(1.0 + noise.rabi_frac_std * ndtri(u[:, _RABI_SLOT]))
-    phi_dev = noise.phi_jitter_std_deg * ndtri(u[:, _PHI_SLOT])
+    om_f = np.abs(1.0 + normal(noise.rabi_frac_std, _RABI_SLOT))
+    phi_dev = normal(noise.phi_jitter_std_deg, _PHI_SLOT)
     return deltas, om_f, phi_dev
 
 

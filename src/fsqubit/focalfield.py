@@ -21,8 +21,7 @@ input beam with filling factor f0. The field of an x-polarized input is
 Integrals are evaluated by Gauss-Legendre quadrature with node doubling
 until another doubling moves no component by more than 1e-8 of the call
 peak, once per distinct (rho, z) of a ``field_at`` call. J0 and J1 come
-from ``scipy.special``, imported inside ``_bessel_j012`` at the first
-field evaluation, so importing this module loads no scipy. J2 follows
+from the in-package Cephes transcriptions in ``special``. J2 follows
 from the recurrence J2(x) = 2 J1(x)/x - J0(x) (DLMF 10.6.1), or below
 x = 1e-3 from its series x^2/8 (1 - x^2/12). Waist and filling-factor
 roots use the in-package Brent solver ``_brent_root``.
@@ -55,6 +54,7 @@ from . import atomstark
 from .constants import C_LIGHT, EPS0, intensity_to_e0sq
 from .errors import QuadratureNotConverged, UnreachableWaist
 from .params import FieldEnvironment, TweezerConfig
+from .special import j0, j1
 
 _NODE_LADDER = (65, 129, 257, 513, 1025)
 _QUAD_RTOL = 1e-8
@@ -174,7 +174,6 @@ def _bessel_j012(x):
     """J0, J1 and J2 at ``x`` >= 0. J2 is 2 J1(x)/x - J0(x) (DLMF 10.6.1),
     or below x = 1e-3, where that difference cancels, its series
     x^2/8 (1 - x^2/12)."""
-    from scipy.special import j0, j1  # deferred: ~0.35 s to import
     b0 = j0(x)
     b1 = j1(x)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -373,6 +372,9 @@ def lightshift_map(field, env: FieldEnvironment,
             raise ValueError("field has no calibrated waist")
         half_extent_m = 1.5 * field.waist_m
     ax = np.linspace(-half_extent_m, half_extent_m, n)
+    # exactly antisymmetric, so mirrored points share one radius and the
+    # kernel runs once per distinct radius, not once per rounding of it
+    ax = (ax - ax[::-1]) / 2
     xx, yy = np.meshgrid(ax, ax)
     e = field.field_at(xx.ravel(), yy.ravel(), np.zeros(xx.size))
     du = atomstark.differential_shift_from_projection(

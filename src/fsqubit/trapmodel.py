@@ -31,6 +31,7 @@ from .atomstark import PolarizabilityTable, state_light_shift
 from .constants import H_PLANCK, HBAR, K_B, MASS_SR88
 from .errors import ModelMismatch, NotTrapping
 from .params import FieldEnvironment, TweezerConfig
+from .special import ndtri
 
 # States characterized, in (ground, excited) order.
 _STATE_LABELS = ("3P0", "3P2")
@@ -160,7 +161,7 @@ def sample_fock_thermal(temperature_K: float, omega_rad_s, u):
 def sample_position_classical(temperature_K: float, omega_rad_s, u):
     """Thermal positions in a 3D harmonic well from uniforms ``u`` of shape
     (..., 3): independent Gaussians with sigma_i = sqrt(kB T / m) / w_i,
-    mapped through the normal quantile ``ndtri``."""
+    mapped through the normal quantile ``special.ndtri``."""
     om = np.asarray(omega_rad_s, dtype=float)
     if om.shape != (3,) or np.any(om <= 0):
         raise ValueError("need three positive trap frequencies")
@@ -170,7 +171,6 @@ def sample_position_classical(temperature_K: float, omega_rad_s, u):
         raise ValueError("need one uniform per axis in the last dimension")
     if temperature_K == 0.0:
         return np.zeros(np.shape(u))
-    from scipy.special import ndtri  # deferred: ~0.35 s to import
     sigma = np.sqrt(K_B * temperature_K / MASS_SR88) / om
     return sigma * ndtri(u)
 

@@ -403,6 +403,39 @@ def test_ramsey_matches_exact_ensemble_mean():
     assert np.all(np.abs(tr.p32_mean - exact) <= 4.5 * tr.p32_sem + 1e-12)
 
 
+def _classical_coherence(trap, temperature_K, sigma_off, t):
+    """phi(t) = E[e^{i delta t}] for thermal classical positions: delta is
+    2 pi sum_i q_i x_i^2 about the trap center with x_i ~ N(0, s_i^2),
+    s_i = sqrt(kB T / m) / w_i, so each axis gives (1 - 4 pi i q_i s_i^2
+    t)^(-1/2); times a Gaussian detuning offset."""
+    from fsqubit.constants import H_PLANCK, K_B, MASS_SR88
+    quad = (MASS_SR88 / (2 * H_PLANCK)
+            * (trap.omega_p0_rad_s ** 2 - trap.omega_p2_rad_s ** 2))
+    s2 = K_B * temperature_K / MASS_SR88 / trap.omega_p0_rad_s ** 2
+    return (np.prod((1 - 4j * math.pi * np.outer(t, quad * s2)) ** -0.5,
+                    axis=1)
+            * np.exp(-(sigma_off * t) ** 2 / 2))
+
+
+@pytest.mark.slow
+def test_classical_ramsey_matches_exact_ensemble_mean():
+    # the same check through the normal quantile and the classical
+    # position-to-detuning map
+    trap, temp, sig = mismatched_trap(), 3e-6, 2 * math.pi * 300.0
+    noise = NoiseModel(detuning_offset_std=sig, prep_efficiency=0.9,
+                       readout_fidelity=0.95)
+    t = dynamics.ramsey_burst_grid(500e-6, F_FR)
+    tr = dynamics.simulate_ramsey(trap, temp, noise, OMEGA, F_FR, t,
+                                  trials=100_000, master_seed=2718,
+                                  instantaneous_pulses=True,
+                                  motional_model="classical")
+    theta = -2 * math.pi * F_FR * t
+    exact = noise.spam_scale * 0.5 * (
+        1 + np.real(np.exp(1j * theta)
+                    * np.conj(_classical_coherence(trap, temp, sig, t))))
+    assert np.all(np.abs(tr.p32_mean - exact) <= 4.5 * tr.p32_sem + 1e-12)
+
+
 class TestDeterminismContract:
     @pytest.mark.parametrize("model", ["fock", "classical"])
     @pytest.mark.parametrize("sets", [1, 2])

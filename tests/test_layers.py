@@ -4,9 +4,9 @@ Physics modules sit below the Monte-Carlo engine, and only the CLI joins
 simulation to fits: ``dynamics`` returns traces and never fits them, and
 ``trapmodel`` characterizes the focal field it is given and never builds
 one.
-The constants are literals and the root finder is in-package, so no
-module loads scipy on import: ``scipy.special`` is imported inside the
-three functions that call it, and only there.
+The constants are literals, and the root finder, J0, J1 and the normal
+quantile are in-package, so numpy is the only runtime dependency and no
+module imports scipy.
 """
 
 import ast
@@ -14,6 +14,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import textwrap
@@ -28,11 +29,12 @@ LAYERS = {
     "constants": set(),
     "errors": set(),
     "params": set(),
+    "special": set(),
     "analysis": {"constants", "errors"},
     "atomstark": {"constants", "errors", "params"},
-    "focalfield": {"atomstark", "constants", "errors", "params"},
-    "trapmodel": {"atomstark", "constants", "errors", "params"},
-    "dynamics": {"atomstark", "params", "trapmodel"},
+    "focalfield": {"atomstark", "constants", "errors", "params", "special"},
+    "trapmodel": {"atomstark", "constants", "errors", "params", "special"},
+    "dynamics": {"atomstark", "params", "special", "trapmodel"},
     "cli": {"analysis", "atomstark", "dynamics", "errors", "focalfield",
             "params", "trapmodel"},
 }
@@ -82,7 +84,8 @@ def test_constants_load_no_scipy(module):
 
 
 def test_numpy_only_commands_load_no_scipy(tmp_path):
-    """validate, magic-find and fit run without importing scipy."""
+    """Every command runs without importing scipy: the shipped configs at
+    40 trials, and a fit of a synthetic trace."""
     trace = tmp_path / "trace.csv"
     rows = ["t_s,p32_mean,p32_sem"]
     for i in range(40):
@@ -105,6 +108,14 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
                 ["magic-find", "--config", configs + "/magic_find_phi0.json",
                  "--out", out + "/magic-find"],
                 ["fit", "--config", fit_cfg, "--out", out + "/fit"]]
+        for command, config in [("shiftmap", "shiftmap_magic_46uW"),
+                                ("t2", "t2_shallow_magic_8G"),
+                                ("ramsey", "ramsey_shallow_magic_8G"),
+                                ("rabi", "rabi_deep_phi0_3G"),
+                                ("magic-scan", "magic_scan_8G"),
+                                ("phinoise", "phinoise_magic_8G")]:
+            runs.append([command, "--config", f"{configs}/{config}.json",
+                         "--out", f"{out}/{command}", "--trials", "40"])
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.main(argv) for argv in runs]
         print(codes, sorted(m for m in sys.modules if m.startswith("scipy")))
@@ -112,7 +123,7 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
     done = run_python(code, str(ROOT / "configs"), str(fit_cfg),
                       str(tmp_path / "out"))
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[0, 0, 0] []"
+    assert done.stdout.strip() == f"{[0] * 9} []"
 
 
 def scipy_imports(path: pathlib.Path):
@@ -142,10 +153,24 @@ def test_scipy_only_inside_functions_and_never_optimize():
 
 
 def test_bessel_j2_by_recurrence_not_jv():
-    """focalfield builds J2 from J0 and J1, so those are the only scipy
-    names it imports, and no module imports the general-order ``jv``."""
-    names = {name for _, name in scipy_imports(SRC / "focalfield.py")}
-    assert names == {"scipy.special.j0", "scipy.special.j1"}
+    """focalfield builds J2 from J0 and J1, which it takes from the
+    in-package ``special``, and no module imports the general-order
+    ``jv``."""
+    tree = ast.parse((SRC / "focalfield.py").read_text())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "special"
+             for alias in node.names}
+    assert names == {"j0", "j1"}
     assert not [(path.name, name) for path in sorted(SRC.glob("*.py"))
                 for _, name in scipy_imports(path)
                 if name.split(".")[-1] == "jv"]
+
+
+def test_src_imports_no_scipy_and_depends_on_numpy_only():
+    """scipy is a test-only reference: no module imports it, function
+    bodies included, and the runtime dependencies name numpy alone."""
+    assert not [(path.name, name) for path in sorted(SRC.glob("*.py"))
+                for _, name in scipy_imports(path)]
+    deps = re.search(r"^dependencies = \[(.*?)\]",
+                     (ROOT / "pyproject.toml").read_text(), re.M | re.S)
+    assert re.findall(r'"([A-Za-z0-9_.-]+)', deps.group(1)) == ["numpy"]
