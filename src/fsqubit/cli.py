@@ -269,6 +269,9 @@ def _rule_issues(cfg, subcommand) -> list[str]:
             and tw.get("filling_factor") is None):
         issues.append("missing: tweezer.waist_nm or tweezer.filling_factor "
                       "is required")
+    if None not in (tw.get("waist_nm"), tw.get("filling_factor")):
+        issues.append("conflict: give exactly one of tweezer.waist_nm and "
+                      "tweezer.filling_factor")
     if subcommand in _SIM_COMMANDS:
         name = _protocol(cfg, subcommand)["name"]
         allowed = {"rabi": ("rabi",), "ramsey": ("ramsey", "echo"),

@@ -23,8 +23,8 @@ until another doubling moves no component by more than 1e-8 of the call
 peak, once per distinct (rho, z) of a ``field_at`` call. J0 and J1 come
 from the in-package Cephes transcriptions in ``special``. J2 follows
 from the recurrence J2(x) = 2 J1(x)/x - J0(x) (DLMF 10.6.1), or below
-x = 1e-3 from its series x^2/8 (1 - x^2/12). Waist and filling-factor
-roots use the in-package Brent solver ``_brent_root``.
+x = 1e-3 from its series x^2/8 (1 - x^2/12). The filling factor is one
+Brent root (``_brent_root``) in f0 of I(target) - I(0)/e^2 along x.
 
 The overall amplitude is fixed by requiring the transverse-plane flux
 (eps0 c / 2) integral (|Ex|^2 + |Ey|^2) dA to equal the beam power. The
@@ -61,6 +61,7 @@ _QUAD_RTOL = 1e-8
 _CHUNK = 8192
 _MEASURE_RANGE_M = 4e-5
 _FILLING_BRACKET = (0.05, 40.0)   # filling factors the calibration spans
+_WAIST_TOL_M = 1e-11   # calibrated waist vs target; off-lobe roots miss by far
 _BRENT_RTOL = 4 * np.finfo(float).eps
 
 
@@ -184,7 +185,7 @@ def _bessel_j012(x):
     return b0, b1, b2
 
 
-def _brent_root(f, xa, xb, xtol, rtol=_BRENT_RTOL, maxiter=100):
+def _brent_root(f, xa, xb, xtol, maxiter=100):
     """Root of ``f`` bracketed by [xa, xb]: the Brent-Dekker iteration
     (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
     ch. 4) transcribed step for step from scipy's ``brentq.c``, with its
@@ -212,7 +213,7 @@ def _brent_root(f, xa, xb, xtol, rtol=_BRENT_RTOL, maxiter=100):
         if abs(fblk) < abs(fcur):   # keep the best estimate in xcur
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -238,9 +239,7 @@ def _brent_root(f, xa, xb, xtol, rtol=_BRENT_RTOL, maxiter=100):
 
 
 def _intensity_along_x(field, r):
-    zero = np.zeros_like(r)
-    e = field.field_at(r, zero, zero)
-    return np.sum(np.abs(e) ** 2, axis=-1)
+    return np.sum(np.abs(field.field_at(r, 0.0, 0.0)) ** 2, axis=-1)
 
 
 def measure_waist(field) -> float:
@@ -268,37 +267,39 @@ def measure_waist(field) -> float:
 
 
 def calibrate_filling_factor(config: TweezerConfig) -> float:
-    """Filling factor whose focus has the configured target waist."""
+    """Filling factor f0 at which I(target waist) = I(0)/e^2 along x."""
     if config.target_waist_nm is None:
         raise ValueError("calibration needs target_waist_nm")
-    target = config.target_waist_nm * 1e-9
+    r = np.array([0.0, config.target_waist_nm * 1e-9])
 
     def gap(f0: float) -> float:
-        return measure_waist(TweezerField(config, f0)) - target
+        i0, i_target = _intensity_along_x(TweezerField(config, f0), r)
+        return i_target - i0 / math.e ** 2
 
     f_lo, f_hi = _FILLING_BRACKET
-    g_lo = gap(f_lo)
-    g_hi = gap(f_hi)
-    if g_lo < 0:
+    if gap(f_lo) < 0:
+        spot = measure_waist(TweezerField(config, f_lo))
         raise UnreachableWaist(
             f"target waist {config.target_waist_nm:.1f} nm exceeds the "
-            f"spot of the most underfilled aperture "
-            f"({(g_lo + target) * 1e9:.0f} nm)")
-    if g_hi > 0:
+            f"spot of the most underfilled aperture ({spot * 1e9:.0f} nm)")
+    if gap(f_hi) > 0:
         raise UnreachableWaist(
             f"target waist {config.target_waist_nm:.1f} nm is below the "
             "diffraction-limited spot of this aperture")
-    return _brent_root(gap, f_lo, f_hi, xtol=1e-6, rtol=1e-10)
+    return _brent_root(gap, f_lo, f_hi, xtol=1e-13)
 
 
 def build_field(config: TweezerConfig) -> TweezerField:
     """Calibrated, power-normalized focal field for ``config``."""
-    if config.filling_factor is not None:
-        f0 = config.filling_factor
-    else:
-        f0 = calibrate_filling_factor(config)
-    fld = TweezerField(config, f0)
+    calibrated = config.filling_factor is None
+    fld = TweezerField(config, calibrate_filling_factor(config) if calibrated
+                       else config.filling_factor)
     fld.waist_m = measure_waist(fld)
+    if calibrated and abs(
+            fld.waist_m - config.target_waist_nm * 1e-9) > _WAIST_TOL_M:
+        raise UnreachableWaist(
+            f"calibrated waist {fld.waist_m * 1e9:.3f} nm is not the "
+            f"target {config.target_waist_nm:.3f} nm")
     fld.scale = math.sqrt(config.power_W / fld._unit_flux())
     fld.center_e0sq = float(np.sum(np.abs(fld.focus_jet()[0]) ** 2)) / 4.0
     return fld

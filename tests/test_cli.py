@@ -183,6 +183,23 @@ class TestValidate:
 
 
 class TestErrorHandling:
+    def test_waist_and_filling_factor_conflict(self, tmp_path):
+        cfg = base_cfg()
+        cfg["tweezer"]["filling_factor"] = 2.0
+        path = write_cfg(tmp_path, cfg)
+        code, out, _ = run_cli("validate", "--config", path,
+                               "--subcommand", "ramsey")
+        assert code == 2
+        assert any(i.startswith("conflict: give exactly one of "
+                                "tweezer.waist_nm and tweezer.filling_factor")
+                   for i in json.loads(out)["issues"])
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli("ramsey", "--config", path,
+                               "--out", str(out_dir))
+        assert code == 1
+        assert json.loads(err.strip())["error"]["type"] == "ConfigError"
+        assert not out_dir.exists()
+
     def test_malformed_config_leaves_no_output(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{ this is not json")

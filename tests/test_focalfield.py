@@ -86,8 +86,38 @@ class TestCalibration:
     def test_unreachable_above_underfill_range(self):
         cfg = TweezerConfig(wavelength_nm=539.91, power_W=1e-3, na=0.5,
                             target_waist_nm=50_000.0)
-        with pytest.raises(UnreachableWaist):
+        with pytest.raises(UnreachableWaist,
+                           match=r"most underfilled aperture \(\d+ nm\)"):
             focalfield.build_field(cfg)
+
+    @pytest.mark.parametrize("target_nm", [500.0, 564.0, 900.0, 2000.0,
+                                           5000.0])
+    def test_calibration_puts_target_on_the_1_over_e2_level(self, target_nm):
+        cfg = TweezerConfig(wavelength_nm=539.91, power_W=1e-3, na=0.5,
+                            target_waist_nm=target_nm)
+        fld = focalfield.TweezerField(
+            cfg, focalfield.calibrate_filling_factor(cfg))
+        i0, i_target = focalfield._intensity_along_x(
+            fld, np.array([0.0, target_nm * 1e-9]))
+        assert abs(i_target * math.e ** 2 / i0 - 1) <= 1e-11
+
+    def test_calibrated_build_measures_the_waist_once(self, monkeypatch):
+        calls = []
+        measure = focalfield.measure_waist
+
+        def counted(field):
+            calls.append(field.filling_factor)
+            return measure(field)
+        monkeypatch.setattr(focalfield, "measure_waist", counted)
+        focalfield.build_field(REF)
+        assert len(calls) == 1
+
+    def test_calibration_off_target_raises(self, ref_field, monkeypatch):
+        f0 = ref_field.filling_factor
+        monkeypatch.setattr(focalfield, "calibrate_filling_factor",
+                            lambda config: 1.05 * f0)
+        with pytest.raises(UnreachableWaist, match="not the target"):
+            focalfield.build_field(REF)
 
     @pytest.mark.parametrize("key", ["wavelength_nm", "power_W", "na",
                                      "target_waist_nm", "filling_factor"])
@@ -123,9 +153,9 @@ class TestBrentRoot:
                 "log": (math.log, 0.01, 100.0),
                 "root-at-a": (lambda x: x - 1.0, 1.0, 2.0),
                 "root-at-b": (lambda x: x * x - 4.0, 0.0, 2.0)}
-    # the two tolerance pairs shipped: measure_waist and the calibration
+    # the two tolerances shipped: measure_waist and the calibration
     TOLERANCES = {"waist": {"xtol": 1e-12},
-                  "filling": {"xtol": 1e-6, "rtol": 1e-10}}
+                  "filling": {"xtol": 1e-13}}
 
     @pytest.mark.parametrize("tol", sorted(TOLERANCES))
     @pytest.mark.parametrize("case", sorted(BRACKETS))
