@@ -33,6 +33,11 @@ _MAX_SCAN_POINTS = 1 << 21
 # never divides by an underflowed g.g.
 _ENVELOPE_GRID = np.geomspace(1e-3, 350.0, 356)
 
+# Contrast-window edge tolerance, in window widths. Far below the point
+# spacing of a burst (at least 1e-4 of a window at the config ceiling) and
+# far above the rounding of a burst start, printed trace.csv times included.
+_EDGE_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class SinusoidFit:
@@ -279,7 +284,9 @@ def extract_contrast(t, y, fringe_hz: float,
     y = np.asarray(y, dtype=float)
     width = window_periods / fringe_hz
     t0 = float(t.min())
-    idx = np.floor((t - t0) / width).astype(int)
+    # a burst starts on a window edge, up to rounding: a point within
+    # _EDGE_TOL of a width below an edge joins the window above
+    idx = np.floor((t - t0) / width + _EDGE_TOL).astype(int)
     # a point landing exactly on the final edge joins the last full window
     last = max(int(np.ceil((float(t.max()) - t0) / width)) - 1, 0)
     idx = np.minimum(idx, last)

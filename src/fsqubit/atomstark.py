@@ -1,14 +1,15 @@
 """Level shifts of fine-structure states in a polarized light field.
 
-All Hamiltonians are returned as E/h in Hz, in the |J, m_J> basis with m
-ascending from -J to +J. The quantization axis is the bias-field direction:
-rotations are applied to the polarization vector, never to the angular
-momentum matrices.
+Energies are E/h in Hz. The quantization axis is the bias-field
+direction: rotations are applied to the polarization vector, never to the
+angular momentum matrices.
 
 Polarization vectors are expressed in the tweezer frame
 (x = input-polarization axis, y = orthogonal transverse axis,
 z = propagation); :func:`polarization_in_field_frame` maps them onto the
-field-aligned frame used by :func:`stark_hamiltonian`.
+field-aligned frame. Every run uses the perturbative m_J = 0 shift
+:func:`m0_light_shift`; :func:`j2_hamiltonian` and :func:`m0_eigenvalue`
+are its exact-diagonalization oracle for J = 2.
 """
 
 from __future__ import annotations
@@ -21,14 +22,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import AU_POLARIZABILITY, H_PLANCK, MU_B_HZ_PER_G, intensity_to_e0sq
+from .constants import AU_POLARIZABILITY, H_PLANCK
 from .errors import (
     DegenerateLabeling,
     NonUnitPolarization,
     UnknownState,
     WavelengthOutOfRange,
 )
-from .params import FieldEnvironment, TweezerConfig
+from .params import FieldEnvironment
 
 # Hz of energy per a.u. of polarizability per unit of reduced squared field.
 E0SQ_AU_HZ = AU_POLARIZABILITY / H_PLANCK
@@ -39,30 +40,6 @@ EXCITED = "3P2"
 _UNIT_TOL = 1e-12
 _TERM_RE = re.compile(r"^(\d+)([SPDFGHIK])(\d+)$")
 _L_OF = {"S": 0, "P": 1, "D": 2, "F": 3, "G": 4, "H": 5, "I": 6, "K": 7}
-
-
-def _check_unit(epsilon: np.ndarray) -> np.ndarray:
-    eps = np.asarray(epsilon, dtype=complex)
-    if eps.shape != (3,):
-        raise NonUnitPolarization("polarization must be a complex 3-vector")
-    norm = float(np.linalg.norm(eps))
-    if abs(norm - 1.0) > _UNIT_TOL:
-        raise NonUnitPolarization(
-            f"polarization norm {norm!r} differs from 1 beyond {_UNIT_TOL}")
-    return eps
-
-
-@dataclass(frozen=True)
-class PolarizationVector:
-    """Unit polarization vector plus reduced squared field I/(2 eps0 c)."""
-
-    epsilon: np.ndarray
-    e0sq: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "epsilon", _check_unit(self.epsilon))
-        if self.e0sq < 0:
-            raise ValueError("e0sq must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -154,108 +131,50 @@ def load_table(spec: str | Path | None = None) -> PolarizabilityTable:
     return PolarizabilityTable.from_csv(spec)
 
 
-def angular_momentum_matrices(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Jx, Jy, Jz) in the m = -j..+j ascending basis, hbar = 1."""
-    dim = 2 * j + 1
-    m = np.arange(-j, j + 1, dtype=float)
-    cplus = np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1.0))
-    jplus = np.zeros((dim, dim))
-    jplus[np.arange(1, dim), np.arange(dim - 1)] = cplus
-    jminus = jplus.T.copy()
-    jx = (jplus + jminus) / 2.0
-    jy = (jplus - jminus) / 2j
-    jz = np.diag(m)
-    return jx, jy.astype(complex), jz
+def j2_hamiltonian(alpha_s_au: float, alpha_t_au: float, u, e0sq: float,
+                   zeeman_hz: float) -> np.ndarray:
+    """Stark + Zeeman operator of a J = 2 level, E/h in Hz.
 
+    H = -e0sq [ alpha_s + alpha_t / 2 ( {(u.J), (u*.J)}/2 - 2 ) ]
+        + zeeman_hz J_z
 
-def stark_hamiltonian(alpha_s_au: float, alpha_t_au: float, j: int,
-                      pol: PolarizationVector) -> np.ndarray:
-    """ac-Stark operator, E/h in Hz.
-
-    H = -e0sq [ alpha_s + 3 alpha_t / (J(2J-1)) *
-                ( {(eps.J), (eps*.J)}/2 - J(J+1)/3 ) ]
-
-    The tensor part vanishes identically for J = 0 (and would be undefined
-    for J < 1), so only the scalar term is kept there.
+    ``u`` is the unit polarization in the field frame (third component
+    along the bias field, as from :func:`polarization_in_field_frame`) and
+    ``zeeman_hz`` the splitting per unit m_J, g_J mu_B |B|.
     """
-    eps = _check_unit(pol.epsilon)
-    e_hz = pol.e0sq * E0SQ_AU_HZ
-    dim = 2 * j + 1
-    h = -alpha_s_au * e_hz * np.eye(dim, dtype=complex)
-    if j >= 1 and alpha_t_au != 0.0:
-        jx, jy, jz = angular_momentum_matrices(j)
-        a = eps[0] * jx + eps[1] * jy + eps[2] * jz
-        b = a.conj().T
-        sym = (a @ b + b @ a) / 2.0
-        pref = 3.0 * alpha_t_au / (j * (2 * j - 1))
-        h -= e_hz * pref * (sym - (j * (j + 1) / 3.0) * np.eye(dim))
-    return h
+    u = np.asarray(u, dtype=complex)
+    norm = float(np.linalg.norm(u))
+    if u.shape != (3,) or abs(norm - 1.0) > _UNIT_TOL:
+        raise NonUnitPolarization(
+            f"polarization {u!r} is not a unit complex 3-vector")
+    m = np.arange(-2.0, 3.0)
+    jplus = np.diag(np.sqrt(6.0 - m[:-1] * (m[:-1] + 1.0)), -1)
+    a = (u[0] * ((jplus + jplus.T) / 2.0) + u[1] * ((jplus - jplus.T) / 2j)
+         + u[2] * np.diag(m))
+    b = a.conj().T
+    e_hz = e0sq * E0SQ_AU_HZ
+    h = -alpha_s_au * e_hz * np.eye(5, dtype=complex)
+    h -= e_hz * (3.0 * alpha_t_au / 6) * ((a @ b + b @ a) / 2.0
+                                          - 2.0 * np.eye(5))
+    return h + np.diag(zeeman_hz * m)
 
 
-def zeeman_hamiltonian(field, g_j: float, j: int) -> np.ndarray:
-    """Linear Zeeman operator along the field axis, E/h in Hz (diagonal)."""
-    m = np.arange(-j, j + 1, dtype=float)
-    return np.diag(MU_B_HZ_PER_G * g_j * field.magnitude_G * m).astype(complex)
+def m0_eigenvalue(h: np.ndarray) -> float:
+    """Eigenvalue of :func:`j2_hamiltonian` labeled m_J = 0, in Hz.
 
-
-@dataclass(frozen=True)
-class LevelShifts:
-    """Eigenenergies labeled adiabatically by m_J.
-
-    ``energies_hz[i]`` belongs to ``labels[i]``; labels ascend from -J to
-    +J. ``eigenvectors`` holds the matching eigenvectors as columns.
+    Each eigenvector takes the m_J of the basis state it overlaps most; a
+    maximum overlap <= 0.5, or two eigenvectors claiming one m_J, raises
+    DegenerateLabeling.
     """
-
-    energies_hz: np.ndarray
-    labels: np.ndarray
-    eigenvectors: np.ndarray
-
-    def energy_of(self, m: int) -> float:
-        idx = np.nonzero(self.labels == m)[0]
-        if idx.size != 1:
-            raise KeyError(f"no unique level with m_J = {m}")
-        return float(self.energies_hz[idx[0]])
-
-
-def level_shifts(stark_hz: np.ndarray, zeeman_hz: np.ndarray) -> LevelShifts:
-    """Diagonalize stark + zeeman and label levels by Zeeman-basis overlap.
-
-    Each dressed eigenvector is assigned the m_J of the Zeeman eigenvector
-    it overlaps most; an assignment with max overlap <= 0.5, or two levels
-    claiming the same label, raises DegenerateLabeling.
-    """
-    stark = np.asarray(stark_hz, dtype=complex)
-    zee = np.asarray(zeeman_hz, dtype=complex)
-    if stark.shape != zee.shape or stark.ndim != 2 \
-            or stark.shape[0] != stark.shape[1]:
-        raise ValueError("stark and zeeman must be equal square matrices")
-    dim = stark.shape[0]
-    if dim % 2 != 1:
-        raise ValueError("expected odd dimension (integer J)")
-    jj = (dim - 1) // 2
-    mvals = np.arange(-jj, jj + 1)
-
-    evals, evecs = np.linalg.eigh(stark + zee)
-    _, zvecs = np.linalg.eigh(zee)
-    # m_J carried by each Zeeman eigenvector (robust to eigh ordering).
-    zm = np.rint(np.einsum("ik,i,ik->k", zvecs.conj(), mvals, zvecs).real
-                 ).astype(int)
-
-    overlaps = np.abs(zvecs.conj().T @ evecs) ** 2
-    labels = np.empty(dim, dtype=int)
-    for i in range(dim):
-        k = int(np.argmax(overlaps[:, i]))
-        if overlaps[k, i] <= 0.5 + 1e-12:
-            raise DegenerateLabeling(
-                f"max overlap {overlaps[k, i]:.4f} <= 0.5 for level {i}")
-        labels[i] = zm[k]
-    if len(set(labels.tolist())) != dim:
+    evals, evecs = np.linalg.eigh(h)
+    overlaps = np.abs(evecs) ** 2
+    labels = np.argmax(overlaps, axis=0)
+    worst = float(overlaps[labels, np.arange(5)].min())
+    if worst <= 0.5 + 1e-12:
+        raise DegenerateLabeling(f"max overlap {worst:.4f} <= 0.5")
+    if len(set(labels.tolist())) != 5:
         raise DegenerateLabeling("two levels claimed the same m_J label")
-
-    order = np.argsort(labels)
-    return LevelShifts(energies_hz=evals[order].astype(float),
-                       labels=labels[order],
-                       eigenvectors=evecs[:, order])
+    return float(evals[labels == 2][0])
 
 
 def polarization_in_field_frame(epsilon: np.ndarray, phi_deg: float) -> np.ndarray:
@@ -292,25 +211,15 @@ def axis_projection(e, phi_deg):
     return u3_sq, isum / 4.0
 
 
-def gaussian_center_polarization(tweezer: TweezerConfig) -> PolarizationVector:
-    """Linear polarization with the Gaussian focal-center reduced field."""
-    if tweezer.target_waist_nm is None:
-        raise ValueError("tweezer has no target waist; pass an explicit "
-                         "polarization instead")
-    w0 = tweezer.target_waist_nm * 1e-9
-    i0 = 2.0 * tweezer.power_W / (math.pi * w0 * w0)
-    return PolarizationVector(
-        epsilon=np.array([1.0, 0.0, 0.0], dtype=complex),
-        e0sq=intensity_to_e0sq(i0))
-
-
 def m0_light_shift(alpha_s_au: float, alpha_t_au: float, j: int,
                    u3_sq: float, e0sq: float) -> float:
     """Second-order m_J = 0 shift in Hz for axis projection |u3|^2.
 
     -e0sq [ alpha_s - alpha_t (J+1)/(2J-1) (3 |u3|^2 - 1)/2 ];
     the tensor factor reduces to P2(cos theta) for J = 2 and linear
-    polarization at angle theta from the quantization axis.
+    polarization at angle theta from the quantization axis. Valid while
+    tensor couplings are small against the Zeeman splitting, where it
+    meets :func:`m0_eigenvalue`.
     """
     e_hz = e0sq * E0SQ_AU_HZ
     if j < 1:
@@ -337,27 +246,6 @@ def differential_shift_from_projection(table: PolarizabilityTable,
     """
     return (state_light_shift(table, GROUND, wavelength_nm, u3_sq, e0sq)
             - state_light_shift(table, EXCITED, wavelength_nm, u3_sq, e0sq))
-
-
-def differential_light_shift(env: FieldEnvironment,
-                             table: PolarizabilityTable,
-                             pol: PolarizationVector | None = None) -> float:
-    """Differential shift U(3P0) - U(3P2, m_J = 0) in Hz, second order.
-
-    Only the squared projection of the polarization on the field axis
-    enters, so the result is exactly linear in e0sq and independent of the
-    field magnitude. Valid while tensor couplings are small against the
-    Zeeman splitting; the exact-diagonalization route (:func:`level_shifts`)
-    reduces to this one for large |B| and is tested against it.
-
-    ``pol`` is given in the tweezer frame; default is the linear
-    Gaussian-center polarization of ``env.tweezer``.
-    """
-    if pol is None:
-        pol = gaussian_center_polarization(env.tweezer)
-    u3_sq, _ = axis_projection(pol.epsilon, env.field.phi_deg)
-    return float(differential_shift_from_projection(
-        table, env.tweezer.wavelength_nm, u3_sq, pol.e0sq))
 
 
 def find_magic_angle(env: FieldEnvironment,

@@ -40,6 +40,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+import fsqubit
+
 from . import analysis, atomstark, dynamics, focalfield, trapmodel
 from .errors import FsqubitError, NoDecayObserved
 from .params import FieldEnvironment, MagneticField, NoiseModel, TweezerConfig
@@ -147,7 +149,9 @@ _ALL = _RUN_COMMANDS  # needed wherever its section is present
 _POS, _NONNEG = _number(gt=0), _number(ge=0)
 _SPAM = _number(gt=0, le=1)  # trace_ideal.csv divides by the SPAM factor
 _PERIODS = _number(ge=1)  # extract_contrast needs a full fringe period
-_WINDOW_POINTS = _number(int, ge=6)  # and six points in each window
+# and six points in each window; the ceiling bounds the grid's memory and
+# keeps burst points 1e-4 of a window apart, clear of the binning tolerance
+_WINDOW_POINTS = _number(int, ge=6, le=10_000)
 # burst-grid ceilings; the shipped configs end by 4 ms, within 1000 windows
 _BURST_MAX_END_S, _BURST_MAX_WINDOWS = 1.0, 1e5
 _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
@@ -667,14 +671,6 @@ _HANDLERS = {"rabi": partial(_cmd_trace, "rabi"),
 
 # ------------------------------------------------------------ orchestration
 
-def _tool_version() -> str:
-    try:
-        from importlib.metadata import version
-        return version("fsqubit")
-    except Exception:
-        return "unknown"
-
-
 def _commit(out_dir: Path, artifacts, meta: dict) -> None:
     meta["artifacts"] = [name for name, _ in artifacts]
     everything = list(artifacts) + [("meta.json", _write_json(meta))]
@@ -700,7 +696,7 @@ def _run(subcommand: str, args) -> int:
     artifacts, resolved = _HANDLERS[subcommand](cfg)
     meta = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand,
             "config": cfg, "resolved": resolved,
-            "tool": {"name": "fsqubit", "version": _tool_version()}}
+            "tool": {"name": "fsqubit", "version": fsqubit.__version__}}
     _commit(Path(args.out), artifacts, meta)
     return 0
 

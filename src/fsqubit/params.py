@@ -4,8 +4,7 @@ These are deliberately dumb containers with validation; physics lives in the
 modules that consume them. Frames and conventions:
 
 * The tweezer propagates along +z; its input (linear) polarization defines
-  the transverse x axis. The lab orientation of that axis is not modelled
-  (configs no longer take a ``pol_axis``).
+  the transverse x axis. The lab orientation of that axis is not modelled.
 * ``MagneticField.phi_deg`` is the angle between the input-polarization axis
   and the field direction; the field lies in the transverse plane. Angles are
   wrapped to [0, 180) — the physics is invariant under phi -> phi + 180.

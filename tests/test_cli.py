@@ -7,6 +7,7 @@ import io
 import json
 import math
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsqubit import cli, dynamics
+import fsqubit
+from fsqubit import analysis, cli, dynamics
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -424,6 +426,102 @@ class TestShippedConfigs:
                                write_cfg(tmp_path, json.loads(example)),
                                "--subcommand", "ramsey")
         assert code == 0, out
+
+
+T2_CONFIGS = [p.values[0] for p in _shipped_configs() if p.values[1] == "t2"]
+
+
+class TestBurstWindows:
+    """Contrast extraction puts each burst of ``ramsey_burst_grid`` in a
+    window of its own, though burst starts sit on window edges only up to
+    rounding."""
+
+    @pytest.mark.parametrize("window_periods", [1, 3, 5, 7])
+    @pytest.mark.parametrize("path", T2_CONFIGS, ids=lambda p: p.stem)
+    def test_one_burst_per_window(self, tmp_path, path, window_periods):
+        cfg = json.loads(path.read_text())
+        cfg["burst_grid"]["window_periods"] = window_periods
+        f_fr = cfg["drive"]["fringe_MHz"] * 1e6
+        grid, _ = cli._burst_grid_s(cfg, f_fr)
+        y = 0.5 + 0.4 * np.sin(2 * math.pi * f_fr * grid)
+        reread = dynamics.read_trace_csv(_synthetic_trace(tmp_path, grid, y))
+        n_windows = cli._get(cfg, "burst_grid", "n_windows")
+        for t in (grid, reread.t_s):
+            points = analysis.extract_contrast(t, y, f_fr, window_periods)
+            assert [p.t_s for p in points] == pytest.approx(
+                t.reshape(n_windows, -1).mean(axis=1), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("path", T2_CONFIGS, ids=lambda p: p.stem)
+    def test_refit_matches_run(self, tmp_path, path):
+        cfg = json.loads(path.read_text())
+        run_out = tmp_path / "run"
+        code, _, err = run_cli("t2", "--config", str(path), "--out",
+                               str(run_out))
+        assert code == 0, err
+        fit_cfg = {"schema_version": 1, "tweezer": cfg["tweezer"],
+                   "field": cfg["field"],
+                   "fit": {"trace_csv": str(run_out / "trace.csv"),
+                           "mode": "envelope",
+                           "f_fringe_MHz": cfg["drive"]["fringe_MHz"]}}
+        fit_out = tmp_path / "fit"
+        code, _, err = run_cli("fit", "--config",
+                               write_cfg(tmp_path, fit_cfg), "--out",
+                               str(fit_out))
+        assert code == 0, err
+        run, refit = (json.loads((d / "fit.json").read_text())
+                      for d in (run_out, fit_out))
+        assert run["status"] == refit["status"] == "ok"
+        assert refit["t2_s"] == pytest.approx(run["t2_s"], rel=1e-7)
+
+
+def test_meta_records_package_version(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    version = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+    assert fsqubit.__version__ == version
+    out = tmp_path / "out"
+    code, _, err = run_cli("magic-find", "--config",
+                           str(root / "configs" / "magic_find_phi0.json"),
+                           "--out", str(out))
+    assert code == 0, err
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["tool"] == {"name": "fsqubit", "version": version}
+
+
+def test_phinoise_ramp_matches_values(tmp_path):
+    # the ramp start_deg/stop_deg/points is values_deg by linspace
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs" \
+        / "phinoise_magic_8G.json"
+    cfg = json.loads(path.read_text())
+    cfg["trials"] = 60
+    scans = {"values": {"values_deg": [0.0, 1.0]},
+             "ramp": {"start_deg": 0.0, "stop_deg": 1.0, "points": 2}}
+    csvs = []
+    for name, scan in scans.items():
+        cfg["phi_noise_scan"] = scan
+        out = tmp_path / name
+        code, _, err = run_cli("phinoise", "--config",
+                               write_cfg(tmp_path, cfg, name + ".json"),
+                               "--out", str(out))
+        assert code == 0, err
+        csvs.append((out / "phinoise.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+
+
+class TestPointsPerWindowCeiling:
+    @pytest.mark.parametrize("name,sub,section", [
+        ("t2_shallow_magic_8G", "t2", "burst_grid"),
+        ("magic_scan_8G", "magic-scan", "angle_scan")])
+    def test_ceiling(self, tmp_path, name, sub, section):
+        path = pathlib.Path(__file__).resolve().parents[1] / "configs" \
+            / f"{name}.json"
+        cfg = json.loads(path.read_text())
+        for points, want in ((10_000, 0), (10_001, 2)):
+            cfg[section]["points_per_window"] = points
+            code, out, _ = run_cli("validate", "--config",
+                                   write_cfg(tmp_path, cfg),
+                                   "--subcommand", sub)
+            assert code == want, out
 
 
 SHIPPED = [(json.loads(p.values[0].read_text()), p.values[1])
