@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
 from .params import (  # noqa: F401
@@ -10,3 +12,15 @@ from .params import (  # noqa: F401
     NoiseModel,
     TweezerConfig,
 )
+
+_SUBMODULES = frozenset({"analysis", "atomstark", "cli", "constants",
+                         "dynamics", "errors", "focalfield", "params",
+                         "special", "trapmodel"})
+
+
+def __getattr__(name):
+    """``fsqubit.<module>`` imports that submodule on first use (PEP 562),
+    so importing the package or the CLI loads no layer it does not run."""
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

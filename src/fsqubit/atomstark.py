@@ -25,6 +25,7 @@ import numpy as np
 from .constants import AU_POLARIZABILITY, H_PLANCK
 from .errors import (
     DegenerateLabeling,
+    MalformedTable,
     NonUnitPolarization,
     UnknownState,
     WavelengthOutOfRange,
@@ -38,6 +39,7 @@ GROUND = "3P0"
 EXCITED = "3P2"
 
 _UNIT_TOL = 1e-12
+_TABLE_HEADER = ["state", "wavelength_nm", "alpha_s_au", "alpha_t_au"]
 _TERM_RE = re.compile(r"^(\d+)([SPDFGHIK])(\d+)$")
 _L_OF = {"S": 0, "P": 1, "D": 2, "F": 3, "G": 4, "H": 5, "I": 6, "K": 7}
 
@@ -77,18 +79,39 @@ class PolarizabilityTable:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "PolarizabilityTable":
+        """Parse a UTF-8 CSV table; blank lines and lines starting with '#'
+        are skipped. Raises MalformedTable, naming the path and line."""
+        data = Path(path).read_bytes()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise MalformedTable(f"{path}, line {line}: not UTF-8 text") \
+                from None
+        kept = [(n, line) for n, line in enumerate(text.splitlines(), 1)
+                if line.strip() and not line.startswith("#")]
+        if not kept:
+            raise MalformedTable(f"{path}: no header line")
+        records = zip((n for n, _ in kept),
+                      csv.reader(line for _, line in kept))
+        n, header = next(records)
+        if [h.strip() for h in header] != _TABLE_HEADER:
+            raise MalformedTable(f"{path}, line {n}: header {header} is not "
+                                 f"{','.join(_TABLE_HEADER)}")
         rows: dict[str, list[tuple[float, float, float]]] = {}
-        with open(path, newline="") as fh:
-            reader = csv.reader(
-                line for line in fh if line.strip() and not line.startswith("#"))
-            header = next(reader)
-            if [h.strip() for h in header] != [
-                    "state", "wavelength_nm", "alpha_s_au", "alpha_t_au"]:
-                raise ValueError(f"unexpected table header in {path}: {header}")
-            for rec in reader:
-                state, lam, a_s, a_t = rec
-                rows.setdefault(state, []).append(
-                    (float(lam), float(a_s), float(a_t)))
+        for n, rec in records:
+            if len(rec) != 4:
+                raise MalformedTable(f"{path}, line {n}: {len(rec)} cells, "
+                                     "expected 4")
+            try:
+                values = tuple(map(float, rec[1:]))
+            except ValueError:
+                raise MalformedTable(f"{path}, line {n}: non-numeric cell in "
+                                     f"{rec}") from None
+            if not all(map(math.isfinite, values)):
+                raise MalformedTable(f"{path}, line {n}: non-finite cell in "
+                                     f"{rec}")
+            rows.setdefault(rec[0], []).append(values)
         states = {}
         for label, entries in rows.items():
             entries.sort()
@@ -269,6 +292,15 @@ def find_magic_angle(env: FieldEnvironment,
     return math.degrees(math.acos(math.sqrt(u_star)))
 
 
+def _wavelength_knots(table: PolarizabilityTable) -> np.ndarray:
+    """Sorted distinct wavelengths of both qubit states, the array
+    ``np.union1d`` returns, but by sort and mask: ``np.unique`` imports
+    ``numpy.ma`` to ask whether its input is masked."""
+    lam = np.sort(np.concatenate((table.state(GROUND).wavelengths_nm,
+                                  table.state(EXCITED).wavelengths_nm)))
+    return lam[np.concatenate(([True], lam[1:] != lam[:-1]))]
+
+
 def find_magic_wavelength(env: FieldEnvironment,
                           table: PolarizabilityTable) -> float | None:
     """Wavelength where the shift crosses zero at the env's field angle.
@@ -287,8 +319,7 @@ def find_magic_wavelength(env: FieldEnvironment,
     if not hi > lo:
         raise WavelengthOutOfRange("tabulated spans do not overlap")
     u3_sq, _ = axis_projection(np.array([1.0, 0.0, 0.0]), env.field.phi_deg)
-    lam = np.union1d(table.state(GROUND).wavelengths_nm,
-                     table.state(EXCITED).wavelengths_nm)
+    lam = _wavelength_knots(table)
     lam = lam[(lam >= lo) & (lam <= hi)]
     du = np.array([differential_shift_from_projection(table, x, u3_sq, 1.0)
                    for x in lam])

@@ -22,6 +22,11 @@ schema table and prints an issue report on stdout; it exits 0 when clean,
 
 The polarizability table is the config's ``"table"`` (default: the
 packaged fixture) and nothing else, so ``meta.json`` records it.
+
+Of the physics layers, only ``atomstark`` is imported with this module.
+``focalfield``, ``trapmodel``, ``dynamics`` and ``analysis`` are imported
+inside the functions that run them, so ``validate`` and ``magic-find``
+load none of them and ``shiftmap`` loads ``focalfield`` alone.
 """
 
 from __future__ import annotations
@@ -36,15 +41,18 @@ import sys
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 import fsqubit
 
-from . import analysis, atomstark, dynamics, focalfield, trapmodel
+from . import atomstark
 from .errors import FsqubitError, NoDecayObserved
 from .params import FieldEnvironment, MagneticField, NoiseModel, TweezerConfig
+
+if TYPE_CHECKING:
+    from . import dynamics, trapmodel
 
 SCHEMA_VERSION = 1
 
@@ -316,11 +324,12 @@ def _rule_issues(cfg, subcommand) -> list[str]:
     # touches the filesystem beyond the config itself
     try:
         table = atomstark.load_table(cfg.get("table"))
+        spans = {state: table.span_nm(state)
+                 for state in (atomstark.GROUND, atomstark.EXCITED)}
     except (FsqubitError, OSError) as exc:
         return issues + [f"file: polarizability table: {exc}"]
     lam = tw["wavelength_nm"]
-    for state in (atomstark.GROUND, atomstark.EXCITED):
-        lo, hi = table.span_nm(state)
+    for state, (lo, hi) in spans.items():
         if not lo <= lam <= hi:
             issues.append(f"coverage: wavelength {lam} nm outside table "
                           f"span [{lo:g}, {hi:g}] nm for {state}")
@@ -386,12 +395,14 @@ class _Scenario:
     @property
     def field(self):
         if self._field is None:
+            from . import focalfield
             self._field = focalfield.build_field(self.tweezer)
         return self._field
 
     @property
     def trap(self) -> trapmodel.TrapCharacterization:
         if self._trap is None:
+            from . import trapmodel
             self._trap = trapmodel.characterize_trap(
                 self.tweezer, self.env, self.table, field=self.field)
         return self._trap
@@ -410,6 +421,7 @@ class _Scenario:
         ``env`` replaces the field environment (one angle of a scan), with
         its trap characterized afresh; ``noise`` replaces the noise model.
         """
+        from . import dynamics, trapmodel
         if env is None:
             env, trap = self.env, self.trap
         else:
@@ -447,6 +459,7 @@ def _time_grid_s(cfg) -> np.ndarray:
 
 
 def _burst_grid_s(cfg, f_fringe_hz) -> tuple[np.ndarray, float]:
+    from . import dynamics
     bg = partial(_get, cfg, "burst_grid")
     wp = float(bg("window_periods"))
     grid = dynamics.ramsey_burst_grid(
@@ -481,6 +494,7 @@ def _write_rows(header, rows):
 def _trace_artifacts(trace, noise):
     """trace.csv plus the SPAM-free trace when SPAM is not identity (the
     multiplicative model divides out exactly)."""
+    from . import dynamics
     arts = [("trace.csv", lambda p: dynamics.write_trace_csv(trace, p))]
     scale = noise.spam_scale
     if scale != 1.0:
@@ -502,6 +516,7 @@ def _cmd_trace(subcommand, cfg):
 
 def _envelope_fit(points):
     """contrast.csv artifact and envelope-fit JSON of windowed contrasts."""
+    from . import analysis
     art = ("contrast.csv", _write_rows(
         ["t_s", "contrast", "contrast_err"],
         [[f"{p.t_s:.12e}", f"{p.contrast:.9e}", f"{p.contrast_err:.9e}"]
@@ -519,6 +534,7 @@ def _envelope_fit(points):
 
 
 def _cmd_t2(cfg):
+    from . import analysis
     scn = _Scenario(cfg, "t2")
     f_fr = scn.f_fringe_hz()
     t, wp = _burst_grid_s(cfg, f_fr)
@@ -534,6 +550,7 @@ def _cmd_t2(cfg):
 
 
 def _cmd_magic_scan(cfg):
+    from . import analysis, dynamics
     scn = _Scenario(cfg, "magic-scan")
     sc = partial(_get, cfg, "angle_scan")
     f_fr = scn.f_fringe_hz()
@@ -572,6 +589,7 @@ def _cmd_phinoise(cfg):
     |B| tan(delta_phi) that such angle noise corresponds to. A point with
     no visible decay carries ``status`` and ``t2_lower_bound_s`` in place
     of ``t2_s`` and ``t2_err_s``, and leaves those two CSV cells empty."""
+    from . import analysis, dynamics
     scn = _Scenario(cfg, "phinoise")
     ps = cfg["phi_noise_scan"]
     values = ps.get("values_deg")
@@ -606,6 +624,7 @@ def _cmd_phinoise(cfg):
 
 
 def _cmd_shiftmap(cfg):
+    from . import focalfield
     scn = _Scenario(cfg, "shiftmap")
     half = _get(cfg, "map_grid", "half_extent_nm")
     shift_map = focalfield.lightshift_map(
@@ -636,6 +655,7 @@ def _cmd_magic_find(cfg):
 
 
 def _cmd_fit(cfg):
+    from . import analysis, dynamics
     ft = partial(_get, cfg, "fit")
     trace = dynamics.read_trace_csv(ft("trace_csv"))
     wp = float(ft("window_periods"))

@@ -15,6 +15,10 @@ class UnknownState(FsqubitError):
     """Requested state label is not present in the polarizability table."""
 
 
+class MalformedTable(FsqubitError):
+    """Polarizability table file cannot be parsed; names the line."""
+
+
 class WavelengthOutOfRange(FsqubitError):
     """Wavelength outside the tabulated span for the requested state."""
 

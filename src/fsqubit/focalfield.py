@@ -20,7 +20,9 @@ input beam with filling factor f0. The field of an x-polarized input is
 
 Integrals are evaluated by Gauss-Legendre quadrature with node doubling
 until another doubling moves no component by more than 1e-8 of the call
-peak, once per distinct (rho, z) of a ``field_at`` call. J0 and J1 come
+peak, once per distinct (rho, z) of a ``field_at`` call. The nodes are
+Newton roots of the Legendre three-term recurrence (``_gauss_nodes``), so
+the field path makes no eigenvalue solve and no LAPACK call. J0 and J1 come
 from the in-package Cephes transcriptions in ``special``. J2 follows
 from the recurrence J2(x) = 2 J1(x)/x - J0(x) (DLMF 10.6.1), or below
 x = 1e-3 from its series x^2/8 (1 - x^2/12). The filling factor is one
@@ -43,7 +45,6 @@ the 65-node rule evaluates it to round-off.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -63,11 +64,51 @@ _MEASURE_RANGE_M = 4e-5
 _FILLING_BRACKET = (0.05, 40.0)   # filling factors the calibration spans
 _WAIST_TOL_M = 1e-11   # calibrated waist vs target; off-lobe roots miss by far
 _BRENT_RTOL = 4 * np.finfo(float).eps
+# Newton on Tricomi's guesses takes three steps at every ladder size; a
+# last step this small leaves only round-off, the error being quadratic
+_NEWTON_STEP_TOL = 1e-14
+_NEWTON_MAXITER = 20
 
 
 @lru_cache(maxsize=None)
 def _gauss_nodes(n: int):
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], read-only.
+
+    Newton's method on the three-term recurrence from Tricomi's first
+    guesses (Hale & Townsend, SIAM J. Sci. Comput. 35, A652, 2013), run
+    on the nodes with x <= 0 and mirrored, so the rule is exactly
+    symmetric; weights 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    x = -(1 - (n - 1) / (8.0 * n ** 3)) * np.cos(math.pi * (k - 0.25)
+                                                  / (n + 0.5))
+    for _ in range(_NEWTON_MAXITER):
+        p, dp = _legendre(n, x)
+        step = p / dp
+        x -= step
+        if np.max(np.abs(step)) <= _NEWTON_STEP_TOL:
+            break
+    else:
+        raise QuadratureNotConverged(f"Gauss-Legendre nodes for n = {n}")
+    if n % 2:
+        x[-1] = 0.0   # the middle node
+    _, dp = _legendre(n, x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    half = n // 2   # mirrored nodes
+    nodes = np.concatenate((x, -x[:half][::-1]))
+    weights = np.concatenate((w, w[:half][::-1]))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def _legendre(n: int, x):
+    """P_n(x) and P_n'(x) by Bonnet's recurrence, P_{j+1} =
+    (2j+1)/(j+1) x P_j - j/(j+1) P_{j-1}, and (x^2 - 1) P_n' =
+    n (x P_n - P_{n-1})."""
+    p0, p1 = np.ones_like(x), x
+    for j in range(1, n):
+        p0, p1 = p1, x * p1 * ((2 * j + 1) / (j + 1)) - p0 * (j / (j + 1))
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
 
 
 class TweezerField:
@@ -385,13 +426,15 @@ def lightshift_map(field, env: FieldEnvironment,
 
 
 def write_map_csv(m: LightShiftMap, path) -> None:
+    """x_nm, y_nm, dU_over_h_Hz rows, x fastest, with the CRLF line ends
+    of ``csv.writer``; no cell needs quoting."""
+    xs = [f"{x * 1e9:.6f}" for x in m.x_m.tolist()]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x_nm", "y_nm", "dU_over_h_Hz"])
-        for iy, y in enumerate(m.y_m):
-            for ix, x in enumerate(m.x_m):
-                w.writerow([f"{x * 1e9:.6f}", f"{y * 1e9:.6f}",
-                            f"{m.du_hz[iy, ix]:.9e}"])
+        fh.write("x_nm,y_nm,dU_over_h_Hz\r\n")
+        for y, row in zip(m.y_m.tolist(), m.du_hz.tolist()):
+            y_nm = f"{y * 1e9:.6f}"
+            fh.write("".join([f"{x},{y_nm},{du:.9e}\r\n"
+                              for x, du in zip(xs, row)]))
 
 
 def read_map_csv(path) -> LightShiftMap:

@@ -327,6 +327,24 @@ class TestMagicPoints:
                        atomstark.find_magic_wavelength(env_magic, table)))
         assert len(roots) == 1
 
+    @pytest.mark.parametrize("name", ["table", "table_755", "interleaved"])
+    def test_knots_are_the_union_bit_for_bit(self, name, request):
+        if name == "interleaved":   # distinct grids, a repeat within one
+            grids = {"3P0": [528.0, 531.5, 531.5, 540.0],
+                     "3P2": [529.25, 531.5, 548.0]}
+            table = atomstark.PolarizabilityTable({
+                label: atomstark.StateInfo(label, 0, 0.0, np.array(lam),
+                                           np.ones(len(lam)),
+                                           np.zeros(len(lam)))
+                for label, lam in grids.items()})
+        else:
+            table = request.getfixturevalue(name)
+        knots = atomstark._wavelength_knots(table)
+        union = np.union1d(table.state("3P0").wavelengths_nm,
+                           table.state("3P2").wavelengths_nm)
+        assert knots.dtype == union.dtype
+        assert knots.tobytes() == union.tobytes()
+
     def test_magic_wavelength_anchor(self, table):
         env = FieldEnvironment(REF_TWEEZER, MagneticField(8.0, 0.0))
         lam = atomstark.find_magic_wavelength(env, table)

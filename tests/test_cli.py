@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsqubit
-from fsqubit import analysis, cli, dynamics
+from fsqubit import analysis, atomstark, cli, dynamics
+from fsqubit.errors import MalformedTable
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -339,6 +340,52 @@ class TestMagicFind:
         for name in ("magic.csv", "meta.json"):
             assert (outs[0] / name).read_bytes() \
                 == (outs[1] / name).read_bytes(), name
+
+
+_HEADER = b"state,wavelength_nm,alpha_s_au,alpha_t_au\n"
+_ROWS = b"3P0,530.0,1017.09,0.0\n3P0,550.0,1037.09,0.0\n" \
+    b"3P2,530.0,1123.57,84.845\n3P2,550.0,1080.23,94.845\n"
+
+
+@pytest.mark.parametrize("content,where", [
+    (b"", "no header line"),
+    (b"# comments only\n\n", "no header line"),
+    (b"# band\nstate,wavelength,alpha_s_au,alpha_t_au\n" + _ROWS, "line 2"),
+    (_HEADER + _ROWS + b"3P2,540.0,1101.9\n", "line 6"),
+    (_HEADER + b"3P0,540.0,1027.09,0.0,1\n" + _ROWS, "line 2"),
+    (_HEADER + _ROWS + b"3P2,540.0,abc,89.845\n", "line 6"),
+    (_HEADER + b"\n3P2,540.0,nan,89.845\n" + _ROWS, "line 3"),
+    (_HEADER + _ROWS + b"3P0,inf,1027.09,0.0\n", "line 6"),
+    (_HEADER + _ROWS + b"3P0,540.0,1027.09\xff,0.0\n", "line 6"),
+], ids=["empty", "comments-only", "bad-header", "short-row", "long-row",
+        "non-numeric", "nan", "inf", "non-utf8"])
+def test_malformed_table_fails_validate(tmp_path, content, where):
+    """A table that cannot be parsed is one validate issue (exit 2) that
+    names the file and the line, raised as MalformedTable."""
+    table = tmp_path / "table.csv"
+    table.write_bytes(content)
+    with pytest.raises(MalformedTable, match=where):
+        atomstark.PolarizabilityTable.from_csv(table)
+    path = write_cfg(tmp_path, base_cfg(table=str(table)))
+    code, out, err = run_cli("validate", "--config", path,
+                             "--subcommand", "rabi")
+    assert (code, err) == (2, "")
+    issues = json.loads(out)["issues"]
+    assert len(issues) == 1
+    assert issues[0].startswith(f"file: polarizability table: {table}")
+    assert where in issues[0]
+
+
+def test_table_missing_a_state_fails_validate(tmp_path):
+    table = tmp_path / "table.csv"
+    table.write_bytes(_HEADER + _ROWS.replace(b"3P2", b"3P1"))
+    code, out, _ = run_cli("validate", "--config",
+                           write_cfg(tmp_path, base_cfg(table=str(table))),
+                           "--subcommand", "rabi")
+    assert code == 2
+    assert json.loads(out)["issues"] == [
+        "file: polarizability table: state '3P2' not in table "
+        "(have ['3P0', '3P1'])"]
 
 
 def _synthetic_trace(tmp_path, t, y):

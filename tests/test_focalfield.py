@@ -16,9 +16,13 @@ Oracles used here:
   * the in-package Brent root finder visits the same points and returns
     the same double as ``scipy.optimize.brentq``, the test-only reference;
   * the kernel's J2, from J0 and J1 by recurrence, matches
-    ``scipy.special.jv(2, x)``, the test-only reference.
+    ``scipy.special.jv(2, x)``, the test-only reference;
+  * the Newton Gauss-Legendre nodes match numpy's ``leggauss``, the
+    test-only reference, and integrate monomials to their exact values;
+  * ``write_map_csv`` writes the bytes ``csv.writer`` writes.
 """
 
+import csv
 import importlib.util
 import math
 import pathlib
@@ -68,6 +72,34 @@ def radial_flux(field, z_m, r_lo, r_hi, panels=20, n=16):
     e = field.field_at(u, u, np.full(rho.size, z_m))
     it = np.abs(e[:, 0]) ** 2 + np.abs(e[:, 1]) ** 2
     return 0.5 * EPS0 * C_LIGHT * 2 * math.pi * float(np.sum(it * rho * wq))
+
+
+@pytest.mark.parametrize("n", focalfield._NODE_LADDER)
+class TestGaussNodes:
+    def test_nodes_match_leggauss(self, n):
+        x, _ = focalfield._gauss_nodes(n)
+        ref, _ = np.polynomial.legendre.leggauss(n)
+        assert np.all(np.abs(x - ref) <= 2 * np.spacing(np.abs(ref)))
+
+    def test_rule_exactly_symmetric(self, n):
+        x, w = focalfield._gauss_nodes(n)
+        assert x.size == w.size == n
+        assert np.array_equal(x, -x[::-1])
+        assert np.array_equal(w, w[::-1])
+        assert np.all(np.diff(x) > 0) and np.all(w > 0)
+
+    @pytest.mark.parametrize("power,rtol", [(4, 2e-15), ("2n-2", 1e-12)])
+    def test_monomials_exact(self, n, power, rtol):
+        x, w = focalfield._gauss_nodes(n)
+        k = 2 * n - 2 if power == "2n-2" else power
+        assert abs(np.sum(w * x ** k) - 2 / (k + 1)) <= rtol * 2 / (k + 1)
+
+    def test_cached_arrays_read_only(self, n):
+        x, w = focalfield._gauss_nodes(n)
+        assert focalfield._gauss_nodes(n)[0] is x
+        for a in (x, w):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestCalibration:
@@ -454,6 +486,27 @@ class TestMap:
         m2 = focalfield.read_map_csv(path)
         np.testing.assert_allclose(m2.x_m, m.x_m, rtol=0, atol=1e-12)
         np.testing.assert_allclose(m2.du_hz, m.du_hz, rtol=1e-6)
+
+    def test_map_csv_bytes_match_csv_writer(self, magic_map, tmp_path):
+        m, _ = magic_map
+        # signed zeros in every column, as the axes and the map may hold
+        tiny = focalfield.LightShiftMap(
+            np.array([-1e-7, -0.0, 0.0, 3.3e-7]), np.array([-0.0, 2.5e-7]),
+            np.array([[0.0, -0.0, -1.5e3, 2.0e-3],
+                      [7.0, -0.0, 1e-300, -2.0]]))
+        for k, shift_map in enumerate((m, tiny)):
+            path, ref = tmp_path / f"map{k}.csv", tmp_path / f"ref{k}.csv"
+            focalfield.write_map_csv(shift_map, path)
+            with open(ref, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["x_nm", "y_nm", "dU_over_h_Hz"])
+                for iy, y in enumerate(shift_map.y_m):
+                    for ix, x in enumerate(shift_map.x_m):
+                        w.writerow([f"{x * 1e9:.6f}", f"{y * 1e9:.6f}",
+                                    f"{shift_map.du_hz[iy, ix]:.9e}"])
+            assert path.read_bytes() == ref.read_bytes()
+        assert b"\r\n-0.000000,-0.000000,-0.000000000e+00\r\n" in \
+            path.read_bytes()
 
     def test_deep_map_tracks_intensity(self, ref_field, table):
         from fsqubit import atomstark

@@ -7,6 +7,10 @@ one.
 The constants are literals, and the root finder, J0, J1 and the normal
 quantile are in-package, so numpy is the only runtime dependency and no
 module imports scipy.
+
+A fresh CLI process loads only the layers its command runs: ``cli``
+imports ``atomstark`` at the top and the others inside the functions that
+use them, and ``fsqubit.<module>`` resolves on first use.
 """
 
 import ast
@@ -83,9 +87,8 @@ def test_constants_load_no_scipy(module):
     assert done.returncode == 0, done.stderr
 
 
-def test_numpy_only_commands_load_no_scipy(tmp_path):
-    """Every command runs without importing scipy: the shipped configs at
-    40 trials, and a fit of a synthetic trace."""
+def write_fit_config(tmp_path) -> pathlib.Path:
+    """A sinusoid-fit config over a synthetic 40-point trace."""
     trace = tmp_path / "trace.csv"
     rows = ["t_s,p32_mean,p32_sem"]
     for i in range(40):
@@ -99,6 +102,13 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
         "tweezer": {"wavelength_nm": 539.91, "power_mW": 0.046, "na": 0.5},
         "field": {"magnitude_G": 3.0, "phi_deg": 0.0},
         "fit": {"trace_csv": str(trace), "mode": "sinusoid"}}))
+    return fit_cfg
+
+
+def test_numpy_only_commands_load_no_scipy(tmp_path):
+    """Every command runs without importing scipy: the shipped configs at
+    40 trials, and a fit of a synthetic trace."""
+    fit_cfg = write_fit_config(tmp_path)
     code = textwrap.dedent("""
         import contextlib, io, sys
         from fsqubit import cli
@@ -124,6 +134,97 @@ def test_numpy_only_commands_load_no_scipy(tmp_path):
                       str(tmp_path / "out"))
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == f"{[0] * 9} []"
+
+
+# what the table-only commands leave unloaded: every layer past atomstark,
+# and numpy.ma, which np.unique and np.union1d import
+BEYOND_ATOMSTARK = {"fsqubit.analysis", "fsqubit.dynamics",
+                    "fsqubit.focalfield", "fsqubit.trapmodel",
+                    "fsqubit.special", "numpy.ma"}
+# command -> (shipped config, modules it must leave unloaded); no command
+# loads numpy.polynomial, whose leggauss the Newton nodes replaced
+COMMANDS = {
+    "validate": ("t2_shallow_magic_8G", BEYOND_ATOMSTARK),
+    "magic-find": ("magic_find_phi0", BEYOND_ATOMSTARK),
+    "shiftmap": ("shiftmap_magic_46uW", {"fsqubit.analysis",
+                                         "fsqubit.dynamics",
+                                         "fsqubit.trapmodel"}),
+    "t2": ("t2_shallow_magic_8G", set()),
+    "ramsey": ("ramsey_shallow_magic_8G", set()),
+    "rabi": ("rabi_deep_phi0_3G", set()),
+    "magic-scan": ("magic_scan_8G", set()),
+    "phinoise": ("phinoise_magic_8G", set()),
+    "fit": (None, set()),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_only_its_layers(command, tmp_path):
+    """Each command in a fresh process, on a shipped config (the fit on a
+    synthetic trace), leaves the layers it does not run unloaded."""
+    config, unloaded = COMMANDS[command]
+    if config is None:
+        argv = ["--config", str(write_fit_config(tmp_path))]
+    else:
+        argv = ["--config", str(ROOT / "configs" / f"{config}.json")]
+    if command == "validate":
+        argv += ["--subcommand", "t2"]
+    else:
+        argv += ["--out", str(tmp_path / "out")]
+        if command in ("t2", "ramsey", "rabi", "magic-scan", "phinoise"):
+            argv += ["--trials", "40"]
+    code = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from fsqubit import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(sys.argv[1:])
+        print(json.dumps([code, sorted(sys.modules)]))
+        """)
+    done = run_python(code, command, *argv)
+    assert done.returncode == 0, done.stderr
+    exit_code, loaded = json.loads(done.stdout)
+    assert exit_code == 0
+    assert not (unloaded | {"numpy.polynomial"}) & set(loaded)
+
+
+def test_layers_resolve_on_first_use():
+    """``import fsqubit`` loads no layer; ``fsqubit.<module>`` imports it
+    (PEP 562), and any other name raises AttributeError."""
+    code = textwrap.dedent("""
+        import sys
+        import fsqubit
+        before = sorted(m for m in sys.modules if m.startswith("fsqubit."))
+        resolved = [getattr(fsqubit, name) is sys.modules[f"fsqubit.{name}"]
+                    for name in sys.argv[1:]]
+        try:
+            fsqubit.no_such_layer
+        except AttributeError as exc:
+            print(before, resolved, exc)
+        """)
+    modules = sorted(LAYERS.keys() - {"__init__"})
+    done = run_python(code, *modules)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (
+        f"{['fsqubit.params']} {[True] * len(modules)} module 'fsqubit' has "
+        "no attribute 'no_such_layer'")
+
+
+def test_focalfield_calls_no_lapack():
+    """The Gauss-Legendre nodes are Newton roots, not eigenvalues:
+    focalfield names no np.linalg, np.polynomial or leggauss."""
+    names = set()
+    for node in ast.walk(ast.parse((SRC / "focalfield.py").read_text())):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                names.update(alias.name.split("."))
+    assert not names & {"linalg", "polynomial", "leggauss"}
 
 
 def scipy_imports(path: pathlib.Path):
