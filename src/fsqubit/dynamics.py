@@ -18,16 +18,19 @@ pi/2 pulse carries phi_L = -2 pi f_fr t_R, the phase-reset convention that
 writes a synthetic fringe at f_fr; the echo inserts a pi pulse about +y
 between two half periods of free evolution.
 
-The engine walks the segments with the state written as (a, b e^{i psi}) up
-to a global phase. Free evolution, diag(e^{-i delta t/2}, e^{+i delta t/2}),
-only adds delta t to the pending phase psi of each (trial, time) point, and
-a pulse at laser phase theta is R_z(theta) U(0) R_z(-theta) with
-R_z(x) = diag(1, e^{ix}), so theta enters psi on both sides of it. Pulse
-amplitudes therefore depend on the trial alone. psi is multiplied into b
-only before a drive or a pulse that is not the last segment (the echo pi
-pulse, the Rabi drive). A closing pulse V gives P(3P2) directly as
-|V10 a|^2 + |V11 b|^2 + 2 |c| cos(psi + arg c) with c = conj(V10 a) V11 b:
-one real cosine per trial and time for Ramsey.
+Free evolution, diag(e^{-i delta t/2}, e^{+i delta t/2}), is
+diag(1, e^{i delta t}) up to a global phase, and a pulse at laser phase
+theta is R_z(theta) U(0) R_z(-theta) with R_z(x) = diag(1, e^{ix}), so its
+element from state s to s' is U0[s', s] e^{i theta (s' - s)}, U0 depending
+on the trial alone. Expanded over the states between the pulses, the final
+3P2 amplitude is a sum of paths whose phases are linear in t, with slopes
+set by the trial (delta times the free fraction, -2 pi f_fr for the
+fringe). P(3P2) of a trial is therefore K + sum_d amp_d cos(w_d t + phi_d)
+with trial-only K, amp_d, w_d and phi_d: one harmonic for Ramsey, four for
+the echo. Each cosine is evaluated on the time grid by angle addition over
+runs of equally spaced times, about 4 sqrt(T) trig calls per trial instead
+of T. A single drive (Rabi) closes as (Omega sin(Omega_eff t/2) /
+Omega_eff)^2.
 
 SPAM convention: unprepared population stays in the dark manifold and
 contributes zero signal; readout infidelity scales multiplicatively. The
@@ -46,7 +49,8 @@ fixed-order block sum.
 
 from __future__ import annotations
 
-import csv
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -98,18 +102,23 @@ class PulseSegment:
             raise ValueError("detuning and phase must be finite")
 
 
+def _half_angle(omega, delta, duration):
+    """Half rotation angle Omega_eff t/2 of one constant segment and
+    sin(half)/Omega_eff, the factor of its coupling (broadcasting)."""
+    om_eff = np.hypot(omega, delta)
+    half = 0.5 * om_eff * duration
+    # sin(half)/om_eff without the 0/0 at om_eff -> 0
+    return half, 0.5 * duration * np.sinc(half / math.pi)
+
+
 def _su2_elements(omega, delta, duration):
     """(u00, coupling, u11) of one constant segment at laser phase 0; the
     phase phi_L multiplies the coupling by e^{-i phi_L} above the diagonal
     and by e^{+i phi_L} below it (broadcasting)."""
     omega = np.asarray(omega, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    duration = np.asarray(duration, dtype=float)
-    om_eff = np.hypot(omega, delta)
-    half = 0.5 * om_eff * duration
+    half, sdur = _half_angle(omega, delta, np.asarray(duration, dtype=float))
     cos_h = np.cos(half)
-    # sin(half)/om_eff without the 0/0 at om_eff -> 0
-    sdur = 0.5 * duration * np.sinc(half / math.pi)
     return (cos_h - 1j * delta * sdur, -1j * omega * sdur,
             cos_h + 1j * delta * sdur)
 
@@ -159,11 +168,12 @@ class TraceResult:
 
 
 def write_trace_csv(trace: TraceResult, path) -> None:
+    """t_s, p32_mean, p32_sem rows with the CRLF line ends of
+    ``csv.writer``; no cell needs quoting."""
+    rows = [f"{t:.12e},{m:.9e},{s:.9e}\r\n" for t, m, s in zip(
+        trace.t_s.tolist(), trace.p32_mean.tolist(), trace.p32_sem.tolist())]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t_s", "p32_mean", "p32_sem"])
-        for t, m, s in zip(trace.t_s, trace.p32_mean, trace.p32_sem):
-            w.writerow([f"{t:.12e}", f"{m:.9e}", f"{s:.9e}"])
+        fh.write("".join(["t_s,p32_mean,p32_sem\r\n", *rows]))
 
 
 def read_trace_csv(path) -> TraceResult:
@@ -320,20 +330,174 @@ ECHO = (("pulse", math.pi / 2, 0.0, 0),
         ("pulse", math.pi / 2, "fringe", 1))
 
 
+@functools.lru_cache(maxsize=None)
+def _pulse_plan(segments):
+    """Expansion of the final 3P2 amplitude of a pulse/free protocol over
+    bit strings, grouped by phase.
+
+    A path fixes the state s (0 = 3P0, 1 = 3P2) after each pulse, the last
+    one 1. A pulse at laser phase theta contributes the element
+    U0[s', s] e^{i theta (s' - s)}, and a free segment in state s the phase
+    s * delta * size * t, so a path's phase is an integer combination of
+    the phase variables: the free segments, in order, then the fringe.
+    Paths with the same combination add into one term. Returns (pulses,
+    frees, terms, harmonics): (size, set) of each pulse and free segment;
+    per term its paths as ((s', s) per pulse, constant phase factor); and
+    per harmonic d = n_q - n_p (first nonzero entry positive) the term
+    pairs (p, q) whose combinations differ by d.
+    """
+    if any(seg[0] == "drive" for seg in segments):
+        raise ValueError("a drive must be the only segment of a protocol")
+    pulses = tuple((size, dset) for kind, size, _, dset in segments
+                   if kind == "pulse")
+    frees = tuple((size, dset) for kind, size, _, dset in segments
+                  if kind == "free")
+    terms = {}
+    for bits in itertools.product((0, 1), repeat=len(pulses) - 1):
+        states = iter(bits + (1,))
+        s, f, phase = 0, 0, 0.0
+        steps, coef = [], [0] * (len(frees) + 1)
+        for kind, _, phi_l, _ in segments:
+            if kind == "free":
+                coef[f] = s
+                f += 1
+                continue
+            s_new = next(states)
+            steps.append((s_new, s))
+            if phi_l == "fringe":
+                coef[-1] += s_new - s
+            else:
+                phase += phi_l * (s_new - s)
+            s = s_new
+        terms.setdefault(tuple(coef), []).append(
+            (tuple(steps), complex(math.cos(phase), math.sin(phase))))
+    coefs = list(terms)
+    harmonics = {}
+    for q, nq in enumerate(coefs):
+        for p, np_ in enumerate(coefs[:q]):
+            d = tuple(a - b for a, b in zip(nq, np_))
+            if next(x for x in d if x) > 0:
+                harmonics.setdefault(d, []).append((p, q))
+            else:
+                harmonics.setdefault(tuple(-x for x in d), []).append((q, p))
+    return (pulses, frees, tuple(tuple(paths) for paths in terms.values()),
+            tuple((d, tuple(pairs)) for d, pairs in harmonics.items()))
+
+
+def _pulse_coefficients(plan, omegas, deltas, omega_rad_s, f_fringe_hz,
+                        instantaneous_pulses):
+    """Per trial, P(3P2)(t) = K + sum_d amp_d cos(w_d t + phi_d): returns K
+    and the (amp, w, phi) of each harmonic, every one of shape (trials,)."""
+    pulses, frees, terms, harmonics = plan
+    n, sets = omegas.size, deltas.shape[0]
+    elems = []
+    for size, dset in pulses:
+        if instantaneous_pulses:
+            elems.append(_su2_elements(1.0, 0.0, size))
+        else:
+            elems.append(_su2_elements(omegas, deltas[min(dset, sets - 1)],
+                                       size / omega_rad_s))
+
+    def path_amp(steps, amp):
+        for (u00, coupling, u11), (row, col) in zip(elems, steps):
+            amp = amp * (coupling if row != col else u11 if row else u00)
+        return amp
+
+    amps = [sum(path_amp(*path) for path in paths) for paths in terms]
+    k = sum(np.abs(amp) ** 2 for amp in amps)
+    slopes = [deltas[min(dset, sets - 1)] * size for size, dset in frees]
+    slopes.append(-2.0 * math.pi * f_fringe_hz)
+    out = []
+    for d, pairs in harmonics:
+        c = sum(2.0 * amps[q] * np.conj(amps[p]) for p, q in pairs)
+        w = sum(x * slopes[v] for v, x in enumerate(d) if x)
+        out.append(tuple(np.broadcast_to(x, (n,))
+                         for x in (np.abs(c), w, np.angle(c))))
+    return np.broadcast_to(k, (n,)), out
+
+
+def _chunk_grid(t):
+    """Split the time grid into runs t_j = s_c + m * step, m < R ~ sqrt(T),
+    of one common step, so that cos(w t + phi) follows by angle addition
+    from C + R angles per trial instead of T.
+
+    Consecutive points whose spacing matches the median step to rounding
+    form segments, cut into runs of R points. A point is accepted when it
+    lies within 4 ulp of s_c + m * step, so the phase moves by no more
+    than the rounding of w t itself; the rest are evaluated directly.
+    Returns (starts, offsets, cell, direct): the run starts (C,), m * step
+    (R,), the flat (c, m) cell of each grid point and the indices of the
+    direct points; None when the split would not save trig calls.
+    """
+    size = t.size
+    r = math.isqrt(size - 1) + 1 if size > 1 else 1
+    if 4 * r >= size:  # not even one unbroken run would save trig calls
+        return None
+    dt = np.diff(t)
+    step = float(np.sort(dt)[dt.size // 2])  # np.median would load numpy.ma
+    tol = 8.0 * np.spacing(np.abs(t).max())
+    begins = np.insert(np.flatnonzero(np.abs(dt - step) > tol) + 1, 0, 0)
+    lengths = np.diff(begins, append=size)
+    # refine the step over the longest segment: errors of t enter / length
+    b = int(begins[np.argmax(lengths)])
+    e = b + int(lengths.max()) - 1
+    if e > b:
+        step = float((t[e] - t[b]) / (e - b))
+    m = (np.arange(size) - np.repeat(begins, lengths)) % r
+    head = m == 0
+    run = np.cumsum(head) - 1
+    starts = t[head]
+    offsets = np.arange(r) * step
+    miss = np.abs(t - (starts[run] + offsets[m])) > 4.0 * np.spacing(
+        np.abs(t))
+    direct = np.flatnonzero(miss)
+    if 2 * (starts.size + r) + direct.size >= size:
+        return None
+    return starts, offsets, run * r + m, direct
+
+
+def _harmonic_sum(k, harmonics, t, grid):
+    """K + sum amp cos(w t + phi) over the grid, shape (trials, T)."""
+    def direct(tt):
+        p = np.repeat(k[:, None], tt.size, axis=1)
+        for amp, w, phi in harmonics:
+            p += amp[:, None] * np.cos(w[:, None] * tt + phi[:, None])
+        return p
+
+    if grid is None:
+        return direct(t)
+    starts, offsets, cell, rows = grid
+    # two (trials, C, R) buffers for any number of harmonics: every fresh
+    # array of that size is mapped and faulted in anew
+    cells = np.zeros((k.size, starts.size, offsets.size))
+    prod = np.empty_like(cells)
+    for amp, w, phi in harmonics:
+        a = w[:, None] * starts + phi[:, None]
+        b = w[:, None] * offsets
+        cells += np.multiply((amp[:, None] * np.cos(a))[:, :, None],
+                             np.cos(b)[:, None], out=prod)
+        cells -= np.multiply((amp[:, None] * np.sin(a))[:, :, None],
+                             np.sin(b)[:, None], out=prod)
+    p = cells.reshape(k.size, -1)[:, cell]
+    p += k[:, None]
+    if rows.size:
+        p[:, rows] = direct(t[rows])
+    return p
+
+
 def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
                   omega_rad_s, f_fringe_hz, t_grid_s, trials: int,
                   master_seed: int, motional_model: str,
                   instantaneous_pulses: bool, detuning_sets: int,
                   field, env, table) -> TraceResult:
-    """Draw the trials, add angle jitter, propagate blocks of trials through
-    ``segments`` from 3P0, apply SPAM and accumulate P(3P2) per grid time.
+    """Draw the trials, add angle jitter, evaluate P(3P2) of blocks of
+    trials after ``segments`` from 3P0, apply SPAM and accumulate it per
+    grid time.
 
-    Free segments and laser phases are diagonal and accumulate in the
-    pending phase psi of b, shape (trials, time); pulse amplitudes keep
-    shape (trials, 1). psi is applied (b *= e^{i psi}) before a non-final
-    pulse or a drive, which goes through the general ``_segment_apply``.
-    A final pulse V yields |V10 a|^2 + |V11 b|^2 + 2|c| cos(psi + arg c),
-    c = conj(V10 a) V11 b."""
+    A single drive gives |coupling|^2 = (Omega sin(half)/Omega_eff)^2.
+    A pulse/free protocol gives K + sum_d amp_d cos(w_d t + phi_d) with
+    trial-only coefficients from ``_pulse_plan`` and
+    ``_pulse_coefficients``, evaluated on the grid by ``_harmonic_sum``."""
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
@@ -346,45 +510,27 @@ def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
     if jitter:
         deltas = deltas + _phi_noise_delta_rad_s(field, env, table, phi_dev)
     omegas = omega_rad_s * om_f
-    fringe = (-2.0 * math.pi * f_fringe_hz * t)[None, :]
-    last = len(segments) - 1
+    if len(segments) == 1 and segments[0][0] == "drive":
+        _, size, _, dset = segments[0]
+        de = deltas[min(dset, detuning_sets - 1)]
+
+        def p_ideal(sl):
+            om = omegas[sl, None]
+            _, sdur = _half_angle(om, de[sl, None], size * t[None, :])
+            return (om * sdur) ** 2
+    else:
+        k, harmonics = _pulse_coefficients(
+            _pulse_plan(segments), omegas, deltas, omega_rad_s, f_fringe_hz,
+            instantaneous_pulses)
+        grid = _chunk_grid(t)
+
+        def p_ideal(sl):
+            return _harmonic_sum(k[sl], [tuple(x[sl] for x in h)
+                                         for h in harmonics], t, grid)
     acc = [0, None, None]
     for i0 in range(0, trials, _TRIAL_BLOCK):
-        sl = slice(i0, min(i0 + _TRIAL_BLOCK, trials))
-        om = omegas[sl, None]
-        # the state is (a, b e^{i psi}) up to a global phase
-        a, b, psi = 1.0, 0.0, 0.0
-        for i, (kind, size, phi_l, dset) in enumerate(segments):
-            de = deltas[min(dset, detuning_sets - 1), sl, None]
-            theta = fringe if phi_l == "fringe" else phi_l
-            if kind == "free":
-                psi = psi + de * (size * t[None, :])
-                continue
-            if kind == "drive":
-                a, b = _segment_apply(a, b * np.exp(1j * psi), om, de,
-                                      theta, size * t[None, :])
-                psi = 0.0
-                continue
-            # U(theta) = R_z(theta) U(0) R_z(-theta), R_z(x) = diag(1, e^{ix})
-            psi = psi - theta
-            if instantaneous_pulses:
-                om_p, de_p, dur = 1.0, 0.0, size
-            else:
-                om_p, de_p, dur = om, de, size / omega_rad_s
-            if i < last:
-                a, b = _segment_apply(a, b * np.exp(1j * psi), om_p, de_p,
-                                      0.0, dur)
-                psi = theta
-                continue
-            _, v10, v11 = _su2_elements(om_p, de_p, dur)
-            x, y = v10 * a, v11 * b
-            c = np.conj(x) * y
-            p_ideal = (np.abs(x) ** 2 + np.abs(y) ** 2
-                       + 2.0 * np.abs(c) * np.cos(psi + np.angle(c)))
-            break
-        else:
-            p_ideal = np.abs(b) ** 2
-        _accumulate(apply_spam(p_ideal, noise), acc)
+        p = p_ideal(slice(i0, min(i0 + _TRIAL_BLOCK, trials)))
+        _accumulate(apply_spam(p, noise), acc)
     n, mean, m2 = acc
     sem = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)
     return TraceResult(t_s=t, p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem)

@@ -8,6 +8,7 @@ refocusing of shot-static detunings, and the two-segment phase-variance law
 for a fluctuating detuning.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -371,6 +372,74 @@ def test_engine_matches_scalar_propagator(protocol, instantaneous, sets):
     np.testing.assert_allclose(got.p32_mean, want, rtol=0, atol=1e-12)
 
 
+def _split_grid(kind):
+    lin = np.linspace(0.0, 200e-6, 801)
+    if kind == "linspace":
+        return lin
+    if kind == "burst":
+        return dynamics.ramsey_burst_grid(80e-6, F_FR)
+    if kind == "nudged":
+        lin[400] += 1e-3 * (lin[1] - lin[0])
+        return lin
+    return np.sort(np.random.default_rng(4).uniform(0.0, 200e-6, 200))
+
+
+@pytest.mark.parametrize("grid", ["linspace", "burst", "nudged", "random"])
+@pytest.mark.parametrize("protocol,instantaneous,sets", [
+    ("rabi", False, 1), ("ramsey", False, 1), ("ramsey", True, 1),
+    ("echo", False, 1), ("echo", True, 1), ("echo", False, 2),
+    ("echo", True, 2)])
+def test_engine_matches_scalar_propagator_on_split_grids(
+        protocol, instantaneous, sets, grid):
+    # long grids, fringe phases up to 1634 rad: the angle-addition runs
+    # and the directly evaluated points both match the propagator
+    t = _split_grid(grid)
+    assert (dynamics._chunk_grid(t) is None) == (grid == "random")
+    trap, temp, trials, seed = mismatched_trap(), 3e-6, 2, 37
+    noise = NoiseModel(rabi_frac_std=0.05,
+                       detuning_offset_std=2 * math.pi * 2e3)
+    segments = {"rabi": dynamics.RABI, "ramsey": dynamics.RAMSEY,
+                "echo": dynamics.ECHO}[protocol]
+    deltas, om_f, _ = dynamics._draw_trials(trap, temp, noise, trials, seed,
+                                            "fock", detuning_sets=sets)
+    want = _scalar_mean(protocol, deltas, om_f, t, instantaneous)
+    got = dynamics._run_sequence(segments, trap, temp, noise, OMEGA, F_FR,
+                                 t, trials, seed, "fock", instantaneous,
+                                 sets, None, None, None)
+    np.testing.assert_allclose(got.p32_mean, want, rtol=0, atol=1e-12)
+
+
+def test_drive_only_as_the_whole_protocol():
+    with pytest.raises(ValueError, match="drive"):
+        dynamics._run_sequence(
+            dynamics.RAMSEY + dynamics.RABI, magic_trap(), 0.0, NOISELESS,
+            OMEGA, F_FR, np.linspace(0.0, 5e-6, 11), 4, 1, "fock", False, 1,
+            None, None, None)
+
+
+def test_grid_split_accepts_only_points_on_their_run():
+    t = np.linspace(0.0, 200e-6, 801)
+    t[400] += 1e-3 * (t[1] - t[0])
+    starts, offsets, cell, direct = dynamics._chunk_grid(t)
+    assert offsets.size == 29 and direct.size == 0
+    run, m = np.divmod(cell, offsets.size)
+    pred = starts[run] + offsets[m]
+    assert np.all(np.abs(t - pred) <= 4 * np.spacing(t))
+    # the nudged point starts a run of its own
+    assert m[400] == 0 and m[401] == 0
+    # about 30 ulp off its run, inside its segment: evaluated directly
+    t[100] *= 1 + 20 * np.finfo(float).eps
+    grid = dynamics._chunk_grid(t)
+    np.testing.assert_array_equal(grid[3], [100])
+    rng = np.random.default_rng(5)
+    k, amp = rng.uniform(0.2, 0.5, (2, 7))
+    w = 2 * math.pi * F_FR + rng.normal(0.0, 1e4, 7)
+    harmonics = [(amp, w, rng.uniform(-math.pi, math.pi, 7))]
+    np.testing.assert_allclose(
+        dynamics._harmonic_sum(k, harmonics, t, grid),
+        dynamics._harmonic_sum(k, harmonics, t, None), rtol=0, atol=1e-12)
+
+
 def _fock_coherence(trap, temperature_K, sigma_off, t):
     """phi(t) = E[e^{i delta t}] for thermal Fock ladders (geometric n_i
     with q_i = e^{-hbar w_i / kB T}, lock point at n = 0) times a Gaussian
@@ -496,6 +565,26 @@ class TestTraceCSV:
         back = dynamics.read_trace_csv(path)
         np.testing.assert_allclose(back.t_s, tr.t_s, atol=1e-15)
         np.testing.assert_allclose(back.p32_mean, tr.p32_mean, rtol=1e-8)
+
+    def test_bytes_match_csv_writer(self, tmp_path):
+        tr = dynamics.simulate_echo(mismatched_trap(), 3e-6,
+                                    NoiseModel(rabi_frac_std=0.1), OMEGA,
+                                    F_FR, np.linspace(0, 2e-5, 40), trials=64,
+                                    master_seed=3)
+        # a signed zero in every column, and a one-row trace
+        tiny = dynamics.TraceResult(np.array([-0.0]), np.array([-0.0]),
+                                    np.array([0.0]))
+        for k, trace in enumerate((tr, tiny)):
+            path, ref = tmp_path / f"t{k}.csv", tmp_path / f"ref{k}.csv"
+            dynamics.write_trace_csv(trace, path)
+            with open(ref, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["t_s", "p32_mean", "p32_sem"])
+                for t, m, s in zip(trace.t_s, trace.p32_mean, trace.p32_sem):
+                    w.writerow([f"{t:.12e}", f"{m:.9e}", f"{s:.9e}"])
+            assert path.read_bytes() == ref.read_bytes()
+        assert path.read_bytes().endswith(
+            b"\r\n-0.000000000000e+00,-0.000000000e+00,0.000000000e+00\r\n")
 
 
 @pytest.mark.slow

@@ -227,6 +227,37 @@ def test_focalfield_calls_no_lapack():
     assert not names & {"linalg", "polynomial", "leggauss"}
 
 
+def _names_and_complex_literals(fn: ast.AST):
+    names, literals = set(), []
+    for node in ast.walk(fn):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif (isinstance(node, ast.Constant)
+              and isinstance(node.value, complex)):
+            literals.append(node.value)
+    return names, literals
+
+
+def test_dynamics_engine_builds_no_complex_time_arrays():
+    """The Monte-Carlo engine closes on real cosines: none of its helpers
+    calls np.exp, and the ones that see the time grid touch no complex
+    number (no imaginary literal, conj, angle or SU(2) element)."""
+    tree = ast.parse((SRC / "dynamics.py").read_text())
+    fns = {node.name: node for node in tree.body
+           if isinstance(node, ast.FunctionDef)}
+    on_grid = ("_run_sequence", "_chunk_grid", "_harmonic_sum")
+    for name in on_grid + ("_pulse_plan", "_pulse_coefficients"):
+        names, _ = _names_and_complex_literals(fns[name])
+        assert "exp" not in names, name
+    for name in on_grid:
+        names, literals = _names_and_complex_literals(fns[name])
+        assert not literals, name
+        assert not names & {"conj", "angle", "complex", "_su2_elements",
+                            "_segment_apply"}, name
+
+
 def scipy_imports(path: pathlib.Path):
     """(runs on import?, dotted name) for each scipy import in ``path``;
     imports inside a function body run only when it is called."""
