@@ -44,7 +44,13 @@ are fixed: 0-2 motion and 3 detuning offset (set 0), 4 Rabi factor, 5
 angle jitter, 6-9 the second detuning set. Results are therefore
 reproducible bit-for-bit and independent of the trial count and of how
 trials would be partitioned across workers. Trial accumulation is a
-fixed-order block sum.
+fixed-order block sum: trials are summed in blocks of 512 in trial order;
+within a block each time point's sum over trials is numpy's pairwise sum
+on a split grid (trials are the contiguous axis of the block buffer) and
+a sequential row-by-row sum for Rabi and on an unsplit grid; blocks merge
+by Welford/Chan. A split grid is evaluated in tiles of trials sized from
+its C x R cells to stay in L2; the tile is derived from the grid, not
+configured, and changes no value.
 """
 
 from __future__ import annotations
@@ -64,6 +70,9 @@ from .trapmodel import (detuning_for_sample, sample_fock_thermal,
 
 # trial block size for the vectorized evolution (memory / determinism unit)
 _TRIAL_BLOCK = 512
+# bytes of one (C, R, tile) angle-addition buffer: the tile of trials is
+# cut so that the two buffers stay in L2; it changes no value
+_TILE_BYTES = 2 ** 19
 
 
 @dataclass(frozen=True)
@@ -139,13 +148,15 @@ def evolve_segment(state: QubitState, seg: PulseSegment) -> QubitState:
     return QubitState(complex(a), complex(b))
 
 
-def apply_spam(p_ideal, noise: NoiseModel):
+def apply_spam(p_ideal, noise: NoiseModel, out=None):
     """Observed population: eta_prep * F_read * P_ideal (dark-manifold
-    convention, zero additive offset)."""
+    convention, zero additive offset); ``out=p_ideal`` works in place."""
     p = np.asarray(p_ideal, dtype=float)
-    if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
+    # written so that a NaN fails both comparisons
+    if p.size and not (p.min() >= -1e-12 and p.max() <= 1 + 1e-12):
         raise ValueError("ideal populations must lie in [0, 1]")
-    out = noise.spam_scale * np.clip(p, 0.0, 1.0)
+    out = np.clip(p, 0.0, 1.0, out=out)
+    out *= noise.spam_scale
     return float(out) if np.ndim(p_ideal) == 0 else out
 
 
@@ -299,9 +310,11 @@ def _phi_noise_delta_rad_s(field, env: FieldEnvironment, table,
 def _accumulate(p_block, acc):
     # blockwise Welford/Chan merge: exact zero variance for identical
     # trials, unlike sum/sum-of-squares cancellation
+    # (in place: p_block is overwritten by its squared deviations)
     nb = p_block.shape[0]
     bm = p_block.mean(axis=0)
-    bm2 = ((p_block - bm) ** 2).sum(axis=0)
+    p_block -= bm
+    bm2 = np.square(p_block, out=p_block).sum(axis=0)
     n0 = acc[0]
     if n0 == 0:
         acc[0], acc[1], acc[2] = nb, bm, bm2
@@ -456,8 +469,13 @@ def _chunk_grid(t):
     return starts, offsets, run * r + m, direct
 
 
-def _harmonic_sum(k, harmonics, t, grid):
-    """K + sum amp cos(w t + phi) over the grid, shape (trials, T)."""
+def _harmonic_sum(k, harmonics, t, grid, out=None):
+    """K + sum amp cos(w t + phi) over the grid, shape (trials, T).
+
+    A split grid is evaluated in tiles of trials: two (C, R, tile) buffers
+    of about ``_TILE_BYTES`` each, trials last, hold the angle-addition
+    sum of one tile, which then lands in the first rows of ``out`` (a
+    fresh array when None), trials on its contiguous axis."""
     def direct(tt):
         p = np.repeat(k[:, None], tt.size, axis=1)
         for amp, w, phi in harmonics:
@@ -467,22 +485,31 @@ def _harmonic_sum(k, harmonics, t, grid):
     if grid is None:
         return direct(t)
     starts, offsets, cell, rows = grid
-    # two (trials, C, R) buffers for any number of harmonics: every fresh
-    # array of that size is mapped and faulted in anew
-    cells = np.zeros((k.size, starts.size, offsets.size))
+    n = k.size
+    out = np.empty((t.size, n)).T if out is None else out[:n]
+    # the grid sets the tile: the whole block on a short grid
+    tile = max(1, min(n, _TILE_BYTES // (8 * starts.size * offsets.size)))
+    cells = np.empty((starts.size, offsets.size, tile))
     prod = np.empty_like(cells)
-    for amp, w, phi in harmonics:
-        a = w[:, None] * starts + phi[:, None]
-        b = w[:, None] * offsets
-        cells += np.multiply((amp[:, None] * np.cos(a))[:, :, None],
-                             np.cos(b)[:, None], out=prod)
-        cells -= np.multiply((amp[:, None] * np.sin(a))[:, :, None],
-                             np.sin(b)[:, None], out=prod)
-    p = cells.reshape(k.size, -1)[:, cell]
-    p += k[:, None]
+    identity = np.array_equal(cell, np.arange(cell.size))
+    for i0 in range(0, n, tile):
+        sl = slice(i0, min(i0 + tile, n))
+        nt = sl.stop - i0
+        c, pr = cells[..., :nt], prod[..., :nt]
+        c.fill(0.0)
+        for amp, w, phi in harmonics:
+            a = starts[:, None] * w[sl] + phi[sl]
+            b = offsets[:, None] * w[sl]
+            c += np.multiply((amp[sl] * np.cos(a))[:, None], np.cos(b),
+                             out=pr)
+            c -= np.multiply((amp[sl] * np.sin(a))[:, None], np.sin(b),
+                             out=pr)
+        flat = c.reshape(-1, nt)
+        np.add(flat[:t.size] if identity else flat[cell], k[sl],
+               out=out.T[:, sl])
     if rows.size:
-        p[:, rows] = direct(t[rows])
-    return p
+        out[:, rows] = direct(t[rows])
+    return out
 
 
 def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
@@ -523,14 +550,18 @@ def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
             _pulse_plan(segments), omegas, deltas, omega_rad_s, f_fringe_hz,
             instantaneous_pulses)
         grid = _chunk_grid(t)
+        # one block buffer, trials contiguous: each time point's block sum
+        # over trials is numpy's pairwise sum
+        buf = (None if grid is None
+               else np.empty((t.size, min(trials, _TRIAL_BLOCK))).T)
 
         def p_ideal(sl):
             return _harmonic_sum(k[sl], [tuple(x[sl] for x in h)
-                                         for h in harmonics], t, grid)
+                                         for h in harmonics], t, grid, buf)
     acc = [0, None, None]
     for i0 in range(0, trials, _TRIAL_BLOCK):
         p = p_ideal(slice(i0, min(i0 + _TRIAL_BLOCK, trials)))
-        _accumulate(apply_spam(p, noise), acc)
+        _accumulate(apply_spam(p, noise, out=p), acc)
     n, mean, m2 = acc
     sem = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)
     return TraceResult(t_s=t, p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem)

@@ -10,6 +10,7 @@ for a fluctuating detuning.
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,24 @@ class TestApplySpam:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             dynamics.apply_spam(1.5, NOISELESS)
+
+    def test_rejects_nan_scalar(self):
+        with pytest.raises(ValueError):
+            dynamics.apply_spam(math.nan, NOISELESS)
+
+    def test_rejects_nan_in_array(self):
+        p = np.linspace(0, 1, 11)
+        p[4] = math.nan
+        with pytest.raises(ValueError):
+            dynamics.apply_spam(p, NOISELESS)
+
+    def test_in_place(self):
+        noise = NoiseModel(prep_efficiency=0.9, readout_fidelity=0.76)
+        p = np.array([0.0, 0.5, 1.0 + 1e-13])
+        out = dynamics.apply_spam(p, noise, out=p)
+        assert out is p
+        np.testing.assert_array_equal(p, noise.spam_scale
+                                      * np.array([0.0, 0.5, 1.0]))
 
 
 class TestSimulateRabi:
@@ -407,6 +426,49 @@ def test_engine_matches_scalar_propagator_on_split_grids(
                                  t, trials, seed, "fock", instantaneous,
                                  sets, None, None, None)
     np.testing.assert_allclose(got.p32_mean, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("grid", ["nudged", "burst"])
+def test_tile_size_changes_no_bit(grid, monkeypatch):
+    # tiles of 1 and 7 trials (7 does not divide the block) against the
+    # default tile, on grids whose cell map is not the identity
+    t = _split_grid(grid)
+    starts, offsets, cell, _ = dynamics._chunk_grid(t)
+    assert not np.array_equal(cell, np.arange(cell.size))
+    noise = NoiseModel(rabi_frac_std=0.05,
+                       detuning_offset_std=2 * math.pi * 2e3,
+                       prep_efficiency=0.9, readout_fidelity=0.95)
+
+    def run():
+        return dynamics.simulate_echo(
+            mismatched_trap(), 3e-6, noise, OMEGA, F_FR, t,
+            2 * dynamics._TRIAL_BLOCK + 3, 43, fluctuating_detuning=True)
+
+    want = run()
+    cell_bytes = 8 * starts.size * offsets.size
+    assert dynamics._TILE_BYTES // cell_bytes not in (1, 7)
+    for tile in (1, 7):
+        monkeypatch.setattr(dynamics, "_TILE_BYTES", tile * cell_bytes)
+        got = run()
+        np.testing.assert_array_equal(got.p32_mean, want.p32_mean)
+        np.testing.assert_array_equal(got.p32_sem, want.p32_sem)
+
+
+def test_echo_working_set_below_two_blocks():
+    # one block buffer and cache-sized tiles: no (block, T) temporaries
+    t = np.linspace(0.0, 200e-6, 801)
+    noise = NoiseModel(rabi_frac_std=0.05,
+                       detuning_offset_std=2 * math.pi * 2e3,
+                       prep_efficiency=0.9, readout_fidelity=0.95)
+    args = (mismatched_trap(), 3e-6, noise, OMEGA, F_FR, t)
+    dynamics.simulate_echo(*args, 4, 1, fluctuating_detuning=True)  # warm
+    tracemalloc.start()
+    try:
+        dynamics.simulate_echo(*args, 2000, 47, fluctuating_detuning=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * dynamics._TRIAL_BLOCK * t.size * 8
 
 
 def test_drive_only_as_the_whole_protocol():
