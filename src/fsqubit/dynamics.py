@@ -27,10 +27,11 @@ on the trial alone. Expanded over the states between the pulses, the final
 set by the trial (delta times the free fraction, -2 pi f_fr for the
 fringe). P(3P2) of a trial is therefore K + sum_d amp_d cos(w_d t + phi_d)
 with trial-only K, amp_d, w_d and phi_d: one harmonic for Ramsey, four for
-the echo. Each cosine is evaluated on the time grid by angle addition over
-runs of equally spaced times, about 4 sqrt(T) trig calls per trial instead
-of T. A single drive (Rabi) closes as (Omega sin(Omega_eff t/2) /
-Omega_eff)^2.
+the echo. A single drive (Rabi) is one harmonic too: (Omega sin(Omega_eff
+t/2) / Omega_eff)^2 = K - K cos(Omega_eff t) with K = Omega^2 / (2
+Omega_eff^2). Each cosine is evaluated on the time grid by angle addition
+over runs of equally spaced times, about 4 sqrt(T) trig calls per trial
+instead of T; points off every run are evaluated directly.
 
 SPAM convention: unprepared population stays in the dark manifold and
 contributes zero signal; readout infidelity scales multiplicatively. The
@@ -45,12 +46,12 @@ angle jitter, 6-9 the second detuning set. Results are therefore
 reproducible bit-for-bit and independent of the trial count and of how
 trials would be partitioned across workers. Trial accumulation is a
 fixed-order block sum: trials are summed in blocks of 512 in trial order;
-within a block each time point's sum over trials is numpy's pairwise sum
-on a split grid (trials are the contiguous axis of the block buffer) and
-a sequential row-by-row sum for Rabi and on an unsplit grid; blocks merge
-by Welford/Chan. A split grid is evaluated in tiles of trials sized from
-its C x R cells to stay in L2; the tile is derived from the grid, not
-configured, and changes no value.
+every protocol and grid fills one block buffer, trials on its contiguous
+axis, so within a block each time point's sum over trials is numpy's
+pairwise sum; blocks merge by Welford/Chan. A block is evaluated in tiles
+of trials sized from the grid's C x R cells or its direct points to stay
+in L2; the tile is derived from the grid, not configured, and changes no
+value.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ from .trapmodel import (detuning_for_sample, sample_fock_thermal,
 
 # trial block size for the vectorized evolution (memory / determinism unit)
 _TRIAL_BLOCK = 512
-# bytes of one (C, R, tile) angle-addition buffer: the tile of trials is
-# cut so that the two buffers stay in L2; it changes no value
+# bytes of one tile scratch buffer ((C, R, tile) angle-addition cells or
+# (direct points, tile)): the tile of trials is cut so that the two
+# buffers stay in L2; it changes no value
 _TILE_BYTES = 2 ** 19
 
 
@@ -111,22 +113,16 @@ class PulseSegment:
             raise ValueError("detuning and phase must be finite")
 
 
-def _half_angle(omega, delta, duration):
-    """Half rotation angle Omega_eff t/2 of one constant segment and
-    sin(half)/Omega_eff, the factor of its coupling (broadcasting)."""
-    om_eff = np.hypot(omega, delta)
-    half = 0.5 * om_eff * duration
-    # sin(half)/om_eff without the 0/0 at om_eff -> 0
-    return half, 0.5 * duration * np.sinc(half / math.pi)
-
-
 def _su2_elements(omega, delta, duration):
     """(u00, coupling, u11) of one constant segment at laser phase 0; the
     phase phi_L multiplies the coupling by e^{-i phi_L} above the diagonal
     and by e^{+i phi_L} below it (broadcasting)."""
     omega = np.asarray(omega, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    half, sdur = _half_angle(omega, delta, np.asarray(duration, dtype=float))
+    duration = np.asarray(duration, dtype=float)
+    half = 0.5 * np.hypot(omega, delta) * duration
+    # sin(half)/Omega_eff without the 0/0 at Omega_eff -> 0
+    sdur = 0.5 * duration * np.sinc(half / math.pi)
     cos_h = np.cos(half)
     return (cos_h - 1j * delta * sdur, -1j * omega * sdur,
             cos_h + 1j * delta * sdur)
@@ -429,6 +425,19 @@ def _pulse_coefficients(plan, omegas, deltas, omega_rad_s, f_fringe_hz,
     return np.broadcast_to(k, (n,)), out
 
 
+def _drive_coefficients(omegas, delta, size):
+    """A drive of ``size`` times the grid time from 3P0 gives
+    P(3P2)(t) = (Omega sin(Omega_eff size t/2) / Omega_eff)^2
+    = K - K cos(Omega_eff size t), K = Omega^2 / (2 Omega_eff^2): returns K
+    and its one harmonic (-K, Omega_eff size, 0), each of shape (trials,).
+    Omega/Omega_eff is taken as 1 at Omega_eff = 0, where P stays 0."""
+    om_eff = np.hypot(omegas, delta)
+    ratio = np.divide(omegas, om_eff, out=np.ones_like(om_eff),
+                      where=om_eff > 0)
+    k = 0.5 * ratio * ratio
+    return k, [(-k, om_eff * size, np.zeros_like(k))]
+
+
 def _chunk_grid(t):
     """Split the time grid into runs t_j = s_c + m * step, m < R ~ sqrt(T),
     of one common step, so that cos(w t + phi) follows by angle addition
@@ -472,43 +481,50 @@ def _chunk_grid(t):
 def _harmonic_sum(k, harmonics, t, grid, out=None):
     """K + sum amp cos(w t + phi) over the grid, shape (trials, T).
 
-    A split grid is evaluated in tiles of trials: two (C, R, tile) buffers
-    of about ``_TILE_BYTES`` each, trials last, hold the angle-addition
-    sum of one tile, which then lands in the first rows of ``out`` (a
-    fresh array when None), trials on its contiguous axis."""
-    def direct(tt):
-        p = np.repeat(k[:, None], tt.size, axis=1)
-        for amp, w, phi in harmonics:
-            p += amp[:, None] * np.cos(w[:, None] * tt + phi[:, None])
-        return p
-
-    if grid is None:
-        return direct(t)
+    The trials are evaluated in tiles that land in the first rows of
+    ``out`` (a fresh array when None), trials on its contiguous axis. Two
+    scratch buffers of about ``_TILE_BYTES`` each, trials last, hold one
+    tile: first the (C, R, tile) angle-addition sum over the runs of a
+    split grid, then the points off every run (all of them when ``grid``
+    is None), evaluated directly as k + h_1 + h_2 + ... per element."""
+    if grid is None:  # no runs: every point is direct
+        grid = (t[:0], t[:0], None, np.arange(t.size))
     starts, offsets, cell, rows = grid
-    n = k.size
+    n, runs = k.size, (starts.size, offsets.size)
     out = np.empty((t.size, n)).T if out is None else out[:n]
     # the grid sets the tile: the whole block on a short grid
-    tile = max(1, min(n, _TILE_BYTES // (8 * starts.size * offsets.size)))
-    cells = np.empty((starts.size, offsets.size, tile))
-    prod = np.empty_like(cells)
-    identity = np.array_equal(cell, np.arange(cell.size))
+    width = max(runs[0] * runs[1], rows.size, 1)
+    tile = max(1, min(n, _TILE_BYTES // (8 * width)))
+    scratch = np.empty((2, width * tile))
+    identity = cell is not None and np.array_equal(cell, np.arange(cell.size))
+    t_direct = t[rows, None]
     for i0 in range(0, n, tile):
         sl = slice(i0, min(i0 + tile, n))
         nt = sl.stop - i0
-        c, pr = cells[..., :nt], prod[..., :nt]
-        c.fill(0.0)
-        for amp, w, phi in harmonics:
-            a = starts[:, None] * w[sl] + phi[sl]
-            b = offsets[:, None] * w[sl]
-            c += np.multiply((amp[sl] * np.cos(a))[:, None], np.cos(b),
-                             out=pr)
-            c -= np.multiply((amp[sl] * np.sin(a))[:, None], np.sin(b),
-                             out=pr)
-        flat = c.reshape(-1, nt)
-        np.add(flat[:t.size] if identity else flat[cell], k[sl],
-               out=out.T[:, sl])
-    if rows.size:
-        out[:, rows] = direct(t[rows])
+        if cell is not None:
+            c, pr = (x[:runs[0] * runs[1] * nt].reshape(*runs, nt)
+                     for x in scratch)
+            c.fill(0.0)
+            for amp, w, phi in harmonics:
+                a = starts[:, None] * w[sl] + phi[sl]
+                b = offsets[:, None] * w[sl]
+                c += np.multiply((amp[sl] * np.cos(a))[:, None], np.cos(b),
+                                 out=pr)
+                c -= np.multiply((amp[sl] * np.sin(a))[:, None], np.sin(b),
+                                 out=pr)
+            flat = c.reshape(-1, nt)
+            np.add(flat[:t.size] if identity else flat[cell], k[sl],
+                   out=out.T[:, sl])
+        if rows.size:
+            d, pr = (x[:rows.size * nt].reshape(rows.size, nt)
+                     for x in scratch)
+            d[...] = k[sl]
+            for amp, w, phi in harmonics:
+                np.multiply(t_direct, w[sl], out=pr)
+                pr += phi[sl]
+                pr = np.cos(pr, out=pr)
+                d += np.multiply(pr, amp[sl], out=pr)
+            out.T[rows, sl] = d
     return out
 
 
@@ -521,10 +537,12 @@ def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
     trials after ``segments`` from 3P0, apply SPAM and accumulate it per
     grid time.
 
-    A single drive gives |coupling|^2 = (Omega sin(half)/Omega_eff)^2.
-    A pulse/free protocol gives K + sum_d amp_d cos(w_d t + phi_d) with
-    trial-only coefficients from ``_pulse_plan`` and
-    ``_pulse_coefficients``, evaluated on the grid by ``_harmonic_sum``."""
+    Every protocol closes as K + sum_d amp_d cos(w_d t + phi_d) with
+    trial-only coefficients: one harmonic for a single drive
+    (``_drive_coefficients``), those of ``_pulse_plan`` and
+    ``_pulse_coefficients`` for a pulse/free protocol. ``_harmonic_sum``
+    evaluates each block of trials on the grid into one block buffer,
+    where SPAM and the accumulation work in place."""
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
@@ -539,28 +557,21 @@ def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
     omegas = omega_rad_s * om_f
     if len(segments) == 1 and segments[0][0] == "drive":
         _, size, _, dset = segments[0]
-        de = deltas[min(dset, detuning_sets - 1)]
-
-        def p_ideal(sl):
-            om = omegas[sl, None]
-            _, sdur = _half_angle(om, de[sl, None], size * t[None, :])
-            return (om * sdur) ** 2
+        k, harmonics = _drive_coefficients(
+            omegas, deltas[min(dset, detuning_sets - 1)], size)
     else:
         k, harmonics = _pulse_coefficients(
             _pulse_plan(segments), omegas, deltas, omega_rad_s, f_fringe_hz,
             instantaneous_pulses)
-        grid = _chunk_grid(t)
-        # one block buffer, trials contiguous: each time point's block sum
-        # over trials is numpy's pairwise sum
-        buf = (None if grid is None
-               else np.empty((t.size, min(trials, _TRIAL_BLOCK))).T)
-
-        def p_ideal(sl):
-            return _harmonic_sum(k[sl], [tuple(x[sl] for x in h)
-                                         for h in harmonics], t, grid, buf)
+    grid = _chunk_grid(t)
+    # one block buffer, trials contiguous: each time point's block sum
+    # over trials is numpy's pairwise sum
+    buf = np.empty((t.size, min(trials, _TRIAL_BLOCK))).T
     acc = [0, None, None]
     for i0 in range(0, trials, _TRIAL_BLOCK):
-        p = p_ideal(slice(i0, min(i0 + _TRIAL_BLOCK, trials)))
+        sl = slice(i0, min(i0 + _TRIAL_BLOCK, trials))
+        p = _harmonic_sum(k[sl], [tuple(x[sl] for x in h)
+                                  for h in harmonics], t, grid, buf)
         _accumulate(apply_spam(p, noise, out=p), acc)
     n, mean, m2 = acc
     sem = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)

@@ -197,6 +197,13 @@ class TestSimulateRabi:
                                    self.T_GRID, trials=64, master_seed=6)
         assert not np.array_equal(a.p32_mean, c.p32_mean)
 
+    def test_no_drive_gives_exact_zeros(self):
+        # Omega_eff = 0 on every trial: Omega/Omega_eff is taken as 1
+        tr = dynamics.simulate_rabi(magic_trap(), 0.0, NOISELESS, 0.0,
+                                    self.T_GRID, trials=16, master_seed=1)
+        np.testing.assert_array_equal(tr.p32_mean, 0.0)
+        np.testing.assert_array_equal(tr.p32_sem, 0.0)
+
     def test_spam_caps_maxima(self):
         noise = NoiseModel(prep_efficiency=0.9, readout_fidelity=0.76)
         t_pi = math.pi / OMEGA
@@ -454,17 +461,34 @@ def test_tile_size_changes_no_bit(grid, monkeypatch):
         np.testing.assert_array_equal(got.p32_sem, want.p32_sem)
 
 
-def test_echo_working_set_below_two_blocks():
-    # one block buffer and cache-sized tiles: no (block, T) temporaries
+@pytest.mark.parametrize("case", ["echo", "rabi", "ramsey_unsplit"])
+def test_echo_working_set_below_two_blocks(case):
+    # one block buffer and cache-sized tiles for every protocol and grid:
+    # no (block, T) temporaries
     t = np.linspace(0.0, 200e-6, 801)
+    if case == "ramsey_unsplit":
+        t = np.sort(np.random.default_rng(4).uniform(0.0, 200e-6, t.size))
+        assert dynamics._chunk_grid(t) is None
     noise = NoiseModel(rabi_frac_std=0.05,
                        detuning_offset_std=2 * math.pi * 2e3,
                        prep_efficiency=0.9, readout_fidelity=0.95)
-    args = (mismatched_trap(), 3e-6, noise, OMEGA, F_FR, t)
-    dynamics.simulate_echo(*args, 4, 1, fluctuating_detuning=True)  # warm
+    trap = mismatched_trap()
+
+    def run(trials, seed):
+        if case == "echo":
+            return dynamics.simulate_echo(trap, 3e-6, noise, OMEGA, F_FR, t,
+                                          trials, seed,
+                                          fluctuating_detuning=True)
+        if case == "rabi":
+            return dynamics.simulate_rabi(trap, 3e-6, noise, OMEGA, t,
+                                          trials, seed)
+        return dynamics.simulate_ramsey(trap, 3e-6, noise, OMEGA, F_FR, t,
+                                        trials, seed)
+
+    run(4, 1)  # warm
     tracemalloc.start()
     try:
-        dynamics.simulate_echo(*args, 2000, 47, fluctuating_detuning=True)
+        run(2000, 47)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

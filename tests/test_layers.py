@@ -248,7 +248,8 @@ def test_dynamics_engine_builds_no_complex_time_arrays():
     fns = {node.name: node for node in tree.body
            if isinstance(node, ast.FunctionDef)}
     on_grid = ("_run_sequence", "_chunk_grid", "_harmonic_sum")
-    for name in on_grid + ("_pulse_plan", "_pulse_coefficients"):
+    for name in on_grid + ("_pulse_plan", "_pulse_coefficients",
+                           "_drive_coefficients"):
         names, _ = _names_and_complex_literals(fns[name])
         assert "exp" not in names, name
     for name in on_grid:
