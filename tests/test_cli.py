@@ -6,6 +6,7 @@ import copy
 import io
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -873,3 +874,49 @@ class TestEndToEnd:
                                   skiprows=1)[:, 1])
         # finite pulses carry the per-trial detuning, ideal ones do not
         assert np.all(t2s[0] != t2s[1])
+
+
+# numpy 2.4 target names; the older AVX512F-style names change nothing
+NO_AVX512 = "X86_V4 AVX512_ICL AVX512_SPR"
+
+
+def _avx512_dispatch() -> bool:
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+    except ImportError:
+        return False
+    return "X86_V4" in __cpu_dispatch__ and __cpu_features__.get("X86_V4")
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not _avx512_dispatch(),
+                    reason="X86_V4 is not among numpy's dispatch targets "
+                    "on this CPU, so there is no second dispatch level to "
+                    "compare against")
+@pytest.mark.parametrize("name,sub", [("t2_deep_phi0_3G", "t2"),
+                                      ("phinoise_magic_8G", "phinoise")])
+def test_artifacts_do_not_depend_on_simd_dispatch(tmp_path, name, sub):
+    """The same bytes with and without numpy's AVX-512 kernels: the T2
+    envelope fit takes its exponentials from libm."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / f"{name}.json").read_text())
+    cfg["trials"] = 100
+    path = write_cfg(tmp_path, cfg)
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(root / "src")
+    files = []
+    for level, disable in (("default", {}),
+                           ("no_avx512", {"NPY_DISABLE_CPU_FEATURES":
+                                          NO_AVX512})):
+        out = tmp_path / level
+        done = subprocess.run(
+            [sys.executable, "-m", "fsqubit.cli", sub, "--config", path,
+             "--out", str(out)], env={**env, **disable},
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        files.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert sorted(files[0]) == sorted(files[1])
+    for fname in files[0]:
+        assert files[0][fname] == files[1][fname], fname
