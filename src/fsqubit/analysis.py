@@ -304,14 +304,6 @@ def extract_contrast(t, y, fringe_hz: float,
     return points
 
 
-def _libm_exp(x):
-    # numpy's float64 exp can differ in the last bit between SIMD dispatch
-    # levels; libm's does not, so the fit's bytes do not depend on the CPU
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(math.exp, x.ravel().tolist()), dtype=float,
-                       count=x.size).reshape(x.shape)
-
-
 def fit_t2_envelope(t_s, contrast) -> EnvelopeFit:
     """Fit C(t) = C0 exp(-t^2 / 2 T2^2) by profiled least squares.
 
@@ -335,9 +327,13 @@ def fit_t2_envelope(t_s, contrast) -> EnvelopeFit:
     if t_max == 0:
         raise FitFailed("degenerate time grid")
 
+    def libm_exp(x):  # numpy's float64 exp moves with SIMD dispatch
+        return np.fromiter(map(math.exp, x.ravel().tolist()), float,
+                           x.size).reshape(x.shape)
+
     tsq = t ** 2
     betas = _ENVELOPE_GRID / t_max ** 2
-    g = _libm_exp(-betas[:, None] * tsq)
+    g = libm_exp(-betas[:, None] * tsq)
     gc, gg = g @ c, np.einsum("ij,ij->i", g, g)
     k = int(np.argmin(-gc ** 2 / gg))   # SSR = c.c - (g.c)^2 / g.g
     if k == betas.size - 1:
@@ -346,12 +342,12 @@ def fit_t2_envelope(t_s, contrast) -> EnvelopeFit:
 
     def slope(beta):
         # d SSR / d beta up to the positive factor 2 / (g.g)^2
-        g = _libm_exp(-beta * tsq)
+        g = libm_exp(-beta * tsq)
         gc, gg = g @ c, g @ g
         return gc * (gg * (g * tsq @ c) - gc * (g * g @ tsq))
 
     beta = _stationary_point(slope, betas, k)
-    g = _libm_exp(-beta * tsq)
+    g = libm_exp(-beta * tsq)
     c0 = float(g @ c / (g @ g))
     if c0 <= 0:
         raise FitFailed(f"fitted initial contrast {c0:.3g} is not positive")

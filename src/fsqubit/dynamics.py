@@ -27,11 +27,10 @@ on the trial alone. Expanded over the states between the pulses, the final
 set by the trial (delta times the free fraction, -2 pi f_fr for the
 fringe). P(3P2) of a trial is therefore K + sum_d amp_d cos(w_d t + phi_d)
 with trial-only K, amp_d, w_d and phi_d: one harmonic for Ramsey, four for
-the echo. A single drive (Rabi) is one harmonic too: (Omega sin(Omega_eff
-t/2) / Omega_eff)^2 = K - K cos(Omega_eff t) with K = Omega^2 / (2
-Omega_eff^2). Each cosine is evaluated on the time grid by angle addition
-over runs of equally spaced times, about 4 sqrt(T) trig calls per trial
-instead of T; points off every run are evaluated directly.
+the echo, and one for a single drive (Rabi), (Omega sin(Omega_eff t/2) /
+Omega_eff)^2 = K - K cos(Omega_eff t). Each cosine is evaluated by angle
+addition over runs of equally spaced times, about 4 sqrt(T) trig calls
+per trial instead of T; points off every run are evaluated directly.
 
 SPAM convention: unprepared population stays in the dark manifold and
 contributes zero signal; readout infidelity scales multiplicatively. The
@@ -128,20 +127,14 @@ def _su2_elements(omega, delta, duration):
             cos_h + 1j * delta * sdur)
 
 
-def _segment_apply(a, b, omega, delta, phi_l, duration):
-    """Propagate amplitudes through one constant segment (broadcasting)."""
-    u00, coupling, u11 = _su2_elements(omega, delta, duration)
-    phase = np.exp(-1j * np.asarray(phi_l, dtype=float))
-    u01 = coupling * phase
-    u10 = coupling * np.conj(phase)
-    return u00 * a + u01 * b, u10 * a + u11 * b
-
-
 def evolve_segment(state: QubitState, seg: PulseSegment) -> QubitState:
     """Exact rotating-frame propagator for one constant segment."""
-    a, b = _segment_apply(state.c_p0, state.c_p2, seg.omega_rad_s,
-                          seg.delta_rad_s, seg.phi_l_rad, seg.duration_s)
-    return QubitState(complex(a), complex(b))
+    u00, coupling, u11 = _su2_elements(seg.omega_rad_s, seg.delta_rad_s,
+                                       seg.duration_s)
+    phase = np.exp(-1j * seg.phi_l_rad)
+    a, b = state.c_p0, state.c_p2
+    return QubitState(complex(u00 * a + coupling * phase * b),
+                      complex(coupling * np.conj(phase) * a + u11 * b))
 
 
 def apply_spam(p_ideal, noise: NoiseModel, out=None):
@@ -426,15 +419,12 @@ def _pulse_coefficients(plan, omegas, deltas, omega_rad_s, f_fringe_hz,
 
 
 def _drive_coefficients(omegas, delta, size):
-    """A drive of ``size`` times the grid time from 3P0 gives
-    P(3P2)(t) = (Omega sin(Omega_eff size t/2) / Omega_eff)^2
-    = K - K cos(Omega_eff size t), K = Omega^2 / (2 Omega_eff^2): returns K
-    and its one harmonic (-K, Omega_eff size, 0), each of shape (trials,).
-    Omega/Omega_eff is taken as 1 at Omega_eff = 0, where P stays 0."""
+    """K and the one harmonic (-K, Omega_eff size, 0) of a drive lasting
+    ``size`` times the grid time, K = Omega^2 / (2 Omega_eff^2), each of
+    shape (trials,); Omega/Omega_eff is 1 at Omega_eff = 0, where P is 0."""
     om_eff = np.hypot(omegas, delta)
-    ratio = np.divide(omegas, om_eff, out=np.ones_like(om_eff),
-                      where=om_eff > 0)
-    k = 0.5 * ratio * ratio
+    k = 0.5 * np.divide(omegas, om_eff, out=np.ones_like(om_eff),
+                        where=om_eff > 0) ** 2
     return k, [(-k, om_eff * size, np.zeros_like(k))]
 
 
@@ -479,15 +469,14 @@ def _chunk_grid(t):
 
 
 def _harmonic_sum(k, harmonics, t, grid, out=None):
-    """K + sum amp cos(w t + phi) over the grid, shape (trials, T).
+    """K + sum amp cos(w t + phi) over the grid, shape (trials, T), in the
+    first rows of ``out`` (a fresh array when None), trials contiguous.
 
-    The trials are evaluated in tiles that land in the first rows of
-    ``out`` (a fresh array when None), trials on its contiguous axis. Two
-    scratch buffers of about ``_TILE_BYTES`` each, trials last, hold one
-    tile: first the (C, R, tile) angle-addition sum over the runs of a
-    split grid, then the points off every run (all of them when ``grid``
-    is None), evaluated directly as k + h_1 + h_2 + ... per element."""
-    if grid is None:  # no runs: every point is direct
+    Tiles of trials pass through two scratch buffers of about
+    ``_TILE_BYTES``, trials last: the (C, R, tile) angle-addition sum over
+    the runs of a split grid, then the points off every run (all points
+    when ``grid`` is None), evaluated directly as k + h_1 + h_2 + ..."""
+    if grid is None:  # no runs
         grid = (t[:0], t[:0], None, np.arange(t.size))
     starts, offsets, cell, rows = grid
     n, runs = k.size, (starts.size, offsets.size)
@@ -497,13 +486,11 @@ def _harmonic_sum(k, harmonics, t, grid, out=None):
     tile = max(1, min(n, _TILE_BYTES // (8 * width)))
     scratch = np.empty((2, width * tile))
     identity = cell is not None and np.array_equal(cell, np.arange(cell.size))
-    t_direct = t[rows, None]
     for i0 in range(0, n, tile):
         sl = slice(i0, min(i0 + tile, n))
         nt = sl.stop - i0
         if cell is not None:
-            c, pr = (x[:runs[0] * runs[1] * nt].reshape(*runs, nt)
-                     for x in scratch)
+            c, pr = scratch[:, :runs[0] * runs[1] * nt].reshape(2, *runs, nt)
             c.fill(0.0)
             for amp, w, phi in harmonics:
                 a = starts[:, None] * w[sl] + phi[sl]
@@ -516,14 +503,12 @@ def _harmonic_sum(k, harmonics, t, grid, out=None):
             np.add(flat[:t.size] if identity else flat[cell], k[sl],
                    out=out.T[:, sl])
         if rows.size:
-            d, pr = (x[:rows.size * nt].reshape(rows.size, nt)
-                     for x in scratch)
+            d, pr = scratch[:, :rows.size * nt].reshape(2, rows.size, nt)
             d[...] = k[sl]
             for amp, w, phi in harmonics:
-                np.multiply(t_direct, w[sl], out=pr)
+                np.multiply(t[rows, None], w[sl], out=pr)
                 pr += phi[sl]
-                pr = np.cos(pr, out=pr)
-                d += np.multiply(pr, amp[sl], out=pr)
+                d += np.multiply(np.cos(pr, out=pr), amp[sl], out=pr)
             out.T[rows, sl] = d
     return out
 
@@ -537,12 +522,11 @@ def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
     trials after ``segments`` from 3P0, apply SPAM and accumulate it per
     grid time.
 
-    Every protocol closes as K + sum_d amp_d cos(w_d t + phi_d) with
-    trial-only coefficients: one harmonic for a single drive
-    (``_drive_coefficients``), those of ``_pulse_plan`` and
-    ``_pulse_coefficients`` for a pulse/free protocol. ``_harmonic_sum``
-    evaluates each block of trials on the grid into one block buffer,
-    where SPAM and the accumulation work in place."""
+    Every protocol is K + sum_d amp_d cos(w_d t + phi_d) with trial-only
+    coefficients (``_drive_coefficients`` for a single drive, else
+    ``_pulse_plan`` and ``_pulse_coefficients``), evaluated by
+    ``_harmonic_sum`` into one block buffer that SPAM and the
+    accumulation then work on in place."""
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
