@@ -469,12 +469,10 @@ def _chunk_grid(t):
 
 
 def _harmonic_sum(k, harmonics, t, grid, out=None):
-    """K + sum amp cos(w t + phi) over the grid, shape (trials, T), in the
-    first rows of ``out`` (a fresh array when None), trials contiguous.
-
-    Tiles of trials pass through two scratch buffers of about
-    ``_TILE_BYTES``, trials last: the (C, R, tile) angle-addition sum over
-    the runs of a split grid, then the points off every run (all points
+    """K + sum amp cos(w t + phi) into the first rows of ``out`` (a fresh
+    (trials, T) array when None), trials contiguous, tile by tile: two
+    scratch buffers of about ``_TILE_BYTES`` hold the (C, R, tile) angle
+    addition over a split grid's runs, then the points off every run (all
     when ``grid`` is None), evaluated directly as k + h_1 + h_2 + ..."""
     if grid is None:  # no runs
         grid = (t[:0], t[:0], None, np.arange(t.size))
@@ -524,9 +522,8 @@ def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
 
     Every protocol is K + sum_d amp_d cos(w_d t + phi_d) with trial-only
     coefficients (``_drive_coefficients`` for a single drive, else
-    ``_pulse_plan`` and ``_pulse_coefficients``), evaluated by
-    ``_harmonic_sum`` into one block buffer that SPAM and the
-    accumulation then work on in place."""
+    ``_pulse_plan`` and ``_pulse_coefficients``), which ``_harmonic_sum``
+    evaluates into one block buffer, then worked on in place."""
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
