@@ -17,10 +17,10 @@ from __future__ import annotations
 import csv
 import math
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .constants import AU_POLARIZABILITY, H_PLANCK
 from .errors import (
@@ -31,6 +31,9 @@ from .errors import (
     WavelengthOutOfRange,
 )
 from .params import FieldEnvironment
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Hz of energy per a.u. of polarizability per unit of reduced squared field.
 E0SQ_AU_HZ = AU_POLARIZABILITY / H_PLANCK
@@ -46,14 +49,15 @@ _L_OF = {"S": 0, "P": 1, "D": 2, "F": 3, "G": 4, "H": 5, "I": 6, "K": 7}
 
 @dataclass(frozen=True)
 class StateInfo:
-    """One fine-structure state: term symbol plus tabulated polarizabilities."""
+    """One fine-structure state: term symbol plus tabulated polarizabilities,
+    one float per distinct wavelength, in increasing wavelength."""
 
     label: str
     j: int
     g_j: float
-    wavelengths_nm: np.ndarray
-    alpha_s_au: np.ndarray
-    alpha_t_au: np.ndarray
+    wavelengths_nm: tuple[float, ...]
+    alpha_s_au: tuple[float, ...]
+    alpha_t_au: tuple[float, ...]
 
 
 def _parse_term(label: str) -> tuple[int, float]:
@@ -80,7 +84,8 @@ class PolarizabilityTable:
     @classmethod
     def from_csv(cls, path: str | Path) -> "PolarizabilityTable":
         """Parse a UTF-8 CSV table; blank lines and lines starting with '#'
-        are skipped. Raises MalformedTable, naming the path and line."""
+        are skipped. Raises MalformedTable, naming the path and line, also
+        for a state given twice at one wavelength."""
         data = Path(path).read_bytes()
         try:
             text = data.decode("utf-8")
@@ -99,6 +104,7 @@ class PolarizabilityTable:
             raise MalformedTable(f"{path}, line {n}: header {header} is not "
                                  f"{','.join(_TABLE_HEADER)}")
         rows: dict[str, list[tuple[float, float, float]]] = {}
+        lines: dict[tuple[str, float], int] = {}  # (state, wavelength)
         for n, rec in records:
             if len(rec) != 4:
                 raise MalformedTable(f"{path}, line {n}: {len(rec)} cells, "
@@ -111,11 +117,15 @@ class PolarizabilityTable:
             if not all(map(math.isfinite, values)):
                 raise MalformedTable(f"{path}, line {n}: non-finite cell in "
                                      f"{rec}")
+            first = lines.setdefault((rec[0], values[0]), n)
+            if first != n:
+                raise MalformedTable(f"{path}, line {n}: {rec[0]} at "
+                                     f"{values[0]!r} nm repeats line {first}")
             rows.setdefault(rec[0], []).append(values)
         states = {}
         for label, entries in rows.items():
             entries.sort()
-            lam, a_s, a_t = (np.array(col) for col in zip(*entries))
+            lam, a_s, a_t = zip(*entries)
             j, g = _parse_term(label)
             states[label] = StateInfo(label, j, g, lam, a_s, a_t)
         return cls(states)
@@ -132,15 +142,19 @@ class PolarizabilityTable:
         return float(s.wavelengths_nm[0]), float(s.wavelengths_nm[-1])
 
     def alpha(self, label: str, wavelength_nm: float) -> tuple[float, float]:
-        """(alpha_s, alpha_t) in a.u., piecewise-linear in wavelength."""
+        """(alpha_s, alpha_t) in a.u., piecewise-linear in wavelength:
+        ``np.interp`` at one point, bit for bit (the end values outside
+        the knots, the knot's value on one, else the same arithmetic)."""
         s = self.state(label)
-        lo, hi = s.wavelengths_nm[0], s.wavelengths_nm[-1]
-        if not lo - 1e-9 <= wavelength_nm <= hi + 1e-9:
+        x, xp = wavelength_nm, s.wavelengths_nm
+        if not xp[0] - 1e-9 <= x <= xp[-1] + 1e-9:
             raise WavelengthOutOfRange(
-                f"{wavelength_nm} nm outside [{lo}, {hi}] nm for {label}")
-        a_s = float(np.interp(wavelength_nm, s.wavelengths_nm, s.alpha_s_au))
-        a_t = float(np.interp(wavelength_nm, s.wavelengths_nm, s.alpha_t_au))
-        return a_s, a_t
+                f"{x} nm outside [{xp[0]}, {xp[-1]}] nm for {label}")
+        j = max(bisect_right(xp, x) - 1, 0)
+        if x < xp[0] or j == len(xp) - 1 or x == xp[j]:
+            return s.alpha_s_au[j], s.alpha_t_au[j]
+        return tuple((fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j]) * (x - xp[j])
+                     + fp[j] for fp in (s.alpha_s_au, s.alpha_t_au))
 
 
 def load_table(spec: str | Path | None = None) -> PolarizabilityTable:
@@ -165,6 +179,7 @@ def j2_hamiltonian(alpha_s_au: float, alpha_t_au: float, u, e0sq: float,
     along the bias field, as from :func:`polarization_in_field_frame`) and
     ``zeeman_hz`` the splitting per unit m_J, g_J mu_B |B|.
     """
+    import numpy as np
     u = np.asarray(u, dtype=complex)
     norm = float(np.linalg.norm(u))
     if u.shape != (3,) or abs(norm - 1.0) > _UNIT_TOL:
@@ -189,6 +204,7 @@ def m0_eigenvalue(h: np.ndarray) -> float:
     maximum overlap <= 0.5, or two eigenvectors claiming one m_J, raises
     DegenerateLabeling.
     """
+    import numpy as np
     evals, evecs = np.linalg.eigh(h)
     overlaps = np.abs(evecs) ** 2
     labels = np.argmax(overlaps, axis=0)
@@ -208,6 +224,7 @@ def polarization_in_field_frame(epsilon: np.ndarray, phi_deg: float) -> np.ndarr
     (z_hat x B_hat, z_hat, B_hat) — the third component is the one along
     the quantization axis.
     """
+    import numpy as np
     phi = math.radians(phi_deg)
     ex, ey, ez = np.asarray(epsilon, dtype=complex)
     return np.array([
@@ -225,6 +242,7 @@ def axis_projection(e, phi_deg):
     e0sq = |E|^2 / 4. ``phi_deg`` may be an array broadcasting against
     ``e[..., 0]``.
     """
+    import numpy as np
     e = np.asarray(e)
     isum = np.sum(np.abs(e) ** 2, axis=-1)
     phi = np.radians(phi_deg)
@@ -292,13 +310,11 @@ def find_magic_angle(env: FieldEnvironment,
     return math.degrees(math.acos(math.sqrt(u_star)))
 
 
-def _wavelength_knots(table: PolarizabilityTable) -> np.ndarray:
-    """Sorted distinct wavelengths of both qubit states, the array
-    ``np.union1d`` returns, but by sort and mask: ``np.unique`` imports
-    ``numpy.ma`` to ask whether its input is masked."""
-    lam = np.sort(np.concatenate((table.state(GROUND).wavelengths_nm,
-                                  table.state(EXCITED).wavelengths_nm)))
-    return lam[np.concatenate(([True], lam[1:] != lam[:-1]))]
+def _wavelength_knots(table: PolarizabilityTable) -> list[float]:
+    """Sorted distinct wavelengths of both qubit states, as
+    ``np.union1d`` gives them."""
+    return sorted(set(table.state(GROUND).wavelengths_nm)
+                  | set(table.state(EXCITED).wavelengths_nm))
 
 
 def find_magic_wavelength(env: FieldEnvironment,
@@ -318,20 +334,22 @@ def find_magic_wavelength(env: FieldEnvironment,
     lo, hi = max(lo0, lo2), min(hi0, hi2)
     if not hi > lo:
         raise WavelengthOutOfRange("tabulated spans do not overlap")
-    u3_sq, _ = axis_projection(np.array([1.0, 0.0, 0.0]), env.field.phi_deg)
-    lam = _wavelength_knots(table)
-    lam = lam[(lam >= lo) & (lam <= hi)]
-    du = np.array([differential_shift_from_projection(table, x, u3_sq, 1.0)
-                   for x in lam])
-    sign = np.sign(du)
+    # |u3|^2 of x polarization: ** 2 is C pow(), as in axis_projection;
+    # c * c differs from it in the last bit at some angles
+    u3_sq = math.cos(math.radians(env.field.phi_deg)) ** 2
+    lam = [x for x in _wavelength_knots(table) if lo <= x <= hi]
+    du = [differential_shift_from_projection(table, x, u3_sq, 1.0)
+          for x in lam]
+    zero = [d == 0.0 for d in du]
     # knots bounding an interval on which the shift vanishes identically
-    run = (du[:-1] == 0.0) & (du[1:] == 0.0)
-    flat = np.append(run, False) | np.insert(run, 0, False)
-    hits = np.flatnonzero((sign[:-1] * sign[1:] <= 0.0)  # a zero or a flip
-                          & ~flat[:-1] & ~flat[1:])
-    if hits.size == 0:
-        return None
-    a, b = hits[0], hits[0] + 1
-    if du[a] == 0.0 or du[b] == 0.0:
-        return float(lam[a] if du[a] == 0.0 else lam[b])
-    return float(lam[a] + (lam[b] - lam[a]) * du[a] / (du[a] - du[b]))
+    flat = [z and (p or q) for p, z, q in zip([False] + zero, zero,
+                                              zero[1:] + [False])]
+    for a in range(len(lam) - 1):
+        b = a + 1
+        # a zero or a flip, away from any vanishing interval
+        if (min(du[a], du[b]) <= 0.0 <= max(du[a], du[b])
+                and not flat[a] and not flat[b]):
+            if zero[a] or zero[b]:
+                return lam[a] if zero[a] else lam[b]
+            return lam[a] + (lam[b] - lam[a]) * du[a] / (du[a] - du[b])
+    return None

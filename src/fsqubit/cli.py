@@ -26,7 +26,9 @@ packaged fixture) and nothing else, so ``meta.json`` records it.
 Of the physics layers, only ``atomstark`` is imported with this module.
 ``focalfield``, ``trapmodel``, ``dynamics`` and ``analysis`` are imported
 inside the functions that run them, so ``validate`` and ``magic-find``
-load none of them and ``shiftmap`` loads ``focalfield`` alone.
+load none of them and ``shiftmap`` loads ``focalfield`` alone. numpy too
+is imported only by the functions that build arrays: the table layer
+works in plain floats, so ``validate`` and ``magic-find`` never load it.
 """
 
 from __future__ import annotations
@@ -43,8 +45,6 @@ from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
 import fsqubit
 
 from . import atomstark
@@ -52,6 +52,8 @@ from .errors import FsqubitError, NoDecayObserved
 from .params import FieldEnvironment, MagneticField, NoiseModel, TweezerConfig
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import dynamics, trapmodel
 
 SCHEMA_VERSION = 1
@@ -453,6 +455,7 @@ class _Scenario:
 
 
 def _time_grid_s(cfg) -> np.ndarray:
+    import numpy as np
     tg = partial(_get, cfg, "time_grid")
     return np.linspace(float(tg("start_us")) * 1e-6,
                        float(tg("stop_us")) * 1e-6, int(tg("points")))
@@ -499,7 +502,7 @@ def _trace_artifacts(trace, noise):
     scale = noise.spam_scale
     if scale != 1.0:
         ideal = dynamics.TraceResult(
-            t_s=trace.t_s, p32_mean=np.clip(trace.p32_mean / scale, 0, 1),
+            t_s=trace.t_s, p32_mean=(trace.p32_mean / scale).clip(0, 1),
             p32_sem=trace.p32_sem / scale)
         arts.append(("trace_ideal.csv",
                      lambda p: dynamics.write_trace_csv(ideal, p)))
@@ -550,6 +553,8 @@ def _cmd_t2(cfg):
 
 
 def _cmd_magic_scan(cfg):
+    import numpy as np
+
     from . import analysis, dynamics
     scn = _Scenario(cfg, "magic-scan")
     sc = partial(_get, cfg, "angle_scan")
@@ -589,6 +594,8 @@ def _cmd_phinoise(cfg):
     |B| tan(delta_phi) that such angle noise corresponds to. A point with
     no visible decay carries ``status`` and ``t2_lower_bound_s`` in place
     of ``t2_s`` and ``t2_err_s``, and leaves those two CSV cells empty."""
+    import numpy as np
+
     from . import analysis, dynamics
     scn = _Scenario(cfg, "phinoise")
     ps = cfg["phi_noise_scan"]
@@ -634,7 +641,7 @@ def _cmd_shiftmap(cfg):
     arts = [("map.csv", lambda p: focalfield.write_map_csv(shift_map, p))]
     resolved = scn.resolved()
     resolved["center_hz"] = shift_map.center_hz
-    resolved["peak_abs_hz"] = float(np.max(np.abs(shift_map.du_hz)))
+    resolved["peak_abs_hz"] = float(abs(shift_map.du_hz).max())
     return arts, resolved
 
 
@@ -655,6 +662,8 @@ def _cmd_magic_find(cfg):
 
 
 def _cmd_fit(cfg):
+    import numpy as np
+
     from . import analysis, dynamics
     ft = partial(_get, cfg, "fit")
     trace = dynamics.read_trace_csv(ft("trace_csv"))

@@ -339,7 +339,7 @@ class TestMagicPoints:
                 for label, lam in grids.items()})
         else:
             table = request.getfixturevalue(name)
-        knots = atomstark._wavelength_knots(table)
+        knots = np.asarray(atomstark._wavelength_knots(table))
         union = np.union1d(table.state("3P0").wavelengths_nm,
                            table.state("3P2").wavelengths_nm)
         assert knots.dtype == union.dtype
@@ -400,3 +400,135 @@ class TestMagicPoints:
         s0, _ = table_755.alpha("3P0", 755.0)
         s2, t2 = table_755.alpha("3P2", 755.0)
         assert s0 - s2 == pytest.approx(t2 / 2.0, rel=1e-12)
+
+
+# ------------------------------------------------- numpy-free table layer
+# The table layer interpolates and finds the magic wavelength in plain
+# floats; these pin it to the numpy code it replaced, bit for bit.
+
+def float_bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def interp_states(table, table_755, rng):
+    """Both packaged tables' states plus 2000 seeded random ones; their
+    wavelengths are drawn from a few values, so many knots repeat."""
+    states = [t.state(label) for t in (table, table_755)
+              for label in (atomstark.GROUND, atomstark.EXCITED)]
+    for k in range(2000):
+        n = int(rng.integers(1, 13))
+        pool = np.round(rng.uniform(500.0, 800.0, size=max(1, n // 2)), 2)
+        lam = np.sort(rng.choice(pool, size=n))
+        a_s, a_t = rng.uniform(-2e3, 2e3, size=(2, n))
+        a_t[rng.random(n) < 0.2] = 0.0
+        states.append(atomstark.StateInfo(
+            f"s{k}", 0, 0.0, *(tuple(col.tolist()) for col in (lam, a_s,
+                                                              a_t))))
+    return states
+
+
+def interp_points(lam, rng) -> list[float]:
+    """Each knot, one ulp to either side of it, the 1e-9 nm margins past
+    both ends and 20 uniform points across the span with its margins."""
+    lo, hi = lam[0] - 1e-9, lam[-1] + 1e-9
+    knots = np.array(lam)
+    points = [*knots, *np.nextafter(knots, -np.inf),
+              *np.nextafter(knots, np.inf), lo, hi,
+              *rng.uniform(lo, hi, size=20)]
+    return [float(x) for x in points if lo <= x <= hi]
+
+
+def test_alpha_is_np_interp_bit_for_bit(table, table_755):
+    rng = np.random.default_rng(2023)
+    cases = 0
+    for s in interp_states(table, table_755, rng):
+        tab = atomstark.PolarizabilityTable({s.label: s})
+        for x in interp_points(s.wavelengths_nm, rng):
+            want = [np.interp(x, s.wavelengths_nm, col)
+                    for col in (s.alpha_s_au, s.alpha_t_au)]
+            assert float_bits(*tab.alpha(s.label, x)) \
+                == float_bits(*want), (s, x)
+            cases += 2
+    assert cases > 150_000
+
+
+def np_alpha(table, label, lam):
+    s = table.state(label)
+    return (float(np.interp(lam, s.wavelengths_nm, s.alpha_s_au)),
+            float(np.interp(lam, s.wavelengths_nm, s.alpha_t_au)))
+
+
+def np_shift(table, lam, u3_sq):
+    """The differential shift at e0sq = 1 through ``np.interp``."""
+    g, e = (atomstark.m0_light_shift(*np_alpha(table, label, lam),
+                                     table.state(label).j, u3_sq, 1.0)
+            for label in (atomstark.GROUND, atomstark.EXCITED))
+    return g - e
+
+
+def np_magic_angle(table, wavelength_nm):
+    """``find_magic_angle`` of the numpy table layer."""
+    d1, d0 = (float(np_shift(table, wavelength_nm, u)) for u in (1.0, 0.0))
+    if d0 == d1:
+        return 0.0 if d0 == 0.0 else None
+    u_star = d0 / (d0 - d1)
+    if not 0.0 <= u_star <= 1.0:
+        return None
+    return math.degrees(math.acos(math.sqrt(u_star)))
+
+
+def np_magic_wavelength(table, phi_deg):
+    """``find_magic_wavelength`` of the numpy table layer: the knots by
+    sort and mask, the shift as arrays."""
+    (lo0, hi0), (lo2, hi2) = table.span_nm("3P0"), table.span_nm("3P2")
+    lo, hi = max(lo0, lo2), min(hi0, hi2)
+    u3_sq, _ = atomstark.axis_projection(np.array([1.0, 0.0, 0.0]), phi_deg)
+    lam = np.sort(np.concatenate((table.state("3P0").wavelengths_nm,
+                                  table.state("3P2").wavelengths_nm)))
+    lam = lam[np.concatenate(([True], lam[1:] != lam[:-1]))]
+    lam = lam[(lam >= lo) & (lam <= hi)]
+    du = np.array([np_shift(table, x, u3_sq) for x in lam])
+    sign = np.sign(du)
+    run = (du[:-1] == 0.0) & (du[1:] == 0.0)
+    flat = np.append(run, False) | np.insert(run, 0, False)
+    hits = np.flatnonzero((sign[:-1] * sign[1:] <= 0.0)
+                          & ~flat[:-1] & ~flat[1:])
+    if hits.size == 0:
+        return None
+    a, b = hits[0], hits[0] + 1
+    if du[a] == 0.0 or du[b] == 0.0:
+        return float(lam[a] if du[a] == 0.0 else lam[b])
+    return float(lam[a] + (lam[b] - lam[a]) * du[a] / (du[a] - du[b]))
+
+
+@pytest.mark.parametrize("name,has_roots", [("table", True),
+                                            ("table_755", False)])
+def test_magic_roots_match_numpy_sweep(name, has_roots, request):
+    """Both roots, bit for bit, at every 0.25 deg from 0 to 90 deg and at
+    every 0.001 deg where cos^2 as c * c is not the pow() of
+    ``axis_projection``; the magic angle at each magic wavelength found
+    and at every 0.05 nm of the table's overlap. The 755 nm table has no
+    isolated magic wavelength at any of these angles."""
+    table = request.getfixturevalue(name)
+    cos = [math.cos(math.radians(k / 1000)) for k in range(90_001)]
+    angles = sorted({k / 4 for k in range(361)}
+                    | {k / 1000 for k, c in enumerate(cos)
+                       if c * c != c ** 2})
+    (lo0, hi0), (lo2, hi2) = table.span_nm("3P0"), table.span_nm("3P2")
+    lo, hi = max(lo0, lo2), min(hi0, hi2)
+    wavelengths = list(np.linspace(lo, hi, round((hi - lo) / 0.05) + 1))
+    found = []
+    tw = TweezerConfig(wavelengths[0], 46e-6, 0.5, target_waist_nm=564.0)
+    for phi in angles:
+        env = FieldEnvironment(tw, MagneticField(8.0, phi))
+        got = atomstark.find_magic_wavelength(env, table)
+        assert repr(got) == repr(np_magic_wavelength(table, phi)), phi
+        if got is not None:
+            wavelengths.append(got)
+            found.append(got)
+    for lam in map(float, wavelengths):
+        tw = TweezerConfig(lam, 46e-6, 0.5, target_waist_nm=564.0)
+        env = FieldEnvironment(tw, MagneticField(8.0, 0.0))
+        got = atomstark.find_magic_angle(env, table)
+        assert repr(got) == repr(np_magic_angle(table, lam)), lam
+    assert bool(found) is has_roots

@@ -389,6 +389,24 @@ def test_table_missing_a_state_fails_validate(tmp_path):
         "(have ['3P0', '3P1'])"]
 
 
+def test_repeated_wavelength_fails_validate(tmp_path):
+    """A state given twice at one wavelength is a malformed table naming
+    both lines, not a step in the interpolation; another state at that
+    wavelength is no repeat."""
+    table = tmp_path / "table.csv"
+    table.write_bytes(_HEADER + _ROWS + b"# again\n3P2,550,1081.0,94.0\n")
+    with pytest.raises(MalformedTable,
+                       match="line 7: 3P2 at 550.0 nm repeats line 5"):
+        atomstark.PolarizabilityTable.from_csv(table)
+    code, out, err = run_cli("validate", "--config",
+                             write_cfg(tmp_path, base_cfg(table=str(table))),
+                             "--subcommand", "rabi")
+    assert (code, err) == (2, "")
+    assert json.loads(out)["issues"] == [
+        f"file: polarizability table: {table}, line 7: 3P2 at 550.0 nm "
+        "repeats line 5"]
+
+
 def _synthetic_trace(tmp_path, t, y):
     path = tmp_path / "trace.csv"
     dynamics.write_trace_csv(dynamics.TraceResult(

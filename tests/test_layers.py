@@ -10,7 +10,10 @@ module imports scipy.
 
 A fresh CLI process loads only the layers its command runs: ``cli``
 imports ``atomstark`` at the top and the others inside the functions that
-use them, and ``fsqubit.<module>`` resolves on first use.
+use them, and ``fsqubit.<module>`` resolves on first use. numpy is
+imported the same way: ``cli``, ``atomstark`` and the modules below them
+import it only inside the functions that build arrays, so importing
+``fsqubit.cli``, ``validate`` and ``magic-find`` never load it.
 """
 
 import ast
@@ -187,6 +190,29 @@ def test_command_loads_only_its_layers(command, tmp_path):
     assert not (unloaded | {"numpy.polynomial"}) & set(loaded)
 
 
+@pytest.mark.parametrize("command,config", [
+    ("import", None), ("validate", "t2_shallow_magic_8G"),
+    ("magic-find", "magic_find_phi0")])
+def test_table_commands_load_no_numpy(command, config, tmp_path):
+    """Importing ``fsqubit.cli``, and then running ``validate`` or
+    ``magic-find`` on a shipped config, in a fresh process, leaves numpy
+    unloaded: the table layer works in plain floats."""
+    argv = [] if config is None else [
+        command, "--config", str(ROOT / "configs" / f"{config}.json"),
+        *(["--subcommand", "t2"] if command == "validate"
+          else ["--out", str(tmp_path / "out")])]
+    code = textwrap.dedent("""
+        import contextlib, io, sys
+        import fsqubit.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = fsqubit.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+        print(code, "numpy" in sys.modules)
+        """)
+    done = run_python(code, *argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["0", "False"]
+
+
 def test_layers_resolve_on_first_use():
     """``import fsqubit`` loads no layer; ``fsqubit.<module>`` imports it
     (PEP 562), and any other name raises AttributeError."""
@@ -283,6 +309,35 @@ def test_scipy_only_inside_functions_and_never_optimize():
              for at_import, name in scipy_imports(path)]
     assert not [f for f in found if f[1]]
     assert not [f for f in found if f[2].startswith("scipy.optimize")]
+
+
+def import_time_modules(node: ast.AST):
+    """Absolute names of the modules that importing ``node``'s module
+    imports: function bodies run later, ``if TYPE_CHECKING:`` never."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.If) \
+                and ast.unparse(child.test) == "TYPE_CHECKING":
+            child = ast.Module(body=child.orelse, type_ignores=[])
+        elif isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            yield child.module
+        yield from import_time_modules(child)
+
+
+def test_numpy_only_inside_functions_below_the_cli():
+    """The package, its parameter, error and constant modules, the table
+    layer and the CLI import numpy only inside function bodies."""
+    def numpy_at_import(module):
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        return [name for name in import_time_modules(tree)
+                if name.split(".")[0] == "numpy"]
+    assert numpy_at_import("dynamics") == ["numpy"]  # the guard sees one
+    for module in ("__init__", "params", "errors", "constants", "atomstark",
+                   "cli"):
+        assert not numpy_at_import(module), module
 
 
 def test_bessel_j2_by_recurrence_not_jv():
