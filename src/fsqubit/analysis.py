@@ -237,6 +237,8 @@ def fit_sinusoid(t, y, fixed_freq_hz: float | None = None) -> SinusoidFit:
     y = np.asarray(y, dtype=float)
     if t.shape != y.shape or t.ndim != 1:
         raise FitFailed("t and y must be 1-d arrays of equal length")
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise FitFailed("non-finite time or population")
     if fixed_freq_hz is not None:
         if t.size < 3:
             raise FitFailed("need >= 3 points for a fixed-frequency fit")
@@ -273,7 +275,8 @@ def extract_contrast(t, y, fringe_hz: float,
 
     The trace is cut into consecutive windows of ``window_periods`` fringe
     periods; each window holding >= 6 points gets an exact linear fit and
-    contributes (mean time, 2A).
+    contributes (mean time, 2A). Raises :class:`FitFailed` for a
+    non-finite time or population.
     """
     if window_periods < 1.0:
         raise WindowTooShort(f"window of {window_periods} fringe periods; "
@@ -282,6 +285,8 @@ def extract_contrast(t, y, fringe_hz: float,
         raise ValueError("fringe frequency must be positive")
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
+    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise FitFailed("non-finite time or population")
     width = window_periods / fringe_hz
     t0 = float(t.min())
     # a burst starts on a window edge, up to rounding: a point within

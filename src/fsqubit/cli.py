@@ -9,7 +9,8 @@ Configs are JSON with a ``schema_version`` field; every physical key
 carries its unit in the name (``power_mW``, ``t_r_us``). Seeds are
 mandatory for anything that samples - runs never touch the wall clock, so
 identical config + seed gives byte-identical output files. ``--seed`` and
-``--trials`` override the config values and are recorded as overridden.
+``--trials`` override the config values, and ``meta.json`` records the
+overridden value.
 
 Each run computes everything first, then writes its data files plus
 ``meta.json`` through a temp-file rename, so a failed run leaves no
@@ -164,6 +165,10 @@ _PERIODS = _number(ge=1)  # extract_contrast needs a full fringe period
 _WINDOW_POINTS = _number(int, ge=6, le=10_000)
 # burst-grid ceilings; the shipped configs end by 4 ms, within 1000 windows
 _BURST_MAX_END_S, _BURST_MAX_WINDOWS = 1.0, 1e5
+# map half extent ceiling, focalfield._MEASURE_RANGE_M: the pupil
+# quadrature converges to k rho NA about 1400, which the map corner stays
+# under at any wavelength down to 254 nm
+_MAP_MAX_HALF_EXTENT_NM = 40_000
 _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
     None: ((), {
         "schema_version": _Key(_choice(SCHEMA_VERSION), required=_ALL),
@@ -222,7 +227,7 @@ _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
         "stop_deg": _Key(_POS),
         "points": _Key(_number(int, ge=2))}),
     "map_grid": ((), {
-        "half_extent_nm": _Key(_POS),
+        "half_extent_nm": _Key(_number(gt=0, le=_MAP_MAX_HALF_EXTENT_NM)),
         "points": _Key(_number(int, ge=11), 101)}),
     "fit": (("fit",), {
         "trace_csv": _Key(_instance(str, "a string"), required=_ALL),
@@ -311,6 +316,18 @@ def _rule_issues(cfg, subcommand) -> list[str]:
                           f"{windows:.3g} contrast windows; the limits are "
                           f"{_BURST_MAX_END_S:g} s and "
                           f"{_BURST_MAX_WINDOWS:g} windows")
+    for section in ("burst_grid", "angle_scan"):
+        if cfg.get(section) is None:
+            continue
+        wp = _get(cfg, section, "window_periods")
+        ppw = _get(cfg, section, "points_per_window")
+        # fringe phase of each point of a window, in cycles; fewer than
+        # three distinct phases leave the window's sinusoid fit singular
+        if len({round(m * wp / ppw % 1.0, 9) % 1.0
+                for m in range(ppw)}) < 3:
+            issues.append(f"aliasing: {section}.points_per_window {ppw} over "
+                          f"{section}.window_periods {wp:g} samples fewer "
+                          "than three fringe phases")
     ps = cfg.get("phi_noise_scan")
     if ps is not None and ps.get("values_deg") is None:
         issues += [f"missing: phi_noise_scan.{key} is required without "

@@ -12,11 +12,11 @@ for the Fock model, the trap center for the classical one), so a cold atom
 in a magic trap sits exactly on resonance and thermal occupation produces
 the residual per-shot detunings. Shot-to-shot noise (one motional sample, one
 Rabi amplitude, one field angle, one detuning offset per trial) is frozen
-within a shot. Each protocol is a module-level segment list (``RABI``,
-``RAMSEY``, ``ECHO``) walked by one Monte-Carlo engine. Ramsey's second
-pi/2 pulse carries phi_L = -2 pi f_fr t_R, the phase-reset convention that
-writes a synthetic fringe at f_fr; the echo inserts a pi pulse about +y
-between two half periods of free evolution.
+within a shot. Ramsey and the echo are module-level pulse/free segment
+lists (``RAMSEY``, ``ECHO``). Ramsey's second pi/2 pulse carries
+phi_L = -2 pi f_fr t_R, the phase-reset convention that writes a
+synthetic fringe at f_fr; the echo inserts a pi pulse about +y between
+two half periods of free evolution.
 
 Free evolution, diag(e^{-i delta t/2}, e^{+i delta t/2}), is
 diag(1, e^{i delta t}) up to a global phase, and a pulse at laser phase
@@ -31,6 +31,9 @@ the echo, and one for a single drive (Rabi), (Omega sin(Omega_eff t/2) /
 Omega_eff)^2 = K - K cos(Omega_eff t). Each cosine is evaluated by angle
 addition over runs of equally spaced times, about 4 sqrt(T) trig calls
 per trial instead of T; points off every run are evaluated directly.
+Each protocol hands the one Monte-Carlo engine a function from the trial
+draws to these coefficients: draws -> coefficients -> harmonic sum ->
+SPAM -> Welford merge.
 
 SPAM convention: unprepared population stays in the dark manifold and
 contributes zero signal; readout infidelity scales multiplicatively. The
@@ -178,11 +181,13 @@ def write_trace_csv(trace: TraceResult, path) -> None:
 
 def read_trace_csv(path) -> TraceResult:
     """Read a trace CSV written by :func:`write_trace_csv`."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 3:
+    with open(path) as fh:
+        rows = [line.split(",") for line in fh.read().splitlines()[1:]
+                if line.strip()]
+    if not rows or any(len(row) != 3 for row in rows):
         raise ValueError(f"expected 3 columns t_s,p32_mean,p32_sem in {path}")
-    return TraceResult(t_s=data[:, 0], p32_mean=data[:, 1],
-                       p32_sem=data[:, 2])
+    t, mean, sem = (np.array([float(x) for x in col]) for col in zip(*rows))
+    return TraceResult(t_s=t, p32_mean=mean, p32_sem=sem)
 
 
 def spawn_seed(master_seed: int, tag: int) -> int:
@@ -245,7 +250,7 @@ def _trial_uniforms(master_seed: int, trials: int, slots: int) -> np.ndarray:
 # (1 slot) from _SET_SLOTS[s]; slot 4 is the Rabi factor, slot 5 the angle
 # jitter. A second set therefore never moves the first set's draws.
 _SET_SLOTS = (0, 6)
-_RABI_SLOT, _PHI_SLOT = 4, 5
+_OMEGA_SLOT, _PHI_SLOT = 4, 5
 
 
 def _draw_trials(trap, temperature_K, noise, trials, master_seed,
@@ -277,7 +282,7 @@ def _draw_trials(trap, temperature_K, noise, trials, master_seed,
                      + normal(noise.detuning_offset_std, base + 3))
     # |.|: an amplitude sign flip is a pi phase shift, unobservable from
     # the ground state; keeps the Omega >= 0 invariant
-    om_f = np.abs(1.0 + normal(noise.rabi_frac_std, _RABI_SLOT))
+    om_f = np.abs(1.0 + normal(noise.rabi_frac_std, _OMEGA_SLOT))
     phi_dev = normal(noise.phi_jitter_std_deg, _PHI_SLOT)
     return deltas, om_f, phi_dev
 
@@ -315,13 +320,12 @@ def _accumulate(p_block, acc):
     acc[0] = n
 
 
-# Protocols as segment lists of (kind, size, laser phase, detuning set).
-# A "pulse" rotates by the nominal angle ``size`` (duration size / Omega,
-# or an ideal rotation with instantaneous pulses); "drive" and "free" last
-# ``size`` times the grid time with the drive on or off. The phase
-# "fringe" is the Ramsey phase reset -2 pi f_fr t. Detuning set 1 is a
-# fresh draw when the detuning fluctuates, else set 0 again.
-RABI = (("drive", 1.0, 0.0, 0),)
+# Pulse protocols as segment lists of (kind, size, laser phase, detuning
+# set). A "pulse" rotates by the nominal angle ``size`` (duration
+# size / Omega, or an ideal rotation with instantaneous pulses); a "free"
+# segment lasts ``size`` times the grid time. The phase "fringe" is the
+# Ramsey phase reset -2 pi f_fr t. Detuning set 1 is a fresh draw when the
+# detuning fluctuates, else set 0 again.
 RAMSEY = (("pulse", math.pi / 2, 0.0, 0),
           ("free", 1.0, 0.0, 0),
           ("pulse", math.pi / 2, "fringe", 0))
@@ -348,8 +352,6 @@ def _pulse_plan(segments):
     per harmonic d = n_q - n_p (first nonzero entry positive) the term
     pairs (p, q) whose combinations differ by d.
     """
-    if any(seg[0] == "drive" for seg in segments):
-        raise ValueError("a drive must be the only segment of a protocol")
     pulses = tuple((size, dset) for kind, size, _, dset in segments
                    if kind == "pulse")
     frees = tuple((size, dset) for kind, size, _, dset in segments
@@ -386,8 +388,8 @@ def _pulse_plan(segments):
             tuple((d, tuple(pairs)) for d, pairs in harmonics.items()))
 
 
-def _pulse_coefficients(plan, omegas, deltas, omega_rad_s, f_fringe_hz,
-                        instantaneous_pulses):
+def _pulse_coefficients(plan, omega_rad_s, f_fringe_hz, instantaneous_pulses,
+                        omegas, deltas):
     """Per trial, P(3P2)(t) = K + sum_d amp_d cos(w_d t + phi_d): returns K
     and the (amp, w, phi) of each harmonic, every one of shape (trials,)."""
     pulses, frees, terms, harmonics = plan
@@ -418,14 +420,14 @@ def _pulse_coefficients(plan, omegas, deltas, omega_rad_s, f_fringe_hz,
     return np.broadcast_to(k, (n,)), out
 
 
-def _drive_coefficients(omegas, delta, size):
-    """K and the one harmonic (-K, Omega_eff size, 0) of a drive lasting
-    ``size`` times the grid time, K = Omega^2 / (2 Omega_eff^2), each of
-    shape (trials,); Omega/Omega_eff is 1 at Omega_eff = 0, where P is 0."""
-    om_eff = np.hypot(omegas, delta)
+def _drive_coefficients(omegas, deltas):
+    """Rabi: K and the one harmonic (-K, Omega_eff, 0) at the set-0
+    detunings, K = Omega^2 / (2 Omega_eff^2), each of shape (trials,);
+    Omega/Omega_eff is 1 at Omega_eff = 0, where P is 0."""
+    om_eff = np.hypot(omegas, deltas[0])
     k = 0.5 * np.divide(omegas, om_eff, out=np.ones_like(om_eff),
                         where=om_eff > 0) ** 2
-    return k, [(-k, om_eff * size, np.zeros_like(k))]
+    return k, [(-k, om_eff, np.zeros_like(k))]
 
 
 def _chunk_grid(t):
@@ -468,9 +470,9 @@ def _chunk_grid(t):
     return starts, offsets, run * r + m, direct
 
 
-def _harmonic_sum(k, harmonics, t, grid, out=None):
-    """K + sum amp cos(w t + phi) into the first rows of ``out`` (a fresh
-    (trials, T) array when None), trials contiguous, tile by tile: two
+def _harmonic_sum(k, harmonics, t, grid, out):
+    """K + sum amp cos(w t + phi) into the first rows of the (trials, T)
+    buffer ``out``, trials contiguous, tile by tile: two
     scratch buffers of about ``_TILE_BYTES`` hold the (C, R, tile) angle
     addition over a split grid's runs, then the points off every run (all
     when ``grid`` is None), evaluated directly as k + h_1 + h_2 + ..."""
@@ -478,7 +480,7 @@ def _harmonic_sum(k, harmonics, t, grid, out=None):
         grid = (t[:0], t[:0], None, np.arange(t.size))
     starts, offsets, cell, rows = grid
     n, runs = k.size, (starts.size, offsets.size)
-    out = np.empty((t.size, n)).T if out is None else out[:n]
+    out = out[:n]
     # the grid sets the tile: the whole block on a short grid
     width = max(runs[0] * runs[1], rows.size, 1)
     tile = max(1, min(n, _TILE_BYTES // (8 * width)))
@@ -511,19 +513,18 @@ def _harmonic_sum(k, harmonics, t, grid, out=None):
     return out
 
 
-def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
-                  omega_rad_s, f_fringe_hz, t_grid_s, trials: int,
-                  master_seed: int, motional_model: str,
-                  instantaneous_pulses: bool, detuning_sets: int,
+def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
+                  omega_rad_s, t_grid_s, trials: int, master_seed: int,
+                  motional_model: str, detuning_sets: int,
                   field, env, table) -> TraceResult:
-    """Draw the trials, add angle jitter, evaluate P(3P2) of blocks of
-    trials after ``segments`` from 3P0, apply SPAM and accumulate it per
-    grid time.
+    """Draw the trials, add angle jitter, take the protocol's per-trial
+    coefficients, evaluate P(3P2) from 3P0 over blocks of trials, apply
+    SPAM and accumulate it per grid time.
 
-    Every protocol is K + sum_d amp_d cos(w_d t + phi_d) with trial-only
-    coefficients (``_drive_coefficients`` for a single drive, else
-    ``_pulse_plan`` and ``_pulse_coefficients``), which ``_harmonic_sum``
-    evaluates into one block buffer, then worked on in place."""
+    ``coefficients(omegas, deltas)`` maps the Rabi frequencies (trials,)
+    and detunings (sets, trials) to (K, harmonics) of
+    K + sum_d amp_d cos(w_d t + phi_d); ``_harmonic_sum`` evaluates them
+    into one block buffer, then worked on in place."""
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
@@ -535,15 +536,7 @@ def _run_sequence(segments, trap, temperature_K, noise: NoiseModel,
                                          detuning_sets=detuning_sets)
     if jitter:
         deltas = deltas + _phi_noise_delta_rad_s(field, env, table, phi_dev)
-    omegas = omega_rad_s * om_f
-    if len(segments) == 1 and segments[0][0] == "drive":
-        _, size, _, dset = segments[0]
-        k, harmonics = _drive_coefficients(
-            omegas, deltas[min(dset, detuning_sets - 1)], size)
-    else:
-        k, harmonics = _pulse_coefficients(
-            _pulse_plan(segments), omegas, deltas, omega_rad_s, f_fringe_hz,
-            instantaneous_pulses)
+    k, harmonics = coefficients(omega_rad_s * om_f, deltas)
     grid = _chunk_grid(t)
     # one block buffer, trials contiguous: each time point's block sum
     # over trials is numpy's pairwise sum
@@ -566,9 +559,9 @@ def simulate_rabi(trap, temperature_K, noise: NoiseModel, omega_rad_s,
     """Continuous drive from 3P0: per trial a motional sample sets the
     detuning, the Rabi amplitude jitters shot to shot, and P(3P2)(t) is
     averaged; SPAM is applied to the ensemble."""
-    return _run_sequence(RABI, trap, temperature_K, noise, omega_rad_s, 0.0,
-                         t_grid_s, trials, master_seed, motional_model,
-                         False, 1, field, env, table)
+    return _run_sequence(_drive_coefficients, trap, temperature_K, noise,
+                         omega_rad_s, t_grid_s, trials, master_seed,
+                         motional_model, 1, field, env, table)
 
 
 def simulate_ramsey(trap, temperature_K, noise: NoiseModel, omega_rad_s,
@@ -580,10 +573,12 @@ def simulate_ramsey(trap, temperature_K, noise: NoiseModel, omega_rad_s,
     phi_L = -2 pi f_fr t_R. Pulse durations are pi/(2 Omega_nominal); the
     per-trial Rabi amplitude and detuning act during the pulses unless
     ``instantaneous_pulses`` (oracle mode) is set."""
-    return _run_sequence(RAMSEY, trap, temperature_K, noise, omega_rad_s,
-                         f_fringe_hz, t_r_grid_s, trials, master_seed,
-                         motional_model, instantaneous_pulses, 1,
-                         field, env, table)
+    coefficients = functools.partial(
+        _pulse_coefficients, _pulse_plan(RAMSEY), omega_rad_s, f_fringe_hz,
+        instantaneous_pulses)
+    return _run_sequence(coefficients, trap, temperature_K, noise,
+                         omega_rad_s, t_r_grid_s, trials, master_seed,
+                         motional_model, 1, field, env, table)
 
 
 def simulate_echo(trap, temperature_K, noise: NoiseModel, omega_rad_s,
@@ -598,10 +593,12 @@ def simulate_echo(trap, temperature_K, noise: NoiseModel, omega_rad_s,
     the motional sample and detuning offset are redrawn for the second
     half (and the closing pulses), modeling a correlation time shorter
     than the sequence."""
-    return _run_sequence(ECHO, trap, temperature_K, noise, omega_rad_s,
-                         f_fringe_hz, t_grid_s, trials, master_seed,
-                         motional_model, instantaneous_pulses,
-                         2 if fluctuating_detuning else 1,
+    coefficients = functools.partial(
+        _pulse_coefficients, _pulse_plan(ECHO), omega_rad_s, f_fringe_hz,
+        instantaneous_pulses)
+    return _run_sequence(coefficients, trap, temperature_K, noise,
+                         omega_rad_s, t_grid_s, trials, master_seed,
+                         motional_model, 2 if fluctuating_detuning else 1,
                          field, env, table)
 
 

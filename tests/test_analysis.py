@@ -192,6 +192,27 @@ class TestExtractContrast:
             assert pa.contrast == pytest.approx(pb.contrast, abs=1e-12)
 
 
+FITS = {"fixed": lambda t, y: analysis.fit_sinusoid(t, y,
+                                                   fixed_freq_hz=1.3e6),
+        "free": lambda t, y: analysis.fit_sinusoid(t, y),
+        "contrast": lambda t, y: analysis.extract_contrast(t, y, 1.3e6)}
+
+
+@pytest.mark.parametrize("fit", sorted(FITS))
+@pytest.mark.parametrize("where", ["nan_y", "inf_t"])
+def test_non_finite_input_fails(fit, where):
+    # one bad sample of a clean fringe: a typed FitFailed, not a NaN fit
+    # or an overflowing window index
+    t = np.linspace(0.0, 10e-6, 60)
+    y = sinusoid(t, 0.31, 1.3e6, 0.7, 0.46)
+    if where == "nan_y":
+        y[17] = math.nan
+    else:
+        t[-1] = math.inf
+    with pytest.raises(FitFailed, match="non-finite time or population"):
+        FITS[fit](t, y)
+
+
 class TestFitT2Envelope:
     def test_noiseless_exact(self):
         t = np.linspace(0.0, 1.2e-3, 12)

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fsqubit
-from fsqubit import analysis, atomstark, cli, dynamics
+from fsqubit import analysis, atomstark, cli, dynamics, focalfield
 from fsqubit.errors import MalformedTable
 
 
@@ -588,6 +588,60 @@ class TestPointsPerWindowCeiling:
                                    write_cfg(tmp_path, cfg),
                                    "--subcommand", sub)
             assert code == want, out
+
+
+def _shipped(name) -> dict:
+    path = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    return json.loads((path / f"{name}.json").read_text())
+
+
+class TestAliasedWindows:
+    """Contrast windows whose points take fewer than three fringe phases,
+    m window_periods / points_per_window mod 1, leave the window's
+    sinusoid fit singular, so validate rejects them; three or more run."""
+
+    CASES = [("t2_shallow_magic_8G", "t2", "burst_grid"),
+             ("magic_scan_8G", "magic-scan", "angle_scan")]
+
+    @pytest.mark.parametrize("name,sub,section", CASES)
+    @pytest.mark.parametrize("periods,points,want", [
+        (6.0, 6, 2), (7.0, 7, 2), (12.0, 6, 2), (10.0, 6, 0), (5.0, 28, 0)])
+    def test_validate(self, tmp_path, name, sub, section, periods, points,
+                      want):
+        cfg = _shipped(name)
+        cfg[section].update(window_periods=periods, points_per_window=points)
+        code, out, _ = run_cli("validate", "--config",
+                               write_cfg(tmp_path, cfg), "--subcommand", sub)
+        assert code == want, out
+        if want:
+            (issue,) = json.loads(out)["issues"]
+            assert issue.startswith("aliasing:")
+            assert f"{section}.points_per_window" in issue
+            assert f"{section}.window_periods" in issue
+
+    @pytest.mark.parametrize("name,sub,section", CASES)
+    def test_three_phases_run(self, tmp_path, name, sub, section):
+        cfg = _shipped(name)
+        cfg[section].update(SMALL[section], window_periods=10.0,
+                            points_per_window=6)
+        cfg["trials"] = 40
+        code, _, err = run_cli(sub, "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(tmp_path / "out"))
+        assert code == 0, err
+
+
+def test_map_extent_capped_at_field_reach(tmp_path):
+    # the cap is the waist search range; 1e6 nm fails the field quadrature
+    assert cli._MAP_MAX_HALF_EXTENT_NM == round(
+        focalfield._MEASURE_RANGE_M * 1e9)
+    cfg = _shipped("shiftmap_magic_46uW")
+    for half, want in ((40_000, 0), (40_001, 2), (1e6, 2)):
+        cfg["map_grid"]["half_extent_nm"] = half
+        code, out, _ = run_cli("validate", "--config",
+                               write_cfg(tmp_path, cfg),
+                               "--subcommand", "shiftmap")
+        assert code == want, out
+    assert "map_grid.half_extent_nm" in json.loads(out)["issues"][0]
 
 
 SHIPPED = [(json.loads(p.values[0].read_text()), p.values[1])

@@ -373,6 +373,21 @@ def _scalar_mean(protocol, deltas, om_f, t_grid, instantaneous):
     return p / len(om_f)
 
 
+def _simulate(protocol, trap, temp, noise, t, trials, seed, instantaneous,
+              sets):
+    """The engine through the public entry point of ``protocol``."""
+    if protocol == "rabi":
+        return dynamics.simulate_rabi(trap, temp, noise, OMEGA, t, trials,
+                                      seed)
+    if protocol == "ramsey":
+        return dynamics.simulate_ramsey(
+            trap, temp, noise, OMEGA, F_FR, t, trials, seed,
+            instantaneous_pulses=instantaneous)
+    return dynamics.simulate_echo(
+        trap, temp, noise, OMEGA, F_FR, t, trials, seed,
+        instantaneous_pulses=instantaneous, fluctuating_detuning=(sets == 2))
+
+
 @pytest.mark.parametrize("protocol,instantaneous,sets", [
     ("rabi", False, 1), ("ramsey", False, 1), ("ramsey", True, 1),
     ("echo", False, 1), ("echo", True, 1), ("echo", False, 2),
@@ -386,15 +401,12 @@ def test_engine_matches_scalar_propagator(protocol, instantaneous, sets):
                        prep_efficiency=0.9, readout_fidelity=0.95)
     # 6.175 fringe periods per step: no laser phase is a multiple of pi
     t = np.linspace(0.0, 57e-6, 13)
-    segments = {"rabi": dynamics.RABI, "ramsey": dynamics.RAMSEY,
-                "echo": dynamics.ECHO}[protocol]
     deltas, om_f, _ = dynamics._draw_trials(trap, temp, noise, trials, seed,
                                             "fock", detuning_sets=sets)
     want = noise.spam_scale * _scalar_mean(protocol, deltas, om_f, t,
                                            instantaneous)
-    got = dynamics._run_sequence(segments, trap, temp, noise, OMEGA, F_FR,
-                                 t, trials, seed, "fock", instantaneous,
-                                 sets, None, None, None)
+    got = _simulate(protocol, trap, temp, noise, t, trials, seed,
+                    instantaneous, sets)
     np.testing.assert_allclose(got.p32_mean, want, rtol=0, atol=1e-12)
 
 
@@ -424,14 +436,11 @@ def test_engine_matches_scalar_propagator_on_split_grids(
     trap, temp, trials, seed = mismatched_trap(), 3e-6, 2, 37
     noise = NoiseModel(rabi_frac_std=0.05,
                        detuning_offset_std=2 * math.pi * 2e3)
-    segments = {"rabi": dynamics.RABI, "ramsey": dynamics.RAMSEY,
-                "echo": dynamics.ECHO}[protocol]
     deltas, om_f, _ = dynamics._draw_trials(trap, temp, noise, trials, seed,
                                             "fock", detuning_sets=sets)
     want = _scalar_mean(protocol, deltas, om_f, t, instantaneous)
-    got = dynamics._run_sequence(segments, trap, temp, noise, OMEGA, F_FR,
-                                 t, trials, seed, "fock", instantaneous,
-                                 sets, None, None, None)
+    got = _simulate(protocol, trap, temp, noise, t, trials, seed,
+                    instantaneous, sets)
     np.testing.assert_allclose(got.p32_mean, want, rtol=0, atol=1e-12)
 
 
@@ -495,14 +504,6 @@ def test_echo_working_set_below_two_blocks(case):
     assert peak < 2 * dynamics._TRIAL_BLOCK * t.size * 8
 
 
-def test_drive_only_as_the_whole_protocol():
-    with pytest.raises(ValueError, match="drive"):
-        dynamics._run_sequence(
-            dynamics.RAMSEY + dynamics.RABI, magic_trap(), 0.0, NOISELESS,
-            OMEGA, F_FR, np.linspace(0.0, 5e-6, 11), 4, 1, "fock", False, 1,
-            None, None, None)
-
-
 def test_grid_split_accepts_only_points_on_their_run():
     t = np.linspace(0.0, 200e-6, 801)
     t[400] += 1e-3 * (t[1] - t[0])
@@ -521,9 +522,11 @@ def test_grid_split_accepts_only_points_on_their_run():
     k, amp = rng.uniform(0.2, 0.5, (2, 7))
     w = 2 * math.pi * F_FR + rng.normal(0.0, 1e4, 7)
     harmonics = [(amp, w, rng.uniform(-math.pi, math.pi, 7))]
+    split, unsplit = np.empty((2, t.size, k.size)).transpose(0, 2, 1)
     np.testing.assert_allclose(
-        dynamics._harmonic_sum(k, harmonics, t, grid),
-        dynamics._harmonic_sum(k, harmonics, t, None), rtol=0, atol=1e-12)
+        dynamics._harmonic_sum(k, harmonics, t, grid, split),
+        dynamics._harmonic_sum(k, harmonics, t, None, unsplit),
+        rtol=0, atol=1e-12)
 
 
 def _fock_coherence(trap, temperature_K, sigma_off, t):
@@ -672,6 +675,15 @@ class TestTraceCSV:
         assert path.read_bytes().endswith(
             b"\r\n-0.000000000000e+00,-0.000000000e+00,0.000000000e+00\r\n")
 
+
+    @pytest.mark.parametrize("body", [
+        "", "1e-6,0.5,0.01\r\n2e-6,0.5\r\n", "1e-6,1.5,0.01\r\n"],
+        ids=["header_only", "ragged", "population_above_one"])
+    def test_malformed_file_raises(self, tmp_path, body):
+        path = tmp_path / "trace.csv"
+        path.write_text("t_s,p32_mean,p32_sem\r\n" + body, newline="")
+        with pytest.raises(ValueError):
+            dynamics.read_trace_csv(path)
 
 @pytest.mark.slow
 class TestPhiNoise:

@@ -157,7 +157,7 @@ COMMANDS = {
     "rabi": ("rabi_deep_phi0_3G", set()),
     "magic-scan": ("magic_scan_8G", set()),
     "phinoise": ("phinoise_magic_8G", set()),
-    "fit": (None, set()),
+    "fit": (None, {"gzip"}),
 }
 
 
