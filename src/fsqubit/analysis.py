@@ -133,6 +133,8 @@ def _sinusoid_fit(t, y, freq_hz: float, free_freq: bool) -> SinusoidFit:
         cov = sigma_sq * np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         raise FitFailed("sinusoid design matrix is singular") from None
+    if not np.all(np.diag(cov) >= 0.0):  # NaN too
+        raise FitFailed("sinusoid design matrix is numerically singular")
     var_s, var_c, var_off = np.diag(cov)[:3]
     cov_sc = cov[0, 1]
     if amp > 0:
@@ -148,8 +150,7 @@ def _sinusoid_fit(t, y, freq_hz: float, free_freq: bool) -> SinusoidFit:
         phase_err = math.pi
     return SinusoidFit(amplitude=amp, freq_hz=float(freq_hz),
                        phase_rad=phase, offset=c, amplitude_err=amp_err,
-                       freq_err_hz=(math.sqrt(max(cov[3, 3], 0.0))
-                                    if free_freq else None),
+                       freq_err_hz=math.sqrt(cov[3, 3]) if free_freq else None,
                        phase_err_rad=phase_err,
                        offset_err=float(math.sqrt(var_off)),
                        rms=math.sqrt(ssr / n))

@@ -17,19 +17,18 @@ Each run computes everything first, then writes its data files plus
 partial artifacts. ``meta.json`` embeds the effective config; passing a
 ``meta.json`` back as ``--config`` reproduces the run. Any module error
 prints one JSON object (``{"error": {"type", "message"}}``) on stderr and
-exits 1. ``validate`` checks every key, unknown ones included, against one
-schema table and prints an issue report on stdout; it exits 0 when clean,
+exits 1. ``validate`` makes the run's own checks and prints an issue
+report on stdout: every key, unknown ones included, against one schema
+table, then the rules that span keys, then the run's config-only set-up
+(protocol, tweezer, table, the ``"magic"`` root). It exits 0 when clean,
 2 when issues were found.
 
 The polarizability table is the config's ``"table"`` (default: the
-packaged fixture) and nothing else, so ``meta.json`` records it.
-
-Of the physics layers, only ``atomstark`` is imported with this module.
-``focalfield``, ``trapmodel``, ``dynamics`` and ``analysis`` are imported
-inside the functions that run them, so ``validate`` and ``magic-find``
-load none of them and ``shiftmap`` loads ``focalfield`` alone. numpy too
-is imported only by the functions that build arrays: the table layer
-works in plain floats, so ``validate`` and ``magic-find`` never load it.
+packaged fixture) and nothing else, so ``meta.json`` records it. Of the
+physics layers only ``atomstark``, which works in plain floats, is
+imported with this module. The others, and numpy, are imported inside the
+functions that run them, so ``validate`` and ``magic-find`` load none of
+them and ``shiftmap`` loads ``focalfield`` alone.
 """
 
 from __future__ import annotations
@@ -60,7 +59,8 @@ if TYPE_CHECKING:
 SCHEMA_VERSION = 1
 
 _SIM_COMMANDS = ("rabi", "ramsey", "t2", "magic-scan", "phinoise")
-_RUN_COMMANDS = _SIM_COMMANDS + ("shiftmap", "magic-find", "fit")
+_SETUP_COMMANDS = _SIM_COMMANDS + ("shiftmap", "magic-find")  # a _Scenario
+_RUN_COMMANDS = _SETUP_COMMANDS + ("fit",)
 
 
 class ConfigError(FsqubitError):
@@ -165,10 +165,14 @@ _PERIODS = _number(ge=1)  # extract_contrast needs a full fringe period
 _WINDOW_POINTS = _number(int, ge=6, le=10_000)
 # burst-grid ceilings; the shipped configs end by 4 ms, within 1000 windows
 _BURST_MAX_END_S, _BURST_MAX_WINDOWS = 1.0, 1e5
-# map half extent ceiling, focalfield._MEASURE_RANGE_M: the pupil
-# quadrature converges to k rho NA about 1400, which the map corner stays
-# under at any wavelength down to 254 nm
-_MAP_MAX_HALF_EXTENT_NM = 40_000
+# map half extent and waist ceiling, focalfield._MEASURE_RANGE_M: the
+# pupil quadrature converges to k rho NA about 1400, which the map corner
+# stays under at any wavelength down to 254 nm, and measure_waist searches
+# no farther for the 1/e^2 radius
+_MAP_MAX_HALF_EXTENT_NM = _MAX_WAIST_NM = 40_000
+# 1 GHz, far above any fringe; 1e300 collapses a magic-scan window onto
+# one float time and overflows the contrast-window index of a fit
+_FRINGE = _number(gt=0, le=1e3)
 _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
     None: ((), {
         "schema_version": _Key(_choice(SCHEMA_VERSION), required=_ALL),
@@ -177,23 +181,25 @@ _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
         "temperature_uK": _Key(_number(ge=0, le=1e6), 0.0),
         "trials": _Key(_number(int, ge=1), required=_SIM_COMMANDS),
         "seed": _Key(_number(int, ge=0), required=_SIM_COMMANDS)}),
-    "tweezer": (_ALL, {
+    "tweezer": (_SETUP_COMMANDS, {
         "wavelength_nm": _Key(_POS, required=_ALL),
         # far above any tweezer; 1e300 overflows the focal field
         "power_mW": _Key(_number(gt=0, le=1e3), required=_ALL),
         "na": _Key(_number(gt=0, lt=1), required=_ALL),
-        "waist_nm": _Key(_POS),
+        "waist_nm": _Key(_number(gt=0, le=_MAX_WAIST_NM)),
         "filling_factor": _Key(_POS),
         "pol_axis": _Key(lambda v: "schema: {} is retired; field.phi_deg "
                          "alone sets the polarization angle")}),
-    "field": (_ALL, {
+    "field": (_SETUP_COMMANDS, {
         "magnitude_G": _Key(_NONNEG, required=_ALL),
         "phi_deg": _Key(_angle, required=_ALL)}),
     "drive": (_SIM_COMMANDS, {
         "rabi_kHz": _Key(_POS, required=_SIM_COMMANDS),
-        "fringe_MHz": _Key(_POS, required=_SIM_COMMANDS[1:])}),  # not rabi
+        "fringe_MHz": _Key(_FRINGE, required=_SIM_COMMANDS[1:])}),  # not rabi
     "noise": ((), {
-        "rabi_frac_std": _Key(_NONNEG, 0.0),
+        # a 100% jitter; far past it the pulse rotations lose unitarity
+        # in floating point and the populations leave [0, 1]
+        "rabi_frac_std": _Key(_number(ge=0, le=1), 0.0),
         "phi_jitter_std_deg": _Key(_NONNEG, 0.0),
         "detuning_offset_std_Hz": _Key(_NONNEG, 0.0),
         "prep_efficiency": _Key(_SPAM, 1.0),
@@ -218,7 +224,9 @@ _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
         "start_deg": _Key(_NONNEG, required=_ALL),
         "stop_deg": _Key(_POS, required=_ALL),
         "points": _Key(_number(int, ge=2), required=_ALL),
-        "t_r_us": _Key(_POS, required=_ALL),
+        # at most the burst grid's end; 1e300 collapses a scan window
+        "t_r_us": _Key(_number(gt=0, le=_BURST_MAX_END_S * 1e6),
+                       required=_ALL),
         "window_periods": _Key(_PERIODS, 5.0),
         "points_per_window": _Key(_WINDOW_POINTS, 28)}),
     "phi_noise_scan": (("phinoise",), {  # values_deg, or the ramp below
@@ -232,7 +240,7 @@ _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
     "fit": (("fit",), {
         "trace_csv": _Key(_instance(str, "a string"), required=_ALL),
         "mode": _Key(_choice("sinusoid", "envelope"), required=_ALL),
-        "f_fringe_MHz": _Key(_POS),
+        "f_fringe_MHz": _Key(_FRINGE),
         "window_periods": _Key(_PERIODS, 5.0)}),
 }
 
@@ -245,19 +253,31 @@ def _get(cfg, section, key):
 
 def _protocol(cfg, subcommand) -> dict:
     """The protocol keys with their defaults; the name defaults to the
-    command: ``rabi`` runs Rabi, every other simulating command Ramsey."""
+    command's: ``rabi`` runs Rabi, every other command Ramsey."""
     proto = {key: _get(cfg, "protocol", key)
              for key in _SCHEMA["protocol"][1]}
+    allowed = {"rabi": ("rabi",), "ramsey": ("ramsey", "echo"),
+               "t2": ("ramsey", "echo"), "magic-scan": ("ramsey",),
+               "phinoise": ("ramsey",)}.get(subcommand,
+                                            ("ramsey", "echo", "rabi"))
     if proto["name"] is None:
-        proto["name"] = "rabi" if subcommand == "rabi" else "ramsey"
+        proto["name"] = allowed[0]
+    if proto["name"] not in allowed:
+        raise ConfigError(f"value: protocol.name {proto['name']!r} not "
+                          f"valid for '{subcommand}' (allowed: "
+                          f"{sorted(allowed)})")
     return proto
 
 
 def check_config(cfg: dict, subcommand: str) -> list[str]:
-    """Structural and physics sanity issues; empty list means runnable.
+    """Structural and physics sanity issues; empty list means runnable."""
+    return _preflight(cfg, subcommand)[0]
 
-    Every key is checked against ``_SCHEMA``; the rules that span several
-    keys run once that pass is clean."""
+
+def _preflight(cfg, subcommand) -> tuple[list[str], _Scenario | None]:
+    """Issues, and the scenario of a command that builds one: every
+    ``_SCHEMA`` issue; once there are none, the rules that span keys and
+    the run's config-only set-up, whose first ``ConfigError`` ends it."""
     issues: list[str] = []
     for section, (needed_by, keys) in _SCHEMA.items():
         block = cfg if section is None else cfg.get(section)
@@ -278,26 +298,20 @@ def check_config(cfg: dict, subcommand: str) -> list[str]:
                     issues.append(f"missing: {prefix}{key} is required")
             elif problem := spec.check(block[key]):
                 issues.append(problem.format(prefix + key))
-    return issues or _rule_issues(cfg, subcommand)
+    if issues:
+        return issues, None
+    issues = _rule_issues(cfg)
+    if subcommand == "fit":  # reads its trace alone
+        return issues, None
+    try:
+        return issues, _Scenario(cfg, subcommand)
+    except ConfigError as exc:
+        return issues + [str(exc)], None
 
 
-def _rule_issues(cfg, subcommand) -> list[str]:
+def _rule_issues(cfg) -> list[str]:
+    # grids (which numpy builds), phi-noise scan and fit: no builder's
     issues: list[str] = []
-    tw = cfg["tweezer"]
-    if (subcommand != "fit" and tw.get("waist_nm") is None
-            and tw.get("filling_factor") is None):
-        issues.append("missing: tweezer.waist_nm or tweezer.filling_factor "
-                      "is required")
-    if None not in (tw.get("waist_nm"), tw.get("filling_factor")):
-        issues.append("conflict: give exactly one of tweezer.waist_nm and "
-                      "tweezer.filling_factor")
-    if subcommand in _SIM_COMMANDS:
-        name = _protocol(cfg, subcommand)["name"]
-        allowed = {"rabi": ("rabi",), "ramsey": ("ramsey", "echo"),
-                   "t2": ("ramsey", "echo")}.get(subcommand, ("ramsey",))
-        if name not in allowed:
-            issues.append(f"value: protocol.name {name!r} not valid for "
-                          f"'{subcommand}' (allowed: {sorted(allowed)})")
     if (cfg.get("time_grid") is not None and cfg["time_grid"]["stop_us"]
             <= _get(cfg, "time_grid", "start_us")):
         issues.append("range: time_grid.stop_us must exceed start_us")
@@ -339,19 +353,6 @@ def _rule_issues(cfg, subcommand) -> list[str]:
                       "file")
     if ft.get("mode") == "envelope" and ft.get("f_fringe_MHz") is None:
         issues.append("missing: fit.f_fringe_MHz is required in envelope mode")
-    # table loadability and wavelength coverage - the one check that
-    # touches the filesystem beyond the config itself
-    try:
-        table = atomstark.load_table(cfg.get("table"))
-        spans = {state: table.span_nm(state)
-                 for state in (atomstark.GROUND, atomstark.EXCITED)}
-    except (FsqubitError, OSError) as exc:
-        return issues + [f"file: polarizability table: {exc}"]
-    lam = tw["wavelength_nm"]
-    for state, (lo, hi) in spans.items():
-        if not lo <= lam <= hi:
-            issues.append(f"coverage: wavelength {lam} nm outside table "
-                          f"span [{lo:g}, {hi:g}] nm for {state}")
     return issues
 
 
@@ -359,57 +360,67 @@ def _rule_issues(cfg, subcommand) -> list[str]:
 
 def _tweezer_from(cfg) -> TweezerConfig:
     tw = partial(_get, cfg, "tweezer")
-    optional = lambda key: None if tw(key) is None else float(tw(key))
+    waist, filling = (None if tw(key) is None else float(tw(key))
+                      for key in ("waist_nm", "filling_factor"))
+    if (waist is None) == (filling is None):
+        raise ConfigError(
+            "missing: tweezer.waist_nm or tweezer.filling_factor is required"
+            if waist is None else "conflict: give exactly one of "
+            "tweezer.waist_nm and tweezer.filling_factor")
     return TweezerConfig(
         wavelength_nm=float(tw("wavelength_nm")),
         power_W=float(tw("power_mW")) * 1e-3, na=float(tw("na")),
-        target_waist_nm=optional("waist_nm"),
-        filling_factor=optional("filling_factor"))
+        target_waist_nm=waist, filling_factor=filling)
+
+
+def _table_from(cfg, wavelength_nm) -> atomstark.PolarizabilityTable:
+    """The config's table; it must span the wavelength for both states."""
+    try:
+        table = atomstark.load_table(cfg.get("table"))
+        spans = {state: table.span_nm(state)
+                 for state in (atomstark.GROUND, atomstark.EXCITED)}
+    except (FsqubitError, OSError) as exc:
+        raise ConfigError(f"file: polarizability table: {exc}") from None
+    for state, (lo, hi) in spans.items():
+        if not lo <= wavelength_nm <= hi:
+            raise ConfigError(f"coverage: wavelength {wavelength_nm} nm "
+                              f"outside table span [{lo:g}, {hi:g}] nm "
+                              f"for {state}")
+    return table
 
 
 def _noise_from(cfg) -> NoiseModel:
-    nz = partial(_get, cfg, "noise")
-    return NoiseModel(
-        rabi_frac_std=float(nz("rabi_frac_std")),
-        phi_jitter_std_deg=float(nz("phi_jitter_std_deg")),
-        detuning_offset_std=2 * math.pi
-        * float(nz("detuning_offset_std_Hz")),
-        prep_efficiency=float(nz("prep_efficiency")),
-        readout_fidelity=float(nz("readout_fidelity")))
-
-
-def _resolve_phi(cfg, table, tweezer) -> tuple[float, bool]:
-    phi = cfg["field"]["phi_deg"]
-    if phi != "magic":
-        return float(phi), False
-    env0 = FieldEnvironment(tweezer,
-                            MagneticField(cfg["field"]["magnitude_G"], 0.0))
-    root = atomstark.find_magic_angle(env0, table)
-    if root is None:
-        raise ConfigError("field.phi_deg is 'magic' but no magic angle "
-                          "exists at this wavelength")
-    return root, True
+    nz = {key: float(_get(cfg, "noise", key)) for key in _SCHEMA["noise"][1]}
+    nz["detuning_offset_std"] = 2 * math.pi * nz.pop("detuning_offset_std_Hz")
+    return NoiseModel(**nz)
 
 
 class _Scenario:
-    """Shared lazy setup: table, env, focal field, trap; ``simulate`` is
-    the one route from a command to the Monte-Carlo engine."""
+    """A run's set-up: the constructor builds its config-only part, all
+    that ``validate`` builds; the focal field and trap follow lazily.
+    ``simulate`` is the one route from a command to the Monte-Carlo
+    engine."""
 
     def __init__(self, cfg: dict, subcommand: str):
         self.cfg = cfg
         self.protocol = _protocol(cfg, subcommand)
-        self.table = atomstark.load_table(cfg.get("table"))
         self.tweezer = _tweezer_from(cfg)
-        self.phi_deg, self.phi_was_magic = _resolve_phi(cfg, self.table,
-                                                        self.tweezer)
-        self.env = FieldEnvironment(
-            self.tweezer,
-            MagneticField(float(cfg["field"]["magnitude_G"]),
-                          self.phi_deg))
+        self.table = _table_from(cfg, self.tweezer.wavelength_nm)
+        b_gauss, phi = (float(cfg["field"]["magnitude_G"]),
+                        cfg["field"]["phi_deg"])
+        self.phi_was_magic = phi == "magic"
+        if self.phi_was_magic:
+            phi = atomstark.find_magic_angle(FieldEnvironment(
+                self.tweezer, MagneticField(b_gauss, 0.0)), self.table)
+            if phi is None:
+                raise ConfigError("value: field.phi_deg is 'magic' but no "
+                                  "magic angle exists at this wavelength")
+        self.phi_deg = float(phi)
+        self.env = FieldEnvironment(self.tweezer,
+                                    MagneticField(b_gauss, self.phi_deg))
         self.noise = _noise_from(cfg)
         self.temperature_K = float(_get(cfg, None, "temperature_uK")) * 1e-6
-        self._field = None
-        self._trap = None
+        self._field = self._trap = None
 
     @property
     def field(self):
@@ -425,9 +436,6 @@ class _Scenario:
             self._trap = trapmodel.characterize_trap(
                 self.tweezer, self.env, self.table, field=self.field)
         return self._trap
-
-    def omega_rad_s(self) -> float:
-        return 2 * math.pi * float(self.cfg["drive"]["rabi_kHz"]) * 1e3
 
     def f_fringe_hz(self) -> float:
         return float(self.cfg["drive"]["fringe_MHz"]) * 1e6
@@ -448,7 +456,8 @@ class _Scenario:
                                                field=self.field)
         proto, trials = self.protocol, int(self.cfg["trials"])
         args = (trap, self.temperature_K,
-                self.noise if noise is None else noise, self.omega_rad_s())
+                self.noise if noise is None else noise,
+                2 * math.pi * float(self.cfg["drive"]["rabi_kHz"]) * 1e3)
         kwargs = dict(motional_model=proto["motional_model"],
                       field=self.field, env=env, table=self.table)
         if proto["name"] == "rabi":
@@ -528,8 +537,7 @@ def _trace_artifacts(trace, noise):
 
 # ------------------------------------------------------------- subcommands
 
-def _cmd_trace(subcommand, cfg):
-    scn = _Scenario(cfg, subcommand)
+def _cmd_trace(cfg, scn):
     trace = scn.simulate(_time_grid_s(cfg), int(cfg["seed"]))
     return _trace_artifacts(trace, scn.noise), scn.resolved()
 
@@ -553,9 +561,8 @@ def _envelope_fit(points):
     return art, out
 
 
-def _cmd_t2(cfg):
+def _cmd_t2(cfg, scn):
     from . import analysis
-    scn = _Scenario(cfg, "t2")
     f_fr = scn.f_fringe_hz()
     t, wp = _burst_grid_s(cfg, f_fr)
     trace = scn.simulate(t, int(cfg["seed"]))
@@ -569,11 +576,10 @@ def _cmd_t2(cfg):
     return arts, resolved
 
 
-def _cmd_magic_scan(cfg):
+def _cmd_magic_scan(cfg, scn):
     import numpy as np
 
     from . import analysis, dynamics
-    scn = _Scenario(cfg, "magic-scan")
     sc = partial(_get, cfg, "angle_scan")
     f_fr = scn.f_fringe_hz()
     wp = float(sc("window_periods"))
@@ -605,7 +611,7 @@ def _cmd_magic_scan(cfg):
     return arts, resolved
 
 
-def _cmd_phinoise(cfg):
+def _cmd_phinoise(cfg, scn):
     """Ramsey T2 versus Gaussian field-angle noise of each amplitude
     around the working angle; ``db_x_G`` is the transverse-field amplitude
     |B| tan(delta_phi) that such angle noise corresponds to. A point with
@@ -614,7 +620,6 @@ def _cmd_phinoise(cfg):
     import numpy as np
 
     from . import analysis, dynamics
-    scn = _Scenario(cfg, "phinoise")
     ps = cfg["phi_noise_scan"]
     values = ps.get("values_deg")
     if values is None:
@@ -647,9 +652,8 @@ def _cmd_phinoise(cfg):
     return arts, resolved
 
 
-def _cmd_shiftmap(cfg):
+def _cmd_shiftmap(cfg, scn):
     from . import focalfield
-    scn = _Scenario(cfg, "shiftmap")
     half = _get(cfg, "map_grid", "half_extent_nm")
     shift_map = focalfield.lightshift_map(
         scn.field, scn.env, scn.table,
@@ -662,8 +666,7 @@ def _cmd_shiftmap(cfg):
     return arts, resolved
 
 
-def _cmd_magic_find(cfg):
-    scn = _Scenario(cfg, "magic-find")
+def _cmd_magic_find(cfg, scn):
     angle = atomstark.find_magic_angle(scn.env, scn.table)
     wavelength = atomstark.find_magic_wavelength(scn.env, scn.table)
     fmt = lambda v, n: "nan" if v is None else f"{v:.{n}f}"
@@ -678,7 +681,7 @@ def _cmd_magic_find(cfg):
     return arts, resolved
 
 
-def _cmd_fit(cfg):
+def _cmd_fit(cfg, _):
     import numpy as np
 
     from . import analysis, dynamics
@@ -708,8 +711,7 @@ def _cmd_fit(cfg):
     return arts, {"fit": out}
 
 
-_HANDLERS = {"rabi": partial(_cmd_trace, "rabi"),
-             "ramsey": partial(_cmd_trace, "ramsey"), "t2": _cmd_t2,
+_HANDLERS = {"rabi": _cmd_trace, "ramsey": _cmd_trace, "t2": _cmd_t2,
              "magic-scan": _cmd_magic_scan, "phinoise": _cmd_phinoise,
              "shiftmap": _cmd_shiftmap, "magic-find": _cmd_magic_find,
              "fit": _cmd_fit}
@@ -736,10 +738,10 @@ def _run(subcommand: str, args) -> int:
         cfg["seed"] = args.seed
     if args.trials is not None:
         cfg["trials"] = args.trials
-    issues = check_config(cfg, subcommand)
+    issues, scn = _preflight(cfg, subcommand)
     if issues:
         raise ConfigError("; ".join(issues))
-    artifacts, resolved = _HANDLERS[subcommand](cfg)
+    artifacts, resolved = _HANDLERS[subcommand](cfg, scn)
     meta = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand,
             "config": cfg, "resolved": resolved,
             "tool": {"name": "fsqubit", "version": fsqubit.__version__}}

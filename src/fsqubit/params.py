@@ -60,9 +60,6 @@ class TweezerConfig:
             raise ValueError("NA must lie in (0, 1)")
         if self.filling_factor is not None and self.filling_factor <= 0:
             raise ValueError("filling factor must be positive")
-        if self.target_waist_nm is None and self.filling_factor is None:
-            raise ValueError("either target_waist_nm or filling_factor "
-                             "must be given")
 
 
 @dataclass(frozen=True)

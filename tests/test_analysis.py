@@ -55,6 +55,14 @@ class TestFitSinusoidFixedF:
                          fit.offset)
         np.testing.assert_allclose(recon, y, atol=1e-12)
 
+    def test_collapsed_time_grid_fails_typed(self):
+        # every point at one float time (a scan window at 1e300 Hz): the
+        # inverted design has a negative variance on its diagonal
+        t = np.full(28, 7e-4)
+        y = np.linspace(0.2, 0.7, 28)
+        with pytest.raises(FitFailed, match="numerically singular"):
+            analysis.fit_sinusoid(t, y, fixed_freq_hz=1.3e300)
+
 
 class TestFitSinusoidFreeF:
     T = np.linspace(0.0, 5e-6, 50)

@@ -3,12 +3,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import csv
+import importlib.util
 import io
 import json
 import math
 import os
 import pathlib
+import platform
 import re
+import shutil
 import subprocess
 import sys
 
@@ -169,7 +173,18 @@ class TestValidate:
         ("t2", "burst_grid.span_factor", 1e300, "range: burst_grid ends"),
         ("t2", "burst_grid.t2_guess_us", 1e300, "range: burst_grid ends"),
         ("t2", "burst_grid.window_periods", 1e300,
-         "range: burst_grid ends")])
+         "range: burst_grid ends"),
+        ("ramsey", "tweezer.waist_nm", 1e300, "range: tweezer.waist_nm"),
+        ("ramsey", "noise.rabi_frac_std", 1e300,
+         "range: noise.rabi_frac_std"),
+        ("magic-scan", "drive.fringe_MHz", 1e300, "range: drive.fringe_MHz"),
+        ("fit", "fit.f_fringe_MHz", 1e300, "range: fit.f_fringe_MHz"),
+        ("magic-scan", "angle_scan.t_r_us", 1e300,
+         "range: angle_scan.t_r_us"),
+        ("magic-scan", "protocol.name", "echo",
+         "value: protocol.name 'echo' not valid for 'magic-scan'"),
+        ("rabi", "protocol.name", "ramsey",
+         "value: protocol.name 'ramsey' not valid for 'rabi'")])
     def test_rejected_value(self, tmp_path, sub, key, value, prefix):
         cfg = base_cfg(**EXTRA.get(sub, {}))
         *sections, name = key.split(".")
@@ -439,6 +454,25 @@ class TestFitSubcommand:
         assert res.shape == (400, 4)
         assert np.max(np.abs(res[:, 3])) < 1e-6
 
+    def test_fit_needs_only_its_section(self, tmp_path):
+        # fit reads its trace alone: no tweezer, field or table
+        t = np.linspace(0.0, 10e-6, 200)
+        y = 0.5 + 0.4 * np.sin(2 * math.pi * self.F * t)
+        cfg = {"schema_version": 1,
+               "fit": {"trace_csv": _synthetic_trace(tmp_path, t, y),
+                       "mode": "sinusoid"}}
+        path = write_cfg(tmp_path, cfg)
+        code, out, _ = run_cli("validate", "--config", path,
+                               "--subcommand", "fit")
+        assert code == 0, out
+        assert json.loads(out)["issues"] == []
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli("fit", "--config", path, "--out",
+                               str(out_dir))
+        assert code == 0, err
+        fit = json.loads((out_dir / "fit.json").read_text())
+        assert fit["freq_hz"] == pytest.approx(self.F, rel=1e-6)
+
     def test_envelope_mode(self, tmp_path):
         t2 = 15e-6
         t = np.linspace(0.0, 60e-6, 1200)
@@ -644,6 +678,52 @@ def test_map_extent_capped_at_field_reach(tmp_path):
     assert "map_grid.half_extent_nm" in json.loads(out)["issues"][0]
 
 
+def test_waist_capped_at_waist_search_range(tmp_path):
+    # measure_waist looks for the 1/e^2 radius no farther than this
+    assert cli._MAX_WAIST_NM == round(focalfield._MEASURE_RANGE_M * 1e9)
+    cfg = base_cfg()
+    for waist, want in ((40_000, 0), (40_001, 2), (1e300, 2)):
+        cfg["tweezer"]["waist_nm"] = waist
+        code, out, _ = run_cli("validate", "--config",
+                               write_cfg(tmp_path, cfg),
+                               "--subcommand", "ramsey")
+        assert code == want, out
+    assert json.loads(out)["issues"][0].startswith("range: tweezer.waist_nm")
+
+
+def test_magic_without_root_fails_validate(tmp_path):
+    """validate builds the run's "magic" root: where none exists it reports
+    the run's own error, and the run fails the same way before writing."""
+    cfg = _shipped("shiftmap_magic_46uW")
+    cfg["tweezer"].update(wavelength_nm=528, na=0.99)
+    path = write_cfg(tmp_path, cfg)
+    code, out, _ = run_cli("validate", "--config", path,
+                           "--subcommand", "shiftmap")
+    assert code == 2
+    (issue,) = json.loads(out)["issues"]
+    assert issue.startswith("value: field.phi_deg is 'magic'")
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli("shiftmap", "--config", path, "--out",
+                           str(out_dir))
+    assert code == 1
+    assert json.loads(err.strip())["error"] == {"type": "ConfigError",
+                                                "message": issue}
+    assert not out_dir.exists()
+
+
+def test_run_loads_table_once(tmp_path, monkeypatch):
+    # the run's checks build the scenario that the command then runs
+    specs = []
+    load = atomstark.load_table
+    monkeypatch.setattr(atomstark, "load_table",
+                        lambda spec=None: specs.append(spec) or load(spec))
+    cfg = _quick(_shipped("t2_shallow_magic_8G"), trials=8)
+    code, _, err = run_cli("t2", "--config", write_cfg(tmp_path, cfg),
+                           "--out", str(tmp_path / "out"))
+    assert code == 0, err
+    assert specs == [None]
+
+
 SHIPPED = [(json.loads(p.values[0].read_text()), p.values[1])
            for p in _shipped_configs()]
 # (config index, section or None for the top level, key)
@@ -659,32 +739,39 @@ def mutant_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("mutant")
 
 
+def _assert_finite_csvs(out_dir):
+    for path in out_dir.glob("*.csv"):
+        for row in list(csv.reader(path.read_text().splitlines()))[1:]:
+            # an empty cell is a phinoise point without visible decay
+            assert all(math.isfinite(float(c)) for c in row if c), path
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.sampled_from(SITES))
 def test_mutated_config_fails_validate_or_builds(mutant_dir, site):
+    """Each one-key mutant of a shipped config, cut to a quick run, fails
+    validate (exit 2) or runs to exit 0 with finite artifacts."""
     index, section, key = site
     for value in (DROP, -1.0, 0, True, "x", [], 1e300):
-        cfg, sub = json.loads(json.dumps(SHIPPED[index][0])), SHIPPED[index][1]
+        cfg = _quick(json.loads(json.dumps(SHIPPED[index][0])), trials=8)
+        sub = SHIPPED[index][1]
         block = cfg if section is None else cfg[section]
         if value is DROP:
             del block[key]
         else:
             block[key] = value
-        args = argparse.Namespace(config=write_cfg(mutant_dir, cfg),
-                                  subcommand=sub)
+        path = write_cfg(mutant_dir, cfg)
+        args = argparse.Namespace(config=path, subcommand=sub)
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = cli._validate(args)
         assert code in (0, 2), out.getvalue()
         if code == 2:
             continue
-        cli._tweezer_from(cfg)
-        cli._noise_from(cfg)
-        if cfg.get("time_grid") is not None:
-            assert np.all(np.isfinite(cli._time_grid_s(cfg)))
-        if cfg.get("burst_grid") is not None:
-            fringe_hz = float(cfg["drive"]["fringe_MHz"]) * 1e6
-            grid, _ = cli._burst_grid_s(cfg, fringe_hz)
-            assert np.all(np.isfinite(grid))
+        out_dir = mutant_dir / "out"
+        shutil.rmtree(out_dir, ignore_errors=True)
+        code, _, err = run_cli(sub, "--config", path, "--out", str(out_dir))
+        assert code == 0, (site, value, err)
+        _assert_finite_csvs(out_dir)
 
 
 # per section, the keys that cut a shipped config to a quick run
@@ -693,6 +780,16 @@ SMALL = {"time_grid": {"points": 21},
          "angle_scan": {"points": 2},
          "phi_noise_scan": {"values_deg": [0.0, 1.0]},
          "map_grid": {"points": 11}}
+
+
+def _quick(cfg, trials):
+    """``cfg`` cut to a quick run: SMALL grids and ``trials`` trials."""
+    for section, keys in SMALL.items():
+        if section in cfg:
+            cfg[section].update(keys)
+    if "trials" in cfg:
+        cfg["trials"] = trials
+    return cfg
 
 
 def _assert_meta_roundtrip(tmp_path, sub, cfg):
@@ -722,13 +819,8 @@ class TestEndToEnd:
     @pytest.mark.parametrize("path,sub", [p for p in _shipped_configs()
                                           if p.id in ROUNDTRIP])
     def test_meta_roundtrip(self, tmp_path, path, sub):
-        cfg = json.loads(path.read_text())
-        for section, keys in SMALL.items():
-            if section in cfg:
-                cfg[section].update(keys)
-        if "trials" in cfg:
-            cfg["trials"] = 64
-        _assert_meta_roundtrip(tmp_path, sub, cfg)
+        _assert_meta_roundtrip(tmp_path, sub,
+                               _quick(json.loads(path.read_text()), 64))
 
     def test_fit_meta_roundtrip(self, tmp_path):
         t = np.linspace(0.0, 10e-6, 200)
@@ -992,3 +1084,35 @@ def test_artifacts_do_not_depend_on_simd_dispatch(tmp_path, name, sub):
     assert sorted(files[0]) == sorted(files[1])
     for fname in files[0]:
         assert files[0][fname] == files[1][fname], fname
+
+
+def test_shipped_artifacts_match_record(tmp_path, capsys):
+    """Every file the shipped configs produce has the bytes recorded in
+    tests/data/artifacts.sha256. The determinism contract covers one numpy
+    version, so the record holds where the header's numpy and machine
+    match. A change that moves bytes on purpose regenerates the record
+    (``scripts/artifact_hashes.py`` below the header) and says why."""
+    record = pathlib.Path(__file__).resolve().parent / "data" \
+        / "artifacts.sha256"
+    lines = record.read_text().splitlines()
+    header = dict(line[2:].split(": ", 1) for line in lines
+                  if line.startswith("# ") and ": " in line)
+    here = {"numpy": np.__version__, "machine": platform.machine()}
+    differ = [f"{key} {header[key]} recorded, {value} here"
+              for key, value in here.items() if header[key] != value]
+    if differ:
+        pytest.skip("the record holds for its own numpy and machine: "
+                    + "; ".join(differ))
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "artifact_hashes", root / "scripts/artifact_hashes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.hash_outputs(tmp_path) == 0
+    want, got = ({name: digest for digest, name in
+                  (line.split("  ", 1) for line in text
+                   if not line.startswith("#"))}
+                 for text in (lines, capsys.readouterr().out.splitlines()))
+    moved = sorted(name for name in want.keys() | got.keys()
+                   if want.get(name) != got.get(name))
+    assert not moved, f"moved files: {moved}"
