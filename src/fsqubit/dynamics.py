@@ -47,16 +47,16 @@ are fixed: 0-2 motion and 3 detuning offset (set 0), 4 Rabi factor, 5
 angle jitter, 6-9 the second detuning set. Results are therefore
 reproducible bit-for-bit and independent of the trial count and of how
 trials would be partitioned across workers. Trial accumulation is a
-fixed-order block sum: trials are summed in blocks of 512 in trial order;
-every protocol and grid fills one block buffer, trials on its contiguous
-axis, so within a block each time point's sum over trials is numpy's
-pairwise sum; blocks merge by Welford/Chan. The grid is cut at run heads
-into contiguous time ranges, one per CPU the process may run on but no
-more than one per _PART_POINTS points; each range fills its own columns
-of the block on a thread of its own (the first on the calling thread),
-in tiles of trials sized from its C x R cells or direct points to stay
-in L2. Every step after the draws works per time point, so the part
-count and the tile are derived, not configured, and change no value.
+fixed-order block sum: trials are summed in blocks of 512 in trial order.
+The grid is cut at run heads into slabs of about _SLAB_BYTES / (8 x 512)
+points; a block runs slab by slab through harmonic sum, SPAM and its mean
+and M2 while the slab's (points, 512) buffer, trials contiguous, sits in
+L2, so each time point's block sum over trials is numpy's pairwise sum.
+Block b runs on thread b mod n, n = min(CPUs the process may run on,
+blocks, T // _PART_POINTS), thread 0 being the calling thread, and the
+calling thread merges the blocks by Welford/Chan in block order. Every
+step after the draws works per trial and time point, so the thread count
+and the slab are derived, not configured, and change no value.
 """
 
 from __future__ import annotations
@@ -78,11 +78,11 @@ from .trapmodel import (detuning_for_sample, sample_fock_thermal,
 
 # trial block size for the vectorized evolution (memory / determinism unit)
 _TRIAL_BLOCK = 512
-# bytes of one tile scratch buffer ((C, R, tile) angle-addition cells or
-# (direct points, tile)): the tile of trials is cut so that the two
+# bytes of one (points, block) slab: the grid is cut at run heads into
+# slabs of about _SLAB_BYTES / (8 * block) points so that a slab's
 # buffers stay in L2; it changes no value
-_TILE_BYTES = 2 ** 19
-# a grid of T points is cut into at most T // _PART_POINTS parts
+_SLAB_BYTES = 2 ** 19
+# a grid of T points runs on at most T // _PART_POINTS threads
 _PART_POINTS = 128
 
 
@@ -108,11 +108,15 @@ def apply_spam(p_ideal, noise: NoiseModel, out=None):
     """Observed population: eta_prep * F_read * P_ideal (dark-manifold
     convention, zero additive offset); ``out=p_ideal`` works in place."""
     p = np.asarray(p_ideal, dtype=float)
+    lo, hi = (p.min(), p.max()) if p.size else (0.0, 0.0)
     # written so that a NaN fails both comparisons
-    if p.size and not (p.min() >= -1e-12 and p.max() <= 1 + 1e-12):
+    if not (lo >= -1e-12 and hi <= 1 + 1e-12):
         raise ValueError("ideal populations must lie in [0, 1]")
-    out = np.clip(p, 0.0, 1.0, out=out)
-    out *= noise.spam_scale
+    if lo >= 0 and hi <= 1:  # the clip is the identity, -0.0 included
+        out = np.multiply(p, noise.spam_scale, out=out)
+    else:
+        out = np.clip(p, 0.0, 1.0, out=out)
+        out *= noise.spam_scale
     return float(out) if np.ndim(p_ideal) == 0 else out
 
 
@@ -265,23 +269,27 @@ def _phi_noise_delta_rad_s(field, env: FieldEnvironment, table,
     return 2.0 * math.pi * (du_at(phi + phi_dev_deg) - du_at(phi))
 
 
-def _accumulate(p_block, acc):
-    # blockwise Welford/Chan merge: exact zero variance for identical
-    # trials, unlike sum/sum-of-squares cancellation
-    # (in place: p_block is overwritten by its squared deviations)
-    nb = p_block.shape[0]
-    bm = p_block.mean(axis=0)
-    p_block -= bm
-    bm2 = np.square(p_block, out=p_block).sum(axis=0)
-    n0 = acc[0]
-    if n0 == 0:
-        acc[0], acc[1], acc[2] = nb, bm, bm2
-        return
-    n = n0 + nb
-    d = bm - acc[1]
-    acc[1] = acc[1] + d * (nb / n)
-    acc[2] = acc[2] + bm2 + d * d * (n0 * nb / n)
-    acc[0] = n
+def _block_stats(p, stats):
+    """Mean and sum of squared deviations over the trials of a (points,
+    trials) slab into stats[0] and stats[1]; p is overwritten."""
+    np.mean(p, axis=1, out=stats[0])
+    p -= stats[0][:, None]
+    np.square(p, out=p).sum(axis=1, out=stats[1])
+
+
+def _merge_blocks(stats, trials):
+    """Mean and m2 of all trials from the (mean, m2) rows of consecutive
+    blocks of _TRIAL_BLOCK trials, merged by Welford/Chan in block order:
+    exact zero variance for identical trials, unlike sum/sum-of-squares
+    cancellation."""
+    (mean, m2), n = stats[0], min(trials, _TRIAL_BLOCK)
+    for bm, bm2 in stats[1:]:
+        nb = min(trials - n, _TRIAL_BLOCK)
+        n0, n = n, n + nb
+        d = bm - mean
+        mean = mean + d * (nb / n)
+        m2 = m2 + bm2 + d * d * (n0 * nb / n)
+    return mean, m2
 
 
 # Pulse protocols as segment lists of (kind, size, laser phase, detuning
@@ -455,51 +463,47 @@ def _grid_parts(t, grid, parts):
             for (j0, j1), c0, c1 in zip(spans, runs, runs[1:])]
 
 
-def _harmonic_sum(k, harmonics, t, grid, out, parts=1):
-    """K + sum amp cos(w t + phi) into the first rows of the (trials, T)
-    buffer ``out``, trials contiguous, tile by tile: two scratch buffers
-    of about ``_TILE_BYTES / parts`` (``parts`` calls share the budget)
-    hold the (C, R, tile) angle addition over a split grid's runs, then
-    the points off every run (all when ``grid`` is None), evaluated
-    directly as k + h_1 + h_2 + ..."""
+def _harmonic_sum(k, harmonics, offset_trig, t, grid, bufs):
+    """K + sum amp cos(w t + phi) of one slab as a (points, trials) view
+    of the three flat scratch buffers ``bufs``, trials contiguous: the
+    (C, R, trials) angle addition over a split grid's runs from the slab's
+    run starts and the block's ``offset_trig`` (cos and sin of offsets * w
+    per harmonic), then the points off every run (all when ``grid`` is
+    None), evaluated directly as k + h_1 + h_2 + ...; an identity cell map
+    sums in place in the cell buffer."""
     if grid is None:  # no runs
         grid = (t[:0], t[:0], None, np.arange(t.size))
     starts, offsets, cell, rows = grid
-    n, runs = k.size, (starts.size, offsets.size)
-    out = out[:n]
-    # the grid sets the tile: the whole block on a short grid
-    width = max(runs[0] * runs[1], rows.size, 1)
-    tile = max(1, min(n, _TILE_BYTES // parts // (8 * width)))
-    scratch = np.empty((2, width * tile))
-    identity = cell is not None and np.array_equal(cell, np.arange(cell.size))
-    for i0 in range(0, n, tile):
-        sl = slice(i0, min(i0 + tile, n))
-        nt = sl.stop - i0
-        if cell is not None:
-            c, pr = scratch[:, :runs[0] * runs[1] * nt].reshape(2, *runs, nt)
-            if not harmonics:
-                c.fill(0.0)
-            for h, (amp, w, phi) in enumerate(harmonics):
-                a = starts[:, None] * w[sl] + phi[sl]
-                b = offsets[:, None] * w[sl]
-                # the first harmonic's product goes straight into c
-                np.multiply((amp[sl] * np.cos(a))[:, None], np.cos(b),
-                            out=pr if h else c)
-                if h:
-                    c += pr
-                c -= np.multiply((amp[sl] * np.sin(a))[:, None], np.sin(b),
-                                 out=pr)
-            flat = c.reshape(-1, nt)
-            np.add(flat[:t.size] if identity else flat[cell], k[sl],
-                   out=out.T[:, sl])
-        if rows.size:
-            d, pr = scratch[:, :rows.size * nt].reshape(2, rows.size, nt)
-            d[...] = k[sl]
-            for amp, w, phi in harmonics:
-                np.multiply(t[rows, None], w[sl], out=pr)
-                pr += phi[sl]
-                d += np.multiply(np.cos(pr, out=pr), amp[sl], out=pr)
-            out.T[rows, sl] = d
+    n = k.size
+    buf, pr, out = (b[:b.size // n * n].reshape(-1, n) for b in bufs)
+    spare = buf  # holds neither the output nor the products
+    if cell is not None:
+        c, cp = (x[:starts.size * offsets.size].reshape(
+            starts.size, offsets.size, n) for x in (buf, pr))
+        if not harmonics:
+            c.fill(0.0)
+        for h, ((amp, w, phi), (cos_b, sin_b)) in enumerate(
+                zip(harmonics, offset_trig)):
+            a = starts[:, None] * w + phi
+            # the first harmonic's product goes straight into c
+            np.multiply((amp * np.cos(a))[:, None], cos_b, out=cp if h else c)
+            if h:
+                c += cp
+            c -= np.multiply((amp * np.sin(a))[:, None], sin_b, out=cp)
+        if np.array_equal(cell, np.arange(t.size)):
+            out, spare = buf, out
+            out[:t.size] += k
+        else:
+            np.add(buf[cell], k, out=out[:t.size])
+    out = out[:t.size]
+    if rows.size:
+        d, dp = spare[:rows.size], pr[:rows.size]
+        d[...] = k
+        for amp, w, phi in harmonics:
+            np.multiply(t[rows, None], w, out=dp)
+            dp += phi
+            d += np.multiply(np.cos(dp, out=dp), amp, out=dp)
+        out[rows] = d
     return out
 
 
@@ -513,10 +517,11 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
 
     ``coefficients(omegas, deltas)`` maps the Rabi frequencies (trials,)
     and detunings (sets, trials) to (K, harmonics) of
-    K + sum_d amp_d cos(w_d t + phi_d); ``_harmonic_sum`` evaluates them
-    into one block buffer, then worked on in place, each time range of
-    ``_grid_parts`` on its own thread. Draws and coefficients stay on the
-    calling thread."""
+    K + sum_d amp_d cos(w_d t + phi_d). Block b runs on thread b mod n
+    (thread 0 is the calling thread), slab by slab of ``_grid_parts``:
+    ``_harmonic_sum``, SPAM and the block statistics in place while the
+    slab sits in L2. Draws, coefficients, every buffer and the merge stay
+    on the calling thread."""
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
@@ -530,43 +535,55 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
         deltas = deltas + _phi_noise_delta_rad_s(field, env, table, phi_dev)
     k, harmonics = coefficients(omega_rad_s * om_f, deltas)
     grid = _chunk_grid(t)
-    parts = _grid_parts(t, grid, max(1, min(_cpu_count(),
-                                            t.size // _PART_POINTS)))
-    # one block buffer, trials contiguous: each time point's block sum
-    # over trials is numpy's pairwise sum; each part fills its own columns
-    buf = np.empty((t.size, min(trials, _TRIAL_BLOCK))).T
-    accs = [None] * len(parts)
+    offsets = t[:0] if grid is None else grid[1]
+    block = min(trials, _TRIAL_BLOCK)
+    slabs = _grid_parts(t, grid, max(1, -(-t.size * 8 * block
+                                         // _SLAB_BYTES)))
+    # a split slab's C x R cells hold its points
+    width = max(cols.stop - cols.start if g is None
+                else g[0].size * offsets.size for cols, g in slabs)
+    # per block: (mean, m2) over its trials at each grid time
+    stats = np.empty((-(-trials // _TRIAL_BLOCK), 2, t.size))
+    n = max(1, min(_cpu_count(), len(stats), t.size // _PART_POINTS))
+    bufs = np.empty((n, 3, width * block))
+    trig = np.empty((n, len(harmonics) * 2 * offsets.size * block))
+    errors = [None] * n
 
-    def run_part(i, cols, part_grid):
-        acc = [0, None, None]
+    def run_blocks(i):
         try:
-            for i0 in range(0, trials, _TRIAL_BLOCK):
-                sl = slice(i0, min(i0 + _TRIAL_BLOCK, trials))
-                p = _harmonic_sum(k[sl], [tuple(x[sl] for x in h)
-                                          for h in harmonics], t[cols],
-                                  part_grid, buf[:, cols], len(parts))
-                _accumulate(apply_spam(p, noise, out=p), acc)
+            for b in range(i, len(stats), n):
+                sl = slice(b * _TRIAL_BLOCK, (b + 1) * _TRIAL_BLOCK)
+                kb, hb = k[sl], [tuple(x[sl] for x in h) for h in harmonics]
+                shape = (len(hb), 2, offsets.size, kb.size)
+                offset_trig = trig[i, :math.prod(shape)].reshape(shape)
+                for (_, w, _), (cos_b, sin_b) in zip(hb, offset_trig):
+                    np.multiply(offsets[:, None], w, out=sin_b)
+                    np.cos(sin_b, out=cos_b)
+                    np.sin(sin_b, out=sin_b)
+                for cols, slab_grid in slabs:
+                    p = _harmonic_sum(kb, hb, offset_trig, t[cols],
+                                      slab_grid, bufs[i])
+                    _block_stats(apply_spam(p, noise, out=p),
+                                 stats[b, :, cols])
         except BaseException as exc:  # raised again on the calling thread
-            acc = exc
-        accs[i] = acc
+            errors[i] = exc
 
-    # part 0 runs here; a part's exception is raised after every join
-    threads = [threading.Thread(target=run_part, args=(i, *parts[i]))
-               for i in range(1, len(parts))]
+    threads = [threading.Thread(target=run_blocks, args=(i,))
+               for i in range(1, n)]
     try:
         for thread in threads:
             thread.start()
-        run_part(0, *parts[0])
+        run_blocks(0)
     finally:
         for thread in threads:
             if thread.ident is not None:  # started
                 thread.join()
-    for acc in accs:
-        if isinstance(acc, BaseException):
-            raise acc
-    n = accs[0][0]
-    mean, m2 = (np.concatenate([acc[i] for acc in accs]) for i in (1, 2))
-    sem = np.sqrt(m2 / (n - 1) / n) if n > 1 else np.zeros_like(mean)
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    mean, m2 = _merge_blocks(stats, trials)
+    sem = (np.sqrt(m2 / (trials - 1) / trials) if trials > 1
+           else np.zeros_like(mean))
     return TraceResult(t_s=t, p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem)
 
 

@@ -435,15 +435,3 @@ def write_map_csv(m: LightShiftMap, path) -> None:
             y_nm = f"{y * 1e9:.6f}"
             fh.write("".join([f"{x},{y_nm},{du:.9e}\r\n"
                               for x, du in zip(xs, row)]))
-
-
-def read_map_csv(path) -> LightShiftMap:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] != 3:
-        raise ValueError(f"{path}: expected 3 columns x_nm,y_nm,dU_over_h_Hz")
-    x = np.unique(data[:, 0]) * 1e-9
-    nx = x.size
-    if data.shape[0] % nx:
-        raise ValueError(f"{path}: ragged grid")
-    y = data[::nx, 1] * 1e-9
-    return LightShiftMap(x, y, data[:, 2].reshape(y.size, nx))

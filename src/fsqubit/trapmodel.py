@@ -73,15 +73,6 @@ class TrapCharacterization:
             "du_center_hz": self.du_center_hz,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TrapCharacterization":
-        s0, s2 = (d["states"][k] for k in _JSON_KEYS)
-        return cls(depth_p0_hz=float(s0["depth_hz"]),
-                   depth_p2_hz=float(s2["depth_hz"]),
-                   omega_p0_rad_s=np.asarray(s0["omega_rad_s"], dtype=float),
-                   omega_p2_rad_s=np.asarray(s2["omega_rad_s"], dtype=float),
-                   du_center_hz=float(d["du_center_hz"]))
-
 
 def squared_jet(f, f1, f2):
     """|f|^2 and its pure second derivatives along x, y, z at the focus from

@@ -7,6 +7,8 @@
   it checks the engine's expansion into harmonics.
 * :func:`polarization_in_field_frame`: the full field-frame polarization,
   the reference for ``atomstark.axis_projection``.
+* :func:`read_map_csv` and :func:`trap_from_json_dict`: readers of the map
+  CSV and the trap JSON that no command needs, for the round-trip tests.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fsqubit.dynamics import _su2_elements
+from fsqubit.focalfield import LightShiftMap
+from fsqubit.trapmodel import _JSON_KEYS, TrapCharacterization
 
 
 @dataclass(frozen=True)
@@ -81,3 +85,26 @@ def polarization_in_field_frame(epsilon: np.ndarray,
         ez,
         math.cos(phi) * ex + math.sin(phi) * ey,
     ])
+
+
+def read_map_csv(path) -> LightShiftMap:
+    """Read a map CSV written by ``focalfield.write_map_csv``."""
+    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    if data.ndim != 2 or data.shape[1] != 3:
+        raise ValueError(f"{path}: expected 3 columns x_nm,y_nm,dU_over_h_Hz")
+    x = np.unique(data[:, 0]) * 1e-9
+    nx = x.size
+    if data.shape[0] % nx:
+        raise ValueError(f"{path}: ragged grid")
+    y = data[::nx, 1] * 1e-9
+    return LightShiftMap(x, y, data[:, 2].reshape(y.size, nx))
+
+
+def trap_from_json_dict(d: dict) -> TrapCharacterization:
+    """Inverse of ``TrapCharacterization.to_json_dict``."""
+    s0, s2 = (d["states"][k] for k in _JSON_KEYS)
+    return TrapCharacterization(
+        depth_p0_hz=float(s0["depth_hz"]), depth_p2_hz=float(s2["depth_hz"]),
+        omega_p0_rad_s=np.asarray(s0["omega_rad_s"], dtype=float),
+        omega_p2_rad_s=np.asarray(s2["omega_rad_s"], dtype=float),
+        du_center_hz=float(d["du_center_hz"]))

@@ -165,6 +165,35 @@ class TestApplySpam:
         np.testing.assert_array_equal(p, noise.spam_scale
                                       * np.array([0.0, 0.5, 1.0]))
 
+    def test_in_range_block_matches_the_clip_bit_for_bit(self):
+        # the clip is skipped in range: same bits, -0.0 included
+        noise = NoiseModel(prep_efficiency=0.9, readout_fidelity=0.76)
+        p = np.random.default_rng(8).uniform(0.0, 1.0, (64, 7))
+        p[0, :3] = (-0.0, 0.0, 1.0)
+        want = np.clip(p, 0.0, 1.0) * noise.spam_scale
+        got = dynamics.apply_spam(p.copy(), noise)
+        assert got.tobytes() == want.tobytes()
+        assert np.signbit(got[0, 0]) and not np.signbit(got[0, 1])
+
+    def test_just_above_one_is_still_clipped(self):
+        noise = NoiseModel(prep_efficiency=0.9)
+        p = np.array([0.25, 1.0 + 1e-13, 1.0 + 1e-12])
+        np.testing.assert_array_equal(dynamics.apply_spam(p, noise),
+                                      0.9 * np.array([0.25, 1.0, 1.0]))
+
+    def test_nan_raises_in_place(self):
+        p = np.array([0.5, math.nan, 0.25])
+        with pytest.raises(ValueError, match="must lie in"):
+            dynamics.apply_spam(p, NOISELESS, out=p)
+
+    def test_new_array_leaves_input(self):
+        noise = NoiseModel(prep_efficiency=0.9)
+        for p in (np.array([0.0, 0.5, 1.0]), np.array([0.5, 1.0 + 1e-13])):
+            before = p.copy()
+            out = dynamics.apply_spam(p, noise)
+            assert out is not p
+            np.testing.assert_array_equal(p, before)
+
 
 class TestSimulateRabi:
     T_GRID = np.linspace(0.0, 60e-6, 121)
@@ -449,8 +478,8 @@ def test_engine_matches_scalar_propagator_on_split_grids(
 
 @pytest.mark.parametrize("grid", ["nudged", "burst"])
 def test_tile_size_changes_no_bit(grid, monkeypatch):
-    # tiles of 1 and 7 trials (7 does not divide the block) against the
-    # default tile, on grids whose cell map is not the identity
+    # slabs of about 1 and 7 runs against the default slab, on grids whose
+    # cell map is not the identity
     t = _split_grid(grid)
     starts, offsets, cell, _ = dynamics._chunk_grid(t)
     assert not np.array_equal(cell, np.arange(cell.size))
@@ -464,10 +493,10 @@ def test_tile_size_changes_no_bit(grid, monkeypatch):
             2 * dynamics._TRIAL_BLOCK + 3, 43, fluctuating_detuning=True)
 
     want = run()
-    cell_bytes = 8 * starts.size * offsets.size
-    assert dynamics._TILE_BYTES // cell_bytes not in (1, 7)
-    for tile in (1, 7):
-        monkeypatch.setattr(dynamics, "_TILE_BYTES", tile * cell_bytes)
+    run_bytes = 8 * dynamics._TRIAL_BLOCK * offsets.size
+    assert dynamics._SLAB_BYTES // run_bytes not in (1, 7)
+    for runs in (1, 7):
+        monkeypatch.setattr(dynamics, "_SLAB_BYTES", runs * run_bytes)
         got = run()
         np.testing.assert_array_equal(got.p32_mean, want.p32_mean)
         np.testing.assert_array_equal(got.p32_sem, want.p32_sem)
@@ -475,11 +504,11 @@ def test_tile_size_changes_no_bit(grid, monkeypatch):
 
 def _straddled_grid():
     """The 801-point linspace with a directly evaluated point on each side
-    of every boundary of 2, 3 and 5 parts; returns the grid and those
-    boundaries."""
+    of every boundary of 2, 3, 5 and 7 slabs (7 is the default slab of a
+    full block); returns the grid and those boundaries."""
     t = np.linspace(0.0, 200e-6, 801)
     grid = dynamics._chunk_grid(t)
-    bounds = {cols.start for n in (2, 3, 5)
+    bounds = {cols.start for n in (2, 3, 5, 7)
               for cols, _ in dynamics._grid_parts(t, grid, n)} - {0}
     near = sorted({b + side for b in bounds for side in (-1, 1)})
     # 7 ulp: off the point's run (> 4 ulp), inside its segment (< 8 ulp
@@ -493,11 +522,13 @@ def _straddled_grid():
                                   "straddled"])
 @pytest.mark.parametrize("protocol", ["echo", "ramsey", "rabi"])
 def test_part_count_changes_no_bit(grid, protocol, monkeypatch):
-    # 1, 2, 3 and 5 time ranges, each on a thread of its own past the
-    # first, on split and unsplit grids and with direct points next to
-    # the boundaries; two blocks, the second partial
+    # 1, 2, 3 and 5 threads, block b on thread b mod n, on split and
+    # unsplit grids and with direct points next to the slab boundaries;
+    # five blocks, the last partial
     if grid == "straddled":
         t, bounds = _straddled_grid()
+        slabs = dynamics._grid_parts(t, dynamics._chunk_grid(t), 7)
+        assert {cols.start for cols, _ in slabs} - {0} <= bounds
     else:
         t = _split_grid(grid)
     monkeypatch.setattr(dynamics, "_PART_POINTS", 16)
@@ -506,22 +537,47 @@ def test_part_count_changes_no_bit(grid, protocol, monkeypatch):
                        prep_efficiency=0.9, readout_fidelity=0.95)
     results = {}
     for n in (1, 2, 3, 5):
-        parts = dynamics._grid_parts(t, dynamics._chunk_grid(t), n)
-        assert len(parts) == n
-        if grid == "straddled" and n > 1:
-            assert {cols.start for cols, _ in parts} - {0} <= bounds
         monkeypatch.setattr(dynamics, "_cpu_count", lambda n=n: n)
         results[n] = _simulate(protocol, mismatched_trap(), 3e-6, noise, t,
-                               dynamics._TRIAL_BLOCK + 3, 53, False, 2)
+                               4 * dynamics._TRIAL_BLOCK + 3, 53, False, 2)
     for n in (2, 3, 5):
         np.testing.assert_array_equal(results[n].p32_mean,
                                       results[1].p32_mean)
         np.testing.assert_array_equal(results[n].p32_sem, results[1].p32_sem)
 
 
+def _count_started_threads(monkeypatch):
+    """Patch threading.Thread so that every started thread is listed."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
+@pytest.mark.parametrize("grid,trials,cpus,threads", [
+    ("window", 1200, 8, 0), ("burst", 2000, 8, 0), ("linspace", 2048, 2, 1)])
+def test_thread_count_is_derived(grid, trials, cpus, threads, monkeypatch):
+    # min(CPUs, blocks, T // _PART_POINTS) threads, the calling thread
+    # among them: a 28-point window and the 252-point burst grid start
+    # none, an 801-point run of 4 blocks on 2 CPUs starts one
+    t = {"window": np.linspace(0.0, 5 / F_FR, 28, endpoint=False),
+         "burst": dynamics.ramsey_burst_grid(80e-6, F_FR),
+         "linspace": np.linspace(0.0, 200e-6, 801)}[grid]
+    started = _count_started_threads(monkeypatch)
+    monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
+    dynamics.simulate_ramsey(mismatched_trap(), 3e-6, NOISELESS, OMEGA,
+                             F_FR, t, trials, 61)
+    assert len(started) == threads
+
+
 def test_worker_part_error_reaches_the_caller(monkeypatch):
-    # apply_spam rejects the populations of a part off the calling thread:
-    # the caller raises its ValueError after every thread has ended
+    # apply_spam rejects the populations of a block off the calling
+    # thread: the caller raises its ValueError after every thread has ended
     spam = dynamics.apply_spam
 
     def corrupt_off_main(p, noise, out=None):
@@ -531,12 +587,13 @@ def test_worker_part_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(dynamics, "apply_spam", corrupt_off_main)
     monkeypatch.setattr(dynamics, "_cpu_count", lambda: 3)
+    started = _count_started_threads(monkeypatch)
     t = np.linspace(0.0, 200e-6, 801)
-    assert len(dynamics._grid_parts(t, dynamics._chunk_grid(t), 3)) == 3
     before = threading.active_count()
     with pytest.raises(ValueError, match="must lie in"):
         dynamics.simulate_ramsey(mismatched_trap(), 3e-6, NOISELESS, OMEGA,
-                                 F_FR, t, 40, 59)
+                                 F_FR, t, dynamics._TRIAL_BLOCK + 40, 59)
+    assert len(started) == 1
     assert threading.active_count() == before
 
 
@@ -592,10 +649,12 @@ def test_grid_split_accepts_only_points_on_their_run():
     k, amp = rng.uniform(0.2, 0.5, (2, 7))
     w = 2 * math.pi * F_FR + rng.normal(0.0, 1e4, 7)
     harmonics = [(amp, w, rng.uniform(-math.pi, math.pi, 7))]
-    split, unsplit = np.empty((2, t.size, k.size)).transpose(0, 2, 1)
+    b = grid[1][:, None] * w
+    offset_trig = np.array([[np.cos(b), np.sin(b)]])
+    split, unsplit = np.empty((2, 3, 2 * t.size * k.size))
     np.testing.assert_allclose(
-        dynamics._harmonic_sum(k, harmonics, t, grid, split),
-        dynamics._harmonic_sum(k, harmonics, t, None, unsplit),
+        dynamics._harmonic_sum(k, harmonics, offset_trig, t, grid, split),
+        dynamics._harmonic_sum(k, harmonics, None, t, None, unsplit),
         rtol=0, atol=1e-12)
 
 

@@ -39,6 +39,8 @@ from fsqubit import focalfield
 from fsqubit.constants import C_LIGHT, EPS0
 from fsqubit.errors import UnreachableWaist
 
+import oracles
+
 REF = TweezerConfig(wavelength_nm=539.91, power_W=1.45e-3, na=0.5,
                     target_waist_nm=564.0)
 
@@ -483,7 +485,7 @@ class TestMap:
         lines = path.read_text().splitlines()
         assert lines[0] == "x_nm,y_nm,dU_over_h_Hz"
         assert len(lines) == 1 + m.du_hz.size
-        m2 = focalfield.read_map_csv(path)
+        m2 = oracles.read_map_csv(path)
         np.testing.assert_allclose(m2.x_m, m.x_m, rtol=0, atol=1e-12)
         np.testing.assert_allclose(m2.du_hz, m.du_hz, rtol=1e-6)
 
