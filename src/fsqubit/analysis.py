@@ -1,16 +1,17 @@
 """Trace fitting and dephasing-time estimation.
 
 Fringe fits use the model A sin(2 pi f t + phi0) + c. With f fixed the
-problem is linear and solved exactly. Contrast is twice the fitted
-amplitude on the 0-1 population scale. Coherence times come from a
-Gaussian envelope C0 exp(-t^2 / 2 T2^2). The free-frequency fringe and the
-envelope each have one nonlinear parameter (f, or beta = 1 / 2 T2^2), so
-both are fitted by variable projection: the linear parameters are solved
-exactly at every trial value, the profiled sum of squared residuals is
-scanned on a grid, and its minimum is refined to the sign change of the
-analytic profiled slope. The thermal dephasing estimate converts the
-position-averaged spread of a differential shift map into the 1/e time of
-the equivalent Gaussian decay, 1 / (2 pi sigma).
+problem is linear and solved exactly; a trace's windows share one batched
+normal-equation solve per window length, with a single fit's covariance.
+Contrast is twice the fitted amplitude on the 0-1 population scale.
+Coherence times come from a Gaussian envelope C0 exp(-t^2 / 2 T2^2). The
+free-frequency fringe and the envelope each have one nonlinear parameter
+(f, or beta = 1 / 2 T2^2), so both are fitted by variable projection: the
+linear parameters are solved exactly at every trial value, the profiled
+sum of squared residuals is scanned on a grid, and its minimum is refined
+to the sign change of the analytic profiled slope. The thermal dephasing
+estimate converts the position-averaged spread of a differential shift map
+into the 1/e time of the equivalent Gaussian decay, 1 / (2 pi sigma).
 """
 
 from __future__ import annotations
@@ -108,6 +109,23 @@ def _linear_sinusoid_solve(t: np.ndarray, y: np.ndarray, freq_hz: float):
     return coef, design, float(resid @ resid)
 
 
+def _fixed_freq_fits(theta, y):
+    """Exact LS solves in (A sin, A cos, c) of y (one row, or one per row) at
+    each row of phases theta: coefficients, (J^T J)^-1 and SSR. sin, cos and
+    1 are near-orthogonal over a period, so normal equations lose nothing."""
+    design = np.empty((len(theta), 3, theta.shape[1]))
+    np.sin(theta, out=design[:, 0])
+    np.cos(theta, out=design[:, 1])
+    design[:, 2] = 1.0
+    try:
+        g_inv = np.linalg.inv(design @ design.swapaxes(1, 2))
+    except np.linalg.LinAlgError:
+        raise FitFailed("sinusoid design matrix is singular") from None
+    coef = (g_inv @ (design @ y[..., None]))[..., 0]
+    r = y - (coef[:, None] @ design)[:, 0]
+    return coef, g_inv, np.einsum("ij,ij->i", r, r)
+
+
 def _freq_column(t, coef, design) -> np.ndarray:
     """d model / d f at the linear solve: 2 pi t (a_s cos - a_c sin)."""
     a_s, a_c = coef[:2]
@@ -194,30 +212,16 @@ def _scan_frequency(t: np.ndarray, y: np.ndarray) -> float:
         step = (f_hi - f_lo) / n_f
     freqs = f_lo + step * np.arange(n_f)
 
-    y0 = y - y.mean()
     best_ssr = np.empty(n_f)
-    # chunked normal-equation solve of the 3-parameter problem per frequency
-    chunk = 2048
-    ones = np.ones_like(t)
+    chunk = max(1, 16384 // t.size)  # frequencies per cache-sized solve
     for i0 in range(0, n_f, chunk):
-        fs = freqs[i0:i0 + chunk, None]
-        theta = 2.0 * math.pi * fs * t[None, :]
-        s, c = np.sin(theta), np.cos(theta)
-        g = np.empty((fs.size, 3, 3))
-        g[:, 0, 0] = np.sum(s * s, axis=1)
-        g[:, 0, 1] = g[:, 1, 0] = np.sum(s * c, axis=1)
-        g[:, 0, 2] = g[:, 2, 0] = s.sum(axis=1)
-        g[:, 1, 1] = np.sum(c * c, axis=1)
-        g[:, 1, 2] = g[:, 2, 1] = c.sum(axis=1)
-        g[:, 2, 2] = t.size
-        b = np.stack([s @ y0, c @ y0, np.full(fs.size, y0 @ ones)], axis=1)
+        fs = freqs[i0:i0 + chunk]
         try:
-            coef = np.linalg.solve(g, b[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            coef = np.stack([np.linalg.lstsq(gi, bi, rcond=None)[0]
-                             for gi, bi in zip(g, b)])
-        # SSR = y.y - b.coef for the projection onto the design space
-        best_ssr[i0:i0 + chunk] = y0 @ y0 - np.sum(b * coef, axis=1)
+            best_ssr[i0:i0 + fs.size] = _fixed_freq_fits(
+                2.0 * math.pi * fs[:, None] * t, y)[2]
+        except FitFailed:  # a singular design in the chunk: one by one
+            best_ssr[i0:i0 + fs.size] = [
+                _linear_sinusoid_solve(t, y, f)[2] for f in fs]
     k = int(np.argmin(best_ssr))
 
     def slope(f):
@@ -275,9 +279,9 @@ def extract_contrast(t, y, fringe_hz: float,
     """Windowed fixed-frequency contrast extraction.
 
     The trace is cut into consecutive windows of ``window_periods`` fringe
-    periods; each window holding >= 6 points gets an exact linear fit and
-    contributes (mean time, 2A). Raises :class:`FitFailed` for a
-    non-finite time or population.
+    periods; each window holding >= 6 points contributes (mean time, 2A)
+    from an exact linear fit, one batched solve per window length. Raises
+    :class:`FitFailed` for a non-finite time or population.
     """
     if window_periods < 1.0:
         raise WindowTooShort(f"window of {window_periods} fringe periods; "
@@ -296,18 +300,31 @@ def extract_contrast(t, y, fringe_hz: float,
     # a point landing exactly on the final edge joins the last full window
     last = max(int(np.ceil((float(t.max()) - t0) / width)) - 1, 0)
     idx = np.minimum(idx, last)
-    points: list[ContrastPoint] = []
-    for k in range(int(idx.max()) + 1):
-        mask = idx == k
-        if mask.sum() < 6:
-            continue
-        fit = fit_sinusoid(t[mask], y[mask], fixed_freq_hz=fringe_hz)
-        points.append(ContrastPoint(t_s=float(t[mask].mean()),
-                                    contrast=2.0 * fit.amplitude,
-                                    contrast_err=2.0 * fit.amplitude_err))
-    if not points:
+    counts = np.bincount(idx, minlength=last + 1)
+    kept = (counts >= 6).nonzero()[0]
+    if not kept.size:
         raise WindowTooShort("no window holds enough points to fit")
-    return points
+    # window k holds order[start[k]:start[k] + counts[k]], input order
+    order, start = idx.argsort(kind="stable"), counts.cumsum() - counts
+    out = np.empty((3, kept.size))  # (mean time, 2A, its error) per window
+    for n in set(counts[kept].tolist()):
+        sel = counts[kept] == n
+        rows = order[start[kept[sel]][:, None] + np.arange(n)]
+        coef, g_inv, ssr = _fixed_freq_fits(
+            2.0 * math.pi * fringe_hz * t[rows], y[rows])
+        cov = (ssr / (n - 3))[:, None, None] * g_inv
+        var = np.diagonal(cov, axis1=1, axis2=2)
+        if not (var >= 0.0).all():  # NaN too
+            raise FitFailed("sinusoid design matrix is numerically singular")
+        # delta method: a^T cov a / A^2 (the larger of var_s, var_c at A = 0)
+        a = coef[:, None, :2]
+        amp_sq = (a @ a.swapaxes(1, 2))[:, 0, 0]
+        amp_var = np.divide((a @ cov[:, :2, :2] @ a.swapaxes(1, 2))[:, 0, 0],
+                            amp_sq, out=np.maximum(var[:, 0], var[:, 1]),
+                            where=amp_sq > 0)
+        out[:, sel] = (t[rows].sum(axis=1) / n, 2.0 * np.sqrt(amp_sq),
+                       2.0 * np.sqrt(np.maximum(amp_var, 0.0)))
+    return [ContrastPoint(*p) for p in zip(*out.tolist())]
 
 
 def fit_t2_envelope(t_s, contrast) -> EnvelopeFit:

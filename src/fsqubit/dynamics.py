@@ -141,10 +141,10 @@ class TraceResult:
 def write_trace_csv(trace: TraceResult, path) -> None:
     """t_s, p32_mean, p32_sem rows with the CRLF line ends of
     ``csv.writer``; no cell needs quoting."""
-    rows = [f"{t:.12e},{m:.9e},{s:.9e}\r\n" for t, m, s in zip(
-        trace.t_s.tolist(), trace.p32_mean.tolist(), trace.p32_sem.tolist())]
+    cells = np.stack([trace.t_s, trace.p32_mean, trace.p32_sem], axis=1)
     with open(path, "w", newline="") as fh:
-        fh.write("".join(["t_s,p32_mean,p32_sem\r\n", *rows]))
+        fh.write("t_s,p32_mean,p32_sem\r\n" + "%.12e,%.9e,%.9e\r\n"
+                 * len(cells) % tuple(cells.ravel().tolist()))
 
 
 def read_trace_csv(path) -> TraceResult:
@@ -465,17 +465,18 @@ def _grid_parts(t, grid, parts):
 
 def _harmonic_sum(k, harmonics, offset_trig, t, grid, bufs):
     """K + sum amp cos(w t + phi) of one slab as a (points, trials) view
-    of the three flat scratch buffers ``bufs``, trials contiguous: the
-    (C, R, trials) angle addition over a split grid's runs from the slab's
-    run starts and the block's ``offset_trig`` (cos and sin of offsets * w
-    per harmonic), then the points off every run (all when ``grid`` is
-    None), evaluated directly as k + h_1 + h_2 + ...; an identity cell map
-    sums in place in the cell buffer."""
+    of the scratch buffers ``bufs``, trials contiguous: the (C, R, trials)
+    angle addition over a split grid's runs from the slab's run starts and
+    the block's ``offset_trig`` (cos and sin of offsets * w per harmonic),
+    then the points off every run (all when ``grid`` is None), evaluated
+    directly as k + h_1 + h_2 + ...; an identity cell map sums in place in
+    the cell buffer, so only a gather or a direct point needs a third."""
     if grid is None:  # no runs
         grid = (t[:0], t[:0], None, np.arange(t.size))
     starts, offsets, cell, rows = grid
     n = k.size
-    buf, pr, out = (b[:b.size // n * n].reshape(-1, n) for b in bufs)
+    buf, pr, *out = (b[:b.size // n * n].reshape(-1, n) for b in bufs)
+    out = out[0] if out else None
     spare = buf  # holds neither the output nor the products
     if cell is not None:
         c, cp = (x[:starts.size * offsets.size].reshape(
@@ -545,7 +546,9 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     # per block: (mean, m2) over its trials at each grid time
     stats = np.empty((-(-trials // _TRIAL_BLOCK), 2, t.size))
     n = max(1, min(_cpu_count(), len(stats), t.size // _PART_POINTS))
-    bufs = np.empty((n, 3, width * block))
+    third = any(g is None or g[3].size or not np.array_equal(
+        g[2], np.arange(g[2].size)) for _, g in slabs)
+    bufs = np.empty((n, 2 + third, width * block))
     trig = np.empty((n, len(harmonics) * 2 * offsets.size * block))
     errors = [None] * n
 

@@ -9,6 +9,10 @@
   the reference for ``atomstark.axis_projection``.
 * :func:`read_map_csv` and :func:`trap_from_json_dict`: readers of the map
   CSV and the trap JSON that no command needs, for the round-trip tests.
+* :func:`extract_contrast`: one ``fit_sinusoid`` per window, the reference
+  for the batched windowed contrast fit of ``analysis.extract_contrast``.
+* :func:`write_trace_csv`: one f-string per row, the reference for the
+  bytes of ``dynamics.write_trace_csv``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from fsqubit.analysis import _EDGE_TOL, ContrastPoint, fit_sinusoid
 from fsqubit.dynamics import _su2_elements
 from fsqubit.focalfield import LightShiftMap
 from fsqubit.trapmodel import _JSON_KEYS, TrapCharacterization
@@ -108,3 +113,36 @@ def trap_from_json_dict(d: dict) -> TrapCharacterization:
         omega_p0_rad_s=np.asarray(s0["omega_rad_s"], dtype=float),
         omega_p2_rad_s=np.asarray(s2["omega_rad_s"], dtype=float),
         du_center_hz=float(d["du_center_hz"]))
+
+
+def extract_contrast(t, y, fringe_hz: float,
+                     window_periods: float = 5.0) -> list[ContrastPoint]:
+    """Windowed contrast, window by window: the windows of
+    ``analysis.extract_contrast`` (edge tolerance, last-edge rule, windows
+    under 6 points skipped), each fitted by its own fixed-frequency
+    ``fit_sinusoid``."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    width = window_periods / fringe_hz
+    t0 = float(t.min())
+    idx = np.floor((t - t0) / width + _EDGE_TOL).astype(int)
+    last = max(int(np.ceil((float(t.max()) - t0) / width)) - 1, 0)
+    idx = np.minimum(idx, last)
+    points = []
+    for k in range(int(idx.max()) + 1):
+        mask = idx == k
+        if mask.sum() < 6:
+            continue
+        fit = fit_sinusoid(t[mask], y[mask], fixed_freq_hz=fringe_hz)
+        points.append(ContrastPoint(t_s=float(t[mask].mean()),
+                                    contrast=2.0 * fit.amplitude,
+                                    contrast_err=2.0 * fit.amplitude_err))
+    return points
+
+
+def write_trace_csv(trace, path) -> None:
+    """t_s, p32_mean, p32_sem rows, one f-string each, CRLF line ends."""
+    rows = [f"{t:.12e},{m:.9e},{s:.9e}\r\n" for t, m, s in zip(
+        trace.t_s.tolist(), trace.p32_mean.tolist(), trace.p32_sem.tolist())]
+    with open(path, "w", newline="") as fh:
+        fh.write("".join(["t_s,p32_mean,p32_sem\r\n", *rows]))

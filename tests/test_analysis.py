@@ -10,11 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from fsqubit import analysis, trapmodel
+from fsqubit import analysis, dynamics, trapmodel
 from fsqubit.constants import K_B, MASS_SR88
 from fsqubit.errors import (FitFailed, GridTooCoarse, NoDecayObserved,
                             WindowTooShort)
 from fsqubit.focalfield import LightShiftMap
+
+import oracles
 
 
 def sinusoid(t, a, f, phi0, c):
@@ -147,6 +149,21 @@ class TestFitSinusoidFreeF:
         f = fit.freq_hz
         assert slope(f * (1 - 1e-12)) < 0 < slope(f * (1 + 1e-12))
 
+    def test_scan_falls_back_to_one_solve_per_frequency(self, monkeypatch):
+        # a block of the frequency scan whose batched solve meets a
+        # singular design is scanned by one lstsq solve per frequency
+        rng = np.random.default_rng(11)
+        y = sinusoid(self.T, 0.4, 1.3e6, 0.9, 0.5) + rng.normal(0, 0.03, 50)
+        want = analysis.fit_sinusoid(self.T, y)
+
+        def singular(theta, y):
+            raise FitFailed("sinusoid design matrix is singular")
+
+        monkeypatch.setattr(analysis, "_fixed_freq_fits", singular)
+        got = analysis.fit_sinusoid(self.T, y)
+        assert got.freq_hz == pytest.approx(want.freq_hz, rel=1e-12)
+        assert got.amplitude == pytest.approx(want.amplitude, rel=1e-12)
+
 
 class TestExtractContrast:
     F = 1.3e6
@@ -198,6 +215,95 @@ class TestExtractContrast:
         b = analysis.extract_contrast(t, y + 0.37, self.F)
         for pa, pb in zip(a, b):
             assert pa.contrast == pytest.approx(pb.contrast, abs=1e-12)
+
+
+F_FR = 1.3e6
+WIDTH = 5.0 / F_FR  # one default contrast window
+
+
+def decaying_fringe(t, seed):
+    """Ramsey fringe under a Gaussian envelope with shot noise."""
+    env = np.exp(-t ** 2 / (2 * 80e-6 ** 2))
+    return (0.5 + 0.45 * env * np.cos(2 * math.pi * F_FR * t + 0.3)
+            + np.random.default_rng(seed).normal(0.0, 0.01, t.size))
+
+
+def contrast_grid(case):
+    """(time grid, windows it keeps) of each parity case."""
+    if case == "linspace_801":  # windows of 15 and 16 points
+        return np.linspace(0.0, 200e-6, 801), 52
+    if case == "shuffled_801":
+        return np.random.default_rng(2).permutation(
+            np.linspace(0.0, 200e-6, 801)), 52
+    if case == "t2_burst":
+        return dynamics.ramsey_burst_grid(100e-6, F_FR), 9
+    if case == "short_window_skipped":  # window 2 keeps 5 points
+        t = np.linspace(0.0, 4 * WIDTH, 80, endpoint=False)
+        return np.delete(t, np.arange(45, 60)), 3
+    if case == "point_on_edge":
+        # a point just under an edge joins the window above, the last
+        # point on the final edge joins the last window
+        t = np.linspace(0.0, 3 * WIDTH, 61)
+        t[40] = 2 * WIDTH * (1.0 - 0.25 * analysis._EDGE_TOL)
+        return t, 3
+    return 20e-6 + np.arange(28) / 28 * WIDTH, 1  # one magic-scan window
+
+
+class TestBatchedContrast:
+    """The batched window fit against one fit_sinusoid per window."""
+
+    @pytest.mark.parametrize("case", [
+        "linspace_801", "shuffled_801", "t2_burst", "short_window_skipped",
+        "point_on_edge", "single_28"])
+    def test_matches_per_window_fits(self, case):
+        t, windows = contrast_grid(case)
+        y = decaying_fringe(t, 11)
+        got = analysis.extract_contrast(t, y, F_FR)
+        want = oracles.extract_contrast(t, y, F_FR)
+        assert len(got) == len(want) == windows
+        assert [p.t_s for p in got] == [p.t_s for p in want]
+        for key in ("contrast", "contrast_err"):
+            np.testing.assert_allclose(
+                [getattr(p, key) for p in got],
+                [getattr(p, key) for p in want], rtol=1e-12, atol=0.0)
+
+    def test_edge_points_change_windows(self):
+        t, _ = contrast_grid("point_on_edge")
+        pts = analysis.extract_contrast(t, decaying_fringe(t, 11), F_FR)
+        # 20 points, 20 without the moved one, 21 with it and the final edge
+        assert [p.t_s for p in pts] == [
+            float(t[:20].mean()), float(t[20:40].mean()),
+            float(t[40:].mean())]
+
+    def test_linalg_calls_do_not_grow_with_windows(self, monkeypatch):
+        calls = []
+        for name in ("inv", "solve", "lstsq", "pinv", "det", "svd", "qr"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(
+                np.linalg, name,
+                lambda *a, _real=real, _name=name, **kw: (
+                    calls.append(_name), _real(*a, **kw))[1])
+        per_trace = []
+        for n_windows in (2, 20, 60):
+            t = np.linspace(0.0, n_windows * WIDTH, 16 * n_windows,
+                            endpoint=False)
+            calls.clear()
+            pts = analysis.extract_contrast(t, decaying_fringe(t, 3), F_FR)
+            assert len(pts) == n_windows
+            per_trace.append(len(calls))
+        assert per_trace == [1, 1, 1]
+
+    @pytest.mark.parametrize("frac", [0.0, 0.5, 0.93])
+    def test_collapsed_window_fails_as_per_window_fit(self, frac):
+        # window 1's 28 points all at one time: a rank-one design
+        t = np.linspace(0.0, 4 * WIDTH, 4 * 28, endpoint=False)
+        t[28:56] = (1.0 + frac) * WIDTH
+        y = decaying_fringe(t, 7)
+        with pytest.raises(FitFailed) as want:
+            oracles.extract_contrast(t, y, F_FR)
+        with pytest.raises(FitFailed) as got:
+            analysis.extract_contrast(t, y, F_FR)
+        assert str(got.value) == str(want.value)
 
 
 FITS = {"fixed": lambda t, y: analysis.fit_sinusoid(t, y,

@@ -804,6 +804,29 @@ class TestTraceCSV:
         assert path.read_bytes().endswith(
             b"\r\n-0.000000000000e+00,-0.000000000e+00,0.000000000e+00\r\n")
 
+    def test_bytes_match_per_row_oracle(self, tmp_path):
+        tr = dynamics.simulate_ramsey(mismatched_trap(), 3e-6,
+                                      NoiseModel(rabi_frac_std=0.1), OMEGA,
+                                      F_FR, np.linspace(0, 2e-4, 801),
+                                      trials=64, master_seed=5)
+        # signed zero, the smallest subnormal, a huge value and a one-row
+        # trace; every cell goes through one "%" format
+        edge = dynamics.TraceResult(
+            np.array([-0.0, 5e-324, 1e300, -1e300, 0.1]),
+            np.array([5e-324, -0.0, 1.0, 0.1, 1e-300]),
+            np.array([1e300, 5e-324, -0.0, 0.0, 0.1]))
+        traces = [tr, edge,
+                  dynamics.TraceResult(np.array([5e-324]),
+                                       np.array([-0.0]), np.array([1e300]))]
+        for k, trace in enumerate(traces):
+            path, ref = tmp_path / f"t{k}.csv", tmp_path / f"ref{k}.csv"
+            dynamics.write_trace_csv(trace, path)
+            oracles.write_trace_csv(trace, ref)
+            assert path.read_bytes() == ref.read_bytes()
+        assert path.read_bytes() == (b"t_s,p32_mean,p32_sem\r\n"
+                                     b"4.940656458412e-324,-0.000000000e+00,"
+                                     b"1.000000000e+300\r\n")
+
 
     @pytest.mark.parametrize("body", [
         "", "1e-6,0.5,0.01\r\n2e-6,0.5\r\n", "1e-6,1.5,0.01\r\n"],
