@@ -1,9 +1,11 @@
 """Trace fitting and dephasing-time estimation.
 
-Fringe fits use the model A sin(2 pi f t + phi0) + c. With f fixed the
-problem is linear and solved exactly; a trace's windows share one batched
-normal-equation solve per window length, with a single fit's covariance.
-Contrast is twice the fitted amplitude on the 0-1 population scale.
+Fringe fits use the model A sin(2 pi f t + phi0) + c, linear with f fixed:
+every fit solves it by the same normal equations (a trace's windows in one
+batch per length) and, like the envelope, takes its errors from one step,
+sigma^2 (J^T J)^-1 behind a rank test (_MAX_VIF) that refuses a design too
+ill-conditioned for 8 digits, such as a fixed-frequency span of 0.02 period
+or less. Contrast is twice the fitted amplitude on the 0-1 population scale.
 Coherence times come from a Gaussian envelope C0 exp(-t^2 / 2 T2^2). The
 free-frequency fringe and the envelope each have one nonlinear parameter
 (f, or beta = 1 / 2 T2^2), so both are fitted by variable projection: the
@@ -33,6 +35,14 @@ _MAX_SCAN_POINTS = 1 << 21
 # keeps exp(-2 beta t^2) a normal double, so the profiled C0 = g.c / g.g
 # never divides by an underflowed g.g.
 _ENVELOPE_GRID = np.geomspace(1e-3, 350.0, 356)
+
+# Rank test bound on a variance inflation factor s_i^2 (G^-1)_ii of G = J^T J,
+# s_i^2 being column i's natural squared norm: n for sin, cos and 1 (a sine
+# sampled at its zeros is the near-empty column it is), else G_ii. On fixed-
+# frequency spans of 0.01 to 1 period, 3 to 28 points, normal equations kept
+# within 7 eps times the largest factor of a QR solve: 1e6 keeps 8 digits.
+_MAX_VIF = 1e6
+_SINGULAR = "design matrix is numerically singular (it fails the rank test)"
 
 # Contrast-window edge tolerance, in window widths. Far below the point
 # spacing of a burst (at least 1e-4 of a window at the config ceiling) and
@@ -99,79 +109,60 @@ class EnvelopeFit:
         }
 
 
-def _linear_sinusoid_solve(t: np.ndarray, y: np.ndarray, freq_hz: float):
-    """Exact LS solve in (A sin, A cos, c) at fixed frequency."""
-    theta = 2.0 * math.pi * freq_hz * t
-    design = np.column_stack([np.sin(theta), np.cos(theta),
-                              np.ones_like(t)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    return coef, design, float(resid @ resid)
+def _gram_inverse(design, norm_sq=None):
+    """(J^T J)^-1 of each of a stack of J^T (rows, columns, points), and the
+    rank test's verdict on each column: norm_sq (G^-1)_ii is in (0, _MAX_VIF)
+    for the natural squared norms norm_sq (by default G_ii, blind to units)."""
+    gram = design @ design.swapaxes(1, 2)
+    try:
+        g_inv = np.linalg.inv(gram)
+    except np.linalg.LinAlgError:
+        raise FitFailed(_SINGULAR) from None
+    vif = ((gram if norm_sq is None else norm_sq) * g_inv).diagonal(0, 1, 2)
+    return g_inv, 1.0 / vif > 1.0 / _MAX_VIF  # NaN and negative fail too
+
+
+def _covariance(g_inv, ok, ssr, dof):
+    """sigma^2 (J^T J)^-1 per row, sigma^2 = SSR / dof; raises if refused."""
+    if not ok.all():
+        raise FitFailed(_SINGULAR)
+    return (ssr / dof)[..., None, None] * g_inv
 
 
 def _fixed_freq_fits(theta, y):
-    """Exact LS solves in (A sin, A cos, c) of y (one row, or one per row) at
-    each row of phases theta: coefficients, (J^T J)^-1 and SSR. sin, cos and
-    1 are near-orthogonal over a period, so normal equations lose nothing."""
+    """Normal-equation LS solves of y (a row, or one per row) in (A sin, A cos,
+    c) at each row of phases theta: J^T, coef, (J^T J)^-1, verdicts, SSR."""
     design = np.empty((len(theta), 3, theta.shape[1]))
     np.sin(theta, out=design[:, 0])
     np.cos(theta, out=design[:, 1])
     design[:, 2] = 1.0
-    try:
-        g_inv = np.linalg.inv(design @ design.swapaxes(1, 2))
-    except np.linalg.LinAlgError:
-        raise FitFailed("sinusoid design matrix is singular") from None
+    g_inv, ok = _gram_inverse(design, theta.shape[1])
     coef = (g_inv @ (design @ y[..., None]))[..., 0]
     r = y - (coef[:, None] @ design)[:, 0]
-    return coef, g_inv, np.einsum("ij,ij->i", r, r)
+    return design, coef, g_inv, ok, np.einsum("ij,ij->i", r, r)
+
+
+def _amplitude_errors(coef, cov) -> np.ndarray:
+    """Rows A = |(a_s, a_c)|, sigma_A and sigma_phi0, by the delta method over
+    the (a_s, a_c) block C of cov: with u = (a_s, a_c) / A, var A = u^T C u
+    and var phi0 = (tr C - var A) / A^2, both positive under the rank test;
+    at A = 0, the larger of var_s and var_c, and pi^2."""
+    a = coef[:, None, :2]
+    amp_sq = (a @ a.swapaxes(1, 2))[:, 0, 0]
+    var_s, var_c = cov[:, 0, 0], cov[:, 1, 1]
+    nonzero = amp_sq > 0
+    amp_var = np.divide((a @ cov[:, :2, :2] @ a.swapaxes(1, 2))[:, 0, 0],
+                        amp_sq, out=np.maximum(var_s, var_c), where=nonzero)
+    phase_var = np.divide(var_s + var_c - amp_var, amp_sq,
+                          out=np.where(nonzero, 0.0, math.pi ** 2),
+                          where=nonzero)
+    return np.sqrt((amp_sq, amp_var, phase_var))
 
 
 def _freq_column(t, coef, design) -> np.ndarray:
     """d model / d f at the linear solve: 2 pi t (a_s cos - a_c sin)."""
     a_s, a_c = coef[:2]
-    return 2.0 * math.pi * t * (a_s * design[:, 1] - a_c * design[:, 0])
-
-
-def _sinusoid_fit(t, y, freq_hz: float, free_freq: bool) -> SinusoidFit:
-    """Exact linear solve at ``freq_hz``; every error from sigma^2 (J^T J)^-1.
-
-    J holds the (sin, cos, 1) columns, plus the frequency column when f was
-    fitted, so the amplitude, phase and offset errors carry their
-    correlation with f; sigma^2 = SSR / (n - columns of J).
-    """
-    coef, design, ssr = _linear_sinusoid_solve(t, y, freq_hz)
-    jac = (np.column_stack([design, _freq_column(t, coef, design)])
-           if free_freq else design)
-    n = t.size
-    a_s, a_c, c = (float(v) for v in coef)
-    amp = math.hypot(a_s, a_c)
-    phase = math.atan2(a_c, a_s) if amp > 0 else 0.0
-    sigma_sq = ssr / max(n - jac.shape[1], 1)
-    try:
-        cov = sigma_sq * np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        raise FitFailed("sinusoid design matrix is singular") from None
-    if not np.all(np.diag(cov) >= 0.0):  # NaN too
-        raise FitFailed("sinusoid design matrix is numerically singular")
-    var_s, var_c, var_off = np.diag(cov)[:3]
-    cov_sc = cov[0, 1]
-    if amp > 0:
-        # delta method through (a_s, a_c) -> (A, phi0)
-        amp_err = math.sqrt(max(
-            (a_s / amp) ** 2 * var_s + (a_c / amp) ** 2 * var_c
-            + 2 * (a_s * a_c / amp ** 2) * cov_sc, 0.0))
-        phase_err = math.sqrt(max(
-            (a_c / amp ** 2) ** 2 * var_s + (a_s / amp ** 2) ** 2 * var_c
-            - 2 * (a_s * a_c / amp ** 4) * cov_sc, 0.0))
-    else:
-        amp_err = math.sqrt(max(var_s, var_c))
-        phase_err = math.pi
-    return SinusoidFit(amplitude=amp, freq_hz=float(freq_hz),
-                       phase_rad=phase, offset=c, amplitude_err=amp_err,
-                       freq_err_hz=math.sqrt(cov[3, 3]) if free_freq else None,
-                       phase_err_rad=phase_err,
-                       offset_err=float(math.sqrt(var_off)),
-                       rms=math.sqrt(ssr / n))
+    return 2.0 * math.pi * t * (a_s * design[1] - a_c * design[0])
 
 
 def _stationary_point(slope, grid: np.ndarray, k: int) -> float:
@@ -216,18 +207,15 @@ def _scan_frequency(t: np.ndarray, y: np.ndarray) -> float:
     chunk = max(1, 16384 // t.size)  # frequencies per cache-sized solve
     for i0 in range(0, n_f, chunk):
         fs = freqs[i0:i0 + chunk]
-        try:
-            best_ssr[i0:i0 + fs.size] = _fixed_freq_fits(
-                2.0 * math.pi * fs[:, None] * t, y)[2]
-        except FitFailed:  # a singular design in the chunk: one by one
-            best_ssr[i0:i0 + fs.size] = [
-                _linear_sinusoid_solve(t, y, f)[2] for f in fs]
+        *_, ok, ssr = _fixed_freq_fits(2.0 * math.pi * fs[:, None] * t, y)
+        # a row the rank test refuses cannot be the minimum
+        best_ssr[i0:i0 + fs.size] = np.where(ok.all(axis=1), ssr, np.inf)
     k = int(np.argmin(best_ssr))
 
     def slope(f):
         # d SSR / d f at the exact linear solve, up to the factor 2
-        coef, design, _ = _linear_sinusoid_solve(t, y, f)
-        return float((design @ coef - y) @ _freq_column(t, coef, design))
+        (design,), (coef,), *_ = _fixed_freq_fits(2 * math.pi * f * t[None], y)
+        return float((coef @ design - y) @ _freq_column(t, coef, design))
 
     return _stationary_point(slope, freqs, k)
 
@@ -237,6 +225,8 @@ def fit_sinusoid(t, y, fixed_freq_hz: float | None = None) -> SinusoidFit:
 
     Free-frequency fits need >= 6 points spanning at least one period and
     raise :class:`FitFailed` when no fringe stands above the residual noise.
+    Errors come from sigma^2 (J^T J)^-1, sigma^2 = SSR / (n - columns of J),
+    with J's frequency column when f is fitted, so they carry its correlation.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -244,22 +234,43 @@ def fit_sinusoid(t, y, fixed_freq_hz: float | None = None) -> SinusoidFit:
         raise FitFailed("t and y must be 1-d arrays of equal length")
     if not (np.isfinite(t).all() and np.isfinite(y).all()):
         raise FitFailed("non-finite time or population")
-    if fixed_freq_hz is not None:
+    free = fixed_freq_hz is None
+    if free:
+        if t.size < 6:
+            raise FitFailed("need >= 6 points for a free-frequency fit")
+        if t.max() == t.min():
+            raise FitFailed("degenerate time grid")
+        freq_hz = _scan_frequency(t, y)
+        # a minimum pinned to the one-period-per-span floor means no full
+        # oscillation is visible in the data
+        if freq_hz * (t.max() - t.min()) < 1.0 + 1e-6:
+            raise FitFailed("data span less than one full period of the "
+                            "best-fit frequency")
+    else:
         if t.size < 3:
             raise FitFailed("need >= 3 points for a fixed-frequency fit")
-        return _sinusoid_fit(t, y, fixed_freq_hz, free_freq=False)
-    if t.size < 6:
-        raise FitFailed("need >= 6 points for a free-frequency fit")
-    if t.max() == t.min():
-        raise FitFailed("degenerate time grid")
-    f_hat = _scan_frequency(t, y)
-    # a minimum pinned to the one-period-per-span floor means no full
-    # oscillation is visible in the data
-    if f_hat * (t.max() - t.min()) < 1.0 + 1e-6:
-        raise FitFailed("data span less than one full period of the "
-                        "best-fit frequency")
-    fit = _sinusoid_fit(t, y, f_hat, free_freq=True)
-    if not fit.well_resolved:
+        freq_hz = float(fixed_freq_hz)
+    design, coef, g_inv, ok, ssr = _fixed_freq_fits(
+        2.0 * math.pi * freq_hz * t[None], y)
+    a_s, a_c, c = coef[0].tolist()
+    if free:  # J's frequency column, in its own units, at the mean time t_c
+        # keeps a far window's phase-f correlation out of G; move it to t = 0
+        t_c = float(t.mean())
+        f_col = _freq_column(t - t_c, coef[0], design[0])
+        design = np.concatenate([design, f_col[None, None]], axis=1)
+        g_inv, ok = _gram_inverse(design, [t.size] * 3 + [f_col @ f_col])
+        move = np.eye(4)
+        move[:2, 3] = 2.0 * math.pi * t_c * np.array([a_c, -a_s])
+        g_inv = move @ g_inv @ move.T
+    cov = _covariance(g_inv, ok, ssr, max(t.size - design.shape[1], 1))
+    amp, amp_err, phase_err = _amplitude_errors(coef, cov)[:, 0].tolist()
+    err = np.sqrt(cov[0].diagonal()).tolist()  # of a_s, a_c, c (and f)
+    fit = SinusoidFit(
+        amplitude=amp, freq_hz=freq_hz, offset=c, amplitude_err=amp_err,
+        phase_rad=math.atan2(a_c, a_s) if amp > 0 else 0.0,
+        freq_err_hz=err[3] if free else None, phase_err_rad=phase_err,
+        offset_err=err[2], rms=math.sqrt(ssr[0] / t.size))
+    if free and not fit.well_resolved:
         raise FitFailed("no fringe resolved above the residual noise "
                         f"(amplitude {fit.amplitude:.3g}, rms {fit.rms:.3g})")
     return fit
@@ -290,15 +301,16 @@ def extract_contrast(t, y, fringe_hz: float,
         raise ValueError("fringe frequency must be positive")
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not (np.isfinite(t).all() and np.isfinite(y).all()):
+    t0, t1 = float(t.min()), float(t.max())  # t1 - t0 finite iff every t is
+    if not (math.isfinite(t1 - t0) and np.isfinite(y).all()):
         raise FitFailed("non-finite time or population")
     width = window_periods / fringe_hz
-    t0 = float(t.min())
     # a burst starts on a window edge, up to rounding: a point within
-    # _EDGE_TOL of a width below an edge joins the window above
-    idx = np.floor((t - t0) / width + _EDGE_TOL).astype(int)
+    # _EDGE_TOL of a width below an edge joins the window above (the cast
+    # floors: its argument is never negative)
+    idx = ((t - t0) / width + _EDGE_TOL).astype(int)
     # a point landing exactly on the final edge joins the last full window
-    last = max(int(np.ceil((float(t.max()) - t0) / width)) - 1, 0)
+    last = max(math.ceil((t1 - t0) / width) - 1, 0)
     idx = np.minimum(idx, last)
     counts = np.bincount(idx, minlength=last + 1)
     kept = (counts >= 6).nonzero()[0]
@@ -307,23 +319,16 @@ def extract_contrast(t, y, fringe_hz: float,
     # window k holds order[start[k]:start[k] + counts[k]], input order
     order, start = idx.argsort(kind="stable"), counts.cumsum() - counts
     out = np.empty((3, kept.size))  # (mean time, 2A, its error) per window
-    for n in set(counts[kept].tolist()):
-        sel = counts[kept] == n
-        rows = order[start[kept[sel]][:, None] + np.arange(n)]
-        coef, g_inv, ssr = _fixed_freq_fits(
-            2.0 * math.pi * fringe_hz * t[rows], y[rows])
-        cov = (ssr / (n - 3))[:, None, None] * g_inv
-        var = np.diagonal(cov, axis1=1, axis2=2)
-        if not (var >= 0.0).all():  # NaN too
-            raise FitFailed("sinusoid design matrix is numerically singular")
-        # delta method: a^T cov a / A^2 (the larger of var_s, var_c at A = 0)
-        a = coef[:, None, :2]
-        amp_sq = (a @ a.swapaxes(1, 2))[:, 0, 0]
-        amp_var = np.divide((a @ cov[:, :2, :2] @ a.swapaxes(1, 2))[:, 0, 0],
-                            amp_sq, out=np.maximum(var[:, 0], var[:, 1]),
-                            where=amp_sq > 0)
-        out[:, sel] = (t[rows].sum(axis=1) / n, 2.0 * np.sqrt(amp_sq),
-                       2.0 * np.sqrt(np.maximum(amp_var, 0.0)))
+    kept_counts = counts[kept]
+    for n in set(kept_counts.tolist()):
+        sel = kept_counts == n
+        rows = order[start[kept[sel], None] + np.arange(n)]
+        t_rows = t[rows]
+        _, coef, g_inv, ok, ssr = _fixed_freq_fits(
+            2.0 * math.pi * fringe_hz * t_rows, y[rows])
+        out[0, sel] = t_rows.sum(axis=1) / n
+        out[1:, sel] = 2.0 * _amplitude_errors(
+            coef, _covariance(g_inv, ok, ssr, n - 3))[:2]
     return [ContrastPoint(*p) for p in zip(*out.tolist())]
 
 
@@ -380,22 +385,16 @@ def fit_t2_envelope(t_s, contrast) -> EnvelopeFit:
             t2_lower_bound_s=t_max)
     t2 = 1.0 / math.sqrt(2.0 * beta)
     r = c0 * g - c
-    ssr = float(r @ r)
-    jac = np.column_stack([g, -tsq * c0 * g])
-    sigma_sq = ssr / max(t.size - 2, 1)
-    try:
-        cov = sigma_sq * np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        raise FitFailed("singular curvature at the envelope optimum") \
-            from None
-    beta_err = math.sqrt(max(cov[1, 1], 0.0))
-    c0_err = math.sqrt(max(cov[0, 0], 0.0))
-    t2_err = beta_err * (2.0 * beta) ** -1.5
+    ssr = r @ r
+    # J^T of the columns d / d C0 and d / d beta, as a stack of one
+    jac_t = np.column_stack([g, -tsq * c0 * g]).T[None]
+    cov = _covariance(*_gram_inverse(jac_t), ssr, t.size - 2)[0]
     if c0 > 1.2:
         raise FitFailed(f"fitted initial contrast {c0:.3g} outside (0, 1.2]"
                         "; input is not on the population scale")
-    return EnvelopeFit(t2_s=t2, c0=c0, t2_err_s=float(t2_err),
-                       c0_err=float(c0_err), rms=math.sqrt(ssr / t.size))
+    return EnvelopeFit(t2_s=t2, c0=c0, c0_err=math.sqrt(cov[0, 0]),
+                       t2_err_s=math.sqrt(cov[1, 1]) * (2.0 * beta) ** -1.5,
+                       rms=math.sqrt(ssr / t.size))
 
 
 def thermal_dephasing_estimate(shift_map, trap,

@@ -11,6 +11,10 @@
   CSV and the trap JSON that no command needs, for the round-trip tests.
 * :func:`extract_contrast`: one ``fit_sinusoid`` per window, the reference
   for the batched windowed contrast fit of ``analysis.extract_contrast``.
+* :func:`sinusoid_fit`: the linear sinusoid solve at a given frequency by
+  ``np.linalg.lstsq`` (an orthogonal factorization, not normal equations)
+  and its errors by the scalar delta method, the reference for the
+  least-squares core of ``analysis.fit_sinusoid``.
 * :func:`write_trace_csv`: one f-string per row, the reference for the
   bytes of ``dynamics.write_trace_csv``.
 """
@@ -22,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fsqubit.analysis import _EDGE_TOL, ContrastPoint, fit_sinusoid
+from fsqubit.analysis import (_EDGE_TOL, ContrastPoint, SinusoidFit,
+                             fit_sinusoid)
 from fsqubit.dynamics import _su2_elements
 from fsqubit.focalfield import LightShiftMap
 from fsqubit.trapmodel import _JSON_KEYS, TrapCharacterization
@@ -138,6 +143,49 @@ def extract_contrast(t, y, fringe_hz: float,
                                     contrast=2.0 * fit.amplitude,
                                     contrast_err=2.0 * fit.amplitude_err))
     return points
+
+
+def sinusoid_fit(t, y, freq_hz: float, free_freq: bool = False) -> SinusoidFit:
+    """Exact LS sinusoid A sin(2 pi f t + phi0) + c at ``freq_hz``.
+
+    (a_s, a_c, c) by lstsq; every error from sigma^2 (J^T J)^-1, with J the
+    (sin, cos, 1) columns plus, when ``free_freq``, d model / d f, and
+    sigma^2 = SSR / (n - columns of J). The amplitude and phase errors
+    follow from (a_s, a_c) one scalar formula at a time.
+    """
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+    theta = 2.0 * math.pi * freq_hz * t
+    design = np.column_stack([np.sin(theta), np.cos(theta), np.ones_like(t)])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    ssr = float(resid @ resid)
+    a_s, a_c, c = (float(v) for v in coef)
+    jac = design
+    if free_freq:
+        f_col = 2.0 * math.pi * t * (a_s * design[:, 1] - a_c * design[:, 0])
+        jac = np.column_stack([design, f_col])
+    cov = ssr / max(t.size - jac.shape[1], 1) * np.linalg.inv(jac.T @ jac)
+    var_s, var_c, var_off = np.diag(cov)[:3]
+    cov_sc = cov[0, 1]
+    amp = math.hypot(a_s, a_c)
+    if amp > 0:
+        amp_err = math.sqrt(max(
+            (a_s / amp) ** 2 * var_s + (a_c / amp) ** 2 * var_c
+            + 2 * (a_s * a_c / amp ** 2) * cov_sc, 0.0))
+        phase_err = math.sqrt(max(
+            (a_c / amp ** 2) ** 2 * var_s + (a_s / amp ** 2) ** 2 * var_c
+            - 2 * (a_s * a_c / amp ** 4) * cov_sc, 0.0))
+    else:
+        amp_err = math.sqrt(max(var_s, var_c))
+        phase_err = math.pi
+    return SinusoidFit(
+        amplitude=amp, freq_hz=float(freq_hz),
+        phase_rad=math.atan2(a_c, a_s) if amp > 0 else 0.0, offset=c,
+        amplitude_err=amp_err,
+        freq_err_hz=math.sqrt(cov[3, 3]) if free_freq else None,
+        phase_err_rad=phase_err, offset_err=math.sqrt(var_off),
+        rms=math.sqrt(ssr / t.size))
 
 
 def write_trace_csv(trace, path) -> None:

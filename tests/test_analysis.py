@@ -5,6 +5,7 @@ parameters, closed-form thermal variance of a quadratic shift map, and
 local-optimality checks against random parameter perturbations.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -64,6 +65,44 @@ class TestFitSinusoidFixedF:
         y = np.linspace(0.2, 0.7, 28)
         with pytest.raises(FitFailed, match="numerically singular"):
             analysis.fit_sinusoid(t, y, fixed_freq_hz=1.3e300)
+
+    def test_equal_times_fail_typed(self):
+        # a rank-one design that rounding leaves invertible with a positive
+        # diagonal: refused, where a solve would give 0.225 +- 1.4e6
+        with pytest.raises(FitFailed, match="numerically singular"):
+            analysis.fit_sinusoid(np.full(28, 1.37 * WIDTH),
+                                  np.linspace(0.2, 0.7, 28),
+                                  fixed_freq_hz=1.3e6)
+
+    def test_sine_sampled_at_its_zeros_fails_typed(self):
+        # two points per period from t = 0: the sine column is rounding
+        # error, which no rescaling of the Gram matrix tells from a column
+        t = np.arange(10) * 0.5 / 1.3e6
+        y = 0.5 + 0.3 * np.cos(2 * math.pi * 1.3e6 * t)
+        with pytest.raises(FitFailed, match="numerically singular"):
+            analysis.fit_sinusoid(t, y, fixed_freq_hz=1.3e6)
+
+    def test_short_span_refused_where_normal_equations_lose_digits(self):
+        def span(periods):
+            t = 20e-6 + np.linspace(0.0, periods / 1.3e6, 28)
+            return t, sinusoid(t, 0.3, 1.3e6, 0.7, 0.5)
+
+        # 0.01 period: normal equations and lstsq differ beyond 1e-8
+        t, y = span(0.01)
+        w = 2 * math.pi * 1.3e6 * t
+        x = np.column_stack([np.sin(w), np.cos(w), np.ones_like(w)])
+        normal = np.linalg.solve(x.T @ x, x.T @ y)
+        qr, *_ = np.linalg.lstsq(x, y, rcond=None)
+        assert np.linalg.norm(normal - qr) > 1e-8 * np.linalg.norm(qr)
+        with pytest.raises(FitFailed, match="numerically singular"):
+            analysis.fit_sinusoid(t, y, fixed_freq_hz=1.3e6)
+        # 0.05 period: answered, and to 1e-9 of the lstsq reference
+        t, y = span(0.05)
+        got = analysis.fit_sinusoid(t, y, fixed_freq_hz=1.3e6)
+        want = oracles.sinusoid_fit(t, y, 1.3e6)
+        for key in ("amplitude", "phase_rad", "offset"):
+            assert getattr(got, key) == pytest.approx(getattr(want, key),
+                                                      rel=1e-9)
 
 
 class TestFitSinusoidFreeF:
@@ -130,6 +169,22 @@ class TestFitSinusoidFreeF:
         circular_sd = math.sqrt(-2.0 * math.log(resultant))
         assert 0.8 <= np.median(errors) / circular_sd <= 1.25
 
+    def test_window_far_from_zero_answered(self):
+        # 4 us of fringe 2 ms after t = 0: phase and frequency are nearly
+        # collinear there (variance inflation ~6e6 with the frequency
+        # column taken at t = 0), a property of the parameters that the
+        # rank test must not read as a lost rank
+        t = 2e-3 + np.linspace(0.0, 4e-6, 120)
+        y = sinusoid(t, 0.3, 1.3e6, 0.7, 0.5) \
+            + np.random.default_rng(5).normal(0, 1e-4, t.size)
+        fit = analysis.fit_sinusoid(t, y)
+        want = oracles.sinusoid_fit(t, y, fit.freq_hz, free_freq=True)
+        assert fit.phase_err_rad < 0.1
+        for key in ("amplitude_err", "phase_err_rad", "offset_err",
+                    "freq_err_hz"):
+            assert getattr(fit, key) == pytest.approx(getattr(want, key),
+                                                      rel=1e-6)
+
     def test_frequency_at_stationary_point(self):
         # the profiled slope dSSR/df, each side re-solved for (a_s, a_c, c),
         # changes sign within 1e-12 relative of the fitted frequency
@@ -149,20 +204,18 @@ class TestFitSinusoidFreeF:
         f = fit.freq_hz
         assert slope(f * (1 - 1e-12)) < 0 < slope(f * (1 + 1e-12))
 
-    def test_scan_falls_back_to_one_solve_per_frequency(self, monkeypatch):
-        # a block of the frequency scan whose batched solve meets a
-        # singular design is scanned by one lstsq solve per frequency
-        rng = np.random.default_rng(11)
-        y = sinusoid(self.T, 0.4, 1.3e6, 0.9, 0.5) + rng.normal(0, 0.03, 50)
-        want = analysis.fit_sinusoid(self.T, y)
-
-        def singular(theta, y):
-            raise FitFailed("sinusoid design matrix is singular")
-
-        monkeypatch.setattr(analysis, "_fixed_freq_fits", singular)
-        got = analysis.fit_sinusoid(self.T, y)
-        assert got.freq_hz == pytest.approx(want.freq_hz, rel=1e-12)
-        assert got.amplitude == pytest.approx(want.amplitude, rel=1e-12)
+    def test_scan_refuses_near_singular_row(self):
+        # 0, 0.5, ..., 20 us: the scan's last row, 1 MHz, samples the sine
+        # at its zeros only (Gram condition number ~1e28, sine coefficient
+        # ~1e12). The rank test refuses it, and the fit still finds the
+        # fringe, at the frequency an lstsq scan finds.
+        t = np.arange(41) * 0.5e-6
+        y = sinusoid(t, 0.4, 0.23e6, 0.4, 0.5) \
+            + np.random.default_rng(1).normal(0, 0.01, t.size)
+        *_, ok, _ = analysis._fixed_freq_fits(2 * math.pi * 1e6 * t[None], y)
+        assert not ok.all()
+        fit = analysis.fit_sinusoid(t, y)
+        assert fit.freq_hz == pytest.approx(229971.39718062792, rel=1e-9)
 
 
 class TestExtractContrast:
@@ -305,6 +358,44 @@ class TestBatchedContrast:
             analysis.extract_contrast(t, y, F_FR)
         assert str(got.value) == str(want.value)
 
+    def test_collapsed_window_refused_by_rank_test(self):
+        # window 1's 28 points at 1.37 widths: rounding leaves the rank-one
+        # Gram matrix invertible with a positive diagonal, where a solve
+        # would give a contrast of 3.71 +- 5.6e6
+        t = np.linspace(0.0, 4 * WIDTH, 4 * 28, endpoint=False)
+        t[28:56] = 1.37 * WIDTH
+        y = decaying_fringe(t, 7)
+        for extract in (analysis.extract_contrast, oracles.extract_contrast):
+            with pytest.raises(FitFailed, match="numerically singular"):
+                extract(t, y, F_FR)
+
+
+class TestLeastSquaresCore:
+    """fit_sinusoid's normal-equation core against the lstsq reference."""
+
+    KEYS = ("amplitude", "phase_rad", "offset", "amplitude_err",
+            "phase_err_rad", "offset_err")
+
+    @pytest.mark.parametrize("free", [False, True], ids=["fixed", "free"])
+    @pytest.mark.parametrize("case", [
+        "linspace_801", "shuffled_801", "t2_burst", "short_window_skipped",
+        "point_on_edge", "single_28"])
+    def test_matches_lstsq_reference(self, case, free):
+        # the free fit's final solve, at the frequency it found
+        t, _ = contrast_grid(case)
+        y = decaying_fringe(t, 11)
+        got = analysis.fit_sinusoid(t, y, None if free else F_FR)
+        want = oracles.sinusoid_fit(t, y, got.freq_hz, free_freq=free)
+        for key in self.KEYS + (("freq_err_hz",) if free else ()):
+            assert getattr(got, key) == pytest.approx(getattr(want, key),
+                                                      rel=1e-12), key
+
+    def test_one_solver(self):
+        source = inspect.getsource(analysis)
+        assert "lstsq" not in source
+        assert "_linear_sinusoid_solve" not in source
+        assert source.count("np.linalg.inv(") == 1
+
 
 FITS = {"fixed": lambda t, y: analysis.fit_sinusoid(t, y,
                                                    fixed_freq_hz=1.3e6),
@@ -435,6 +526,12 @@ class TestFitT2Envelope:
         c[3] = np.nan
         with pytest.raises(FitFailed, match="non-finite"):
             analysis.fit_t2_envelope(t, c)
+
+    def test_equal_times_fail_typed(self):
+        # four contrasts at one time: d / d C0 and d / d beta are parallel,
+        # refused, where a solve would give T2 = 94 us +- 2849 s
+        with pytest.raises(FitFailed, match="numerically singular"):
+            analysis.fit_t2_envelope([1e-4] * 4, [0.9, 0.5, 0.3, 0.2])
 
     def test_negative_envelope_fails(self):
         t = np.linspace(0.0, 1.2e-3, 12)

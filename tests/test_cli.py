@@ -474,6 +474,24 @@ class TestFitSubcommand:
         fit = json.loads((out_dir / "fit.json").read_text())
         assert fit["freq_hz"] == pytest.approx(self.F, rel=1e-6)
 
+    def test_equal_times_fail_typed_and_write_nothing(self, tmp_path):
+        # 28 samples at one time: the fixed-frequency design has rank one.
+        # At 3 us rounding leaves its Gram matrix invertible with a positive
+        # diagonal (amplitude 0.225 +- 1.4e6); the rank test refuses it.
+        t = np.full(28, 3e-6)
+        cfg = {"schema_version": 1,
+               "fit": {"trace_csv": _synthetic_trace(
+                   tmp_path, t, np.linspace(0.2, 0.7, 28)),
+                       "mode": "sinusoid", "f_fringe_MHz": 1.3}}
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli("fit", "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(out_dir))
+        assert code == 1
+        error = json.loads(err.strip())["error"]
+        assert error["type"] == "FitFailed"
+        assert "numerically singular" in error["message"]
+        assert not out_dir.exists()
+
     def test_envelope_mode(self, tmp_path):
         t2 = 15e-6
         t = np.linspace(0.0, 60e-6, 1200)
