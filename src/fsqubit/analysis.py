@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import K_B, MASS_SR88
-from .errors import (FitFailed, GridTooCoarse, NoDecayObserved,
+from .errors import (_MAX_VIF, FitFailed, GridTooCoarse, NoDecayObserved,
                      WindowTooShort)
 
 # Free-frequency scan: grid points per 1/span of frequency resolution.
@@ -36,12 +36,6 @@ _MAX_SCAN_POINTS = 1 << 21
 # never divides by an underflowed g.g.
 _ENVELOPE_GRID = np.geomspace(1e-3, 350.0, 356)
 
-# Rank test bound on a variance inflation factor s_i^2 (G^-1)_ii of G = J^T J,
-# s_i^2 being column i's natural squared norm: n for sin, cos and 1 (a sine
-# sampled at its zeros is the near-empty column it is), else G_ii. On fixed-
-# frequency spans of 0.01 to 1 period, 3 to 28 points, normal equations kept
-# within 7 eps times the largest factor of a QR solve: 1e6 keeps 8 digits.
-_MAX_VIF = 1e6
 _SINGULAR = "design matrix is numerically singular (it fails the rank test)"
 
 # Contrast-window edge tolerance, in window widths. Far below the point
@@ -143,20 +137,15 @@ def _fixed_freq_fits(theta, y):
 
 
 def _amplitude_errors(coef, cov) -> np.ndarray:
-    """Rows A = |(a_s, a_c)|, sigma_A and sigma_phi0, by the delta method over
-    the (a_s, a_c) block C of cov: with u = (a_s, a_c) / A, var A = u^T C u
-    and var phi0 = (tr C - var A) / A^2, both positive under the rank test;
-    at A = 0, the larger of var_s and var_c, and pi^2."""
+    """Rows A = |(a_s, a_c)| and sigma_A, by the delta method over the
+    (a_s, a_c) block C of cov: with u = (a_s, a_c) / A, var A = u^T C u;
+    at A = 0, the larger of var_s and var_c."""
     a = coef[:, None, :2]
     amp_sq = (a @ a.swapaxes(1, 2))[:, 0, 0]
-    var_s, var_c = cov[:, 0, 0], cov[:, 1, 1]
-    nonzero = amp_sq > 0
     amp_var = np.divide((a @ cov[:, :2, :2] @ a.swapaxes(1, 2))[:, 0, 0],
-                        amp_sq, out=np.maximum(var_s, var_c), where=nonzero)
-    phase_var = np.divide(var_s + var_c - amp_var, amp_sq,
-                          out=np.where(nonzero, 0.0, math.pi ** 2),
-                          where=nonzero)
-    return np.sqrt((amp_sq, amp_var, phase_var))
+                        amp_sq, out=np.maximum(cov[:, 0, 0], cov[:, 1, 1]),
+                        where=amp_sq > 0)
+    return np.sqrt((amp_sq, amp_var))
 
 
 def _freq_column(t, coef, design) -> np.ndarray:
@@ -263,8 +252,12 @@ def fit_sinusoid(t, y, fixed_freq_hz: float | None = None) -> SinusoidFit:
         move[:2, 3] = 2.0 * math.pi * t_c * np.array([a_c, -a_s])
         g_inv = move @ g_inv @ move.T
     cov = _covariance(g_inv, ok, ssr, max(t.size - design.shape[1], 1))
-    amp, amp_err, phase_err = _amplitude_errors(coef, cov)[:, 0].tolist()
+    amp, amp_err = _amplitude_errors(coef, cov)[:, 0].tolist()
     err = np.sqrt(cov[0].diagonal()).tolist()  # of a_s, a_c, c (and f)
+    # var phi0 = (tr C - var A) / A^2 over the (a_s, a_c) block C of cov,
+    # positive under the rank test; pi at A = 0
+    tr_c = float(cov[0, 0, 0] + cov[0, 1, 1])
+    phase_err = math.sqrt(tr_c - amp_err ** 2) / amp if amp > 0 else math.pi
     fit = SinusoidFit(
         amplitude=amp, freq_hz=freq_hz, offset=c, amplitude_err=amp_err,
         phase_rad=math.atan2(a_c, a_s) if amp > 0 else 0.0,
@@ -328,7 +321,7 @@ def extract_contrast(t, y, fringe_hz: float,
             2.0 * math.pi * fringe_hz * t_rows, y[rows])
         out[0, sel] = t_rows.sum(axis=1) / n
         out[1:, sel] = 2.0 * _amplitude_errors(
-            coef, _covariance(g_inv, ok, ssr, n - 3))[:2]
+            coef, _covariance(g_inv, ok, ssr, n - 3))
     return [ContrastPoint(*p) for p in zip(*out.tolist())]
 
 

@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import fsqubit
 
 from . import atomstark
-from .errors import FsqubitError, NoDecayObserved
+from .errors import _MAX_VIF, FsqubitError, NoDecayObserved
 from .params import FieldEnvironment, MagneticField, NoiseModel, TweezerConfig
 
 if TYPE_CHECKING:
@@ -309,6 +309,22 @@ def _preflight(cfg, subcommand) -> tuple[list[str], _Scenario | None]:
         return issues + [str(exc)], None
 
 
+def _window_vif(periods, points) -> float:
+    """Largest variance inflation factor of the contrast fit's rank test
+    on ``points`` samples over ``periods`` fringe periods, at the worst
+    start phase. With z = exp(i phase), the centered Gram matrix S of the
+    sin and cos columns has eigenvalues (s -+ w) / 2, s = n - |sum z|^2 / n,
+    w = |sum z^2 - (sum z)^2 / n|: n / lambda_min(S) for those columns,
+    det A / det S for the constant, det A = (n^2 - |sum z^2|^2) / 4."""
+    z = [complex(math.cos(p), math.sin(p)) for p in (
+        2.0 * math.pi * periods * m / points for m in range(points))]
+    z1, z2 = sum(z), sum(x * x for x in z)
+    s = points - abs(z1) ** 2 / points
+    w = abs(z2 - z1 * z1 / points)
+    return (max(2 * points, (points ** 2 - abs(z2) ** 2) / (s + w)) / (s - w)
+            if s > w else math.inf)
+
+
 def _rule_issues(cfg) -> list[str]:
     # grids (which numpy builds), phi-noise scan and fit: no builder's
     issues: list[str] = []
@@ -335,13 +351,10 @@ def _rule_issues(cfg) -> list[str]:
             continue
         wp = _get(cfg, section, "window_periods")
         ppw = _get(cfg, section, "points_per_window")
-        # fringe phase of each point of a window, in cycles; fewer than
-        # three distinct phases leave the window's sinusoid fit singular
-        if len({round(m * wp / ppw % 1.0, 9) % 1.0
-                for m in range(ppw)}) < 3:
+        if not _window_vif(wp, ppw) < _MAX_VIF:
             issues.append(f"aliasing: {section}.points_per_window {ppw} over "
-                          f"{section}.window_periods {wp:g} samples fewer "
-                          "than three fringe phases")
+                          f"{section}.window_periods {wp:g} sample too few "
+                          "fringe phases for the fit's rank test")
     ps = cfg.get("phi_noise_scan")
     if ps is not None and ps.get("values_deg") is None:
         issues += [f"missing: phi_noise_scan.{key} is required without "

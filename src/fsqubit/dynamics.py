@@ -30,10 +30,12 @@ with trial-only K, amp_d, w_d and phi_d: one harmonic for Ramsey, four for
 the echo, and one for a single drive (Rabi), (Omega sin(Omega_eff t/2) /
 Omega_eff)^2 = K - K cos(Omega_eff t). Each cosine is evaluated by angle
 addition over runs of equally spaced times, about 4 sqrt(T) trig calls
-per trial instead of T; points off every run are evaluated directly.
-Each protocol hands the one Monte-Carlo engine a function from the trial
-draws to these coefficients: draws -> coefficients -> harmonic sum ->
-SPAM -> Welford merge.
+per trial instead of T. Each grid point owns a cell of a table of C runs
+of R cells (one cell per point on a grid without runs); a point off every
+run is evaluated directly into its cell. Each protocol hands the one
+Monte-Carlo engine a function from the trial draws to these coefficients:
+draws -> coefficients -> harmonic sum -> SPAM -> Welford merge per cell
+-> each point reads its cell.
 
 SPAM convention: unprepared population stays in the dark manifold and
 contributes zero signal; readout infidelity scales multiplicatively. The
@@ -48,15 +50,15 @@ angle jitter, 6-9 the second detuning set. Results are therefore
 reproducible bit-for-bit and independent of the trial count and of how
 trials would be partitioned across workers. Trial accumulation is a
 fixed-order block sum: trials are summed in blocks of 512 in trial order.
-The grid is cut at run heads into slabs of about _SLAB_BYTES / (8 x 512)
-points; a block runs slab by slab through harmonic sum, SPAM and its mean
-and M2 while the slab's (points, 512) buffer, trials contiguous, sits in
-L2, so each time point's block sum over trials is numpy's pairwise sum.
+The cell table is cut into slabs of whole runs, about _SLAB_BYTES /
+(8 x 512) cells; a block runs slab by slab through harmonic sum, SPAM and
+its mean and M2 while the slab's (cells, 512) buffer, trials contiguous,
+sits in L2, so each cell's block sum over trials is numpy's pairwise sum.
 Block b runs on thread b mod n, n = min(CPUs the process may run on,
 blocks, T // _PART_POINTS), thread 0 being the calling thread, and the
 calling thread merges the blocks by Welford/Chan in block order. Every
-step after the draws works per trial and time point, so the thread count
-and the slab are derived, not configured, and change no value.
+step after the draws works per trial and cell, so the thread count and
+the slab are derived, not configured, and change no value.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ from .trapmodel import (detuning_for_sample, sample_fock_thermal,
 
 # trial block size for the vectorized evolution (memory / determinism unit)
 _TRIAL_BLOCK = 512
-# bytes of one (points, block) slab: the grid is cut at run heads into
-# slabs of about _SLAB_BYTES / (8 * block) points so that a slab's
+# bytes of one (cells, block) slab: the cell table is cut into slabs of
+# whole runs, about _SLAB_BYTES / (8 * block) cells, so that a slab's
 # buffers stay in L2; it changes no value
 _SLAB_BYTES = 2 ** 19
 # a grid of T points runs on at most T // _PART_POINTS threads
@@ -443,68 +445,49 @@ def _chunk_grid(t):
 
 
 def _grid_parts(t, grid, parts):
-    """Cut the grid into up to ``parts`` contiguous time ranges of about
-    equal size, each starting on a run head so that it keeps its runs
-    whole. Returns (slice of t, sub-grid) per range: ``grid`` restricted
-    to the range, cells and direct points counted from its start."""
-    cuts = [t.size * i // parts for i in range(1, parts)]
-    if cuts and grid is not None:  # each cut moves to the next run head
-        heads = np.flatnonzero(grid[2] % grid[1].size == 0)
-        cuts = heads[np.searchsorted(heads, cuts).clip(max=heads.size - 1)]
-    bounds = [0, *sorted({*map(int, cuts)} - {0, t.size}), t.size]
-    spans = list(zip(bounds, bounds[1:]))
-    if grid is None:
-        return [(slice(*span), None) for span in spans]
+    """Cut the grid's cell table into up to ``parts`` ranges of whole runs
+    (of cells, on a grid without runs), about equal in size. Returns per
+    range its cells as a slice of the table, its run starts, and the times
+    and the cells, counted from its first, of its direct points."""
     starts, offsets, cell, direct = grid
-    runs = [cell[j0] // offsets.size for j0, _ in spans] + [starts.size]
-    return [(slice(j0, j1), (starts[c0:c1], offsets,
-                             cell[j0:j1] - c0 * offsets.size,
-                             direct[(direct >= j0) & (direct < j1)] - j0))
-            for (j0, j1), c0, c1 in zip(spans, runs, runs[1:])]
+    unit = offsets.size or 1  # a grid without runs has a cell per point
+    units = starts.size or t.size
+    edges = [unit * u for u in sorted({units * i // parts
+                                       for i in range(parts + 1)})]
+    at = cell[direct]  # increasing, like the cells of the grid's points
+    split = np.searchsorted(at, edges)
+    return [(slice(c0, c1), starts[c0 // unit:c1 // unit], t[direct[d0:d1]],
+             at[d0:d1] - c0)
+            for c0, c1, d0, d1 in zip(edges, edges[1:], split, split[1:])]
 
 
-def _harmonic_sum(k, harmonics, offset_trig, t, grid, bufs):
-    """K + sum amp cos(w t + phi) of one slab as a (points, trials) view
-    of the scratch buffers ``bufs``, trials contiguous: the (C, R, trials)
-    angle addition over a split grid's runs from the slab's run starts and
-    the block's ``offset_trig`` (cos and sin of offsets * w per harmonic),
-    then the points off every run (all when ``grid`` is None), evaluated
-    directly as k + h_1 + h_2 + ...; an identity cell map sums in place in
-    the cell buffer, so only a gather or a direct point needs a third."""
-    if grid is None:  # no runs
-        grid = (t[:0], t[:0], None, np.arange(t.size))
-    starts, offsets, cell, rows = grid
+def _harmonic_sum(k, harmonics, offset_trig, part, bufs):
+    """K + sum amp cos(w t + phi) in one slab's cells as a (cells, trials)
+    view of bufs[0], trials contiguous: the (C, R, trials) angle addition
+    over its runs from their starts and the block's ``offset_trig`` (cos,
+    sin of offsets * w per harmonic), then its direct points, evaluated as
+    k + h_1 + h_2 + ... into their own cells, products in bufs[1]."""
+    cells, starts, t_direct, at = part
     n = k.size
-    buf, pr, *out = (b[:b.size // n * n].reshape(-1, n) for b in bufs)
-    out = out[0] if out else None
-    spare = buf  # holds neither the output nor the products
-    if cell is not None:
-        c, cp = (x[:starts.size * offsets.size].reshape(
-            starts.size, offsets.size, n) for x in (buf, pr))
-        if not harmonics:
-            c.fill(0.0)
-        for h, ((amp, w, phi), (cos_b, sin_b)) in enumerate(
-                zip(harmonics, offset_trig)):
-            a = starts[:, None] * w + phi
-            # the first harmonic's product goes straight into c
-            np.multiply((amp * np.cos(a))[:, None], cos_b, out=cp if h else c)
-            if h:
-                c += cp
-            c -= np.multiply((amp * np.sin(a))[:, None], sin_b, out=cp)
-        if np.array_equal(cell, np.arange(t.size)):
-            out, spare = buf, out
-            out[:t.size] += k
-        else:
-            np.add(buf[cell], k, out=out[:t.size])
-    out = out[:t.size]
-    if rows.size:
-        d, dp = spare[:rows.size], pr[:rows.size]
-        d[...] = k
+    shape = (starts.size, offset_trig.shape[2], n)
+    c, cp = (b[:math.prod(shape)].reshape(shape) for b in bufs)
+    for h, ((amp, w, phi), (cos_b, sin_b)) in enumerate(
+            zip(harmonics, offset_trig)):
+        a = starts[:, None] * w + phi
+        # the first harmonic's product goes straight into c
+        np.multiply((amp * np.cos(a))[:, None], cos_b, out=cp if h else c)
+        if h:
+            c += cp
+        c -= np.multiply((amp * np.sin(a))[:, None], sin_b, out=cp)
+    c += k
+    out = bufs[0][:(cells.stop - cells.start) * n].reshape(-1, n)
+    if at.size:
+        dp = bufs[1][:at.size * n].reshape(-1, n)
+        out[at] = k
         for amp, w, phi in harmonics:
-            np.multiply(t[rows, None], w, out=dp)
+            np.multiply(t_direct[:, None], w, out=dp)
             dp += phi
-            d += np.multiply(np.cos(dp, out=dp), amp, out=dp)
-        out[rows] = d
+            out[at] += np.multiply(np.cos(dp, out=dp), amp, out=dp)
     return out
 
 
@@ -514,7 +497,7 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
                   field, env, table) -> TraceResult:
     """Draw the trials, add angle jitter, take the protocol's per-trial
     coefficients, evaluate P(3P2) from 3P0 over blocks of trials, apply
-    SPAM and accumulate it per grid time.
+    SPAM and accumulate it per cell, which each grid time reads.
 
     ``coefficients(omegas, deltas)`` maps the Rabi frequencies (trials,)
     and detunings (sets, trials) to (K, harmonics) of
@@ -535,20 +518,20 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     if jitter:
         deltas = deltas + _phi_noise_delta_rad_s(field, env, table, phi_dev)
     k, harmonics = coefficients(omega_rad_s * om_f, deltas)
-    grid = _chunk_grid(t)
-    offsets = t[:0] if grid is None else grid[1]
+    grid = _chunk_grid(t) or (t[:0], t[:0], np.arange(t.size),
+                              np.arange(t.size))
+    starts, offsets, cell, _ = grid
+    # C runs of R cells, or a cell per point on a grid without runs
+    cells = starts.size * offsets.size or t.size
     block = min(trials, _TRIAL_BLOCK)
-    slabs = _grid_parts(t, grid, max(1, -(-t.size * 8 * block
-                                         // _SLAB_BYTES)))
-    # a split slab's C x R cells hold its points
-    width = max(cols.stop - cols.start if g is None
-                else g[0].size * offsets.size for cols, g in slabs)
-    # per block: (mean, m2) over its trials at each grid time
-    stats = np.empty((-(-trials // _TRIAL_BLOCK), 2, t.size))
+    slabs = _grid_parts(t, grid, max(1, -(-cells * 8 * block
+                                          // _SLAB_BYTES)))
+    # per block: (mean, m2) over its trials in each cell
+    stats = np.empty((-(-trials // _TRIAL_BLOCK), 2, cells))
     n = max(1, min(_cpu_count(), len(stats), t.size // _PART_POINTS))
-    third = any(g is None or g[3].size or not np.array_equal(
-        g[2], np.arange(g[2].size)) for _, g in slabs)
-    bufs = np.empty((n, 2 + third, width * block))
+    # a slab's cells and their products
+    width = max((cols.stop - cols.start for cols, *_ in slabs), default=0)
+    bufs = np.empty((n, 2, width * block))
     trig = np.empty((n, len(harmonics) * 2 * offsets.size * block))
     errors = [None] * n
 
@@ -563,11 +546,10 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
                     np.multiply(offsets[:, None], w, out=sin_b)
                     np.cos(sin_b, out=cos_b)
                     np.sin(sin_b, out=sin_b)
-                for cols, slab_grid in slabs:
-                    p = _harmonic_sum(kb, hb, offset_trig, t[cols],
-                                      slab_grid, bufs[i])
+                for part in slabs:
+                    p = _harmonic_sum(kb, hb, offset_trig, part, bufs[i])
                     _block_stats(apply_spam(p, noise, out=p),
-                                 stats[b, :, cols])
+                                 stats[b, :, part[0]])
         except BaseException as exc:  # raised again on the calling thread
             errors[i] = exc
 
@@ -584,7 +566,7 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     for exc in errors:
         if exc is not None:
             raise exc
-    mean, m2 = _merge_blocks(stats, trials)
+    mean, m2 = (x[cell] for x in _merge_blocks(stats, trials))
     sem = (np.sqrt(m2 / (trials - 1) / trials) if trials > 1
            else np.zeros_like(mean))
     return TraceResult(t_s=t, p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem)

@@ -6,6 +6,14 @@ CLI's machine-readable error output) can switch on the class name.
 
 from __future__ import annotations
 
+# Rank test bound on a variance inflation factor s_i^2 (G^-1)_ii of G = J^T J,
+# s_i^2 being column i's natural squared norm: n for sin, cos and 1 (a sine
+# sampled at its zeros is the near-empty column it is), else G_ii. On fixed-
+# frequency spans of 0.01 to 1 period, 3 to 28 points, normal equations kept
+# within 7 eps times the largest factor of a QR solve: 1e6 keeps 8 digits.
+# It sits here, numpy-free, so that validate refuses what a fit would.
+_MAX_VIF = 1e6
+
 
 class FsqubitError(Exception):
     """Base class for all package errors."""

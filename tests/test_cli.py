@@ -649,16 +649,18 @@ def _shipped(name) -> dict:
 
 
 class TestAliasedWindows:
-    """Contrast windows whose points take fewer than three fringe phases,
-    m window_periods / points_per_window mod 1, leave the window's
-    sinusoid fit singular, so validate rejects them; three or more run."""
+    """Contrast windows whose fringe phases, m window_periods /
+    points_per_window mod 1, fail the fit's rank test at some start phase
+    leave the window's sinusoid fit singular, so validate rejects them;
+    the rest run."""
 
     CASES = [("t2_shallow_magic_8G", "t2", "burst_grid"),
              ("magic_scan_8G", "magic-scan", "angle_scan")]
 
     @pytest.mark.parametrize("name,sub,section", CASES)
     @pytest.mark.parametrize("periods,points,want", [
-        (6.0, 6, 2), (7.0, 7, 2), (12.0, 6, 2), (10.0, 6, 0), (5.0, 28, 0)])
+        (6.0, 6, 2), (7.0, 7, 2), (12.0, 6, 2), (10.0, 6, 0), (5.0, 28, 0),
+        (6.000001, 6, 2), (6.01, 6, 2)])
     def test_validate(self, tmp_path, name, sub, section, periods, points,
                       want):
         cfg = _shipped(name)

@@ -451,10 +451,19 @@ def _split_grid(kind):
     if kind == "nudged":
         lin[400] += 1e-3 * (lin[1] - lin[0])
         return lin
+    if kind == "burst_direct":
+        # one point per burst 7 ulp off its run, like _straddled_grid's:
+        # direct values written into a cell table with unused cells
+        t = dynamics.ramsey_burst_grid(80e-6, F_FR)
+        near = np.arange(5, t.size, 28)
+        t[near] += 7 * np.spacing(t[near])
+        assert set(near) <= set(dynamics._chunk_grid(t)[3].tolist())
+        return t
     return np.sort(np.random.default_rng(4).uniform(0.0, 200e-6, 200))
 
 
-@pytest.mark.parametrize("grid", ["linspace", "burst", "nudged", "random"])
+@pytest.mark.parametrize("grid", ["linspace", "burst", "nudged", "random",
+                                  "burst_direct"])
 @pytest.mark.parametrize("protocol,instantaneous,sets", [
     ("rabi", False, 1), ("ramsey", False, 1), ("ramsey", True, 1),
     ("echo", False, 1), ("echo", True, 1), ("echo", False, 2),
@@ -508,8 +517,9 @@ def _straddled_grid():
     full block); returns the grid and those boundaries."""
     t = np.linspace(0.0, 200e-6, 801)
     grid = dynamics._chunk_grid(t)
-    bounds = {cols.start for n in (2, 3, 5, 7)
-              for cols, _ in dynamics._grid_parts(t, grid, n)} - {0}
+    # one segment: each point's cell is its index
+    bounds = {cells.start for n in (2, 3, 5, 7)
+              for cells, *_ in dynamics._grid_parts(t, grid, n)} - {0}
     near = sorted({b + side for b in bounds for side in (-1, 1)})
     # 7 ulp: off the point's run (> 4 ulp), inside its segment (< 8 ulp
     # of the largest time)
@@ -519,7 +529,7 @@ def _straddled_grid():
 
 
 @pytest.mark.parametrize("grid", ["linspace", "nudged", "burst", "random",
-                                  "straddled"])
+                                  "straddled", "burst_direct"])
 @pytest.mark.parametrize("protocol", ["echo", "ramsey", "rabi"])
 def test_part_count_changes_no_bit(grid, protocol, monkeypatch):
     # 1, 2, 3 and 5 threads, block b on thread b mod n, on split and
@@ -528,7 +538,7 @@ def test_part_count_changes_no_bit(grid, protocol, monkeypatch):
     if grid == "straddled":
         t, bounds = _straddled_grid()
         slabs = dynamics._grid_parts(t, dynamics._chunk_grid(t), 7)
-        assert {cols.start for cols, _ in slabs} - {0} <= bounds
+        assert {cells.start for cells, *_ in slabs} - {0} <= bounds
     else:
         t = _split_grid(grid)
     monkeypatch.setattr(dynamics, "_PART_POINTS", 16)
@@ -597,7 +607,8 @@ def test_worker_part_error_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("case", ["echo", "rabi", "ramsey_unsplit"])
+@pytest.mark.parametrize("case", ["echo", "rabi", "ramsey_unsplit",
+                                  "ramsey_burst"])
 def test_echo_working_set_below_two_blocks(case):
     # one block buffer and cache-sized tiles for every protocol and grid:
     # no (block, T) temporaries
@@ -605,6 +616,9 @@ def test_echo_working_set_below_two_blocks(case):
     if case == "ramsey_unsplit":
         t = np.sort(np.random.default_rng(4).uniform(0.0, 200e-6, t.size))
         assert dynamics._chunk_grid(t) is None
+    if case == "ramsey_burst":  # 288 cells for 252 points
+        t = dynamics.ramsey_burst_grid(1236e-6, F_FR, span_factor=1.5)
+        assert t.size == 252
     noise = NoiseModel(rabi_frac_std=0.05,
                        detuning_offset_std=2 * math.pi * 2e3,
                        prep_efficiency=0.9, readout_fidelity=0.95)
@@ -651,10 +665,15 @@ def test_grid_split_accepts_only_points_on_their_run():
     harmonics = [(amp, w, rng.uniform(-math.pi, math.pi, 7))]
     b = grid[1][:, None] * w
     offset_trig = np.array([[np.cos(b), np.sin(b)]])
-    split, unsplit = np.empty((2, 3, 2 * t.size * k.size))
+    split, unsplit = np.empty((2, 2, 2 * t.size * k.size))
+    every = np.arange(t.size)  # a grid without runs: every point direct
+    (part,), (whole,) = (dynamics._grid_parts(t, g, 1)
+                         for g in (grid, (t[:0], t[:0], every, every)))
     np.testing.assert_allclose(
-        dynamics._harmonic_sum(k, harmonics, offset_trig, t, grid, split),
-        dynamics._harmonic_sum(k, harmonics, None, t, None, unsplit),
+        dynamics._harmonic_sum(k, harmonics, offset_trig, part,
+                               split)[grid[2]],
+        dynamics._harmonic_sum(k, harmonics, offset_trig[:, :, :0], whole,
+                               unsplit),
         rtol=0, atol=1e-12)
 
 
