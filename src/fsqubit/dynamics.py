@@ -34,31 +34,32 @@ per trial instead of T. Each grid point owns a cell of a table of C runs
 of R cells (one cell per point on a grid without runs); a point off every
 run is evaluated directly into its cell. Each protocol hands the one
 Monte-Carlo engine a function from the trial draws to these coefficients:
-draws -> coefficients -> harmonic sum -> SPAM -> Welford merge per cell
--> each point reads its cell.
+draws -> coefficients -> harmonic sum -> SPAM -> replicate sums per cell
+-> each point reads its cell; a grid's run plan is cached by its bytes.
 
 SPAM convention: unprepared population stays in the dark manifold and
 contributes zero signal; readout infidelity scales multiplicatively. The
 observed population is therefore eta_prep * F_read * P_ideal with no
 additive offset.
 
-Trial randomness is counter-based: uniform u[k, s] of trial k and draw
-slot s is a Philox4x32-10 output word pair under a key derived once from
-the master seed, computed for all trials in one vectorized pass. Slots
-are fixed: 0-2 motion and 3 detuning offset (set 0), 4 Rabi factor, 5
-angle jitter, 6-9 the second detuning set. Results are therefore
-reproducible bit-for-bit and independent of the trial count and of how
-trials would be partitioned across workers. Trial accumulation is a
-fixed-order block sum: trials are summed in blocks of 512 in trial order.
-The cell table is cut into slabs of whole runs, about _SLAB_BYTES /
-(8 x 512) cells; a block runs slab by slab through harmonic sum, SPAM and
-its mean and M2 while the slab's (cells, 512) buffer, trials contiguous,
-sits in L2, so each cell's block sum over trials is numpy's pairwise sum.
-Block b runs on thread b mod n, n = min(CPUs the process may run on,
-blocks, T // _PART_POINTS), thread 0 being the calling thread, and the
-calling thread merges the blocks by Welford/Chan in block order. Every
-step after the draws works per trial and cell, so the thread count and
-the slab are derived, not configured, and change no value.
+Trial draws are a randomly shifted Kronecker sequence: trial k is point
+i = k // Q of replicate r = k % Q, Q = _REPLICATES, and its uniform in
+slot j is (m52 + 0.5) 2^-52, m52 the top 52 bits of s_rj + (i + 1) a_j
+(mod 2^64), with the steps a_j of _KRONECKER_STEPS and ten shifts s_rj
+per replicate from the master seed. Slots are fixed: 0-2 motion and 3
+detuning offset (set 0), 4 Rabi factor, 5 angle jitter, 6-9 the second
+detuning set. Each uniform is a pure function of (seed, trial, slot), so
+results are reproducible bit for bit and independent of the trial count;
+p32_sem is the spread of the Q replicate means (t tails, Q - 1 degrees
+of freedom). Trials are summed in blocks of 512 in trial order. The cell
+table is cut into slabs of whole runs, about _SLAB_BYTES / (8 x 512)
+cells; a block runs slab by slab through harmonic sum, SPAM and its
+replicate sums while the slab's (cells, 512) buffer sits in L2. Block b
+runs on thread b mod n, n = min(CPUs the process may run on, blocks,
+T // _PART_POINTS), thread 0 being the calling thread, and each block's
+sums enter the total in block order. Every step after the draws works
+per trial and cell, so the thread count and the slab are derived, not
+configured, and change no value.
 """
 
 from __future__ import annotations
@@ -166,54 +167,34 @@ def spawn_seed(master_seed: int, tag: int) -> int:
         entropy=master_seed, spawn_key=(tag,)).generate_state(1)[0])
 
 
-# Philox4x32-10 constants: round multipliers and key (Weyl) increments
-_PHILOX_M = (np.uint64(0xD2511F53), np.uint64(0xCD9E8D57))
-_PHILOX_W = (0x9E3779B9, 0xBB67AE85)
-_LO32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
+# Kronecker steps a_j = floor(alpha_j 2^64) | 1, alpha_j = phi^-(j + 1),
+# phi the positive root of x^11 = x + 1 (M. Roberts, "The unreasonable
+# effectiveness of quasirandom sequences", 2018), odd so as to wrap exactly
+_KRONECKER_STEPS = np.array([
+    0xefa239aadff080ff, 0xe0504e7a17640707, 0xd1f91e9d401f2cd3,
+    0xc48ca286cd4c4b4d, 0xb7fbd901347b3e45, 0xac38b6695442df75,
+    0xa13614fb593f897d, 0x96e7a62094fc418f, 0x8d41e4add988ea91,
+    0x843a0802f95827ad], dtype=np.uint64)
+_REPLICATES = 32  # random shifts (Cranley & Patterson 1976), divide 512
 
 
-def philox4x32(counter, key):
-    """Philox4x32-10 block function (Salmon et al., "Parallel random
-    numbers: as easy as 1, 2, 3", SC'11).
-
-    ``counter`` is four broadcastable arrays of 32-bit words, ``key`` two
-    32-bit words; returns the four output words as uint64 arrays holding
-    32-bit values.
-    """
-    c0, c1, c2, c3 = (np.asarray(c, dtype=np.uint64) for c in counter)
-    k0, k1 = int(key[0]), int(key[1])
-    for _ in range(10):
-        p0 = _PHILOX_M[0] * c0
-        p1 = _PHILOX_M[1] * c2
-        c0, c1, c2, c3 = ((p1 >> _SHIFT32) ^ c1 ^ np.uint64(k0), p1 & _LO32,
-                          (p0 >> _SHIFT32) ^ c3 ^ np.uint64(k1), p0 & _LO32)
-        k0 = (k0 + _PHILOX_W[0]) & 0xFFFFFFFF
-        k1 = (k1 + _PHILOX_W[1]) & 0xFFFFFFFF
-    return c0, c1, c2, c3
-
-
-def _to_unit(hi, lo):
-    # top 52 bits of the 64-bit word hi:lo, centred in their cell: exact
-    # in a double and strictly inside (0, 1)
-    m52 = ((hi << _SHIFT32) | lo) >> np.uint64(12)
-    return (m52.astype(float) + 0.5) * 2.0 ** -52
+def _to_unit(words):
+    # top 52 bits of each 64-bit word, centred in their cell: exact in a
+    # double and strictly inside (0, 1)
+    return ((words >> np.uint64(12)).astype(float) + 0.5) * 2.0 ** -52
 
 
 def _trial_uniforms(master_seed: int, trials: int, slots: int) -> np.ndarray:
-    """Uniforms u[k, s] in (0, 1) for trial k and draw slot s.
-
-    Block b of trial k is Philox4x32-10 of the counter (k lo32, k hi32, b,
-    0) under the key SeedSequence(master_seed).generate_state(2); its four
-    words give slots 2b and 2b + 1. Each uniform is a pure function of
-    (seed, trial, slot).
-    """
-    key = np.random.SeedSequence(master_seed).generate_state(2)
-    k = np.arange(trials, dtype=np.uint64)[:, None]
-    blocks = np.arange((slots + 1) // 2, dtype=np.uint64)[None, :]
-    w = philox4x32((k & _LO32, k >> _SHIFT32, blocks, 0), key)
-    u = np.stack((_to_unit(w[0], w[1]), _to_unit(w[2], w[3])), axis=-1)
-    return u.reshape(trials, -1)[:, :slots]
+    """Uniforms u[k, j] in (0, 1) for trial k and slot j; the shifts are
+    the first 10 Q words of PCG64(SeedSequence(master_seed)), ten per
+    replicate whatever ``slots`` is. uint64 arrays wrap without a warning."""
+    shifts = np.random.PCG64(master_seed).random_raw(
+        _REPLICATES * _KRONECKER_STEPS.size).reshape(_REPLICATES, -1)
+    points = np.arange(1, -(-trials // _REPLICATES) + 1, dtype=np.uint64)
+    # (slot, point, replicate): trials run along the last two axes
+    words = ((_KRONECKER_STEPS[:slots, None] * points)[:, :, None]
+             + shifts.T[:slots, None, :])
+    return _to_unit(words).reshape(slots, -1)[:, :trials].T
 
 
 # Draw slots per trial: detuning set s takes motion (3 slots) and offset
@@ -271,27 +252,25 @@ def _phi_noise_delta_rad_s(field, env: FieldEnvironment, table,
     return 2.0 * math.pi * (du_at(phi + phi_dev_deg) - du_at(phi))
 
 
-def _block_stats(p, stats):
-    """Mean and sum of squared deviations over the trials of a (points,
-    trials) slab into stats[0] and stats[1]; p is overwritten."""
-    np.mean(p, axis=1, out=stats[0])
-    p -= stats[0][:, None]
-    np.square(p, out=p).sum(axis=1, out=stats[1])
+def _block_stats(p, sums):
+    """Per-replicate sums over the trials of a (cells, trials) slab of one
+    block into sums (cells, _REPLICATES): trial column c belongs to
+    replicate c % _REPLICATES, the block starting on a multiple of it."""
+    whole = p.shape[1] // _REPLICATES * _REPLICATES
+    np.sum(p[:, :whole].reshape(len(p), -1, _REPLICATES), axis=1, out=sums)
+    sums[:, :p.shape[1] - whole] += p[:, whole:]
 
 
-def _merge_blocks(stats, trials):
-    """Mean and m2 of all trials from the (mean, m2) rows of consecutive
-    blocks of _TRIAL_BLOCK trials, merged by Welford/Chan in block order:
-    exact zero variance for identical trials, unlike sum/sum-of-squares
-    cancellation."""
-    (mean, m2), n = stats[0], min(trials, _TRIAL_BLOCK)
-    for bm, bm2 in stats[1:]:
-        nb = min(trials - n, _TRIAL_BLOCK)
-        n0, n = n, n + nb
-        d = bm - mean
-        mean = mean + d * (nb / n)
-        m2 = m2 + bm2 + d * d * (n0 * nb / n)
-    return mean, m2
+def _replicate_stats(sums, trials):
+    """Mean over all trials and its standard error, the sd of the replicate
+    means of the (cells, _REPLICATES) sums over sqrt(replicates)."""
+    reps = min(trials, _REPLICATES)
+    # replicate r holds the trials k < trials with k % _REPLICATES == r
+    means = sums[:, :reps] / ((trials - 1 - np.arange(reps)) // _REPLICATES
+                              + 1)
+    sem = (means.std(axis=1, ddof=1) / math.sqrt(reps) if reps > 1
+           else np.zeros(len(sums)))
+    return sums.sum(axis=1) / trials, sem
 
 
 # Pulse protocols as segment lists of (kind, size, laser phase, detuning
@@ -368,13 +347,13 @@ def _pulse_coefficients(plan, omega_rad_s, f_fringe_hz, instantaneous_pulses,
     and the (amp, w, phi) of each harmonic, every one of shape (trials,)."""
     pulses, frees, terms, harmonics = plan
     n, sets = omegas.size, deltas.shape[0]
-    elems = []
-    for size, dset in pulses:
-        if instantaneous_pulses:
-            elems.append(_su2_elements(1.0, 0.0, size))
-        else:
-            elems.append(_su2_elements(omegas, deltas[min(dset, sets - 1)],
-                                       size / omega_rad_s))
+    # one SU(2) evaluation per distinct (pulse area, detuning set)
+    keys = [(size, 0 if instantaneous_pulses else min(dset, sets - 1))
+            for size, dset in pulses]
+    su2 = {key: _su2_elements(1.0, 0.0, key[0]) if instantaneous_pulses
+           else _su2_elements(omegas, deltas[key[1]], key[0] / omega_rad_s)
+           for key in dict.fromkeys(keys)}
+    elems = [su2[key] for key in keys]
 
     def path_amp(steps, amp):
         for (u00, coupling, u11), (row, col) in zip(elems, steps):
@@ -461,6 +440,23 @@ def _grid_parts(t, grid, parts):
             for c0, c1, d0, d1 in zip(edges, edges[1:], split, split[1:])]
 
 
+@functools.lru_cache(maxsize=8)
+def _run_plan(key: bytes, block: int, slab_bytes: int):
+    """Offsets of ``_chunk_grid``, cell of each point, cell count (C runs
+    of R cells, or a cell per point on a grid without runs) and slabs of
+    the grid whose float64 bytes are ``key``, for ``block`` trials; cached,
+    every array read-only."""
+    t = np.frombuffer(key)
+    every = np.arange(t.size)
+    grid = _chunk_grid(t) or (t[:0], t[:0], every, every)
+    starts, offsets, cell, _ = grid
+    cells = starts.size * offsets.size or t.size
+    slabs = _grid_parts(t, grid, max(1, -(-cells * 8 * block // slab_bytes)))
+    for a in (offsets, cell, *(a for part in slabs for a in part[1:])):
+        a.flags.writeable = False
+    return offsets, cell, cells, slabs
+
+
 def _harmonic_sum(k, harmonics, offset_trig, part, bufs):
     """K + sum amp cos(w t + phi) in one slab's cells as a (cells, trials)
     view of bufs[0], trials contiguous: the (C, R, trials) angle addition
@@ -503,9 +499,9 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     and detunings (sets, trials) to (K, harmonics) of
     K + sum_d amp_d cos(w_d t + phi_d). Block b runs on thread b mod n
     (thread 0 is the calling thread), slab by slab of ``_grid_parts``:
-    ``_harmonic_sum``, SPAM and the block statistics in place while the
-    slab sits in L2. Draws, coefficients, every buffer and the merge stay
-    on the calling thread."""
+    ``_harmonic_sum``, SPAM and the block's replicate sums in place while
+    the slab sits in L2, which enter the total once every earlier block
+    has. Draws, coefficients and every buffer stay on the calling thread."""
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
@@ -518,26 +514,23 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     if jitter:
         deltas = deltas + _phi_noise_delta_rad_s(field, env, table, phi_dev)
     k, harmonics = coefficients(omega_rad_s * om_f, deltas)
-    grid = _chunk_grid(t) or (t[:0], t[:0], np.arange(t.size),
-                              np.arange(t.size))
-    starts, offsets, cell, _ = grid
-    # C runs of R cells, or a cell per point on a grid without runs
-    cells = starts.size * offsets.size or t.size
     block = min(trials, _TRIAL_BLOCK)
-    slabs = _grid_parts(t, grid, max(1, -(-cells * 8 * block
-                                          // _SLAB_BYTES)))
-    # per block: (mean, m2) over its trials in each cell
-    stats = np.empty((-(-trials // _TRIAL_BLOCK), 2, cells))
-    n = max(1, min(_cpu_count(), len(stats), t.size // _PART_POINTS))
+    offsets, cell, cells, slabs = _run_plan(t.tobytes(), block, _SLAB_BYTES)
+    blocks = -(-trials // _TRIAL_BLOCK)
+    n = max(1, min(_cpu_count(), blocks, t.size // _PART_POINTS))
     # a slab's cells and their products
     width = max((cols.stop - cols.start for cols, *_ in slabs), default=0)
     bufs = np.empty((n, 2, width * block))
     trig = np.empty((n, len(harmonics) * 2 * offsets.size * block))
+    # per thread, its block's replicate sums in each cell
+    sums = np.empty((n, cells, _REPLICATES))
+    total = np.zeros((cells, _REPLICATES))
+    merged, turn = [0], threading.Condition()  # blocks in total, in order
     errors = [None] * n
 
     def run_blocks(i):
         try:
-            for b in range(i, len(stats), n):
+            for b in range(i, blocks, n):
                 sl = slice(b * _TRIAL_BLOCK, (b + 1) * _TRIAL_BLOCK)
                 kb, hb = k[sl], [tuple(x[sl] for x in h) for h in harmonics]
                 shape = (len(hb), 2, offsets.size, kb.size)
@@ -549,9 +542,18 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
                 for part in slabs:
                     p = _harmonic_sum(kb, hb, offset_trig, part, bufs[i])
                     _block_stats(apply_spam(p, noise, out=p),
-                                 stats[b, :, part[0]])
+                                 sums[i, part[0]])
+                with turn:
+                    turn.wait_for(lambda: merged[0] == b or any(errors))
+                    if merged[0] != b:  # another thread failed
+                        return
+                    np.add(total, sums[i], out=total)
+                    merged[0] += 1
+                    turn.notify_all()
         except BaseException as exc:  # raised again on the calling thread
-            errors[i] = exc
+            with turn:
+                errors[i] = exc
+                turn.notify_all()
 
     threads = [threading.Thread(target=run_blocks, args=(i,))
                for i in range(1, n)]
@@ -566,9 +568,7 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     for exc in errors:
         if exc is not None:
             raise exc
-    mean, m2 = (x[cell] for x in _merge_blocks(stats, trials))
-    sem = (np.sqrt(m2 / (trials - 1) / trials) if trials > 1
-           else np.zeros_like(mean))
+    mean, sem = (x[cell] for x in _replicate_stats(total, trials))
     return TraceResult(t_s=t, p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem)
 
 

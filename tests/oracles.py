@@ -17,6 +17,10 @@
   least-squares core of ``analysis.fit_sinusoid``.
 * :func:`write_trace_csv`: one f-string per row, the reference for the
   bytes of ``dynamics.write_trace_csv``.
+* :func:`pulse_coefficients`: the harmonic coefficients of a pulse plan
+  with one SU(2) evaluation per pulse, the reference for
+  ``dynamics._pulse_coefficients``, which evaluates each distinct pulse
+  once.
 """
 
 from __future__ import annotations
@@ -194,3 +198,32 @@ def write_trace_csv(trace, path) -> None:
         trace.t_s.tolist(), trace.p32_mean.tolist(), trace.p32_sem.tolist())]
     with open(path, "w", newline="") as fh:
         fh.write("".join(["t_s,p32_mean,p32_sem\r\n", *rows]))
+
+
+def pulse_coefficients(plan, omega_rad_s, f_fringe_hz, instantaneous_pulses,
+                       omegas, deltas):
+    """K and the (amp, w, phi) of each harmonic of
+    ``dynamics._pulse_plan`` output, one ``_su2_elements`` call per pulse."""
+    pulses, frees, terms, harmonics = plan
+    n, sets = omegas.size, deltas.shape[0]
+    elems = [_su2_elements(1.0, 0.0, size) if instantaneous_pulses
+             else _su2_elements(omegas, deltas[min(dset, sets - 1)],
+                                size / omega_rad_s)
+             for size, dset in pulses]
+
+    def path_amp(steps, amp):
+        for (u00, coupling, u11), (row, col) in zip(elems, steps):
+            amp = amp * (coupling if row != col else u11 if row else u00)
+        return amp
+
+    amps = [sum(path_amp(*path) for path in paths) for paths in terms]
+    k = sum(np.abs(amp) ** 2 for amp in amps)
+    slopes = [deltas[min(dset, sets - 1)] * size for size, dset in frees]
+    slopes.append(-2.0 * math.pi * f_fringe_hz)
+    out = []
+    for d, pairs in harmonics:
+        c = sum(2.0 * amps[q] * np.conj(amps[p]) for p, q in pairs)
+        w = sum(x * slopes[v] for v, x in enumerate(d) if x)
+        out.append(tuple(np.broadcast_to(x, (n,))
+                         for x in (np.abs(c), w, np.angle(c))))
+    return np.broadcast_to(k, (n,)), out

@@ -9,7 +9,9 @@ for a fluctuating detuning.
 """
 
 import csv
+import json
 import math
+import pathlib
 import threading
 import tracemalloc
 
@@ -17,7 +19,7 @@ import numpy as np
 import pytest
 
 from fsqubit import FieldEnvironment, MagneticField, NoiseModel
-from fsqubit import analysis, dynamics, trapmodel
+from fsqubit import analysis, cli, dynamics, trapmodel
 from fsqubit.errors import FitFailed, ModelMismatch
 
 import oracles
@@ -690,7 +692,7 @@ def _fock_coherence(trap, temperature_K, sigma_off, t):
 
 @pytest.mark.slow
 def test_ramsey_matches_exact_ensemble_mean():
-    # one assertion over Philox, the geometric inverse CDF, the detuning
+    # one assertion over the draws, the geometric inverse CDF, the detuning
     # ladder and lock point, propagation and SPAM
     trap, temp, sig = mismatched_trap(), 3e-6, 2 * math.pi * 300.0
     noise = NoiseModel(detuning_offset_std=sig, prep_efficiency=0.9,
@@ -757,23 +759,12 @@ class TestDeterminismContract:
 
 
 class TestPhilox:
-    # Random123 known-answer vectors: counter, key, output words
-    @pytest.mark.parametrize("counter,key,want", [
-        ((0, 0, 0, 0), (0, 0),
-         (0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8)),
-        ((0xffffffff,) * 4, (0xffffffff,) * 2,
-         (0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd)),
-        ((0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344),
-         (0xa4093822, 0x299f31d0),
-         (0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1))],
-        ids=["zeros", "ones", "pi-digits"])
-    def test_known_answer(self, counter, key, want):
-        got = dynamics.philox4x32(counter, key)
-        assert tuple(int(w) for w in got) == want
+    """Contracts of the trial draws that hold for any generator: uniforms
+    strictly inside (0, 1), and fixed draw slots."""
 
     def test_uniforms_strictly_inside_unit_interval(self):
-        lo = dynamics._to_unit(np.uint64(0), np.uint64(0))
-        hi = dynamics._to_unit(np.uint64(0xffffffff), np.uint64(0xffffffff))
+        lo, hi = dynamics._to_unit(np.array([0, 2 ** 64 - 1],
+                                            dtype=np.uint64))
         assert 0.0 < lo < hi < 1.0
 
     @pytest.mark.parametrize("model", ["fock", "classical"])
@@ -787,6 +778,160 @@ class TestPhilox:
         np.testing.assert_array_equal(one[1], two[1])
         np.testing.assert_array_equal(one[2], two[2])
         assert not np.array_equal(two[0][0], two[0][1])
+
+
+def _kronecker_steps(dims=10, bits=128):
+    """floor(alpha_j 2^64) for alpha_j = phi^-(j + 1), j < dims, phi the
+    positive root of x^(dims + 1) = x + 1, in integers: phi is bracketed
+    by (lo, lo + 1) / 2^bits, and each floor must be the same at both
+    ends of the bracket."""
+    lo, hi = 1 << bits, 2 << bits  # phi in (1, 2)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        # sign of p(mid / 2^bits) 2^(bits (dims + 1)), p = x^(d+1) - x - 1
+        if (mid ** (dims + 1) - (mid << bits * dims)
+                - (1 << bits * (dims + 1))) > 0:
+            hi = mid
+        else:
+            lo = mid
+    steps = []
+    for j in range(1, dims + 1):
+        scale = 1 << (64 + bits * j)
+        low, high = scale // hi ** j, scale // lo ** j
+        assert low == high
+        steps.append(low)
+    return steps
+
+
+class TestKroneckerDraws:
+    def test_steps_match_integer_arithmetic(self):
+        want = [a | 1 for a in _kronecker_steps()]
+        assert [int(a) for a in dynamics._KRONECKER_STEPS] == want
+
+    def test_replicates_divide_the_block(self):
+        assert dynamics._TRIAL_BLOCK % dynamics._REPLICATES == 0
+
+    @pytest.mark.parametrize("slots", [6, 10])
+    def test_uniform_is_the_integer_form(self, slots):
+        # trial k = i R + r: ((s_rj + (i + 1) a_j) mod 2^64 >> 12, + 0.5)
+        # 2^-52 in Python integers, shifts from PCG64 of SeedSequence(seed)
+        seed, reps = 97, dynamics._REPLICATES
+        shifts = np.random.PCG64(np.random.SeedSequence(seed)).random_raw(
+            10 * reps).reshape(reps, 10)
+        u = dynamics._trial_uniforms(seed, 1100, slots)
+        assert u.shape == (1100, slots)
+        for k in (0, 1, reps - 1, reps, 511, 512, 777, 1099):
+            i, r = divmod(k, reps)
+            for j in range(slots):
+                word = (int(shifts[r, j]) + (i + 1)
+                        * int(dynamics._KRONECKER_STEPS[j])) % 2 ** 64
+                assert u[k, j] == ((word >> 12) + 0.5) * 2.0 ** -52
+
+    @pytest.mark.parametrize("slots", [6, 10])
+    def test_prefix_independent_of_trial_count(self, slots):
+        # counts on both sides of multiples of R and of the 512-trial block
+        reps = dynamics._REPLICATES
+        counts = sorted({n + d for n in (reps, 2 * reps, 512, 1024)
+                         for d in (-1, 0, 1)})
+        for big in counts:
+            full = dynamics._trial_uniforms(1234, big, slots)
+            for k in counts:
+                if k <= big:
+                    np.testing.assert_array_equal(
+                        full[:k], dynamics._trial_uniforms(1234, k, slots))
+
+
+def test_run_plan_cached_per_grid():
+    # two grids of one length get their own plans, each the one a fresh
+    # build gives, and a second call on a grid returns its cached plan
+    lin, nudged = _split_grid("linspace"), _split_grid("nudged")
+    assert lin.size == nudged.size
+    args = (dynamics._TRIAL_BLOCK, dynamics._SLAB_BYTES)
+    dynamics._run_plan.cache_clear()
+    plans = [dynamics._run_plan(t.tobytes(), *args) for t in (lin, nudged)]
+    assert not np.array_equal(plans[0][1], plans[1][1])
+    for t, (offsets, cell, cells, _) in zip((lin, nudged), plans):
+        starts, want_offsets, want_cell, _ = dynamics._chunk_grid(t)
+        np.testing.assert_array_equal(offsets, want_offsets)
+        np.testing.assert_array_equal(cell, want_cell)
+        assert cells == starts.size * offsets.size
+        assert dynamics._run_plan(t.tobytes(), *args)[1] is cell
+    # an engine run on the second grid reads the same with the cache warm
+    # from the first grid as from a cold one
+    noise = NoiseModel(rabi_frac_std=0.05,
+                       detuning_offset_std=2 * math.pi * 2e3)
+    runs = []
+    for warm in (True, False):
+        dynamics._run_plan.cache_clear()
+        if warm:
+            _simulate("echo", mismatched_trap(), 3e-6, noise, lin, 600, 3,
+                      False, 2)
+        runs.append(_simulate("echo", mismatched_trap(), 3e-6, noise, nudged,
+                              600, 3, False, 2))
+    assert runs[0].p32_mean.tobytes() == runs[1].p32_mean.tobytes()
+    assert runs[0].p32_sem.tobytes() == runs[1].p32_sem.tobytes()
+
+
+@pytest.mark.parametrize("grid", ["burst_direct", "random"])
+def test_cached_run_plan_is_read_only(grid):
+    t = _split_grid(grid)
+    offsets, cell, _, slabs = dynamics._run_plan(
+        t.tobytes(), dynamics._TRIAL_BLOCK, dynamics._SLAB_BYTES)
+    arrays = [offsets, cell] + [a for part in slabs for a in part[1:]]
+    assert any(a.size for part in slabs for a in part[2:])  # direct points
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
+@pytest.mark.parametrize("protocol,sets,instantaneous,evaluations", [
+    ("ramsey", 1, False, 1), ("ramsey", 1, True, 1), ("echo", 1, False, 2),
+    ("echo", 2, False, 3), ("echo", 1, True, 2), ("echo", 2, True, 2)])
+def test_pulse_coefficients_match_per_pulse_oracle(
+        protocol, sets, instantaneous, evaluations, monkeypatch):
+    # one SU(2) evaluation per distinct (pulse area, detuning set), with
+    # the bytes of one evaluation per pulse
+    noise = NoiseModel(rabi_frac_std=0.05,
+                       detuning_offset_std=2 * math.pi * 2e3)
+    deltas, om_f, _ = dynamics._draw_trials(mismatched_trap(), 3e-6, noise,
+                                            700, 71, "fock",
+                                            detuning_sets=sets)
+    plan = dynamics._pulse_plan({"ramsey": dynamics.RAMSEY,
+                                 "echo": dynamics.ECHO}[protocol])
+    args = (plan, OMEGA, F_FR, instantaneous, OMEGA * om_f, deltas)
+    want_k, want = oracles.pulse_coefficients(*args)
+    calls = []
+    su2 = dynamics._su2_elements
+    monkeypatch.setattr(dynamics, "_su2_elements",
+                        lambda *a: calls.append(a) or su2(*a))
+    k, harmonics = dynamics._pulse_coefficients(*args)
+    assert len(calls) == evaluations
+    assert k.tobytes() == want_k.tobytes()
+    assert len(harmonics) == len(want)
+    for got_h, want_h in zip(harmonics, want):
+        for a, b in zip(got_h, want_h):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.slow
+def test_replicate_sem_matches_seed_spread():
+    # the reported SEM is the spread of the replicate means: over seeds
+    # 1-16 of a shipped trace config, the seed-to-seed sd of p32_mean and
+    # the median reported p32_sem agree within a factor 1.5 at the median
+    # grid point (points where every trial reads alike are left out)
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs/ramsey_shallow_magic_8G.json")
+                     .read_text())
+    scenario = cli._Scenario(cfg, "ramsey")
+    t = cli._time_grid_s(cfg)
+    traces = [scenario.simulate(t, seed) for seed in range(1, 17)]
+    spread = np.std([tr.p32_mean for tr in traces], axis=0, ddof=1)
+    sem = np.median([tr.p32_sem for tr in traces], axis=0)
+    live = sem > 1e-12
+    assert live.sum() > t.size // 2
+    ratio = float(np.median(spread[live] / sem[live]))
+    assert 1 / 1.5 < ratio < 1.5
 
 
 class TestTraceCSV:

@@ -28,12 +28,9 @@ def test_bessel_bitwise(name, x):
                                   getattr(sc, name)(x))
 
 
-_TOP = np.uint64(0xffffffff)
-
-
 @pytest.mark.parametrize("u", [
     # the extreme uniforms of the trial draws, 0.5 2^-52 and 1 - 0.5 2^-52
-    np.array([_to_unit(np.uint64(0), np.uint64(0)), _to_unit(_TOP, _TOP)]),
+    _to_unit(np.array([0, 2 ** 64 - 1], dtype=np.uint64)),
     around(math.exp(-2), 1 - math.exp(-2), math.exp(-32),
            1 - math.exp(-32)),
     np.random.default_rng(7).random(1_000_000),
