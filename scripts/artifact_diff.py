@@ -1,11 +1,14 @@
 """Report how far the numbers moved between two artifact trees.
 
 For every file present in both ``A`` and ``B`` (matched by relative path)
-whose bytes differ, prints the largest absolute and the largest relative
-change over its numbers: the cells of a ``.csv`` or the numeric leaves of
-a ``.json``. Files only in one tree, and differences that are not numeric
-(a changed header, string or row count), are reported as such. Typical
-use, with trees kept by ``scripts/artifact_hashes.py DIR``:
+whose bytes differ, prints how many of its numbers moved (the cells of a
+``.csv`` or the numeric leaves of a ``.json``), the largest absolute
+change and the largest relative change. The relative change counts only
+where max(|a|, |b|) exceeds REL_FLOOR: a value that moves from 0 to
+1.7e-17 is round-off about zero, not a change of 100%. Files only in one
+tree, and differences that are not numeric (a changed header, string or
+row count), are reported as such. Typical use, with trees kept by
+``scripts/artifact_hashes.py DIR``:
 
     python scripts/artifact_diff.py parent_runs/ new_runs/
 """
@@ -17,6 +20,9 @@ import json
 import math
 import pathlib
 import sys
+
+# |values| at or below this are round-off about zero: no relative change
+REL_FLOOR = 1e-12
 
 
 def _values(path: pathlib.Path) -> list[tuple[str, object]]:
@@ -58,20 +64,23 @@ def compare(a: pathlib.Path, b: pathlib.Path) -> str:
         return f"shape differs ({len(va)} vs {len(vb)} values)"
     max_abs = max_rel = 0.0
     where = ""
-    other = 0
+    moved = numbers = other = 0
     for (loc, x), (_, y) in zip(va, vb):
         if isinstance(x, float) and isinstance(y, float):
+            numbers += 1
             if x == y or (math.isnan(x) and math.isnan(y)):
                 continue
+            moved += 1
             d = abs(x - y)
-            scale = max(abs(x), abs(y))
-            rel = d / scale if scale else math.inf
             max_abs = max(max_abs, d)
-            if rel > max_rel:
-                max_rel, where = rel, loc
+            scale = max(abs(x), abs(y))
+            if scale > REL_FLOOR and d / scale > max_rel:
+                max_rel, where = d / scale, loc
         elif x != y:
             other += 1
-    line = f"max abs {max_abs:.3g}  max rel {max_rel:.3g} (at {where})"
+    line = (f"{moved} of {numbers} values moved  max abs {max_abs:.3g}  "
+            f"max rel {max_rel:.3g} (at {where or '-'}; "
+            f"|value| > {REL_FLOOR:g})")
     return line + (f"  ({other} non-numeric values differ)" if other else "")
 
 

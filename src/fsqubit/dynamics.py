@@ -30,12 +30,13 @@ with trial-only K, amp_d, w_d and phi_d: one harmonic for Ramsey, four for
 the echo, and one for a single drive (Rabi), (Omega sin(Omega_eff t/2) /
 Omega_eff)^2 = K - K cos(Omega_eff t). Each cosine is evaluated by angle
 addition over runs of equally spaced times, about 4 sqrt(T) trig calls
-per trial instead of T. Each grid point owns a cell of a table of C runs
-of R cells (one cell per point on a grid without runs); a point off every
-run is evaluated directly into its cell. Each protocol hands the one
-Monte-Carlo engine a function from the trial draws to these coefficients:
-draws -> coefficients -> harmonic sum -> SPAM -> replicate sums per cell
--> each point reads its cell; a grid's run plan is cached by its bytes.
+per trial instead of T. Each grid point reads a cell of a table of C runs
+of R cells; a point off every run starts a one-cell run of its own and
+reads its offset-0 cell (every point does on a grid without runs, R = 1).
+Each protocol hands the one Monte-Carlo engine a function from the trial
+draws to these coefficients: draws -> coefficients -> replicate sums per
+cell -> SPAM on the replicate means of each point; a grid's run plan is
+cached by its bytes.
 
 SPAM convention: unprepared population stays in the dark manifold and
 contributes zero signal; readout infidelity scales multiplicatively. The
@@ -51,15 +52,18 @@ detuning offset (set 0), 4 Rabi factor, 5 angle jitter, 6-9 the second
 detuning set. Each uniform is a pure function of (seed, trial, slot), so
 results are reproducible bit for bit and independent of the trial count;
 p32_sem is the spread of the Q replicate means (t tails, Q - 1 degrees
-of freedom). Trials are summed in blocks of 512 in trial order. The cell
-table is cut into slabs of whole runs, about _SLAB_BYTES / (8 x 512)
-cells; a block runs slab by slab through harmonic sum, SPAM and its
-replicate sums while the slab's (cells, 512) buffer sits in L2. Block b
-runs on thread b mod n, n = min(CPUs the process may run on, blocks,
-T // _PART_POINTS), thread 0 being the calling thread, and each block's
-sums enter the total in block order. Every step after the draws works
-per trial and cell, so the thread count and the slab are derived, not
-configured, and change no value.
+of freedom). Only linear sums of the per-trial populations are kept, so
+no (trial, time) array is formed: the coefficients are laid out
+replicate-major, padded with zero-amplitude trials to a multiple of Q,
+and per block of at most 512 trials, fewer where its trig tables would
+pass _BLOCK_BYTES, the replicate sums of every cell are one stacked
+matrix product of cos and sin of s_c w + phi over the run starts by
+amp cos and -amp sin of o_m w over the offsets, added to the total in
+block order; sum K is added per replicate. The range guard sits where
+values are formed: each trial's pulse elements are certified unitary
+(the drive's K in [0, 1/2]), every coefficient finite, and SPAM checks
+the replicate means. No Python thread runs; BLAS's own thread count
+changes no value.
 """
 
 from __future__ import annotations
@@ -67,8 +71,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,20 +81,10 @@ from .special import ndtri
 from .trapmodel import (detuning_for_sample, sample_fock_thermal,
                         sample_position_classical)
 
-# trial block size for the vectorized evolution (memory / determinism unit)
+# trials in a block (memory / determinism unit) where its trig tables fit
+# in _BLOCK_BYTES; wider cell tables take fewer
 _TRIAL_BLOCK = 512
-# bytes of one (cells, block) slab: the cell table is cut into slabs of
-# whole runs, about _SLAB_BYTES / (8 * block) cells, so that a slab's
-# buffers stay in L2; it changes no value
-_SLAB_BYTES = 2 ** 19
-# a grid of T points runs on at most T // _PART_POINTS threads
-_PART_POINTS = 128
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on (all where affinity is unknown)."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
+_BLOCK_BYTES = 2 ** 20
 
 
 def _su2_elements(omega, delta, duration):
@@ -252,25 +244,25 @@ def _phi_noise_delta_rad_s(field, env: FieldEnvironment, table,
     return 2.0 * math.pi * (du_at(phi + phi_dev_deg) - du_at(phi))
 
 
-def _block_stats(p, sums):
-    """Per-replicate sums over the trials of a (cells, trials) slab of one
-    block into sums (cells, _REPLICATES): trial column c belongs to
-    replicate c % _REPLICATES, the block starting on a multiple of it."""
-    whole = p.shape[1] // _REPLICATES * _REPLICATES
-    np.sum(p[:, :whole].reshape(len(p), -1, _REPLICATES), axis=1, out=sums)
-    sums[:, :p.shape[1] - whole] += p[:, whole:]
-
-
-def _replicate_stats(sums, trials):
-    """Mean over all trials and its standard error, the sd of the replicate
-    means of the (cells, _REPLICATES) sums over sqrt(replicates)."""
+def _replicate_stats(sums, trials, noise: NoiseModel):
+    """Mean over all trials and its standard error from the
+    (_REPLICATES, points) sums of ideal populations: SPAM on each
+    replicate mean, then their trial-weighted mean and their sd over
+    sqrt(replicates)."""
     reps = min(trials, _REPLICATES)
     # replicate r holds the trials k < trials with k % _REPLICATES == r
-    means = sums[:, :reps] / ((trials - 1 - np.arange(reps)) // _REPLICATES
-                              + 1)
-    sem = (means.std(axis=1, ddof=1) / math.sqrt(reps) if reps > 1
-           else np.zeros(len(sums)))
-    return sums.sum(axis=1) / trials, sem
+    counts = ((trials - 1 - np.arange(reps)) // _REPLICATES + 1)[:, None]
+    means = apply_spam(sums[:reps] / counts, noise)
+    sem = (means.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1
+           else np.zeros(sums.shape[1]))
+    return (means * counts).sum(axis=0) / trials, sem
+
+
+def _certify(ok) -> None:
+    """Raise unless every entry of ``ok`` holds: the per-trial coefficients
+    keep each trial's P(3P2) in [0, 1] at every time."""
+    if not np.all(ok):
+        raise ValueError("ideal populations must lie in [0, 1]")
 
 
 # Pulse protocols as segment lists of (kind, size, laser phase, detuning
@@ -353,6 +345,10 @@ def _pulse_coefficients(plan, omega_rad_s, f_fringe_hz, instantaneous_pulses,
     su2 = {key: _su2_elements(1.0, 0.0, key[0]) if instantaneous_pulses
            else _su2_elements(omegas, deltas[key[1]], key[0] / omega_rad_s)
            for key in dict.fromkeys(keys)}
+    # unitary elements keep every path sum, so P(3P2) at any t, in [0, 1]
+    for u00, coupling, _ in su2.values():
+        _certify(np.abs(np.abs(u00) ** 2 + np.abs(coupling) ** 2 - 1.0)
+                 <= 1e-12)
     elems = [su2[key] for key in keys]
 
     def path_amp(steps, amp):
@@ -376,10 +372,12 @@ def _pulse_coefficients(plan, omega_rad_s, f_fringe_hz, instantaneous_pulses,
 def _drive_coefficients(omegas, deltas):
     """Rabi: K and the one harmonic (-K, Omega_eff, 0) at the set-0
     detunings, K = Omega^2 / (2 Omega_eff^2), each of shape (trials,);
-    Omega/Omega_eff is 1 at Omega_eff = 0, where P is 0."""
+    Omega/Omega_eff is 1 at Omega_eff = 0, where P is 0. 0 <= K <= 1/2
+    keeps P = K - K cos(Omega_eff t) in [0, 1]."""
     om_eff = np.hypot(omegas, deltas[0])
     k = 0.5 * np.divide(omegas, om_eff, out=np.ones_like(om_eff),
                         where=om_eff > 0) ** 2
+    _certify((k >= 0) & (k <= 0.5))
     return k, [(-k, om_eff, np.zeros_like(k))]
 
 
@@ -423,68 +421,60 @@ def _chunk_grid(t):
     return starts, offsets, run * r + m, direct
 
 
-def _grid_parts(t, grid, parts):
-    """Cut the grid's cell table into up to ``parts`` ranges of whole runs
-    (of cells, on a grid without runs), about equal in size. Returns per
-    range its cells as a slice of the table, its run starts, and the times
-    and the cells, counted from its first, of its direct points."""
-    starts, offsets, cell, direct = grid
-    unit = offsets.size or 1  # a grid without runs has a cell per point
-    units = starts.size or t.size
-    edges = [unit * u for u in sorted({units * i // parts
-                                       for i in range(parts + 1)})]
-    at = cell[direct]  # increasing, like the cells of the grid's points
-    split = np.searchsorted(at, edges)
-    return [(slice(c0, c1), starts[c0 // unit:c1 // unit], t[direct[d0:d1]],
-             at[d0:d1] - c0)
-            for c0, c1, d0, d1 in zip(edges, edges[1:], split, split[1:])]
-
-
 @functools.lru_cache(maxsize=8)
-def _run_plan(key: bytes, block: int, slab_bytes: int):
-    """Offsets of ``_chunk_grid``, cell of each point, cell count (C runs
-    of R cells, or a cell per point on a grid without runs) and slabs of
-    the grid whose float64 bytes are ``key``, for ``block`` trials; cached,
-    every array read-only."""
+def _run_plan(key: bytes):
+    """Cell table of the grid whose float64 bytes are ``key``: the run
+    starts (C,) and offsets (R,) of ``_chunk_grid`` and the flat (c, m)
+    cell of each point. A direct point starts a run of its own and reads
+    its offset-0 cell; on a grid without runs every point does, R = 1.
+    Cached, every array read-only."""
     t = np.frombuffer(key)
-    every = np.arange(t.size)
-    grid = _chunk_grid(t) or (t[:0], t[:0], every, every)
-    starts, offsets, cell, _ = grid
-    cells = starts.size * offsets.size or t.size
-    slabs = _grid_parts(t, grid, max(1, -(-cells * 8 * block // slab_bytes)))
-    for a in (offsets, cell, *(a for part in slabs for a in part[1:])):
+    grid = _chunk_grid(t)
+    if grid is None:
+        starts, offsets, cell = t, np.zeros(1), np.arange(t.size)
+    else:
+        starts, offsets, cell, direct = grid
+        cell[direct] = (starts.size + np.arange(direct.size)) * offsets.size
+        starts = np.concatenate([starts, t[direct]])
+    for a in (starts, offsets, cell):
         a.flags.writeable = False
-    return offsets, cell, cells, slabs
+    return starts, offsets, cell
 
 
-def _harmonic_sum(k, harmonics, offset_trig, part, bufs):
-    """K + sum amp cos(w t + phi) in one slab's cells as a (cells, trials)
-    view of bufs[0], trials contiguous: the (C, R, trials) angle addition
-    over its runs from their starts and the block's ``offset_trig`` (cos,
-    sin of offsets * w per harmonic), then its direct points, evaluated as
-    k + h_1 + h_2 + ... into their own cells, products in bufs[1]."""
-    cells, starts, t_direct, at = part
-    n = k.size
-    shape = (starts.size, offset_trig.shape[2], n)
-    c, cp = (b[:math.prod(shape)].reshape(shape) for b in bufs)
-    for h, ((amp, w, phi), (cos_b, sin_b)) in enumerate(
-            zip(harmonics, offset_trig)):
-        a = starts[:, None] * w + phi
-        # the first harmonic's product goes straight into c
-        np.multiply((amp * np.cos(a))[:, None], cos_b, out=cp if h else c)
-        if h:
-            c += cp
-        c -= np.multiply((amp * np.sin(a))[:, None], sin_b, out=cp)
-    c += k
-    out = bufs[0][:(cells.stop - cells.start) * n].reshape(-1, n)
-    if at.size:
-        dp = bufs[1][:at.size * n].reshape(-1, n)
-        out[at] = k
-        for amp, w, phi in harmonics:
-            np.multiply(t_direct[:, None], w, out=dp)
-            dp += phi
-            out[at] += np.multiply(np.cos(dp, out=dp), amp, out=dp)
-    return out
+def _replicate_major(x, points):
+    """(trials,) -> (_REPLICATES, points), trial i Q + r at [r, i], padded
+    with zeros past the last trial."""
+    out = np.zeros(points * _REPLICATES)
+    out[:len(x)] = x
+    return out.reshape(points, _REPLICATES).T.copy()
+
+
+def _block_products(starts, offsets, harmonics):
+    """Per replicate, sum over one block's trials of
+    sum_h amp cos(w (s_c + o_m) + phi) in every (c, m) cell, as one
+    stacked product of the rows amp cos(o_m w), -amp sin(o_m w) over the
+    offsets and the columns cos, sin(s_c w + phi) over the run starts.
+    ``harmonics`` holds per harmonic the (_REPLICATES, 2, n) signed
+    amplitudes (amp, -amp), w and phi (_REPLICATES, n) of n trials per
+    replicate; returns a (_REPLICATES, C, R) view."""
+    n = harmonics[0][1].shape[1]
+    # a lone offset is 0 (a grid without runs), where the sin rows vanish
+    trig = (np.cos, np.sin)[:1 if offsets.size == 1 else 2]
+    inner = len(trig) * len(harmonics) * n
+    # run starts along the last axis: the long, contiguous one
+    rows = np.empty((_REPLICATES, offsets.size, len(harmonics), len(trig),
+                     n))
+    cols = np.empty((_REPLICATES, len(harmonics), len(trig), n, starts.size))
+    for h, (signed, w, phi) in enumerate(harmonics):
+        a = w[:, :, None] * starts
+        a += phi[:, :, None]
+        b = offsets[:, None] * w[:, None, :]
+        for i, f in enumerate(trig):
+            f(a, out=cols[:, h, i])
+            np.multiply(f(b), signed[:, None, i], out=rows[:, :, h, i])
+    return np.matmul(rows.reshape(_REPLICATES, offsets.size, inner),
+                     cols.reshape(_REPLICATES, inner, starts.size)
+                     ).swapaxes(1, 2)
 
 
 def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
@@ -492,16 +482,15 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
                   motional_model: str, detuning_sets: int,
                   field, env, table) -> TraceResult:
     """Draw the trials, add angle jitter, take the protocol's per-trial
-    coefficients, evaluate P(3P2) from 3P0 over blocks of trials, apply
-    SPAM and accumulate it per cell, which each grid time reads.
+    coefficients and sum P(3P2) from 3P0 per replicate in every cell, which
+    each grid time reads; SPAM acts on the replicate means.
 
     ``coefficients(omegas, deltas)`` maps the Rabi frequencies (trials,)
     and detunings (sets, trials) to (K, harmonics) of
-    K + sum_d amp_d cos(w_d t + phi_d). Block b runs on thread b mod n
-    (thread 0 is the calling thread), slab by slab of ``_grid_parts``:
-    ``_harmonic_sum``, SPAM and the block's replicate sums in place while
-    the slab sits in L2, which enter the total once every earlier block
-    has. Draws, coefficients and every buffer stay on the calling thread."""
+    K + sum_d amp_d cos(w_d t + phi_d). The coefficients are laid out
+    replicate-major, and blocks of ``_block_products`` enter the
+    (_REPLICATES, C, R) sums in trial order; sum K per replicate is added
+    to every cell last."""
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
@@ -514,61 +503,30 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     if jitter:
         deltas = deltas + _phi_noise_delta_rad_s(field, env, table, phi_dev)
     k, harmonics = coefficients(omega_rad_s * om_f, deltas)
-    block = min(trials, _TRIAL_BLOCK)
-    offsets, cell, cells, slabs = _run_plan(t.tobytes(), block, _SLAB_BYTES)
-    blocks = -(-trials // _TRIAL_BLOCK)
-    n = max(1, min(_cpu_count(), blocks, t.size // _PART_POINTS))
-    # a slab's cells and their products
-    width = max((cols.stop - cols.start for cols, *_ in slabs), default=0)
-    bufs = np.empty((n, 2, width * block))
-    trig = np.empty((n, len(harmonics) * 2 * offsets.size * block))
-    # per thread, its block's replicate sums in each cell
-    sums = np.empty((n, cells, _REPLICATES))
-    total = np.zeros((cells, _REPLICATES))
-    merged, turn = [0], threading.Condition()  # blocks in total, in order
-    errors = [None] * n
-
-    def run_blocks(i):
-        try:
-            for b in range(i, blocks, n):
-                sl = slice(b * _TRIAL_BLOCK, (b + 1) * _TRIAL_BLOCK)
-                kb, hb = k[sl], [tuple(x[sl] for x in h) for h in harmonics]
-                shape = (len(hb), 2, offsets.size, kb.size)
-                offset_trig = trig[i, :math.prod(shape)].reshape(shape)
-                for (_, w, _), (cos_b, sin_b) in zip(hb, offset_trig):
-                    np.multiply(offsets[:, None], w, out=sin_b)
-                    np.cos(sin_b, out=cos_b)
-                    np.sin(sin_b, out=sin_b)
-                for part in slabs:
-                    p = _harmonic_sum(kb, hb, offset_trig, part, bufs[i])
-                    _block_stats(apply_spam(p, noise, out=p),
-                                 sums[i, part[0]])
-                with turn:
-                    turn.wait_for(lambda: merged[0] == b or any(errors))
-                    if merged[0] != b:  # another thread failed
-                        return
-                    np.add(total, sums[i], out=total)
-                    merged[0] += 1
-                    turn.notify_all()
-        except BaseException as exc:  # raised again on the calling thread
-            with turn:
-                errors[i] = exc
-                turn.notify_all()
-
-    threads = [threading.Thread(target=run_blocks, args=(i,))
-               for i in range(1, n)]
-    try:
-        for thread in threads:
-            thread.start()
-        run_blocks(0)
-    finally:
-        for thread in threads:
-            if thread.ident is not None:  # started
-                thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    mean, sem = (x[cell] for x in _replicate_stats(total, trials))
+    _certify([np.isfinite(x).all()
+              for x in (k, *itertools.chain(*harmonics))])
+    starts, offsets, cell = _run_plan(t.tobytes())
+    points = -(-trials // _REPLICATES)
+    lay = functools.partial(_replicate_major, points=points)
+    # (amp, -amp), signs by a multiply: numpy 2.4 negates a strided view
+    # in place wrongly
+    laid = [(lay(amp)[:, None, :] * np.array([[1.0], [-1.0]]), lay(w),
+             lay(phi)) for amp, w, phi in harmonics]
+    # trials per replicate in a block: its columns and rows, 2 per
+    # harmonic and trial in each run start and offset, fit _BLOCK_BYTES
+    trial_bytes = 8 * _REPLICATES * 2 * len(harmonics) * (starts.size
+                                                           + offsets.size)
+    width = max(1, min(_TRIAL_BLOCK // _REPLICATES,
+                       _BLOCK_BYTES // trial_bytes))
+    sums = np.zeros((_REPLICATES, starts.size, offsets.size))
+    for i in range(0, points, width):
+        sl = slice(i, i + width)
+        sums += _block_products(starts, offsets,
+                                [(s[:, :, sl], w[:, sl], phi[:, sl])
+                                 for s, w, phi in laid])
+    sums = sums.reshape(_REPLICATES, -1)[:, cell]
+    sums += lay(k).sum(axis=1)[:, None]
+    mean, sem = _replicate_stats(sums, trials, noise)
     return TraceResult(t_s=t, p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem)
 
 

@@ -1156,16 +1156,15 @@ def test_shipped_artifacts_match_record(tmp_path, capsys):
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                     reason="no CPU affinity call on this platform")
 def test_shipped_artifacts_match_record_on_one_cpu():
-    """The recorded bytes from a process that may run on one CPU only, so
-    the Monte-Carlo engine evaluates every time grid as one part on the
-    calling thread: the part count changes no byte."""
+    """The recorded bytes from a process that may run on one CPU only,
+    pinned before numpy loads, so BLAS starts one thread for the
+    Monte-Carlo engine's products: its thread choice changes no byte."""
     want = _artifact_record()
     root = pathlib.Path(__file__).resolve().parents[1]
     code = textwrap.dedent("""
         import os, runpy, sys
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-        from fsqubit import dynamics
-        if dynamics._cpu_count() != 1:
+        if len(os.sched_getaffinity(0)) != 1:
             sys.exit("not pinned to one CPU")
         sys.argv = [sys.argv[1]]
         runpy.run_path(sys.argv[0], run_name="__main__")
@@ -1177,3 +1176,23 @@ def test_shipped_artifacts_match_record_on_one_cpu():
     assert done.returncode == 0, done.stderr
     moved = _moved(want, _hash_lines(done.stdout.splitlines()))
     assert not moved, f"moved files: {moved}"
+
+
+def test_artifact_diff_counts_moves_and_floors_relative_change(tmp_path):
+    """A value that moves from 0 to 1.7e-17 is round-off about zero: it is
+    counted as moved and in the absolute change, not as a relative one."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        "artifact_diff", root / "scripts/artifact_diff.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    rows = {"a": ["0.0", "0.5", "2.0"], "b": ["1.7e-17", "0.5", "2.000002"]}
+    for tree, cells in rows.items():
+        (tmp_path / tree).mkdir()
+        (tmp_path / tree / "trace.csv").write_text(
+            "t_s,p32_mean,p32_sem\r\n" + ",".join(cells) + "\r\n")
+    line = script.compare(tmp_path / "a" / "trace.csv",
+                          tmp_path / "b" / "trace.csv")
+    assert line.startswith("2 of 3 values moved")
+    assert "max abs 2e-06" in line
+    assert "max rel 1e-06 (at row 1 p32_sem" in line

@@ -11,8 +11,10 @@ for a fluctuating detuning.
 import csv
 import json
 import math
+import os
 import pathlib
-import threading
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -454,8 +456,8 @@ def _split_grid(kind):
         lin[400] += 1e-3 * (lin[1] - lin[0])
         return lin
     if kind == "burst_direct":
-        # one point per burst 7 ulp off its run, like _straddled_grid's:
-        # direct values written into a cell table with unused cells
+        # one point per burst 7 ulp off its run (more than 4 ulp, inside
+        # its segment): direct points in a cell table with unused cells
         t = dynamics.ramsey_burst_grid(80e-6, F_FR)
         near = np.arange(5, t.size, 28)
         t[near] += 7 * np.spacing(t[near])
@@ -487,126 +489,212 @@ def test_engine_matches_scalar_propagator_on_split_grids(
     np.testing.assert_allclose(got.p32_mean, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("grid", ["nudged", "burst"])
-def test_tile_size_changes_no_bit(grid, monkeypatch):
-    # slabs of about 1 and 7 runs against the default slab, on grids whose
-    # cell map is not the identity
+def _replicate_oracle(protocol, trap, temp, noise, t, trials, seed, sets):
+    """Mean and SEM from every trial's P(3P2) in every cell of the grid's
+    run plan, by the engine's coefficients and angle addition one trial
+    at a time, summed per replicate (trial k in replicate k % 32)."""
+    deltas, om_f, _ = dynamics._draw_trials(trap, temp, noise, trials, seed,
+                                            "fock", detuning_sets=sets)
+    if protocol == "rabi":
+        k, harmonics = dynamics._drive_coefficients(OMEGA * om_f, deltas)
+    else:
+        plan = dynamics._pulse_plan({"ramsey": dynamics.RAMSEY,
+                                     "echo": dynamics.ECHO}[protocol])
+        k, harmonics = dynamics._pulse_coefficients(
+            plan, OMEGA, F_FR, False, OMEGA * om_f, deltas)
+    starts, offsets, cell = dynamics._run_plan(t.tobytes())
+    p = k[:, None, None]
+    for amp, w, phi in harmonics:
+        # (trials, C, 1) start angles, (trials, 1, R) offset angles
+        a = starts[:, None] * w[:, None, None] + phi[:, None, None]
+        b = offsets * w[:, None, None]
+        amp = amp[:, None, None]
+        p = p + (amp * np.cos(a)) * np.cos(b) - (amp * np.sin(a)) * np.sin(b)
+    p = p.reshape(trials, -1)[:, cell]
+    reps = min(trials, dynamics._REPLICATES)
+    replicate = np.arange(trials) % dynamics._REPLICATES
+    sums = np.zeros((reps, t.size))
+    np.add.at(sums, replicate, p)
+    means = noise.spam_scale * sums / np.bincount(replicate)[:, None]
+    sem = (means.std(axis=0, ddof=1) / math.sqrt(reps) if reps > 1
+           else np.zeros(t.size))
+    return noise.spam_scale * p.mean(axis=0), sem
+
+
+@pytest.mark.parametrize("grid", ["linspace", "burst", "burst_direct",
+                                  "random"])
+@pytest.mark.parametrize("protocol,sets", [
+    ("rabi", 1), ("ramsey", 1), ("echo", 1), ("echo", 2)])
+def test_partial_blocks_match_per_trial_oracle(protocol, sets, grid):
+    # trial counts below, at and past a replicate and past whole blocks:
+    # the zero-amplitude padding and the last, partial block add nothing
     t = _split_grid(grid)
-    starts, offsets, cell, _ = dynamics._chunk_grid(t)
-    assert not np.array_equal(cell, np.arange(cell.size))
     noise = NoiseModel(rabi_frac_std=0.05,
                        detuning_offset_std=2 * math.pi * 2e3,
                        prep_efficiency=0.9, readout_fidelity=0.95)
+    for trials in (1, 4, 31, 33, 545, 1543):
+        want_mean, want_sem = _replicate_oracle(
+            protocol, mismatched_trap(), 3e-6, noise, t, trials, 19, sets)
+        got = _simulate(protocol, mismatched_trap(), 3e-6, noise, t, trials,
+                        19, False, sets)
+        np.testing.assert_allclose(got.p32_mean, want_mean, rtol=0,
+                                   atol=1e-13, err_msg=f"{trials} trials")
+        np.testing.assert_allclose(got.p32_sem, want_sem, rtol=0,
+                                   atol=1e-13, err_msg=f"{trials} trials")
 
-    def run():
-        return dynamics.simulate_echo(
-            mismatched_trap(), 3e-6, noise, OMEGA, F_FR, t,
-            2 * dynamics._TRIAL_BLOCK + 3, 43, fluctuating_detuning=True)
 
-    want = run()
-    run_bytes = 8 * dynamics._TRIAL_BLOCK * offsets.size
-    assert dynamics._SLAB_BYTES // run_bytes not in (1, 7)
-    for runs in (1, 7):
-        monkeypatch.setattr(dynamics, "_SLAB_BYTES", runs * run_bytes)
-        got = run()
-        np.testing.assert_array_equal(got.p32_mean, want.p32_mean)
-        np.testing.assert_array_equal(got.p32_sem, want.p32_sem)
+@pytest.mark.parametrize("protocol", ["rabi", "ramsey", "echo"])
+def test_engine_on_empty_and_one_point_grids(protocol):
+    # no cell at all, and one point: a single one-cell run at offset 0
+    noise = NoiseModel(rabi_frac_std=0.05,
+                       detuning_offset_std=2 * math.pi * 2e3)
+    empty = _simulate(protocol, mismatched_trap(), 3e-6, noise, np.zeros(0),
+                      7, 3, False, 1)
+    assert empty.p32_mean.shape == empty.p32_sem.shape == (0,)
+    t = np.array([3e-6])
+    got = _simulate(protocol, mismatched_trap(), 3e-6, noise, t, 7, 3, False,
+                    1)
+    want_mean, want_sem = _replicate_oracle(protocol, mismatched_trap(),
+                                            3e-6, noise, t, 7, 3, 1)
+    np.testing.assert_allclose(got.p32_mean, want_mean, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got.p32_sem, want_sem, rtol=0, atol=1e-13)
+
+
+def _non_unitary(monkeypatch, protocol):
+    # a pulse element 1e-9 off unitary; the drive's analogue is an
+    # Omega_eff below Omega, so K = Omega^2 / (2 Omega_eff^2) > 1/2
+    if protocol == "rabi":
+        hypot = np.hypot
+        monkeypatch.setattr(np, "hypot",
+                            lambda a, b: hypot(a, b) * (1 - 1e-9))
+        return
+    su2 = dynamics._su2_elements
+
+    def scaled(*args):
+        u00, coupling, u11 = su2(*args)
+        return u00, coupling * (1 + 1e-9), u11
+
+    monkeypatch.setattr(dynamics, "_su2_elements", scaled)
+
+
+def _nan_coefficient(monkeypatch, protocol):
+    # one trial's phase of the first harmonic is NaN
+    name = ("_drive_coefficients" if protocol == "rabi"
+            else "_pulse_coefficients")
+    coefficients = getattr(dynamics, name)
+
+    def with_nan(*args):
+        k, harmonics = coefficients(*args)
+        amp, w, phi = harmonics[0]
+        phi = phi.copy()
+        phi[3] = math.nan
+        return k, [(amp, w, phi), *harmonics[1:]]
+
+    monkeypatch.setattr(dynamics, name, with_nan)
+
+
+def _mean_past_one(monkeypatch, protocol):
+    # SPAM sees one replicate's means raised by 1
+    spam = dynamics.apply_spam
+
+    def pushed(p, noise, out=None):
+        p = p.copy()
+        p[-1] += 1.0
+        return spam(p, noise, out=out)
+
+    monkeypatch.setattr(dynamics, "apply_spam", pushed)
+
+
+@pytest.mark.parametrize("protocol", ["ramsey", "echo", "rabi"])
+@pytest.mark.parametrize("corrupt", [_non_unitary, _nan_coefficient,
+                                     _mean_past_one],
+                         ids=["non_unitary", "nan", "past_one"])
+def test_range_guard_rejects_corrupt_trials(protocol, corrupt, monkeypatch):
+    # the certificates on the coefficients and the check on the replicate
+    # means each raise the range error before a trace is formed
+    corrupt(monkeypatch, protocol)
+    t = np.linspace(0.0, 200e-6, 801)
+    with pytest.raises(ValueError, match="must lie in"):
+        _simulate(protocol, mismatched_trap(), 3e-6, NOISELESS, t,
+                  dynamics._TRIAL_BLOCK + 40, 59, False, 1)
 
 
 def _straddled_grid():
     """The 801-point linspace with a directly evaluated point on each side
-    of every boundary of 2, 3, 5 and 7 slabs (7 is the default slab of a
-    full block); returns the grid and those boundaries."""
+    of every cut of its run table into 2, 3, 5 and 7 equal parts of whole
+    runs: direct points, each a one-cell run of its own, among the runs."""
     t = np.linspace(0.0, 200e-6, 801)
-    grid = dynamics._chunk_grid(t)
+    starts, offsets, _, _ = dynamics._chunk_grid(t)
     # one segment: each point's cell is its index
-    bounds = {cells.start for n in (2, 3, 5, 7)
-              for cells, *_ in dynamics._grid_parts(t, grid, n)} - {0}
+    bounds = {offsets.size * (starts.size * i // n)
+              for n in (2, 3, 5, 7) for i in range(1, n)}
     near = sorted({b + side for b in bounds for side in (-1, 1)})
     # 7 ulp: off the point's run (> 4 ulp), inside its segment (< 8 ulp
     # of the largest time)
     t[near] += 7 * np.spacing(t[near])
     assert set(near) <= set(dynamics._chunk_grid(t)[3].tolist())
-    return t, bounds
+    return t
 
 
-@pytest.mark.parametrize("grid", ["linspace", "nudged", "burst", "random",
-                                  "straddled", "burst_direct"])
-@pytest.mark.parametrize("protocol", ["echo", "ramsey", "rabi"])
-def test_part_count_changes_no_bit(grid, protocol, monkeypatch):
-    # 1, 2, 3 and 5 threads, block b on thread b mod n, on split and
-    # unsplit grids and with direct points next to the slab boundaries;
-    # five blocks, the last partial
-    if grid == "straddled":
-        t, bounds = _straddled_grid()
-        slabs = dynamics._grid_parts(t, dynamics._chunk_grid(t), 7)
-        assert {cells.start for cells, *_ in slabs} - {0} <= bounds
-    else:
-        t = _split_grid(grid)
-    monkeypatch.setattr(dynamics, "_PART_POINTS", 16)
+_PART_GRIDS = ["linspace", "nudged", "burst", "random", "straddled",
+               "burst_direct"]
+_PART_PROTOCOLS = ["echo", "ramsey", "rabi"]
+
+
+def _part_count_runs():
+    """Mean and SEM, stacked, of every case of the part-count test, keyed
+    "protocol-grid": five blocks, the last partial, two detuning sets."""
     noise = NoiseModel(rabi_frac_std=0.05,
                        detuning_offset_std=2 * math.pi * 2e3,
                        prep_efficiency=0.9, readout_fidelity=0.95)
-    results = {}
-    for n in (1, 2, 3, 5):
-        monkeypatch.setattr(dynamics, "_cpu_count", lambda n=n: n)
-        results[n] = _simulate(protocol, mismatched_trap(), 3e-6, noise, t,
-                               4 * dynamics._TRIAL_BLOCK + 3, 53, False, 2)
-    for n in (2, 3, 5):
-        np.testing.assert_array_equal(results[n].p32_mean,
-                                      results[1].p32_mean)
-        np.testing.assert_array_equal(results[n].p32_sem, results[1].p32_sem)
+    runs = {}
+    for grid in _PART_GRIDS:
+        t = _straddled_grid() if grid == "straddled" else _split_grid(grid)
+        for protocol in _PART_PROTOCOLS:
+            got = _simulate(protocol, mismatched_trap(), 3e-6, noise, t,
+                            4 * dynamics._TRIAL_BLOCK + 3, 53, False, 2)
+            runs[f"{protocol}-{grid}"] = np.stack([got.p32_mean,
+                                                   got.p32_sem])
+    return runs
 
 
-def _count_started_threads(monkeypatch):
-    """Patch threading.Thread so that every started thread is listed."""
-    started = []
-
-    class Counted(threading.Thread):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(threading, "Thread", Counted)
-    return started
-
-
-@pytest.mark.parametrize("grid,trials,cpus,threads", [
-    ("window", 1200, 8, 0), ("burst", 2000, 8, 0), ("linspace", 2048, 2, 1)])
-def test_thread_count_is_derived(grid, trials, cpus, threads, monkeypatch):
-    # min(CPUs, blocks, T // _PART_POINTS) threads, the calling thread
-    # among them: a 28-point window and the 252-point burst grid start
-    # none, an 801-point run of 4 blocks on 2 CPUs starts one
-    t = {"window": np.linspace(0.0, 5 / F_FR, 28, endpoint=False),
-         "burst": dynamics.ramsey_burst_grid(80e-6, F_FR),
-         "linspace": np.linspace(0.0, 200e-6, 801)}[grid]
-    started = _count_started_threads(monkeypatch)
-    monkeypatch.setattr(dynamics, "_cpu_count", lambda: cpus)
-    dynamics.simulate_ramsey(mismatched_trap(), 3e-6, NOISELESS, OMEGA,
-                             F_FR, t, trials, 61)
-    assert len(started) == threads
+@pytest.fixture(scope="module")
+def blas_thread_runs(tmp_path_factory):
+    """``_part_count_runs`` from child processes whose BLAS may start 1, 2,
+    3 and 5 threads for the engine's products, keyed by that count.
+    OpenBLAS reads the count when numpy loads and takes at most the CPUs
+    the process may run on, so a host of n CPUs compares min(n, count)."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import sys, numpy as np, test_dynamics\n"
+            "np.savez(sys.argv[1], **test_dynamics._part_count_runs())")
+    runs = {}
+    for count in (1, 2, 3, 5):
+        path = tmp_path_factory.mktemp("blas") / f"{count}.npz"
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(path)],
+            env={**os.environ,
+                 "PYTHONPATH": os.pathsep.join([str(root / "src"),
+                                                str(root / "tests")]),
+                 "OPENBLAS_NUM_THREADS": str(count),
+                 "OMP_NUM_THREADS": str(count)},
+            capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, done.stderr
+        with np.load(path) as saved:
+            runs[count] = dict(saved)
+    return runs
 
 
-def test_worker_part_error_reaches_the_caller(monkeypatch):
-    # apply_spam rejects the populations of a block off the calling
-    # thread: the caller raises its ValueError after every thread has ended
-    spam = dynamics.apply_spam
-
-    def corrupt_off_main(p, noise, out=None):
-        if threading.current_thread() is not threading.main_thread():
-            p += 2.0
-        return spam(p, noise, out=out)
-
-    monkeypatch.setattr(dynamics, "apply_spam", corrupt_off_main)
-    monkeypatch.setattr(dynamics, "_cpu_count", lambda: 3)
-    started = _count_started_threads(monkeypatch)
-    t = np.linspace(0.0, 200e-6, 801)
-    before = threading.active_count()
-    with pytest.raises(ValueError, match="must lie in"):
-        dynamics.simulate_ramsey(mismatched_trap(), 3e-6, NOISELESS, OMEGA,
-                                 F_FR, t, dynamics._TRIAL_BLOCK + 40, 59)
-    assert len(started) == 1
-    assert threading.active_count() == before
+@pytest.mark.parametrize("grid", _PART_GRIDS)
+@pytest.mark.parametrize("protocol", _PART_PROTOCOLS)
+def test_part_count_changes_no_bit(grid, protocol, blas_thread_runs):
+    # the engine's products split over 1, 2, 3 and 5 BLAS threads, on
+    # split and unsplit grids and with direct points among the runs; a
+    # BLAS that split a cell's sum over the trials would move bits here
+    key = f"{protocol}-{grid}"
+    for count in (2, 3, 5):
+        np.testing.assert_array_equal(blas_thread_runs[count][key],
+                                      blas_thread_runs[1][key],
+                                      err_msg=f"{count} BLAS threads")
 
 
 @pytest.mark.parametrize("case", ["echo", "rabi", "ramsey_unsplit",
@@ -661,21 +749,23 @@ def test_grid_split_accepts_only_points_on_their_run():
     t[100] *= 1 + 20 * np.finfo(float).eps
     grid = dynamics._chunk_grid(t)
     np.testing.assert_array_equal(grid[3], [100])
+    starts, offsets, cell = dynamics._run_plan(t.tobytes())
+    # it reads the offset-0 cell of a run of its own
+    run, m = np.divmod(cell[100], offsets.size)
+    assert m == 0 and starts[run] == t[100]
+    # two trials per replicate: the products over the runs match a direct
+    # evaluation at every point
     rng = np.random.default_rng(5)
-    k, amp = rng.uniform(0.2, 0.5, (2, 7))
-    w = 2 * math.pi * F_FR + rng.normal(0.0, 1e4, 7)
-    harmonics = [(amp, w, rng.uniform(-math.pi, math.pi, 7))]
-    b = grid[1][:, None] * w
-    offset_trig = np.array([[np.cos(b), np.sin(b)]])
-    split, unsplit = np.empty((2, 2, 2 * t.size * k.size))
-    every = np.arange(t.size)  # a grid without runs: every point direct
-    (part,), (whole,) = (dynamics._grid_parts(t, g, 1)
-                         for g in (grid, (t[:0], t[:0], every, every)))
+    shape = (dynamics._REPLICATES, 2)
+    amp = rng.uniform(0.2, 0.5, shape)
+    w = 2 * math.pi * F_FR + rng.normal(0.0, 1e4, shape)
+    phi = rng.uniform(-math.pi, math.pi, shape)
+    signed = amp[:, None, :] * np.array([[1.0], [-1.0]])
+    got = dynamics._block_products(starts, offsets, [(signed, w, phi)])
+    want = (amp[:, :, None]
+            * np.cos(w[:, :, None] * t + phi[:, :, None])).sum(axis=1)
     np.testing.assert_allclose(
-        dynamics._harmonic_sum(k, harmonics, offset_trig, part,
-                               split)[grid[2]],
-        dynamics._harmonic_sum(k, harmonics, offset_trig[:, :, :0], whole,
-                               unsplit),
+        got.reshape(dynamics._REPLICATES, -1)[:, cell], want,
         rtol=0, atol=1e-12)
 
 
@@ -846,16 +936,15 @@ def test_run_plan_cached_per_grid():
     # build gives, and a second call on a grid returns its cached plan
     lin, nudged = _split_grid("linspace"), _split_grid("nudged")
     assert lin.size == nudged.size
-    args = (dynamics._TRIAL_BLOCK, dynamics._SLAB_BYTES)
     dynamics._run_plan.cache_clear()
-    plans = [dynamics._run_plan(t.tobytes(), *args) for t in (lin, nudged)]
-    assert not np.array_equal(plans[0][1], plans[1][1])
-    for t, (offsets, cell, cells, _) in zip((lin, nudged), plans):
-        starts, want_offsets, want_cell, _ = dynamics._chunk_grid(t)
-        np.testing.assert_array_equal(offsets, want_offsets)
-        np.testing.assert_array_equal(cell, want_cell)
-        assert cells == starts.size * offsets.size
-        assert dynamics._run_plan(t.tobytes(), *args)[1] is cell
+    plans = [dynamics._run_plan(t.tobytes()) for t in (lin, nudged)]
+    assert not np.array_equal(plans[0][2], plans[1][2])
+    for t, plan in zip((lin, nudged), plans):
+        want = dynamics._chunk_grid(t)
+        assert want[3].size == 0  # no direct points: the plan is the split
+        for got, expected in zip(plan, want):
+            np.testing.assert_array_equal(got, expected)
+        assert dynamics._run_plan(t.tobytes())[2] is plan[2]
     # an engine run on the second grid reads the same with the cache warm
     # from the first grid as from a cold one
     noise = NoiseModel(rabi_frac_std=0.05,
@@ -875,11 +964,16 @@ def test_run_plan_cached_per_grid():
 @pytest.mark.parametrize("grid", ["burst_direct", "random"])
 def test_cached_run_plan_is_read_only(grid):
     t = _split_grid(grid)
-    offsets, cell, _, slabs = dynamics._run_plan(
-        t.tobytes(), dynamics._TRIAL_BLOCK, dynamics._SLAB_BYTES)
-    arrays = [offsets, cell] + [a for part in slabs for a in part[1:]]
-    assert any(a.size for part in slabs for a in part[2:])  # direct points
-    for a in arrays:
+    starts, offsets, cell = dynamics._run_plan(t.tobytes())
+    # the direct points, every point of a grid without runs, read the
+    # offset-0 cells of runs of their own
+    grid = dynamics._chunk_grid(t)
+    direct = grid[3] if grid else np.arange(t.size)
+    assert direct.size
+    run, m = np.divmod(cell[direct], offsets.size)
+    assert not m.any()
+    np.testing.assert_array_equal(starts[run], t[direct])
+    for a in (starts, offsets, cell):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[...] = 0.0

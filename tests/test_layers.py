@@ -273,7 +273,8 @@ def test_dynamics_engine_builds_no_complex_time_arrays():
     tree = ast.parse((SRC / "dynamics.py").read_text())
     fns = {node.name: node for node in tree.body
            if isinstance(node, ast.FunctionDef)}
-    on_grid = ("_run_sequence", "_chunk_grid", "_harmonic_sum")
+    on_grid = ("_run_sequence", "_chunk_grid", "_run_plan", "_block_products",
+               "_replicate_stats")
     for name in on_grid + ("_pulse_plan", "_pulse_coefficients",
                            "_drive_coefficients"):
         names, _ = _names_and_complex_literals(fns[name])
