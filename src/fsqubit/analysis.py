@@ -33,8 +33,9 @@ _MAX_SCAN_POINTS = 1 << 21
 
 # Envelope scan in beta t_max^2, about 64 points per decade. The top end
 # keeps exp(-2 beta t^2) a normal double, so the profiled C0 = g.c / g.g
-# never divides by an underflowed g.g.
-_ENVELOPE_GRID = np.geomspace(1e-3, 350.0, 356)
+# never divides by an underflowed g.g. Its powers come from libm: numpy's
+# geomspace moves in the last bit with its SIMD dispatch.
+_ENVELOPE_GRID = np.array([1e-3 * 350e3 ** (i / 355) for i in range(356)])
 
 _SINGULAR = "design matrix is numerically singular (it fails the rank test)"
 

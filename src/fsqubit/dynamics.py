@@ -29,10 +29,12 @@ fringe). P(3P2) of a trial is therefore K + sum_d amp_d cos(w_d t + phi_d)
 with trial-only K, amp_d, w_d and phi_d: one harmonic for Ramsey, four for
 the echo, and one for a single drive (Rabi), (Omega sin(Omega_eff t/2) /
 Omega_eff)^2 = K - K cos(Omega_eff t). Each cosine is evaluated by angle
-addition over runs of equally spaced times, about 4 sqrt(T) trig calls
-per trial instead of T. Each grid point reads a cell of a table of C runs
-of R cells; a point off every run starts a one-cell run of its own and
-reads its offset-0 cell (every point does on a grid without runs, R = 1).
+addition over runs of equally spaced times, and where it pays the trig by
+recurrence: one cos/sin pair per trial for the step and one per run
+start, powers for the rest. Each grid point reads a cell of a table of C
+run starts of J offsets; a point off every run starts a one-cell run of
+its own and reads its offset-0 cell (every point does on a grid without
+runs, J = 1).
 Each protocol hands the one Monte-Carlo engine a function from the trial
 draws to these coefficients: draws -> coefficients -> replicate sums per
 cell -> SPAM on the replicate means of each point; a grid's run plan is
@@ -57,9 +59,10 @@ no (trial, time) array is formed: the coefficients are laid out
 replicate-major, padded with zero-amplitude trials to a multiple of Q,
 and per block of at most 512 trials, fewer where its trig tables would
 pass _BLOCK_BYTES, the replicate sums of every cell are one stacked
-matrix product of cos and sin of s_c w + phi over the run starts by
-amp cos and -amp sin of o_m w over the offsets, added to the total in
-block order; sum K is added per replicate. The range guard sits where
+matrix product of cos and sin of w (s_c + k R step) + phi over each run
+start's columns by amp cos and -amp sin of r step w over the rows,
+added to the total in block order; sum K is added per replicate. The
+block's tables are allocated once per call. The range guard sits where
 values are formed: each trial's pulse elements are certified unitary
 (the drive's K in [0, 1/2]), every coefficient finite, and SPAM checks
 the replicate means. No Python thread runs; BLAS's own thread count
@@ -85,6 +88,11 @@ from .trapmodel import (detuning_for_sample, sample_fock_thermal,
 # in _BLOCK_BYTES; wider cell tables take fewer
 _TRIAL_BLOCK = 512
 _BLOCK_BYTES = 2 ** 20
+# Cost of a block's tables per trial and harmonic, in ns at a full block
+# (measured on a 2-CPU AVX-512 Xeon): a cos/sin pair of a run start's phase
+# (large arguments) and of an offset's (small ones), a cell of products, a
+# doubling level (its fixed numpy calls) and a cell of the matrix product
+_NS_START, _NS_OFFSET, _NS_POWER, _NS_LEVEL, _NS_SUM = 30, 12, 5, 21, 0.12
 
 
 def _su2_elements(omega, delta, duration):
@@ -384,7 +392,10 @@ def _drive_coefficients(omegas, deltas):
 def _chunk_grid(t):
     """Split the time grid into runs t_j = s_c + m * step, m < R ~ sqrt(T),
     of one common step, so that cos(w t + phi) follows by angle addition
-    from C + R angles per trial instead of T.
+    from the C + R angles of the run starts and offsets instead of T;
+    ``_run_plan`` merges runs whose starts lie on one progression, and
+    ``_block_products`` takes the angles by recurrence from one cos/sin
+    pair per trial for the step and one per head where that pays.
 
     Consecutive points whose spacing matches the median step to rounding
     form segments, cut into runs of R points. A point is accepted when it
@@ -421,60 +432,203 @@ def _chunk_grid(t):
     return starts, offsets, run * r + m, direct
 
 
+@functools.lru_cache(maxsize=64)
+def _table_split(c: int, j: int):
+    """How a block evaluates C run starts by J offsets: (R, K, by_powers,
+    cost). By powers the rows hold R offsets and each start K columns,
+    R K >= J, with R about sqrt(C J) so that both tables stay small;
+    directly, R = J and K = 1. ``cost`` is the cheaper route's, in ns per
+    trial and harmonic: the one cost rule, which also picks a run plan's
+    heads."""
+    k = -(-j // min(j, math.isqrt(max(c * j - 1, 0)) + 1))
+    r = -(-j // k)
+    levels = (r - 1).bit_length() + (k - 1).bit_length() + (k > 1)
+    by_powers = (_NS_START * c + _NS_OFFSET + _NS_POWER * (c * k + r)
+                 + _NS_LEVEL * levels)
+    # a lone offset is 0: the cos columns alone
+    direct = _NS_START * c + _NS_OFFSET * j if j > 1 else _NS_START * c / 2
+    product = _NS_SUM * c * j
+    if by_powers < direct:
+        return r, k, True, by_powers + product
+    return j, 1, False, direct + product
+
+
 @functools.lru_cache(maxsize=8)
 def _run_plan(key: bytes):
-    """Cell table of the grid whose float64 bytes are ``key``: the run
-    starts (C,) and offsets (R,) of ``_chunk_grid`` and the flat (c, m)
-    cell of each point. A direct point starts a run of its own and reads
-    its offset-0 cell; on a grid without runs every point does, R = 1.
-    Cached, every array read-only."""
+    """Cell table of the grid whose float64 bytes are ``key``: run starts
+    (C,), offsets (J,) = arange(J) * step and the flat (c, j) cell of each
+    point, which reads s_c + o_j. A direct point starts a run of its own
+    and reads its offset-0 cell; on a grid without runs every point does,
+    J = 1. Cached, every array read-only.
+
+    The runs of ``_chunk_grid`` whose starts follow a progression
+    s_head + q R step, each within 4 ulp as the grid points are, merge:
+    K runs of R cells hang off one head, J = K R, and a run start is
+    addressed as (head, k) by the cell index alone. K is chosen by the cost
+    rule of ``_table_split`` over whole progressions cut every K runs;
+    K = 1 keeps ``_chunk_grid``'s runs.
+    """
     t = np.frombuffer(key)
     grid = _chunk_grid(t)
     if grid is None:
         starts, offsets, cell = t, np.zeros(1), np.arange(t.size)
     else:
-        starts, offsets, cell, direct = grid
-        cell[direct] = (starts.size + np.arange(direct.size)) * offsets.size
-        starts = np.concatenate([starts, t[direct]])
+        run_starts, offsets, cell, direct = grid
+        r, step = offsets.size, float(offsets[1])
+        # place of each run start on its progression
+        pos = np.zeros(run_starts.size, dtype=np.int64)
+        head = 0
+        for c in range(1, run_starts.size):
+            if (abs(run_starts[c] - (run_starts[head] + (c - head) * r * step))
+                    <= 4.0 * np.spacing(abs(run_starts[c]))):
+                pos[c] = c - head
+            else:
+                head = c
+        ends = np.append(np.flatnonzero(pos == 0)[1:], pos.size) - 1
+        lengths = pos[ends] + 1
+        # runs per head: whole progressions cut every k runs, the cheapest
+        k = min(range(1, int(lengths.max()) + 1), key=lambda q: _table_split(
+            int((-(-lengths // q)).sum()) + direct.size, q * r)[3])
+        first = pos % k == 0
+        heads = np.cumsum(first) - 1
+        run, m = np.divmod(cell, r)
+        cell = (heads[run] * k + pos[run] % k) * r + m
+        cell[direct] = (heads[-1] + 1 + np.arange(direct.size)) * k * r
+        starts = np.concatenate([run_starts[first], t[direct]])
+        offsets = np.arange(k * r) * step
     for a in (starts, offsets, cell):
         a.flags.writeable = False
     return starts, offsets, cell
 
 
-def _replicate_major(x, points):
-    """(trials,) -> (_REPLICATES, points), trial i Q + r at [r, i], padded
-    with zeros past the last trial."""
-    out = np.zeros(points * _REPLICATES)
-    out[:len(x)] = x
-    return out.reshape(points, _REPLICATES).T.copy()
+def _replicate_major(xs, points):
+    """Arrays (trials,) -> (_REPLICATES, points, len(xs)), trial i Q + r
+    of the h-th at [r, i, h], padded with zeros past the last trial."""
+    out = np.zeros((points * _REPLICATES, len(xs)))
+    for h, x in enumerate(xs):
+        out[:len(x), h] = x
+    return out.reshape(points, _REPLICATES, -1).swapaxes(0, 1).copy()
 
 
-def _block_products(starts, offsets, harmonics):
+def _scratch(work, name, shape):
+    """An uninitialised array of ``shape``, carved from the buffer ``name``
+    of the dict ``work``, which grows it as needed; None allocates."""
+    size = math.prod(shape)
+    if work is None:
+        return np.empty(shape)
+    if name not in work or work[name].size < size:
+        work[name] = np.empty(size)
+    return work[name][:size].reshape(shape)
+
+
+def _cmul(a, b, out, tmp):
+    """out = a b for complex numbers held as (re, im) pairs on the last
+    axis; ``b`` is wide: b.re and b.im stacked, each repeated over that
+    axis, so that every product runs over contiguous memory. tmp is
+    scratch of out's shape; out overlaps neither a nor b."""
+    np.multiply(a, b[0], out=out)
+    np.multiply(a, b[1], out=tmp)
+    out[..., 0] -= tmp[..., 1]
+    out[..., 1] += tmp[..., 0]
+
+
+def _fill_powers(table, wide, work):
+    """table[:, q] = table[:, 0] b^q along axis 1, b given wide, by
+    doubling: for p = 1, 2, 4, ... the cells [p, 2p) are the cells [0, p)
+    times b^p, and b^p squares b^(p/2); a cell takes at most
+    2 log2(q) + 1 products."""
+    size, p = table.shape[1], 1
+    squares = _scratch(work, "squares", (2,) + wide.shape)
+    while p < size:
+        out = table[:, p:2 * p]
+        _cmul(table[:, :out.shape[1]], wide, out,
+              _scratch(work, "tmp", out.shape))
+        p *= 2
+        if p < size:
+            # b^p from b^(p/2), into the square buffer not being read
+            (re, im), wide = wide, squares[p.bit_length() % 2]
+            np.multiply(re, re, out=wide[0])
+            np.multiply(im, im, out=wide[1])
+            wide[0] -= wide[1]
+            np.multiply(re, im, out=wide[1])
+            wide[1] += wide[1]
+
+
+def _block_products(starts, offsets, harmonics, work=None):
     """Per replicate, sum over one block's trials of
-    sum_h amp cos(w (s_c + o_m) + phi) in every (c, m) cell, as one
-    stacked product of the rows amp cos(o_m w), -amp sin(o_m w) over the
-    offsets and the columns cos, sin(s_c w + phi) over the run starts.
-    ``harmonics`` holds per harmonic the (_REPLICATES, 2, n) signed
-    amplitudes (amp, -amp), w and phi (_REPLICATES, n) of n trials per
-    replicate; returns a (_REPLICATES, C, R) view."""
-    n = harmonics[0][1].shape[1]
-    # a lone offset is 0 (a grid without runs), where the sin rows vanish
-    trig = (np.cos, np.sin)[:1 if offsets.size == 1 else 2]
-    inner = len(trig) * len(harmonics) * n
-    # run starts along the last axis: the long, contiguous one
-    rows = np.empty((_REPLICATES, offsets.size, len(harmonics), len(trig),
-                     n))
-    cols = np.empty((_REPLICATES, len(harmonics), len(trig), n, starts.size))
-    for h, (signed, w, phi) in enumerate(harmonics):
+    sum_h amp cos(w (s_c + o_j) + phi) in every (c, j) cell, as one
+    stacked product of the columns cos, sin(w (s_c + k R step) + phi) over
+    the cells (c, k) by the rows amp cos(r step w), -amp sin(r step w) over
+    r < R, j = k R + r, with (R, K) from ``_table_split``; the offsets must
+    be arange(J) * step, as in a run plan. ``harmonics`` holds per
+    harmonic the (_REPLICATES, 2, n) signed amplitudes (amp, -amp), w and
+    phi (_REPLICATES, n) of n trials per replicate; as every harmonic is
+    summed alike, they may come merged into one. ``work`` is a dict of
+    buffers reused across calls (None allocates). Returns a
+    (_REPLICATES, C, J) view.
+
+    Trig by recurrence, where ``_table_split`` finds that it pays: per
+    trial and harmonic one cos/sin pair of step w gives z = e^(i step w),
+    its powers z^r (the rows) and Z = z^R, and one pair per run start its
+    phasor e^(i (w s_c + phi)), the column k = 0; the columns k > 0 are
+    that phasor times Z^k (``_fill_powers``: real products of (re, im)
+    pairs). A cell's error stays below c (|w| max(t) + R K) eps amp, with
+    c = 2 and eps = 2^-52: the rounding of w step and of the start's phase
+    grows with the power to the scale of the direct route's own argument
+    rounding, and that of the at most 4 log2(R K) + 3 products stays below
+    R K eps. Otherwise every start and offset takes its own pair; a lone
+    offset is 0 (a grid without runs), where the sin terms vanish.
+
+    By powers the tables are laid out (cell, replicate, trial, re/im), so
+    that the products run over contiguous memory; each replicate's matrix
+    is a strided view for the matrix product.
+    """
+    c, j = starts.size, offsets.size
+    r, k, by_powers = _table_split(c, j)[:3]
+    signed, w, phi = (harmonics[0] if len(harmonics) == 1 else
+                      [np.concatenate(x, axis=-1) for x in zip(*harmonics)])
+    hn = w.shape[1]
+    if not by_powers:
+        # run starts along the last axis, the long contiguous one
+        parts = 1 if j == 1 else 2
+        rows = _scratch(work, "rows", (_REPLICATES, j, parts, hn))
+        cols = _scratch(work, "cols", (_REPLICATES, parts, hn, c))
         a = w[:, :, None] * starts
         a += phi[:, :, None]
         b = offsets[:, None] * w[:, None, :]
-        for i, f in enumerate(trig):
-            f(a, out=cols[:, h, i])
-            np.multiply(f(b), signed[:, None, i], out=rows[:, :, h, i])
-    return np.matmul(rows.reshape(_REPLICATES, offsets.size, inner),
-                     cols.reshape(_REPLICATES, inner, starts.size)
-                     ).swapaxes(1, 2)
+        for i, f in enumerate((np.cos, np.sin)[:parts]):
+            f(a, out=cols[:, i])
+            np.multiply(f(b), signed[:, None, i], out=rows[:, :, i])
+        return np.matmul(rows.reshape(_REPLICATES, j, parts * hn),
+                         cols.reshape(_REPLICATES, parts * hn, c)
+                         ).swapaxes(1, 2)
+    rows = _scratch(work, "rows", (1, r, _REPLICATES, hn, 2))
+    cols = _scratch(work, "cols", (c, k, _REPLICATES, hn, 2))
+    phase = _scratch(work, "phase", (c, _REPLICATES, hn))
+    np.multiply(starts[:, None, None], w, out=phase)
+    phase += phi
+    np.cos(phase, out=cols[:, 0, ..., 0])
+    np.sin(phase, out=cols[:, 0, ..., 1])
+    z = _scratch(work, "z", (2, _REPLICATES, hn, 2))
+    np.multiply(w, offsets[1], out=phase[0])
+    np.cos(phase[0], out=z[0, ..., 0])
+    np.sin(phase[0], out=z[1, ..., 0])
+    z[..., 1] = z[..., 0]
+    rows[0, 0, ..., 0] = 1.0
+    rows[0, 0, ..., 1] = 0.0
+    _fill_powers(rows, z, work)
+    if k > 1:
+        # Z = z^R, the step between a start's columns, made wide
+        big_z = _scratch(work, "big_z", z.shape)
+        _cmul(rows[0, r - 1], z, big_z[0], _scratch(work, "tmp", z.shape[1:]))
+        big_z[1, ..., 0] = big_z[0, ..., 1]
+        big_z[..., 1] = big_z[..., 0]
+        _fill_powers(cols, big_z, work)
+    rows *= np.ascontiguousarray(np.moveaxis(signed, 1, 2))
+    return np.matmul(
+        cols.reshape(c * k, _REPLICATES, 2 * hn).transpose(1, 0, 2),
+        rows.reshape(r, _REPLICATES, 2 * hn).transpose(1, 2, 0)
+    ).reshape(_REPLICATES, c, k * r)[:, :, :j]
 
 
 def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
@@ -507,25 +661,31 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
               for x in (k, *itertools.chain(*harmonics))])
     starts, offsets, cell = _run_plan(t.tobytes())
     points = -(-trials // _REPLICATES)
-    lay = functools.partial(_replicate_major, points=points)
+    # the harmonics side by side, so that a block's trials of every
+    # harmonic are one run of columns
+    amp, w, phi = (_replicate_major(x, points) for x in zip(*harmonics))
     # (amp, -amp), signs by a multiply: numpy 2.4 negates a strided view
     # in place wrongly
-    laid = [(lay(amp)[:, None, :] * np.array([[1.0], [-1.0]]), lay(w),
-             lay(phi)) for amp, w, phi in harmonics]
+    signed = amp[:, None] * np.array([1.0, -1.0])[:, None, None]
     # trials per replicate in a block: its columns and rows, 2 per
-    # harmonic and trial in each run start and offset, fit _BLOCK_BYTES
-    trial_bytes = 8 * _REPLICATES * 2 * len(harmonics) * (starts.size
-                                                           + offsets.size)
+    # harmonic and trial in each (start, power) cell and row, fit
+    # _BLOCK_BYTES
+    rows, powers = _table_split(starts.size, offsets.size)[:2]
+    trial_bytes = 8 * _REPLICATES * 2 * len(harmonics) * (
+        starts.size * powers + rows)
     width = max(1, min(_TRIAL_BLOCK // _REPLICATES,
                        _BLOCK_BYTES // trial_bytes))
     sums = np.zeros((_REPLICATES, starts.size, offsets.size))
+    work = {}  # the blocks' tables, freed with this call
     for i in range(0, points, width):
         sl = slice(i, i + width)
-        sums += _block_products(starts, offsets,
-                                [(s[:, :, sl], w[:, sl], phi[:, sl])
-                                 for s, w, phi in laid])
+        sums += _block_products(
+            starts, offsets,
+            [(signed[:, :, sl].reshape(_REPLICATES, 2, -1),
+              w[:, sl].reshape(_REPLICATES, -1),
+              phi[:, sl].reshape(_REPLICATES, -1))], work)
     sums = sums.reshape(_REPLICATES, -1)[:, cell]
-    sums += lay(k).sum(axis=1)[:, None]
+    sums += _replicate_major([k], points)[..., 0].sum(axis=1)[:, None]
     mean, sem = _replicate_stats(sums, trials, noise)
     return TraceResult(t_s=t, p32_mean=np.clip(mean, 0.0, 1.0), p32_sem=sem)
 

@@ -1107,26 +1107,128 @@ def test_artifacts_do_not_depend_on_simd_dispatch(tmp_path, name, sub):
         assert files[0][fname] == files[1][fname], fname
 
 
+@pytest.mark.skipif(not _avx512_dispatch(),
+                    reason="X86_V4 is not among numpy's dispatch targets "
+                    "on this CPU, so there is no second dispatch level to "
+                    "compare against")
+def test_geometric_grids_do_not_depend_on_simd_dispatch():
+    """The T2 envelope fit's beta grid and the far waist-scan radii have
+    the same bytes with and without numpy's AVX-512 kernels: their powers
+    come from libm, where numpy's geomspace moves in the last bit."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = textwrap.dedent("""
+        from fsqubit import analysis, focalfield
+        print(analysis._ENVELOPE_GRID.tobytes().hex())
+        for nm in (500.0, 539.91, 813.0, 1064.0):
+            print(focalfield._far_radii(nm * 1e-9).tobytes().hex())
+        """)
+    env = {k: v for k, v in os.environ.items()
+           if k != "NPY_DISABLE_CPU_FEATURES"}
+    env["PYTHONPATH"] = str(root / "src")
+    grids = []
+    for disable in ({}, {"NPY_DISABLE_CPU_FEATURES": NO_AVX512}):
+        done = subprocess.run([sys.executable, "-c", code],
+                              env={**env, **disable}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        grids.append(done.stdout.splitlines())
+    assert len(grids[0]) == 5
+    for i, (a, b) in enumerate(zip(*grids)):
+        assert a == b, f"grid {i}"
+
+
+def _blas_core(env=None) -> str:
+    """OpenBLAS's core type in a fresh process with environment ``env``."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    code = ("import runpy, sys; print(runpy.run_path(sys.argv[1])"
+            "['blas_core']())")
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(root / "scripts/artifact_hashes.py")],
+        env={**os.environ, "PYTHONPATH": str(root / "src"), **(env or {})},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name,sub", [("t2_deep_phi0_3G", "t2"),
+                                      ("phinoise_magic_8G", "phinoise")])
+def test_artifacts_across_blas_cores(tmp_path, name, sub):
+    """Under OpenBLAS's Haswell kernels (AVX2) as under the default core:
+    the same CSV bytes, and every JSON number within artifact_diff's
+    REL_FLOOR relative (or both within it of zero). Only JSON bytes are
+    held to one core: the matrix products round per core."""
+    core = _blas_core()
+    if core in ("unknown", "Haswell") or _blas_core(
+            {"OPENBLAS_CORETYPE": "Haswell"}) != "Haswell":
+        pytest.skip(f"no second OpenBLAS core to compare: default {core}")
+    root = pathlib.Path(__file__).resolve().parents[1]
+    cfg = json.loads((root / "configs" / f"{name}.json").read_text())
+    cfg["trials"] = 100
+    path = write_cfg(tmp_path, cfg)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = str(root / "src")
+    outs = []
+    for level, override in (("default", {}),
+                            ("haswell", {"OPENBLAS_CORETYPE": "Haswell"})):
+        out = tmp_path / level
+        done = subprocess.run(
+            [sys.executable, "-m", "fsqubit.cli", sub, "--config", path,
+             "--out", str(out)], env={**env, **override},
+            capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outs.append(out)
+    diff = _script("artifact_diff")
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir())
+    for fname in names:
+        a, b = (out / fname for out in outs)
+        if a.suffix == ".csv":
+            assert a.read_bytes() == b.read_bytes(), fname
+            continue
+        for (where, x), (_, y) in zip(diff._values(a), diff._values(b),
+                                      strict=True):
+            if isinstance(x, float) and isinstance(y, float):
+                scale = max(abs(x), abs(y))
+                assert (abs(x - y) <= diff.REL_FLOOR * scale
+                        or scale <= diff.REL_FLOOR), f"{fname}{where}"
+            else:
+                assert x == y, f"{fname}{where}"
+
+
+def _script(name: str):
+    """The module of ``scripts/<name>.py``."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location(
+        name, root / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def _artifact_record() -> dict[str, str]:
     """config/file -> sha256 from tests/data/artifacts.sha256; skips the
-    calling test where numpy or the machine differs from the header."""
+    calling test where numpy, the machine or OpenBLAS's core type differs
+    from the header, or the core type is unknown."""
     record = pathlib.Path(__file__).resolve().parent / "data" \
         / "artifacts.sha256"
     lines = record.read_text().splitlines()
     header = dict(line[2:].split(": ", 1) for line in lines
                   if line.startswith("# ") and ": " in line)
-    here = {"numpy": np.__version__, "machine": platform.machine()}
+    here = {"numpy": np.__version__, "machine": platform.machine(),
+            "blas_core": _script("artifact_hashes").blas_core()}
     differ = [f"{key} {header[key]} recorded, {value} here"
-              for key, value in here.items() if header[key] != value]
+              for key, value in here.items()
+              if header[key] != value or value == "unknown"]
     if differ:
-        pytest.skip("the record holds for its own numpy and machine: "
-                    + "; ".join(differ))
-    return _hash_lines(line for line in lines if not line.startswith("#"))
+        pytest.skip("the record holds for its own numpy, machine and BLAS "
+                    "core: " + "; ".join(differ))
+    return _hash_lines(lines)
 
 
 def _hash_lines(lines) -> dict[str, str]:
-    return {name: digest
-            for digest, name in (line.split("  ", 1) for line in lines)}
+    return {name: digest for digest, name in (
+        line.split("  ", 1) for line in lines if not line.startswith("#"))}
 
 
 def _moved(want: dict[str, str], got: dict[str, str]) -> list[str]:

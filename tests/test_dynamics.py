@@ -769,6 +769,71 @@ def test_grid_split_accepts_only_points_on_their_run():
         rtol=0, atol=1e-12)
 
 
+class _CountingNumpy:
+    """numpy for the engine, counting the elements it passes to cos and
+    sin."""
+
+    def __init__(self):
+        self.elements = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x, *args, **kwargs):
+        self.elements += np.size(x)
+        return np.cos(x, *args, **kwargs)
+
+    def sin(self, x, *args, **kwargs):
+        self.elements += np.size(x)
+        return np.sin(x, *args, **kwargs)
+
+
+def test_trig_per_trial_does_not_grow_with_the_grid(monkeypatch):
+    # Rabi (one harmonic, no pulse elements): one cos/sin pair per trial
+    # for the step and one per run-start head, so two on the 801- and the
+    # 3201-point linspace alike, and on the shipped t2 burst grid one per
+    # burst plus the step
+    counting = _CountingNumpy()
+    monkeypatch.setattr(dynamics, "np", counting)
+    noise = NoiseModel(rabi_frac_std=0.05,
+                       detuning_offset_std=2 * math.pi * 2e3)
+    trials = 1024
+    grids = {"linspace_801": (np.linspace(0.0, 200e-6, 801), 2),
+             "linspace_3201": (np.linspace(0.0, 200e-6, 3201), 2),
+             "t2_burst": (dynamics.ramsey_burst_grid(1236e-6, F_FR,
+                                                     span_factor=1.5), 10)}
+    for name, (t, pairs) in grids.items():
+        counting.elements = 0
+        dynamics.simulate_rabi(mismatched_trap(), 3e-6, noise, OMEGA, t,
+                               trials, 5)
+        assert counting.elements == 2 * pairs * trials, name
+
+
+def test_block_products_within_stated_bound_on_long_phases():
+    # the longest shipped t2 burst grid (t2_shallow_phi20_8G: fringe phases
+    # to 3e4 rad) by powers against a direct sum over trials, within the
+    # bound _block_products states: 2 (|w| max(t) + R K) eps per unit
+    # amplitude
+    t = dynamics.ramsey_burst_grid(1500e-6, F_FR, span_factor=2.5)
+    starts, offsets, _ = dynamics._run_plan(t.tobytes())
+    r, k, by_powers = dynamics._table_split(starts.size, offsets.size)[:3]
+    assert by_powers and k > 1
+    rng = np.random.default_rng(11)
+    shape = (dynamics._REPLICATES, 16)
+    amp = rng.uniform(0.0, 0.5, shape)
+    w = -2 * math.pi * F_FR + rng.normal(0.0, 2e4, shape)
+    phi = rng.uniform(-math.pi, math.pi, shape)
+    signed = amp[:, None, :] * np.array([[1.0], [-1.0]])
+    got = dynamics._block_products(starts, offsets, [(signed, w, phi)])
+    cells = starts[:, None] + offsets
+    want = (amp[..., None, None] * np.cos(w[..., None, None] * cells
+                                          + phi[..., None, None])).sum(axis=1)
+    bound = (2 * (np.abs(w).max() * cells.max() + r * k) * 2.0 ** -52
+             * amp.sum(axis=1)[:, None, None])
+    assert np.abs(w).max() * cells.max() > 1e4
+    assert np.all(np.abs(got - want) <= bound)
+
+
 def _fock_coherence(trap, temperature_K, sigma_off, t):
     """phi(t) = E[e^{i delta t}] for thermal Fock ladders (geometric n_i
     with q_i = e^{-hbar w_i / kB T}, lock point at n = 0) times a Gaussian
@@ -940,10 +1005,19 @@ def test_run_plan_cached_per_grid():
     plans = [dynamics._run_plan(t.tobytes()) for t in (lin, nudged)]
     assert not np.array_equal(plans[0][2], plans[1][2])
     for t, plan in zip((lin, nudged), plans):
-        want = dynamics._chunk_grid(t)
-        assert want[3].size == 0  # no direct points: the plan is the split
-        for got, expected in zip(plan, want):
-            np.testing.assert_array_equal(got, expected)
+        starts, offsets, cell = plan
+        run_starts, run_offsets, _, direct = dynamics._chunk_grid(t)
+        assert direct.size == 0
+        # the heads are run starts, each with whole runs of R offsets of
+        # one step, and every point reads its own time to the ulp rule of
+        # its run and its run's start
+        assert set(starts.tolist()) <= set(run_starts.tolist())
+        assert offsets.size % run_offsets.size == 0
+        np.testing.assert_array_equal(
+            offsets, np.arange(offsets.size) * run_offsets[1])
+        head, j = np.divmod(cell, offsets.size)
+        assert np.all(np.abs(t - (starts[head] + offsets[j]))
+                      <= 8 * np.spacing(t))
         assert dynamics._run_plan(t.tobytes())[2] is plan[2]
     # an engine run on the second grid reads the same with the cache warm
     # from the first grid as from a cold one
