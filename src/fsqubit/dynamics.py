@@ -29,12 +29,12 @@ fringe). P(3P2) of a trial is therefore K + sum_d amp_d cos(w_d t + phi_d)
 with trial-only K, amp_d, w_d and phi_d: one harmonic for Ramsey, four for
 the echo, and one for a single drive (Rabi), (Omega sin(Omega_eff t/2) /
 Omega_eff)^2 = K - K cos(Omega_eff t). Each cosine is evaluated by angle
-addition over runs of equally spaced times, and where it pays the trig by
-recurrence: one cos/sin pair per trial for the step and one per run
-start, powers for the rest. Each grid point reads a cell of a table of C
-run starts of J offsets; a point off every run starts a one-cell run of
-its own and reads its offset-0 cell (every point does on a grid without
-runs, J = 1).
+addition over pieces of equally spaced times, and where it pays the trig
+by recurrence: one cos/sin pair per trial for the step and one per piece
+head, powers for the rest. Each grid point reads a cell of a table of C
+heads by J offsets within 4 ulp of its own time; a point further off its
+piece heads a one-cell row of its own and reads its offset-0 cell (every
+point does on a grid without pieces, J = 1).
 Each protocol hands the one Monte-Carlo engine a function from the trial
 draws to these coefficients: draws -> coefficients -> replicate sums per
 cell -> SPAM on the replicate means of each point; a grid's run plan is
@@ -59,8 +59,8 @@ no (trial, time) array is formed: the coefficients are laid out
 replicate-major, padded with zero-amplitude trials to a multiple of Q,
 and per block of at most 512 trials, fewer where its trig tables would
 pass _BLOCK_BYTES, the replicate sums of every cell are one stacked
-matrix product of cos and sin of w (s_c + k R step) + phi over each run
-start's columns by amp cos and -amp sin of r step w over the rows,
+matrix product of cos and sin of w (s_c + k R step) + phi over each
+head's columns by amp cos and -amp sin of r step w over the rows,
 added to the total in block order; sum K is added per replicate. The
 block's tables are allocated once per call. The range guard sits where
 values are formed: each trial's pulse elements are certified unitary
@@ -89,7 +89,7 @@ from .trapmodel import (detuning_for_sample, sample_fock_thermal,
 _TRIAL_BLOCK = 512
 _BLOCK_BYTES = 2 ** 20
 # Cost of a block's tables per trial and harmonic, in ns at a full block
-# (measured on a 2-CPU AVX-512 Xeon): a cos/sin pair of a run start's phase
+# (measured on a 2-CPU AVX-512 Xeon): a cos/sin pair of a head's phase
 # (large arguments) and of an offset's (small ones), a cell of products, a
 # doubling level (its fixed numpy calls) and a cell of the matrix product
 _NS_START, _NS_OFFSET, _NS_POWER, _NS_LEVEL, _NS_SUM = 30, 12, 5, 21, 0.12
@@ -132,6 +132,10 @@ class TraceResult:
     p32_sem: np.ndarray
 
     def __post_init__(self) -> None:
+        if not (np.ndim(self.t_s) == 1 and np.shape(self.t_s)
+                == np.shape(self.p32_mean) == np.shape(self.p32_sem)):
+            raise ValueError("t_s, p32_mean and p32_sem must be 1-d arrays "
+                             "of one length")
         if not np.all(np.isfinite(self.t_s)):
             raise ValueError("times must be finite")
         if not np.all((self.p32_mean >= -1e-12)
@@ -389,57 +393,14 @@ def _drive_coefficients(omegas, deltas):
     return k, [(-k, om_eff, np.zeros_like(k))]
 
 
-def _chunk_grid(t):
-    """Split the time grid into runs t_j = s_c + m * step, m < R ~ sqrt(T),
-    of one common step, so that cos(w t + phi) follows by angle addition
-    from the C + R angles of the run starts and offsets instead of T;
-    ``_run_plan`` merges runs whose starts lie on one progression, and
-    ``_block_products`` takes the angles by recurrence from one cos/sin
-    pair per trial for the step and one per head where that pays.
-
-    Consecutive points whose spacing matches the median step to rounding
-    form segments, cut into runs of R points. A point is accepted when it
-    lies within 4 ulp of s_c + m * step, so the phase moves by no more
-    than the rounding of w t itself; the rest are evaluated directly.
-    Returns (starts, offsets, cell, direct): the run starts (C,), m * step
-    (R,), the flat (c, m) cell of each grid point and the indices of the
-    direct points; None when the split would not save trig calls.
-    """
-    size = t.size
-    r = math.isqrt(size - 1) + 1 if size > 1 else 1
-    if 4 * r >= size:  # not even one unbroken run would save trig calls
-        return None
-    dt = np.diff(t)
-    step = float(np.sort(dt)[dt.size // 2])  # np.median would load numpy.ma
-    tol = 8.0 * np.spacing(np.abs(t).max())
-    begins = np.insert(np.flatnonzero(np.abs(dt - step) > tol) + 1, 0, 0)
-    lengths = np.diff(begins, append=size)
-    # refine the step over the longest segment: errors of t enter / length
-    b = int(begins[np.argmax(lengths)])
-    e = b + int(lengths.max()) - 1
-    if e > b:
-        step = float((t[e] - t[b]) / (e - b))
-    m = (np.arange(size) - np.repeat(begins, lengths)) % r
-    head = m == 0
-    run = np.cumsum(head) - 1
-    starts = t[head]
-    offsets = np.arange(r) * step
-    miss = np.abs(t - (starts[run] + offsets[m])) > 4.0 * np.spacing(
-        np.abs(t))
-    direct = np.flatnonzero(miss)
-    if 2 * (starts.size + r) + direct.size >= size:
-        return None
-    return starts, offsets, run * r + m, direct
-
-
 @functools.lru_cache(maxsize=64)
 def _table_split(c: int, j: int):
-    """How a block evaluates C run starts by J offsets: (R, K, by_powers,
-    cost). By powers the rows hold R offsets and each start K columns,
+    """How a block evaluates C heads by J offsets: (R, K, by_powers,
+    cost). By powers the rows hold R offsets and each head K columns,
     R K >= J, with R about sqrt(C J) so that both tables stay small;
     directly, R = J and K = 1. ``cost`` is the cheaper route's, in ns per
     trial and harmonic: the one cost rule, which also picks a run plan's
-    heads."""
+    K and whether it has pieces at all."""
     k = -(-j // min(j, math.isqrt(max(c * j - 1, 0)) + 1))
     r = -(-j // k)
     levels = (r - 1).bit_length() + (k - 1).bit_length() + (k > 1)
@@ -455,47 +416,74 @@ def _table_split(c: int, j: int):
 
 @functools.lru_cache(maxsize=8)
 def _run_plan(key: bytes):
-    """Cell table of the grid whose float64 bytes are ``key``: run starts
-    (C,), offsets (J,) = arange(J) * step and the flat (c, j) cell of each
-    point, which reads s_c + o_j. A direct point starts a run of its own
-    and reads its offset-0 cell; on a grid without runs every point does,
-    J = 1. Cached, every array read-only.
+    """Cell table of the grid whose float64 bytes are ``key``: heads (C,),
+    offsets (J,) = arange(J) * step and the flat (c, j) cell of each
+    point, which reads head c + offset j, so that cos(w t + phi) follows
+    by angle addition from the C + J angles of the heads and offsets
+    instead of T. Cached, every array read-only.
 
-    The runs of ``_chunk_grid`` whose starts follow a progression
-    s_head + q R step, each within 4 ulp as the grid points are, merge:
-    K runs of R cells hang off one head, J = K R, and a run start is
-    addressed as (head, k) by the cell index alone. K is chosen by the cost
-    rule of ``_table_split`` over whole progressions cut every K runs;
-    K = 1 keeps ``_chunk_grid``'s runs.
+    Consecutive points whose spacing matches the median step to rounding
+    form segments, each cut into pieces of K R points, R = isqrt(T - 1)
+    + 1; a piece hangs off its own first point, its head, so that its
+    point m reads head + m step. A point more than 4 ulp from that cell
+    heads a one-cell row of its own, after the pieces, so every point
+    reads a cell within 4 ulp of its own time: its phase moves by no more
+    than the rounding of w t itself. K, and pieces against no pieces (every
+    point its own row, J = 1), take the least cost of ``_table_split``;
+    grids under 4 R points, which that cost misprices, have no pieces.
     """
     t = np.frombuffer(key)
-    grid = _chunk_grid(t)
-    if grid is None:
-        starts, offsets, cell = t, np.zeros(1), np.arange(t.size)
+    size = t.size
+    r = math.isqrt(size - 1) + 1 if size > 1 else 1
+    # (cost, K) of the plan; K = 0 is no pieces and wins a tie
+    best, plan = (_table_split(size, 1)[3], 0), None
+    if 4 * r < size:
+        dt = np.diff(t)
+        # the median step; np.median would load numpy.ma
+        step = float(np.sort(dt)[dt.size // 2])
+        tol = 8.0 * np.spacing(np.abs(t).max())
+        begins = np.insert(np.flatnonzero(np.abs(dt - step) > tol) + 1, 0, 0)
+        lengths = np.diff(begins, append=size)
+        # refine the step over the longest segment: errors of t enter / length
+        b = int(begins[np.argmax(lengths)])
+        e = b + int(lengths.max()) - 1
+        if e > b:
+            step = float((t[e] - t[b]) / (e - b))
+        index = np.arange(size)
+        pos = index - np.repeat(begins, lengths)
+        ks = np.arange(1, -(-int(lengths.max()) // r) + 1)
+        pieces = (-(-lengths // (ks[:, None] * r))).sum(axis=1).tolist()
+
+        def floor(c, j):
+            # _table_split's cost of c or more rows of j > 1 cells, at
+            # least: R + K C >= 2 sqrt(C J) and its levels >= log2(J)
+            by_powers = (_NS_START * c + _NS_OFFSET
+                         + 2 * _NS_POWER * math.sqrt(c * j)
+                         + _NS_LEVEL * (j - 1).bit_length())
+            return min(by_powers, _NS_START * c + _NS_OFFSET * j) + (
+                _NS_SUM * c * j)
+
+        # in the order of that floor, until it passes the best cost found
+        for low, k in sorted((floor(c, k * r), k)
+                             for c, k in zip(pieces, ks.tolist())):
+            if (low, k) > best:
+                break
+            m = pos % (k * r)
+            offsets = np.arange(k * r) * step
+            direct = np.flatnonzero(np.abs(t - (t[index - m] + offsets[m]))
+                                    > 4.0 * np.spacing(np.abs(t)))
+            cost = (_table_split(pieces[k - 1] + direct.size, k * r)[3], k)
+            if cost < best:
+                best, plan = cost, (m, offsets, direct)
+    if plan is None:
+        starts, offsets, cell = t, np.zeros(1), np.arange(size)
     else:
-        run_starts, offsets, cell, direct = grid
-        r, step = offsets.size, float(offsets[1])
-        # place of each run start on its progression
-        pos = np.zeros(run_starts.size, dtype=np.int64)
-        head = 0
-        for c in range(1, run_starts.size):
-            if (abs(run_starts[c] - (run_starts[head] + (c - head) * r * step))
-                    <= 4.0 * np.spacing(abs(run_starts[c]))):
-                pos[c] = c - head
-            else:
-                head = c
-        ends = np.append(np.flatnonzero(pos == 0)[1:], pos.size) - 1
-        lengths = pos[ends] + 1
-        # runs per head: whole progressions cut every k runs, the cheapest
-        k = min(range(1, int(lengths.max()) + 1), key=lambda q: _table_split(
-            int((-(-lengths // q)).sum()) + direct.size, q * r)[3])
-        first = pos % k == 0
-        heads = np.cumsum(first) - 1
-        run, m = np.divmod(cell, r)
-        cell = (heads[run] * k + pos[run] % k) * r + m
-        cell[direct] = (heads[-1] + 1 + np.arange(direct.size)) * k * r
-        starts = np.concatenate([run_starts[first], t[direct]])
-        offsets = np.arange(k * r) * step
+        m, offsets, direct = plan
+        head = m == 0
+        cell = (np.cumsum(head) - 1) * offsets.size + m
+        cell[direct] = (np.count_nonzero(head)
+                        + np.arange(direct.size)) * offsets.size
+        starts = np.concatenate([t[head], t[direct]])
     for a in (starts, offsets, cell):
         a.flags.writeable = False
     return starts, offsets, cell
@@ -554,30 +542,30 @@ def _fill_powers(table, wide, work):
             wide[1] += wide[1]
 
 
-def _block_products(starts, offsets, harmonics, work=None):
+def _block_products(starts, offsets, signed, w, phi, work=None):
     """Per replicate, sum over one block's trials of
-    sum_h amp cos(w (s_c + o_j) + phi) in every (c, j) cell, as one
-    stacked product of the columns cos, sin(w (s_c + k R step) + phi) over
-    the cells (c, k) by the rows amp cos(r step w), -amp sin(r step w) over
+    amp cos(w (s_c + o_j) + phi) in every (c, j) cell, as one stacked
+    product of the columns cos, sin(w (s_c + k R step) + phi) over the
+    cells (c, k) by the rows amp cos(r step w), -amp sin(r step w) over
     r < R, j = k R + r, with (R, K) from ``_table_split``; the offsets must
-    be arange(J) * step, as in a run plan. ``harmonics`` holds per
-    harmonic the (_REPLICATES, 2, n) signed amplitudes (amp, -amp), w and
-    phi (_REPLICATES, n) of n trials per replicate; as every harmonic is
-    summed alike, they may come merged into one. ``work`` is a dict of
-    buffers reused across calls (None allocates). Returns a
+    be arange(J) * step, as in a run plan. ``signed`` holds the
+    (_REPLICATES, 2, n) signed amplitudes (amp, -amp), ``w`` and ``phi``
+    the (_REPLICATES, n) slopes and phases of n trials per replicate, the
+    harmonics side by side, as every harmonic is summed alike. ``work`` is
+    a dict of buffers reused across calls (None allocates). Returns a
     (_REPLICATES, C, J) view.
 
     Trig by recurrence, where ``_table_split`` finds that it pays: per
     trial and harmonic one cos/sin pair of step w gives z = e^(i step w),
-    its powers z^r (the rows) and Z = z^R, and one pair per run start its
+    its powers z^r (the rows) and Z = z^R, and one pair per head its
     phasor e^(i (w s_c + phi)), the column k = 0; the columns k > 0 are
     that phasor times Z^k (``_fill_powers``: real products of (re, im)
     pairs). A cell's error stays below c (|w| max(t) + R K) eps amp, with
     c = 2 and eps = 2^-52: the rounding of w step and of the start's phase
     grows with the power to the scale of the direct route's own argument
     rounding, and that of the at most 4 log2(R K) + 3 products stays below
-    R K eps. Otherwise every start and offset takes its own pair; a lone
-    offset is 0 (a grid without runs), where the sin terms vanish.
+    R K eps. Otherwise every head and offset takes its own pair; a lone
+    offset is 0 (a grid without pieces), where the sin terms vanish.
 
     By powers the tables are laid out (cell, replicate, trial, re/im), so
     that the products run over contiguous memory; each replicate's matrix
@@ -585,11 +573,9 @@ def _block_products(starts, offsets, harmonics, work=None):
     """
     c, j = starts.size, offsets.size
     r, k, by_powers = _table_split(c, j)[:3]
-    signed, w, phi = (harmonics[0] if len(harmonics) == 1 else
-                      [np.concatenate(x, axis=-1) for x in zip(*harmonics)])
     hn = w.shape[1]
     if not by_powers:
-        # run starts along the last axis, the long contiguous one
+        # heads along the last axis, the long contiguous one
         parts = 1 if j == 1 else 2
         rows = _scratch(work, "rows", (_REPLICATES, j, parts, hn))
         cols = _scratch(work, "cols", (_REPLICATES, parts, hn, c))
@@ -643,7 +629,7 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     and detunings (sets, trials) to (K, harmonics) of
     K + sum_d amp_d cos(w_d t + phi_d). The coefficients are laid out
     replicate-major, and blocks of ``_block_products`` enter the
-    (_REPLICATES, C, R) sums in trial order; sum K per replicate is added
+    (_REPLICATES, C, J) sums in trial order; sum K per replicate is added
     to every cell last."""
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
@@ -651,6 +637,8 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
             "phi_jitter_std_deg > 0 needs the field context (field, env, "
             "table) to map angle jitter onto shifts")
     t = np.asarray(t_grid_s, dtype=float)
+    if t.ndim != 1 or not np.isfinite(t).all():
+        raise ValueError("the time grid must be a 1-d array of finite times")
     deltas, om_f, phi_dev = _draw_trials(trap, temperature_K, noise, trials,
                                          master_seed, motional_model,
                                          detuning_sets=detuning_sets)
@@ -668,7 +656,7 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     # in place wrongly
     signed = amp[:, None] * np.array([1.0, -1.0])[:, None, None]
     # trials per replicate in a block: its columns and rows, 2 per
-    # harmonic and trial in each (start, power) cell and row, fit
+    # harmonic and trial in each (head, power) cell and row, fit
     # _BLOCK_BYTES
     rows, powers = _table_split(starts.size, offsets.size)[:2]
     trial_bytes = 8 * _REPLICATES * 2 * len(harmonics) * (
@@ -680,10 +668,9 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     for i in range(0, points, width):
         sl = slice(i, i + width)
         sums += _block_products(
-            starts, offsets,
-            [(signed[:, :, sl].reshape(_REPLICATES, 2, -1),
-              w[:, sl].reshape(_REPLICATES, -1),
-              phi[:, sl].reshape(_REPLICATES, -1))], work)
+            starts, offsets, signed[:, :, sl].reshape(_REPLICATES, 2, -1),
+            w[:, sl].reshape(_REPLICATES, -1),
+            phi[:, sl].reshape(_REPLICATES, -1), work)
     sums = sums.reshape(_REPLICATES, -1)[:, cell]
     sums += _replicate_major([k], points)[..., 0].sum(axis=1)[:, None]
     mean, sem = _replicate_stats(sums, trials, noise)

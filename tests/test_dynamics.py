@@ -9,6 +9,7 @@ for a fluctuating detuning.
 """
 
 import csv
+import functools
 import json
 import math
 import os
@@ -19,6 +20,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fsqubit import FieldEnvironment, MagneticField, NoiseModel
 from fsqubit import analysis, cli, dynamics, trapmodel
@@ -129,6 +132,15 @@ def test_non_finite_parameters_rejected(build):
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             build(bad)
+
+
+@pytest.mark.parametrize("shapes", [
+    ((8, 5), (40,), (40,)), ((), (1,), (1,)), ((3,), (4,), (4,)),
+    ((4,), (4,), (3,)), ((2, 2), (2, 2), (2, 2))],
+    ids=["2-d", "0-d", "mean-length", "sem-length", "all-2-d"])
+def test_trace_arrays_must_be_1d_of_one_length(shapes):
+    with pytest.raises(ValueError, match="1-d"):
+        dynamics.TraceResult(*map(np.zeros, shapes))
 
 
 class TestApplySpam:
@@ -461,9 +473,18 @@ def _split_grid(kind):
         t = dynamics.ramsey_burst_grid(80e-6, F_FR)
         near = np.arange(5, t.size, 28)
         t[near] += 7 * np.spacing(t[near])
-        assert set(near) <= set(dynamics._chunk_grid(t)[3].tolist())
+        assert set(near) <= set(_own_rows(t).tolist())
         return t
     return np.sort(np.random.default_rng(4).uniform(0.0, 200e-6, 200))
+
+
+def _own_rows(t):
+    """The points of ``t`` that read a row of its run plan no other point
+    reads: the directly evaluated points, and every point of a grid
+    without pieces."""
+    _, offsets, cell = dynamics._run_plan(t.tobytes())
+    row = cell // offsets.size
+    return np.flatnonzero(np.bincount(row)[row] == 1)
 
 
 @pytest.mark.parametrize("grid", ["linspace", "burst", "nudged", "random",
@@ -477,7 +498,8 @@ def test_engine_matches_scalar_propagator_on_split_grids(
     # long grids, fringe phases up to 1634 rad: the angle-addition runs
     # and the directly evaluated points both match the propagator
     t = _split_grid(grid)
-    assert (dynamics._chunk_grid(t) is None) == (grid == "random")
+    assert (dynamics._run_plan(t.tobytes())[1].size == 1) == (
+        grid == "random")
     trap, temp, trials, seed = mismatched_trap(), 3e-6, 2, 37
     noise = NoiseModel(rabi_frac_std=0.05,
                        detuning_offset_std=2 * math.pi * 2e3)
@@ -622,17 +644,17 @@ def test_range_guard_rejects_corrupt_trials(protocol, corrupt, monkeypatch):
 def _straddled_grid():
     """The 801-point linspace with a directly evaluated point on each side
     of every cut of its run table into 2, 3, 5 and 7 equal parts of whole
-    runs: direct points, each a one-cell run of its own, among the runs."""
+    runs: direct points, each a one-cell row of its own, among the pieces."""
     t = np.linspace(0.0, 200e-6, 801)
-    starts, offsets, _, _ = dynamics._chunk_grid(t)
-    # one segment: each point's cell is its index
-    bounds = {offsets.size * (starts.size * i // n)
+    # one segment of 28 runs of R = isqrt(800) + 1 = 29 points
+    r = math.isqrt(t.size - 1) + 1
+    bounds = {r * (-(-t.size // r) * i // n)
               for n in (2, 3, 5, 7) for i in range(1, n)}
     near = sorted({b + side for b in bounds for side in (-1, 1)})
-    # 7 ulp: off the point's run (> 4 ulp), inside its segment (< 8 ulp
+    # 7 ulp: off the point's cell (> 4 ulp), inside its segment (< 8 ulp
     # of the largest time)
     t[near] += 7 * np.spacing(t[near])
-    assert set(near) <= set(dynamics._chunk_grid(t)[3].tolist())
+    assert set(near) <= set(_own_rows(t).tolist())
     return t
 
 
@@ -705,7 +727,7 @@ def test_echo_working_set_below_two_blocks(case):
     t = np.linspace(0.0, 200e-6, 801)
     if case == "ramsey_unsplit":
         t = np.sort(np.random.default_rng(4).uniform(0.0, 200e-6, t.size))
-        assert dynamics._chunk_grid(t) is None
+        assert dynamics._run_plan(t.tobytes())[1].size == 1
     if case == "ramsey_burst":  # 288 cells for 252 points
         t = dynamics.ramsey_burst_grid(1236e-6, F_FR, span_factor=1.5)
         assert t.size == 252
@@ -738,19 +760,20 @@ def test_echo_working_set_below_two_blocks(case):
 def test_grid_split_accepts_only_points_on_their_run():
     t = np.linspace(0.0, 200e-6, 801)
     t[400] += 1e-3 * (t[1] - t[0])
-    starts, offsets, cell, direct = dynamics._chunk_grid(t)
-    assert offsets.size == 29 and direct.size == 0
+    starts, offsets, cell = dynamics._run_plan(t.tobytes())
+    assert offsets.size % 29 == 0
     run, m = np.divmod(cell, offsets.size)
     pred = starts[run] + offsets[m]
     assert np.all(np.abs(t - pred) <= 4 * np.spacing(t))
-    # the nudged point starts a run of its own
+    # the nudged point, a segment of its own, heads a row of its own, and
+    # the next point heads the next segment's piece
     assert m[400] == 0 and m[401] == 0
-    # about 30 ulp off its run, inside its segment: evaluated directly
+    np.testing.assert_array_equal(_own_rows(t), [400])
+    # about 30 ulp off its cell, inside its segment: evaluated directly
     t[100] *= 1 + 20 * np.finfo(float).eps
-    grid = dynamics._chunk_grid(t)
-    np.testing.assert_array_equal(grid[3], [100])
+    np.testing.assert_array_equal(_own_rows(t), [100, 400])
     starts, offsets, cell = dynamics._run_plan(t.tobytes())
-    # it reads the offset-0 cell of a run of its own
+    # it reads the offset-0 cell of a row of its own
     run, m = np.divmod(cell[100], offsets.size)
     assert m == 0 and starts[run] == t[100]
     # two trials per replicate: the products over the runs match a direct
@@ -761,7 +784,7 @@ def test_grid_split_accepts_only_points_on_their_run():
     w = 2 * math.pi * F_FR + rng.normal(0.0, 1e4, shape)
     phi = rng.uniform(-math.pi, math.pi, shape)
     signed = amp[:, None, :] * np.array([[1.0], [-1.0]])
-    got = dynamics._block_products(starts, offsets, [(signed, w, phi)])
+    got = dynamics._block_products(starts, offsets, signed, w, phi)
     want = (amp[:, :, None]
             * np.cos(w[:, :, None] * t + phi[:, :, None])).sum(axis=1)
     np.testing.assert_allclose(
@@ -824,7 +847,7 @@ def test_block_products_within_stated_bound_on_long_phases():
     w = -2 * math.pi * F_FR + rng.normal(0.0, 2e4, shape)
     phi = rng.uniform(-math.pi, math.pi, shape)
     signed = amp[:, None, :] * np.array([[1.0], [-1.0]])
-    got = dynamics._block_products(starts, offsets, [(signed, w, phi)])
+    got = dynamics._block_products(starts, offsets, signed, w, phi)
     cells = starts[:, None] + offsets
     want = (amp[..., None, None] * np.cos(w[..., None, None] * cells
                                           + phi[..., None, None])).sum(axis=1)
@@ -1006,18 +1029,13 @@ def test_run_plan_cached_per_grid():
     assert not np.array_equal(plans[0][2], plans[1][2])
     for t, plan in zip((lin, nudged), plans):
         starts, offsets, cell = plan
-        run_starts, run_offsets, _, direct = dynamics._chunk_grid(t)
-        assert direct.size == 0
-        # the heads are run starts, each with whole runs of R offsets of
-        # one step, and every point reads its own time to the ulp rule of
-        # its run and its run's start
-        assert set(starts.tolist()) <= set(run_starts.tolist())
-        assert offsets.size % run_offsets.size == 0
+        # offsets of one step, and every point reads its own time to the
+        # 4-ulp rule
         np.testing.assert_array_equal(
-            offsets, np.arange(offsets.size) * run_offsets[1])
+            offsets, np.arange(offsets.size) * offsets[1])
         head, j = np.divmod(cell, offsets.size)
         assert np.all(np.abs(t - (starts[head] + offsets[j]))
-                      <= 8 * np.spacing(t))
+                      <= 4 * np.spacing(t))
         assert dynamics._run_plan(t.tobytes())[2] is plan[2]
     # an engine run on the second grid reads the same with the cache warm
     # from the first grid as from a cold one
@@ -1035,14 +1053,127 @@ def test_run_plan_cached_per_grid():
     assert runs[0].p32_sem.tobytes() == runs[1].p32_sem.tobytes()
 
 
+@st.composite
+def _grids(draw):
+    """Time grids of every kind a run plan meets: linspace, fringe bursts,
+    a linspace with points nudged off it or jittered by whole ulps, a
+    cumulative sum of one step and sorted random times."""
+    kind = draw(st.sampled_from(["linspace", "burst", "nudged", "jitter",
+                                 "cumsum", "random"]))
+    size = draw(st.integers(0, 1200))
+    span = draw(st.floats(1e-7, 1e-2))
+    start = draw(st.sampled_from([0.0, 0.37 * span, 3.0 * span]))
+    t = np.linspace(start, start + span, size)
+    if kind == "burst":
+        t = dynamics.ramsey_burst_grid(
+            span, draw(st.floats(1e4, 1e7)),
+            n_windows=draw(st.integers(2, 15)),
+            points_per_window=draw(st.integers(6, 60)),
+            span_factor=draw(st.floats(1.0, 3.0)))
+    elif kind == "nudged" and size:
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=3)):
+            t[i] += draw(st.sampled_from([1e-3, 1e-9, 5e-14])) * span / size
+    elif kind == "jitter":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        t += rng.integers(-6, 7, size) * np.spacing(t)
+    elif kind == "cumsum":
+        t = np.cumsum(np.full(size, span / max(size, 1)))
+    elif kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        t = np.sort(start + rng.uniform(0.0, span, size))
+    return t
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_grids())
+@example(np.cumsum(np.full(117, 8.921777566014363e-08)))
+def test_every_point_reads_a_cell_within_4_ulp(t):
+    # the cell-read contract of the run plan: offsets of one step, every
+    # point within 4 ulp of its cell, and exact at the offset-0 cell that
+    # heads its row
+    starts, offsets, cell = dynamics._run_plan(t.tobytes())
+    want = np.arange(offsets.size) * offsets[1] if offsets.size > 1 else [0.0]
+    np.testing.assert_array_equal(offsets, want)
+    row, m = np.divmod(cell, offsets.size)
+    read = starts[row] + offsets[m]
+    assert np.all(np.abs(t - read) <= 4 * np.spacing(np.abs(t)))
+    np.testing.assert_array_equal(read[m == 0], t[m == 0])
+    for a in (starts, offsets, cell):
+        assert not a.flags.writeable
+
+
+def _shipped_grids():
+    """(config name, time grid) of each shipped config that simulates: the
+    grid its command hands the engine."""
+    root = pathlib.Path(__file__).resolve().parents[1] / "configs"
+    for path in sorted(root.glob("*.json")):
+        cfg = json.loads(path.read_text())
+        if path.stem.startswith(("rabi", "ramsey")):
+            yield path.stem, cli._time_grid_s(cfg)
+        elif path.stem.startswith(("t2", "phinoise")):
+            f_fr = float(cfg["drive"]["fringe_MHz"]) * 1e6
+            yield path.stem, cli._burst_grid_s(cfg, f_fr)[0]
+        elif path.stem.startswith("magic_scan"):
+            # the window of _cmd_magic_scan
+            sc = functools.partial(cli._get, cfg, "angle_scan")
+            f_fr = float(cfg["drive"]["fringe_MHz"]) * 1e6
+            ppw = int(sc("points_per_window"))
+            width = float(sc("window_periods")) / f_fr
+            yield path.stem, (float(sc("t_r_us")) * 1e-6
+                              + (np.arange(ppw) / ppw) * width)
+
+
+_SHIPPED_PLANS = {
+    "ramsey_shallow_magic_8G": (1, 812, True),
+    "ramsey_deep_phi0_3G": (1, 484, True),
+    "rabi_deep_phi0_3G": (1, 121, True),
+    "magic_scan_3G": (5, 6, False), "magic_scan_8G": (5, 6, False),
+    "t2_deep_phi0_3G": (6, 64, True),
+    **dict.fromkeys(["t2_shallow_magic_3G", "t2_shallow_magic_8G",
+                     "t2_shallow_phi0_3G", "t2_shallow_phi20_8G",
+                     "t2_shallow_phi9p5_8G", "phinoise_magic_8G"],
+                    (9, 32, True))}
+
+
+def test_shipped_grids_keep_their_run_plans():
+    # (heads C, offsets J, by powers) of every shipped grid: the plans the
+    # artifact bytes were made with, on any numpy or BLAS
+    got = {}
+    for name, t in _shipped_grids():
+        starts, offsets, _ = dynamics._run_plan(t.tobytes())
+        got[name] = (starts.size, offsets.size,
+                     dynamics._table_split(starts.size, offsets.size)[2])
+    assert got == _SHIPPED_PLANS
+
+
+@pytest.mark.parametrize("grid", ["2-d", "0-d", "nan", "inf"])
+@pytest.mark.parametrize("protocol", ["rabi", "ramsey", "echo"])
+def test_engine_rejects_bad_time_grid_before_drawing(protocol, grid,
+                                                     monkeypatch):
+    t = np.linspace(0.0, 200e-6, 40)
+    if grid == "2-d":
+        t = t.reshape(8, 5)
+    elif grid == "0-d":
+        t = np.array(3e-6)
+    else:
+        t[7] = math.nan if grid == "nan" else math.inf
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("trials drawn for a bad time grid")
+
+    monkeypatch.setattr(dynamics, "_draw_trials", no_draws)
+    with pytest.raises(ValueError, match="time grid"):
+        _simulate(protocol, mismatched_trap(), 3e-6, NOISELESS, t, 64, 5,
+                  False, 1)
+
+
 @pytest.mark.parametrize("grid", ["burst_direct", "random"])
 def test_cached_run_plan_is_read_only(grid):
     t = _split_grid(grid)
     starts, offsets, cell = dynamics._run_plan(t.tobytes())
-    # the direct points, every point of a grid without runs, read the
-    # offset-0 cells of runs of their own
-    grid = dynamics._chunk_grid(t)
-    direct = grid[3] if grid else np.arange(t.size)
+    # the direct points, every point of a grid without pieces, read the
+    # offset-0 cells of rows of their own
+    direct = _own_rows(t)
     assert direct.size
     run, m = np.divmod(cell[direct], offsets.size)
     assert not m.any()

@@ -273,7 +273,7 @@ def test_dynamics_engine_builds_no_complex_time_arrays():
     tree = ast.parse((SRC / "dynamics.py").read_text())
     fns = {node.name: node for node in tree.body
            if isinstance(node, ast.FunctionDef)}
-    on_grid = ("_run_sequence", "_chunk_grid", "_run_plan", "_block_products",
+    on_grid = ("_run_sequence", "_run_plan", "_block_products",
                "_replicate_stats")
     for name in on_grid + ("_pulse_plan", "_pulse_coefficients",
                            "_drive_coefficients"):
