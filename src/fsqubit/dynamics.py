@@ -31,10 +31,11 @@ the echo, and one for a single drive (Rabi), (Omega sin(Omega_eff t/2) /
 Omega_eff)^2 = K - K cos(Omega_eff t). Each cosine is evaluated by angle
 addition over pieces of equally spaced times, and where it pays the trig
 by recurrence: one cos/sin pair per trial for the step and one per piece
-head, powers for the rest. Each grid point reads a cell of a table of C
-heads by J offsets within 4 ulp of its own time; a point further off its
-piece heads a one-cell row of its own and reads its offset-0 cell (every
-point does on a grid without pieces, J = 1).
+head, powers for the rest, in complex128 tables filled by numpy's complex
+multiply. Each grid point reads a cell of a table of C heads by J offsets
+within 4 ulp of its own time; a point further off its piece heads a
+one-cell row of its own and reads its offset-0 cell (every point does on
+a grid without pieces, J = 1).
 Each protocol hands the one Monte-Carlo engine a function from the trial
 draws to these coefficients: draws -> coefficients -> replicate sums per
 cell -> SPAM on the replicate means of each point; a grid's run plan is
@@ -498,48 +499,33 @@ def _replicate_major(xs, points):
     return out.reshape(points, _REPLICATES, -1).swapaxes(0, 1).copy()
 
 
-def _scratch(work, name, shape):
-    """An uninitialised array of ``shape``, carved from the buffer ``name``
-    of the dict ``work``, which grows it as needed; None allocates."""
+def _scratch(work, name, shape, dtype=float):
+    """An uninitialised array of ``shape`` and ``dtype``, carved from the
+    buffer ``name`` of the dict ``work``, which grows it as needed; None
+    allocates."""
     size = math.prod(shape)
     if work is None:
-        return np.empty(shape)
+        return np.empty(shape, dtype)
     if name not in work or work[name].size < size:
-        work[name] = np.empty(size)
+        work[name] = np.empty(size, dtype)
     return work[name][:size].reshape(shape)
 
 
-def _cmul(a, b, out, tmp):
-    """out = a b for complex numbers held as (re, im) pairs on the last
-    axis; ``b`` is wide: b.re and b.im stacked, each repeated over that
-    axis, so that every product runs over contiguous memory. tmp is
-    scratch of out's shape; out overlaps neither a nor b."""
-    np.multiply(a, b[0], out=out)
-    np.multiply(a, b[1], out=tmp)
-    out[..., 0] -= tmp[..., 1]
-    out[..., 1] += tmp[..., 0]
-
-
-def _fill_powers(table, wide, work):
-    """table[:, q] = table[:, 0] b^q along axis 1, b given wide, by
-    doubling: for p = 1, 2, 4, ... the cells [p, 2p) are the cells [0, p)
-    times b^p, and b^p squares b^(p/2); a cell takes at most
-    2 log2(q) + 1 products."""
-    size, p = table.shape[1], 1
-    squares = _scratch(work, "squares", (2,) + wide.shape)
+def _fill_powers(table, b, work):
+    """table[q] = table[0] b^q along the first axis of a complex table, by
+    doubling: for p = 1, 2, 4, ... the slab [p, 2p) is the slab [0, p)
+    times b^p, and b^p squares b^(p/2) in a copy of b; a cell takes at
+    most 2 log2(q) + 1 products. The powers axis is outermost, so each
+    level reads and writes disjoint contiguous slabs."""
+    size, p = len(table), 1
+    power = _scratch(work, "power", b.shape, complex)
+    power[...] = b
     while p < size:
-        out = table[:, p:2 * p]
-        _cmul(table[:, :out.shape[1]], wide, out,
-              _scratch(work, "tmp", out.shape))
+        m = min(p, size - p)
+        np.multiply(table[:m], power, out=table[p:p + m])
         p *= 2
         if p < size:
-            # b^p from b^(p/2), into the square buffer not being read
-            (re, im), wide = wide, squares[p.bit_length() % 2]
-            np.multiply(re, re, out=wide[0])
-            np.multiply(im, im, out=wide[1])
-            wide[0] -= wide[1]
-            np.multiply(re, im, out=wide[1])
-            wide[1] += wide[1]
+            np.multiply(power, power, out=power)
 
 
 def _block_products(starts, offsets, signed, w, phi, work=None):
@@ -553,23 +539,27 @@ def _block_products(starts, offsets, signed, w, phi, work=None):
     the (_REPLICATES, n) slopes and phases of n trials per replicate, the
     harmonics side by side, as every harmonic is summed alike. ``work`` is
     a dict of buffers reused across calls (None allocates). Returns a
-    (_REPLICATES, C, J) view.
+    (_REPLICATES, C, J) array.
 
     Trig by recurrence, where ``_table_split`` finds that it pays: per
     trial and harmonic one cos/sin pair of step w gives z = e^(i step w),
     its powers z^r (the rows) and Z = z^R, and one pair per head its
     phasor e^(i (w s_c + phi)), the column k = 0; the columns k > 0 are
-    that phasor times Z^k (``_fill_powers``: real products of (re, im)
-    pairs). A cell's error stays below c (|w| max(t) + R K) eps amp, with
-    c = 2 and eps = 2^-52: the rounding of w step and of the start's phase
-    grows with the power to the scale of the direct route's own argument
-    rounding, and that of the at most 4 log2(R K) + 3 products stays below
-    R K eps. Otherwise every head and offset takes its own pair; a lone
-    offset is 0 (a grid without pieces), where the sin terms vanish.
+    that phasor times Z^k (``_fill_powers``: numpy's complex multiply on
+    complex128 tables). A cell's error stays below
+    c (|w| max(t) + R K) eps amp, with c = 2 and eps = 2^-52: the rounding
+    of w step and of the start's phase grows with the power to the scale
+    of the direct route's own argument rounding, and that of the at most
+    4 log2(R K) + 3 products stays below R K eps. Otherwise every head and
+    offset takes its own pair; a lone offset is 0 (a grid without pieces),
+    where the sin terms vanish.
 
-    By powers the tables are laid out (cell, replicate, trial, re/im), so
-    that the products run over contiguous memory; each replicate's matrix
-    is a strided view for the matrix product.
+    By powers the tables are laid out powers-outermost, rows
+    (R, replicate, trial) and columns (K, C, replicate, trial), so that
+    every doubling level runs over contiguous slabs; the matrix product
+    reads their float views, re and im interleaved along the trials, per
+    replicate as strided views, and its (K, C) cells are reordered to
+    (C, K), a copy only where both exceed 1.
     """
     c, j = starts.size, offsets.size
     r, k, by_powers = _table_split(c, j)[:3]
@@ -588,33 +578,31 @@ def _block_products(starts, offsets, signed, w, phi, work=None):
         return np.matmul(rows.reshape(_REPLICATES, j, parts * hn),
                          cols.reshape(_REPLICATES, parts * hn, c)
                          ).swapaxes(1, 2)
-    rows = _scratch(work, "rows", (1, r, _REPLICATES, hn, 2))
-    cols = _scratch(work, "cols", (c, k, _REPLICATES, hn, 2))
+    rows = _scratch(work, "rows", (r, _REPLICATES, hn), complex)
+    cols = _scratch(work, "cols", (k, c, _REPLICATES, hn), complex)
     phase = _scratch(work, "phase", (c, _REPLICATES, hn))
     np.multiply(starts[:, None, None], w, out=phase)
     phase += phi
-    np.cos(phase, out=cols[:, 0, ..., 0])
-    np.sin(phase, out=cols[:, 0, ..., 1])
-    z = _scratch(work, "z", (2, _REPLICATES, hn, 2))
+    np.cos(phase, out=cols[0].real)
+    np.sin(phase, out=cols[0].imag)
+    z = _scratch(work, "z", (_REPLICATES, hn), complex)
     np.multiply(w, offsets[1], out=phase[0])
-    np.cos(phase[0], out=z[0, ..., 0])
-    np.sin(phase[0], out=z[1, ..., 0])
-    z[..., 1] = z[..., 0]
-    rows[0, 0, ..., 0] = 1.0
-    rows[0, 0, ..., 1] = 0.0
+    np.cos(phase[0], out=z.real)
+    np.sin(phase[0], out=z.imag)
+    rows[0] = 1.0
     _fill_powers(rows, z, work)
     if k > 1:
-        # Z = z^R, the step between a start's columns, made wide
-        big_z = _scratch(work, "big_z", z.shape)
-        _cmul(rows[0, r - 1], z, big_z[0], _scratch(work, "tmp", z.shape[1:]))
-        big_z[1, ..., 0] = big_z[0, ..., 1]
-        big_z[..., 1] = big_z[..., 0]
-        _fill_powers(cols, big_z, work)
-    rows *= np.ascontiguousarray(np.moveaxis(signed, 1, 2))
-    return np.matmul(
-        cols.reshape(c * k, _REPLICATES, 2 * hn).transpose(1, 0, 2),
-        rows.reshape(r, _REPLICATES, 2 * hn).transpose(1, 2, 0)
-    ).reshape(_REPLICATES, c, k * r)[:, :, :j]
+        # Z = z^R, the step between a head's columns
+        np.multiply(rows[r - 1], z, out=z)
+        _fill_powers(cols, z, work)
+    # re times amp, im times -amp
+    real_rows = rows.view(float)
+    real_rows *= np.moveaxis(signed, 1, 2).reshape(_REPLICATES, 2 * hn)
+    real_cols = cols.view(float).reshape(k * c, _REPLICATES, 2 * hn)
+    sums = np.matmul(real_cols.transpose(1, 0, 2),
+                     real_rows.transpose(1, 2, 0))
+    return sums.reshape(_REPLICATES, k, c, r).swapaxes(1, 2).reshape(
+        _REPLICATES, c, k * r)[:, :, :j]
 
 
 def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,

@@ -857,6 +857,32 @@ def test_block_products_within_stated_bound_on_long_phases():
     assert np.all(np.abs(got - want) <= bound)
 
 
+def test_block_products_reorder_heads_and_powers_within_bound():
+    # a grid of 9 bursts of 100 points, whose plan has C > 1 heads of
+    # K >= 3 columns, so that the (K, C) cells of the matrix product are
+    # reordered to (C, K): every cell against a direct sum over trials,
+    # within the stated 2 (|w| max(t) + R K) eps per unit amplitude
+    t = dynamics.ramsey_burst_grid(1500e-6, F_FR, points_per_window=100,
+                                   span_factor=2.5)
+    starts, offsets, _ = dynamics._run_plan(t.tobytes())
+    r, k, by_powers = dynamics._table_split(starts.size, offsets.size)[:3]
+    assert by_powers and starts.size > 1 and k >= 3
+    rng = np.random.default_rng(12)
+    shape = (dynamics._REPLICATES, 16)
+    amp = rng.uniform(0.0, 0.5, shape)
+    w = -2 * math.pi * F_FR + rng.normal(0.0, 2e4, shape)
+    phi = rng.uniform(-math.pi, math.pi, shape)
+    signed = amp[:, None, :] * np.array([[1.0], [-1.0]])
+    got = dynamics._block_products(starts, offsets, signed, w, phi)
+    cells = starts[:, None] + offsets
+    want = (amp[..., None, None] * np.cos(w[..., None, None] * cells
+                                          + phi[..., None, None])).sum(axis=1)
+    bound = (2 * (np.abs(w).max() * cells.max() + r * k) * 2.0 ** -52
+             * amp.sum(axis=1)[:, None, None])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= bound)
+
+
 def _fock_coherence(trap, temperature_K, sigma_off, t):
     """phi(t) = E[e^{i delta t}] for thermal Fock ladders (geometric n_i
     with q_i = e^{-hbar w_i / kB T}, lock point at n = 0) times a Gaussian

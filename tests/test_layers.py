@@ -268,13 +268,18 @@ def _names_and_complex_literals(fn: ast.AST):
 
 def test_dynamics_engine_builds_no_complex_time_arrays():
     """The Monte-Carlo engine closes on real cosines: none of its helpers
-    calls np.exp, and the ones that see the time grid touch no complex
-    number (no imaginary literal, conj, angle or SU(2) element)."""
+    calls np.exp, the ones on the grid take no conj, angle or SU(2)
+    element and write no imaginary literal, and the ones that hold a value
+    per grid point (the run plan, the sequence and the replicate
+    statistics) touch no complex number. Only the power tables of
+    ``_block_products`` and ``_fill_powers`` are complex, one entry per
+    trial and head or offset, never per point; the test below bounds the
+    memory a long trace takes."""
     tree = ast.parse((SRC / "dynamics.py").read_text())
     fns = {node.name: node for node in tree.body
            if isinstance(node, ast.FunctionDef)}
-    on_grid = ("_run_sequence", "_run_plan", "_block_products",
-               "_replicate_stats")
+    per_point = ("_run_sequence", "_run_plan", "_replicate_stats")
+    on_grid = per_point + ("_block_products", "_fill_powers")
     for name in on_grid + ("_pulse_plan", "_pulse_coefficients",
                            "_drive_coefficients"):
         names, _ = _names_and_complex_literals(fns[name])
@@ -282,8 +287,44 @@ def test_dynamics_engine_builds_no_complex_time_arrays():
     for name in on_grid:
         names, literals = _names_and_complex_literals(fns[name])
         assert not literals, name
-        assert not names & {"conj", "angle", "complex", "_su2_elements",
+        assert not names & {"conj", "angle", "_su2_elements",
                             "_segment_apply"}, name
+    for name in per_point:
+        names, _ = _names_and_complex_literals(fns[name])
+        assert not names & {"complex", "complex128", "cdouble", "real",
+                            "imag"}, name
+
+
+def test_long_echo_forms_no_trial_time_array():
+    # a 4000-trial fluctuating echo on a 3201-point grid: one (trial,
+    # time) float array would take 102 MB, the engine's tables a few
+    import tracemalloc
+
+    import numpy as np
+    from fsqubit import NoiseModel, dynamics, trapmodel
+
+    om = 2 * math.pi * np.array([25e3, 26e3, 4.3e3])
+    trap = trapmodel.TrapCharacterization(
+        depth_p0_hz=4.6e5, depth_p2_hz=4.5e5, omega_p0_rad_s=om,
+        omega_p2_rad_s=0.99 * om, du_center_hz=300.0)
+    noise = NoiseModel(rabi_frac_std=0.05,
+                       detuning_offset_std=2 * math.pi * 2e3,
+                       prep_efficiency=0.9, readout_fidelity=0.95)
+    t = np.linspace(0.0, 200e-6, 3201)
+
+    def run(trials, seed):
+        return dynamics.simulate_echo(trap, 3e-6, noise, 2 * math.pi * 84e3,
+                                      1.3e6, t, trials, seed,
+                                      fluctuating_detuning=True)
+
+    run(4, 1)  # warm: the run plan is cached per grid
+    tracemalloc.start()
+    try:
+        run(4000, 47)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def scipy_imports(path: pathlib.Path):
