@@ -29,13 +29,13 @@ fringe). P(3P2) of a trial is therefore K + sum_d amp_d cos(w_d t + phi_d)
 with trial-only K, amp_d, w_d and phi_d: one harmonic for Ramsey, four for
 the echo, and one for a single drive (Rabi), (Omega sin(Omega_eff t/2) /
 Omega_eff)^2 = K - K cos(Omega_eff t). Each cosine is evaluated by angle
-addition over pieces of equally spaced times, and where it pays the trig
-by recurrence: one cos/sin pair per trial for the step and one per piece
+addition over pieces of equally spaced times, with the trig by
+recurrence: one cos/sin pair per trial for the step and one per piece
 head, powers for the rest, in complex128 tables filled by numpy's complex
 multiply. Each grid point reads a cell of a table of C heads by J offsets
 within 4 ulp of its own time; a point further off its piece heads a
 one-cell row of its own and reads its offset-0 cell (every point does on
-a grid without pieces, J = 1).
+a grid without pieces, J = 1, where a head takes its cos alone).
 Each protocol hands the one Monte-Carlo engine a function from the trial
 draws to these coefficients: draws -> coefficients -> replicate sums per
 cell -> SPAM on the replicate means of each point; a grid's run plan is
@@ -91,7 +91,7 @@ _TRIAL_BLOCK = 512
 _BLOCK_BYTES = 2 ** 20
 # Cost of a block's tables per trial and harmonic, in ns at a full block
 # (measured on a 2-CPU AVX-512 Xeon): a cos/sin pair of a head's phase
-# (large arguments) and of an offset's (small ones), a cell of products, a
+# (large arguments) and of the step's (a small one), a cell of products, a
 # doubling level (its fixed numpy calls) and a cell of the matrix product
 _NS_START, _NS_OFFSET, _NS_POWER, _NS_LEVEL, _NS_SUM = 30, 12, 5, 21, 0.12
 
@@ -396,23 +396,19 @@ def _drive_coefficients(omegas, deltas):
 
 @functools.lru_cache(maxsize=64)
 def _table_split(c: int, j: int):
-    """How a block evaluates C heads by J offsets: (R, K, by_powers,
-    cost). By powers the rows hold R offsets and each head K columns,
-    R K >= J, with R about sqrt(C J) so that both tables stay small;
-    directly, R = J and K = 1. ``cost`` is the cheaper route's, in ns per
-    trial and harmonic: the one cost rule, which also picks a run plan's
-    K and whether it has pieces at all."""
+    """How a block evaluates C heads by J offsets: (R, K, cost). The rows
+    hold R offsets and each head K columns, R K >= J, with R about
+    sqrt(C J) so that both tables stay small. ``cost`` is in ns per trial
+    and harmonic: the one cost rule, which also picks a run plan's K and
+    whether it has pieces at all. A lone offset (J = 1) is 0: each head
+    takes its cos alone, with no step and no powers."""
     k = -(-j // min(j, math.isqrt(max(c * j - 1, 0)) + 1))
     r = -(-j // k)
+    if j == 1:
+        return r, k, _NS_START * c / 2 + _NS_SUM * c
     levels = (r - 1).bit_length() + (k - 1).bit_length() + (k > 1)
-    by_powers = (_NS_START * c + _NS_OFFSET + _NS_POWER * (c * k + r)
-                 + _NS_LEVEL * levels)
-    # a lone offset is 0: the cos columns alone
-    direct = _NS_START * c + _NS_OFFSET * j if j > 1 else _NS_START * c / 2
-    product = _NS_SUM * c * j
-    if by_powers < direct:
-        return r, k, True, by_powers + product
-    return j, 1, False, direct + product
+    return r, k, (_NS_START * c + _NS_OFFSET + _NS_POWER * (c * k + r)
+                  + _NS_LEVEL * levels + _NS_SUM * c * j)
 
 
 @functools.lru_cache(maxsize=8)
@@ -437,7 +433,7 @@ def _run_plan(key: bytes):
     size = t.size
     r = math.isqrt(size - 1) + 1 if size > 1 else 1
     # (cost, K) of the plan; K = 0 is no pieces and wins a tie
-    best, plan = (_table_split(size, 1)[3], 0), None
+    best, plan = (_table_split(size, 1)[2], 0), None
     if 4 * r < size:
         dt = np.diff(t)
         # the median step; np.median would load numpy.ma
@@ -458,11 +454,9 @@ def _run_plan(key: bytes):
         def floor(c, j):
             # _table_split's cost of c or more rows of j > 1 cells, at
             # least: R + K C >= 2 sqrt(C J) and its levels >= log2(J)
-            by_powers = (_NS_START * c + _NS_OFFSET
-                         + 2 * _NS_POWER * math.sqrt(c * j)
-                         + _NS_LEVEL * (j - 1).bit_length())
-            return min(by_powers, _NS_START * c + _NS_OFFSET * j) + (
-                _NS_SUM * c * j)
+            return (_NS_START * c + _NS_OFFSET
+                    + 2 * _NS_POWER * math.sqrt(c * j)
+                    + _NS_LEVEL * (j - 1).bit_length() + _NS_SUM * c * j)
 
         # in the order of that floor, until it passes the best cost found
         for low, k in sorted((floor(c, k * r), k)
@@ -473,7 +467,7 @@ def _run_plan(key: bytes):
             offsets = np.arange(k * r) * step
             direct = np.flatnonzero(np.abs(t - (t[index - m] + offsets[m]))
                                     > 4.0 * np.spacing(np.abs(t)))
-            cost = (_table_split(pieces[k - 1] + direct.size, k * r)[3], k)
+            cost = (_table_split(pieces[k - 1] + direct.size, k * r)[2], k)
             if cost < best:
                 best, plan = cost, (m, offsets, direct)
     if plan is None:
@@ -541,60 +535,51 @@ def _block_products(starts, offsets, signed, w, phi, work=None):
     a dict of buffers reused across calls (None allocates). Returns a
     (_REPLICATES, C, J) array.
 
-    Trig by recurrence, where ``_table_split`` finds that it pays: per
-    trial and harmonic one cos/sin pair of step w gives z = e^(i step w),
-    its powers z^r (the rows) and Z = z^R, and one pair per head its
-    phasor e^(i (w s_c + phi)), the column k = 0; the columns k > 0 are
-    that phasor times Z^k (``_fill_powers``: numpy's complex multiply on
-    complex128 tables). A cell's error stays below
+    Trig by recurrence: per trial and harmonic one cos/sin pair of step w
+    gives z = e^(i step w), its powers z^r (the rows) and Z = z^R, and one
+    pair per head its phasor e^(i (w s_c + phi)), the column k = 0; the
+    columns k > 0 are that phasor times Z^k (``_fill_powers``: numpy's
+    complex multiply on complex128 tables). A cell's error stays below
     c (|w| max(t) + R K) eps amp, with c = 2 and eps = 2^-52: the rounding
     of w step and of the start's phase grows with the power to the scale
-    of the direct route's own argument rounding, and that of the at most
-    4 log2(R K) + 3 products stays below R K eps. Otherwise every head and
-    offset takes its own pair; a lone offset is 0 (a grid without pieces),
-    where the sin terms vanish.
+    of the argument rounding of cos(w t + phi) itself, and that of the at
+    most 4 log2(R K) + 3 products stays below R K eps. A lone offset is 0
+    (a grid without pieces, R = K = 1): the row is 1 and each head's
+    phasor is its cos alone, as the sin terms vanish.
 
-    By powers the tables are laid out powers-outermost, rows
-    (R, replicate, trial) and columns (K, C, replicate, trial), so that
-    every doubling level runs over contiguous slabs; the matrix product
-    reads their float views, re and im interleaved along the trials, per
-    replicate as strided views, and its (K, C) cells are reordered to
-    (C, K), a copy only where both exceed 1.
+    The tables are laid out powers-outermost, rows (R, replicate, trial)
+    and columns (K, C, replicate, trial), so that every doubling level runs
+    over contiguous slabs; the matrix product reads their float views, re
+    and im interleaved along the trials, per replicate as strided views,
+    and its (K, C) cells are reordered to (C, K), a copy only where both
+    exceed 1.
     """
     c, j = starts.size, offsets.size
-    r, k, by_powers = _table_split(c, j)[:3]
+    r, k = _table_split(c, j)[:2]
     hn = w.shape[1]
-    if not by_powers:
-        # heads along the last axis, the long contiguous one
-        parts = 1 if j == 1 else 2
-        rows = _scratch(work, "rows", (_REPLICATES, j, parts, hn))
-        cols = _scratch(work, "cols", (_REPLICATES, parts, hn, c))
-        a = w[:, :, None] * starts
-        a += phi[:, :, None]
-        b = offsets[:, None] * w[:, None, :]
-        for i, f in enumerate((np.cos, np.sin)[:parts]):
-            f(a, out=cols[:, i])
-            np.multiply(f(b), signed[:, None, i], out=rows[:, :, i])
-        return np.matmul(rows.reshape(_REPLICATES, j, parts * hn),
-                         cols.reshape(_REPLICATES, parts * hn, c)
-                         ).swapaxes(1, 2)
     rows = _scratch(work, "rows", (r, _REPLICATES, hn), complex)
     cols = _scratch(work, "cols", (k, c, _REPLICATES, hn), complex)
     phase = _scratch(work, "phase", (c, _REPLICATES, hn))
+    # a block's trials are a strided view of the run's; contiguous, the
+    # (C, replicate, trial) loops below run over long inner axes
+    w, phi = np.ascontiguousarray(w), np.ascontiguousarray(phi)
     np.multiply(starts[:, None, None], w, out=phase)
     phase += phi
     np.cos(phase, out=cols[0].real)
-    np.sin(phase, out=cols[0].imag)
-    z = _scratch(work, "z", (_REPLICATES, hn), complex)
-    np.multiply(w, offsets[1], out=phase[0])
-    np.cos(phase[0], out=z.real)
-    np.sin(phase[0], out=z.imag)
     rows[0] = 1.0
-    _fill_powers(rows, z, work)
-    if k > 1:
-        # Z = z^R, the step between a head's columns
-        np.multiply(rows[r - 1], z, out=z)
-        _fill_powers(cols, z, work)
+    if j == 1:
+        cols[0].imag[...] = 0.0
+    else:
+        np.sin(phase, out=cols[0].imag)
+        z = _scratch(work, "z", (_REPLICATES, hn), complex)
+        np.multiply(w, offsets[1], out=phase[0])
+        np.cos(phase[0], out=z.real)
+        np.sin(phase[0], out=z.imag)
+        _fill_powers(rows, z, work)
+        if k > 1:
+            # Z = z^R, the step between a head's columns
+            np.multiply(rows[r - 1], z, out=z)
+            _fill_powers(cols, z, work)
     # re times amp, im times -amp
     real_rows = rows.view(float)
     real_rows *= np.moveaxis(signed, 1, 2).reshape(_REPLICATES, 2 * hn)

@@ -814,8 +814,8 @@ class _CountingNumpy:
 def test_trig_per_trial_does_not_grow_with_the_grid(monkeypatch):
     # Rabi (one harmonic, no pulse elements): one cos/sin pair per trial
     # for the step and one per run-start head, so two on the 801- and the
-    # 3201-point linspace alike, and on the shipped t2 burst grid one per
-    # burst plus the step
+    # 3201-point linspace and on the 28-point scan window alike, and on
+    # the shipped t2 burst grid one per burst plus the step
     counting = _CountingNumpy()
     monkeypatch.setattr(dynamics, "np", counting)
     noise = NoiseModel(rabi_frac_std=0.05,
@@ -823,6 +823,7 @@ def test_trig_per_trial_does_not_grow_with_the_grid(monkeypatch):
     trials = 1024
     grids = {"linspace_801": (np.linspace(0.0, 200e-6, 801), 2),
              "linspace_3201": (np.linspace(0.0, 200e-6, 3201), 2),
+             "scan_window": (dict(_shipped_grids())["magic_scan_8G"], 2),
              "t2_burst": (dynamics.ramsey_burst_grid(1236e-6, F_FR,
                                                      span_factor=1.5), 10)}
     for name, (t, pairs) in grids.items():
@@ -834,27 +835,32 @@ def test_trig_per_trial_does_not_grow_with_the_grid(monkeypatch):
 
 def test_block_products_within_stated_bound_on_long_phases():
     # the longest shipped t2 burst grid (t2_shallow_phi20_8G: fringe phases
-    # to 3e4 rad) by powers against a direct sum over trials, within the
-    # bound _block_products states: 2 (|w| max(t) + R K) eps per unit
-    # amplitude
-    t = dynamics.ramsey_burst_grid(1500e-6, F_FR, span_factor=2.5)
-    starts, offsets, _ = dynamics._run_plan(t.tobytes())
-    r, k, by_powers = dynamics._table_split(starts.size, offsets.size)[:3]
-    assert by_powers and k > 1
-    rng = np.random.default_rng(11)
-    shape = (dynamics._REPLICATES, 16)
-    amp = rng.uniform(0.0, 0.5, shape)
-    w = -2 * math.pi * F_FR + rng.normal(0.0, 2e4, shape)
-    phi = rng.uniform(-math.pi, math.pi, shape)
-    signed = amp[:, None, :] * np.array([[1.0], [-1.0]])
-    got = dynamics._block_products(starts, offsets, signed, w, phi)
-    cells = starts[:, None] + offsets
-    want = (amp[..., None, None] * np.cos(w[..., None, None] * cells
-                                          + phi[..., None, None])).sum(axis=1)
-    bound = (2 * (np.abs(w).max() * cells.max() + r * k) * 2.0 ** -52
-             * amp.sum(axis=1)[:, None, None])
-    assert np.abs(w).max() * cells.max() > 1e4
-    assert np.all(np.abs(got - want) <= bound)
+    # to 3e4 rad) and the 28-point scan window at t_R = 700 us (one head
+    # of 5 columns, phases to 5.7e3 rad) against a direct sum over trials,
+    # within the bound _block_products states: 2 (|w| max(t) + R K) eps
+    # per unit amplitude
+    grids = {"t2_burst": (dynamics.ramsey_burst_grid(1500e-6, F_FR,
+                                                     span_factor=2.5), 1e4),
+             "scan_window": (dict(_shipped_grids())["magic_scan_8G"], 5e3)}
+    for seed, (name, (t, phase)) in enumerate(grids.items(), 11):
+        starts, offsets, _ = dynamics._run_plan(t.tobytes())
+        r, k = dynamics._table_split(starts.size, offsets.size)[:2]
+        assert k > 1, name
+        rng = np.random.default_rng(seed)
+        shape = (dynamics._REPLICATES, 16)
+        amp = rng.uniform(0.0, 0.5, shape)
+        w = -2 * math.pi * F_FR + rng.normal(0.0, 2e4, shape)
+        phi = rng.uniform(-math.pi, math.pi, shape)
+        signed = amp[:, None, :] * np.array([[1.0], [-1.0]])
+        got = dynamics._block_products(starts, offsets, signed, w, phi)
+        cells = starts[:, None] + offsets
+        want = (amp[..., None, None]
+                * np.cos(w[..., None, None] * cells
+                         + phi[..., None, None])).sum(axis=1)
+        bound = (2 * (np.abs(w).max() * cells.max() + r * k) * 2.0 ** -52
+                 * amp.sum(axis=1)[:, None, None])
+        assert np.abs(w).max() * cells.max() > phase, name
+        assert np.all(np.abs(got - want) <= bound), name
 
 
 def test_block_products_reorder_heads_and_powers_within_bound():
@@ -865,8 +871,8 @@ def test_block_products_reorder_heads_and_powers_within_bound():
     t = dynamics.ramsey_burst_grid(1500e-6, F_FR, points_per_window=100,
                                    span_factor=2.5)
     starts, offsets, _ = dynamics._run_plan(t.tobytes())
-    r, k, by_powers = dynamics._table_split(starts.size, offsets.size)[:3]
-    assert by_powers and starts.size > 1 and k >= 3
+    r, k = dynamics._table_split(starts.size, offsets.size)[:2]
+    assert starts.size > 1 and k >= 3
     rng = np.random.default_rng(12)
     shape = (dynamics._REPLICATES, 16)
     amp = rng.uniform(0.0, 0.5, shape)
@@ -1150,25 +1156,26 @@ def _shipped_grids():
 
 
 _SHIPPED_PLANS = {
-    "ramsey_shallow_magic_8G": (1, 812, True),
-    "ramsey_deep_phi0_3G": (1, 484, True),
-    "rabi_deep_phi0_3G": (1, 121, True),
-    "magic_scan_3G": (5, 6, False), "magic_scan_8G": (5, 6, False),
-    "t2_deep_phi0_3G": (6, 64, True),
+    "ramsey_shallow_magic_8G": (1, 812, 29, 28),
+    "ramsey_deep_phi0_3G": (1, 484, 22, 22),
+    "rabi_deep_phi0_3G": (1, 121, 11, 11),
+    "magic_scan_3G": (1, 30, 6, 5), "magic_scan_8G": (1, 30, 6, 5),
+    "t2_deep_phi0_3G": (6, 64, 16, 4),
     **dict.fromkeys(["t2_shallow_magic_3G", "t2_shallow_magic_8G",
                      "t2_shallow_phi0_3G", "t2_shallow_phi20_8G",
                      "t2_shallow_phi9p5_8G", "phinoise_magic_8G"],
-                    (9, 32, True))}
+                    (9, 32, 16, 2))}
 
 
 def test_shipped_grids_keep_their_run_plans():
-    # (heads C, offsets J, by powers) of every shipped grid: the plans the
-    # artifact bytes were made with, on any numpy or BLAS
+    # (heads C, offsets J, rows R, columns per head K) of every shipped
+    # grid: the plans the artifact bytes were made with, on any numpy or
+    # BLAS
     got = {}
     for name, t in _shipped_grids():
         starts, offsets, _ = dynamics._run_plan(t.tobytes())
         got[name] = (starts.size, offsets.size,
-                     dynamics._table_split(starts.size, offsets.size)[2])
+                     *dynamics._table_split(starts.size, offsets.size)[:2])
     assert got == _SHIPPED_PLANS
 
 
