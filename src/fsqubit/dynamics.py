@@ -25,17 +25,17 @@ element from state s to s' is U0[s', s] e^{i theta (s' - s)}, U0 depending
 on the trial alone. Expanded over the states between the pulses, the final
 3P2 amplitude is a sum of paths whose phases are linear in t, with slopes
 set by the trial (delta times the free fraction, -2 pi f_fr for the
-fringe). P(3P2) of a trial is therefore K + sum_d amp_d cos(w_d t + phi_d)
-with trial-only K, amp_d, w_d and phi_d: one harmonic for Ramsey, four for
+fringe). P(3P2) of a trial is therefore K + sum_d Re(c_d e^{i w_d t})
+with trial-only K, complex c_d and w_d: one harmonic for Ramsey, four for
 the echo, and one for a single drive (Rabi), (Omega sin(Omega_eff t/2) /
-Omega_eff)^2 = K - K cos(Omega_eff t). Each cosine is evaluated by angle
-addition over pieces of equally spaced times, with the trig by
-recurrence: one cos/sin pair per trial for the step and one per piece
-head, powers for the rest, in complex128 tables filled by numpy's complex
-multiply. Each grid point reads a cell of a table of C heads by J offsets
-within 4 ulp of its own time; a point further off its piece heads a
-one-cell row of its own and reads its offset-0 cell (every point does on
-a grid without pieces, J = 1, where a head takes its cos alone).
+Omega_eff)^2 = K - K cos(Omega_eff t), c = -K real. Each e^{i w t} is
+evaluated by angle addition over pieces of equally spaced times, with the
+trig by recurrence: one cos/sin pair per trial for the step and one per
+piece head, powers for the rest, in complex128 tables filled by numpy's
+complex multiply. Each grid point reads a cell of a table of C heads by J
+offsets within 4 ulp of its own time; a point further off its piece heads
+a one-cell row of its own and reads its offset-0 cell (every point does on
+a grid without pieces, J = 1).
 Each protocol hands the one Monte-Carlo engine a function from the trial
 draws to these coefficients: draws -> coefficients -> replicate sums per
 cell -> SPAM on the replicate means of each point; a grid's run plan is
@@ -57,17 +57,17 @@ results are reproducible bit for bit and independent of the trial count;
 p32_sem is the spread of the Q replicate means (t tails, Q - 1 degrees
 of freedom). Only linear sums of the per-trial populations are kept, so
 no (trial, time) array is formed: the coefficients are laid out
-replicate-major, padded with zero-amplitude trials to a multiple of Q,
+replicate-major, padded with zero-coefficient trials to a multiple of Q,
 and per block of at most 512 trials, fewer where its trig tables would
 pass _BLOCK_BYTES, the replicate sums of every cell are one stacked
-matrix product of cos and sin of w (s_c + k R step) + phi over each
-head's columns by amp cos and -amp sin of r step w over the rows,
-added to the total in block order; sum K is added per replicate. The
-block's tables are allocated once per call. The range guard sits where
-values are formed: each trial's pulse elements are certified unitary
-(the drive's K in [0, 1/2]), every coefficient finite, and SPAM checks
-the replicate means. No Python thread runs; BLAS's own thread count
-changes no value.
+matrix product of the real and imaginary parts of
+c e^{i w (s_c + k R step)} over each head's columns by those of
+e^{-i r step w} over the rows, added to the total in block order; sum K
+is added per replicate. The block's tables are allocated once per call.
+The range guard sits where values are formed: each trial's pulse
+elements are certified unitary (the drive's K in [0, 1/2]), every
+coefficient finite, and SPAM checks the replicate means. No Python
+thread runs; BLAS's own thread count changes no value.
 """
 
 from __future__ import annotations
@@ -348,8 +348,8 @@ def _pulse_plan(segments):
 
 def _pulse_coefficients(plan, omega_rad_s, f_fringe_hz, instantaneous_pulses,
                         omegas, deltas):
-    """Per trial, P(3P2)(t) = K + sum_d amp_d cos(w_d t + phi_d): returns K
-    and the (amp, w, phi) of each harmonic, every one of shape (trials,)."""
+    """Per trial, P(3P2)(t) = K + sum_d Re(c_d e^{i w_d t}): returns K and
+    the (c, w) of each harmonic, c complex, every one of shape (trials,)."""
     pulses, frees, terms, harmonics = plan
     n, sets = omegas.size, deltas.shape[0]
     # one SU(2) evaluation per distinct (pulse area, detuning set)
@@ -377,21 +377,20 @@ def _pulse_coefficients(plan, omega_rad_s, f_fringe_hz, instantaneous_pulses,
     for d, pairs in harmonics:
         c = sum(2.0 * amps[q] * np.conj(amps[p]) for p, q in pairs)
         w = sum(x * slopes[v] for v, x in enumerate(d) if x)
-        out.append(tuple(np.broadcast_to(x, (n,))
-                         for x in (np.abs(c), w, np.angle(c))))
+        out.append((np.broadcast_to(c, (n,)), np.broadcast_to(w, (n,))))
     return np.broadcast_to(k, (n,)), out
 
 
 def _drive_coefficients(omegas, deltas):
-    """Rabi: K and the one harmonic (-K, Omega_eff, 0) at the set-0
-    detunings, K = Omega^2 / (2 Omega_eff^2), each of shape (trials,);
-    Omega/Omega_eff is 1 at Omega_eff = 0, where P is 0. 0 <= K <= 1/2
-    keeps P = K - K cos(Omega_eff t) in [0, 1]."""
+    """Rabi: K and the one harmonic (c, w) = (-K, Omega_eff), c real, at
+    the set-0 detunings, K = Omega^2 / (2 Omega_eff^2), each of shape
+    (trials,); Omega/Omega_eff is 1 at Omega_eff = 0, where P is 0.
+    0 <= K <= 1/2 keeps P = K - K cos(Omega_eff t) in [0, 1]."""
     om_eff = np.hypot(omegas, deltas[0])
     k = 0.5 * np.divide(omegas, om_eff, out=np.ones_like(om_eff),
                         where=om_eff > 0) ** 2
     _certify((k >= 0) & (k <= 0.5))
-    return k, [(-k, om_eff, np.zeros_like(k))]
+    return k, [(-k, om_eff)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -400,12 +399,10 @@ def _table_split(c: int, j: int):
     hold R offsets and each head K columns, R K >= J, with R about
     sqrt(C J) so that both tables stay small. ``cost`` is in ns per trial
     and harmonic: the one cost rule, which also picks a run plan's K and
-    whether it has pieces at all. A lone offset (J = 1) is 0: each head
-    takes its cos alone, with no step and no powers."""
+    whether it has pieces at all. A lone offset (J = 1) is priced alike,
+    though it computes no step and no powers."""
     k = -(-j // min(j, math.isqrt(max(c * j - 1, 0)) + 1))
     r = -(-j // k)
-    if j == 1:
-        return r, k, _NS_START * c / 2 + _NS_SUM * c
     levels = (r - 1).bit_length() + (k - 1).bit_length() + (k > 1)
     return r, k, (_NS_START * c + _NS_OFFSET + _NS_POWER * (c * k + r)
                   + _NS_LEVEL * levels + _NS_SUM * c * j)
@@ -415,7 +412,7 @@ def _table_split(c: int, j: int):
 def _run_plan(key: bytes):
     """Cell table of the grid whose float64 bytes are ``key``: heads (C,),
     offsets (J,) = arange(J) * step and the flat (c, j) cell of each
-    point, which reads head c + offset j, so that cos(w t + phi) follows
+    point, which reads head c + offset j, so that e^{i w t} follows
     by angle addition from the C + J angles of the heads and offsets
     instead of T. Cached, every array read-only.
 
@@ -485,9 +482,10 @@ def _run_plan(key: bytes):
 
 
 def _replicate_major(xs, points):
-    """Arrays (trials,) -> (_REPLICATES, points, len(xs)), trial i Q + r
-    of the h-th at [r, i, h], padded with zeros past the last trial."""
-    out = np.zeros((points * _REPLICATES, len(xs)))
+    """Arrays (trials,) -> (_REPLICATES, points, len(xs)) of their common
+    dtype, trial i Q + r of the h-th at [r, i, h], padded with zeros past
+    the last trial."""
+    out = np.zeros((points * _REPLICATES, len(xs)), np.result_type(*xs))
     for h, x in enumerate(xs):
         out[:len(x), h] = x
     return out.reshape(points, _REPLICATES, -1).swapaxes(0, 1).copy()
@@ -522,30 +520,32 @@ def _fill_powers(table, b, work):
             np.multiply(power, power, out=power)
 
 
-def _block_products(starts, offsets, signed, w, phi, work=None):
+def _block_products(starts, offsets, coef, w, work=None):
     """Per replicate, sum over one block's trials of
-    amp cos(w (s_c + o_j) + phi) in every (c, j) cell, as one stacked
-    product of the columns cos, sin(w (s_c + k R step) + phi) over the
-    cells (c, k) by the rows amp cos(r step w), -amp sin(r step w) over
-    r < R, j = k R + r, with (R, K) from ``_table_split``; the offsets must
-    be arange(J) * step, as in a run plan. ``signed`` holds the
-    (_REPLICATES, 2, n) signed amplitudes (amp, -amp), ``w`` and ``phi``
-    the (_REPLICATES, n) slopes and phases of n trials per replicate, the
-    harmonics side by side, as every harmonic is summed alike. ``work`` is
-    a dict of buffers reused across calls (None allocates). Returns a
-    (_REPLICATES, C, J) array.
+    Re(coef e^{i w (s_c + o_j)}) in every (c, j) cell, as one stacked
+    product of the columns coef e^{i w (s_c + k R step)} over the cells
+    (c, k) by the rows e^{-i r step w} over r < R, j = k R + r, with
+    (R, K) from ``_table_split``; the offsets must be arange(J) * step, as
+    in a run plan. The product takes their float views, so a cell sums
+    re re + im im of column and row, which is Re(column / row) for a row
+    on the unit circle. ``coef`` and ``w`` hold the (_REPLICATES, n)
+    coefficients (complex, or real) and slopes of n trials per replicate,
+    the harmonics side by side, as every harmonic is summed alike.
+    ``work`` is a dict of buffers reused across calls (None allocates).
+    Returns a (_REPLICATES, C, J) array.
 
-    Trig by recurrence: per trial and harmonic one cos/sin pair of step w
-    gives z = e^(i step w), its powers z^r (the rows) and Z = z^R, and one
-    pair per head its phasor e^(i (w s_c + phi)), the column k = 0; the
-    columns k > 0 are that phasor times Z^k (``_fill_powers``: numpy's
-    complex multiply on complex128 tables). A cell's error stays below
-    c (|w| max(t) + R K) eps amp, with c = 2 and eps = 2^-52: the rounding
-    of w step and of the start's phase grows with the power to the scale
-    of the argument rounding of cos(w t + phi) itself, and that of the at
-    most 4 log2(R K) + 3 products stays below R K eps. A lone offset is 0
-    (a grid without pieces, R = K = 1): the row is 1 and each head's
-    phasor is its cos alone, as the sin terms vanish.
+    Trig by recurrence: per trial and harmonic one cos/sin pair of -step w
+    gives e^(-i step w), its powers (the rows) and Z = e^(i R step w), the
+    conjugate of the R-th, and one pair per head its phasor e^(i w s_c),
+    times coef the column k = 0; the columns k > 0 are that column times
+    Z^k (``_fill_powers``: numpy's complex multiply on complex128 tables).
+    The coefficient multiplies the C heads rather than the R rows, fewer
+    wherever J >= C, as R is about sqrt(C J). A cell's error stays below
+    2 (|w| max(t) + R K) eps |coef|, with eps = 2^-52: the rounding of
+    w step and of the start's phase grows with the power to the scale of
+    the argument rounding of e^(i w t) itself, and that of the at most
+    4 log2(R K) + 4 products stays below R K eps. A lone offset is 0 (a
+    grid without pieces, R = K = 1): the row is 1.
 
     The tables are laid out powers-outermost, rows (R, replicate, trial)
     and columns (K, C, replicate, trial), so that every doubling level runs
@@ -562,27 +562,27 @@ def _block_products(starts, offsets, signed, w, phi, work=None):
     phase = _scratch(work, "phase", (c, _REPLICATES, hn))
     # a block's trials are a strided view of the run's; contiguous, the
     # (C, replicate, trial) loops below run over long inner axes
-    w, phi = np.ascontiguousarray(w), np.ascontiguousarray(phi)
+    w, coef = np.ascontiguousarray(w), np.ascontiguousarray(coef)
     np.multiply(starts[:, None, None], w, out=phase)
-    phase += phi
     np.cos(phase, out=cols[0].real)
+    np.sin(phase, out=cols[0].imag)
+    cols[0] *= coef
     rows[0] = 1.0
-    if j == 1:
-        cols[0].imag[...] = 0.0
-    else:
-        np.sin(phase, out=cols[0].imag)
+    if j > 1:
         z = _scratch(work, "z", (_REPLICATES, hn), complex)
-        np.multiply(w, offsets[1], out=phase[0])
+        np.multiply(w, -offsets[1], out=phase[0])
         np.cos(phase[0], out=z.real)
         np.sin(phase[0], out=z.imag)
         _fill_powers(rows, z, work)
         if k > 1:
-            # Z = z^R, the step between a head's columns
+            # Z, the step between a head's columns: the conjugate of
+            # rows[R - 1] z, by a multiply of its float view, as numpy 2.4
+            # negates a strided view in place wrongly
             np.multiply(rows[r - 1], z, out=z)
+            real_z = z.view(float)
+            real_z *= np.resize((1.0, -1.0), 2 * hn)
             _fill_powers(cols, z, work)
-    # re times amp, im times -amp
     real_rows = rows.view(float)
-    real_rows *= np.moveaxis(signed, 1, 2).reshape(_REPLICATES, 2 * hn)
     real_cols = cols.view(float).reshape(k * c, _REPLICATES, 2 * hn)
     sums = np.matmul(real_cols.transpose(1, 0, 2),
                      real_rows.transpose(1, 2, 0))
@@ -600,10 +600,10 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
 
     ``coefficients(omegas, deltas)`` maps the Rabi frequencies (trials,)
     and detunings (sets, trials) to (K, harmonics) of
-    K + sum_d amp_d cos(w_d t + phi_d). The coefficients are laid out
-    replicate-major, and blocks of ``_block_products`` enter the
-    (_REPLICATES, C, J) sums in trial order; sum K per replicate is added
-    to every cell last."""
+    K + sum_d Re(c_d e^{i w_d t}), each harmonic a (c, w) pair. The
+    coefficients are laid out replicate-major, and blocks of
+    ``_block_products`` enter the (_REPLICATES, C, J) sums in trial order;
+    sum K per replicate is added to every cell last."""
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
@@ -624,10 +624,7 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     points = -(-trials // _REPLICATES)
     # the harmonics side by side, so that a block's trials of every
     # harmonic are one run of columns
-    amp, w, phi = (_replicate_major(x, points) for x in zip(*harmonics))
-    # (amp, -amp), signs by a multiply: numpy 2.4 negates a strided view
-    # in place wrongly
-    signed = amp[:, None] * np.array([1.0, -1.0])[:, None, None]
+    coef, w = (_replicate_major(x, points) for x in zip(*harmonics))
     # trials per replicate in a block: its columns and rows, 2 per
     # harmonic and trial in each (head, power) cell and row, fit
     # _BLOCK_BYTES
@@ -641,9 +638,8 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     for i in range(0, points, width):
         sl = slice(i, i + width)
         sums += _block_products(
-            starts, offsets, signed[:, :, sl].reshape(_REPLICATES, 2, -1),
-            w[:, sl].reshape(_REPLICATES, -1),
-            phi[:, sl].reshape(_REPLICATES, -1), work)
+            starts, offsets, coef[:, sl].reshape(_REPLICATES, -1),
+            w[:, sl].reshape(_REPLICATES, -1), work)
     sums = sums.reshape(_REPLICATES, -1)[:, cell]
     sums += _replicate_major([k], points)[..., 0].sum(axis=1)[:, None]
     mean, sem = _replicate_stats(sums, trials, noise)

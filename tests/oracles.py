@@ -17,8 +17,9 @@
   least-squares core of ``analysis.fit_sinusoid``.
 * :func:`write_trace_csv`: one f-string per row, the reference for the
   bytes of ``dynamics.write_trace_csv``.
-* :func:`pulse_coefficients`: the harmonic coefficients of a pulse plan
-  with one SU(2) evaluation per pulse, the reference for
+* :func:`pulse_coefficients`: the complex harmonic coefficients c_d of a
+  pulse plan, P(3P2)(t) = K + sum_d Re(c_d e^{i w_d t}), with one SU(2)
+  evaluation per pulse, the reference for
   ``dynamics._pulse_coefficients``, which evaluates each distinct pulse
   once.
 """
@@ -202,8 +203,9 @@ def write_trace_csv(trace, path) -> None:
 
 def pulse_coefficients(plan, omega_rad_s, f_fringe_hz, instantaneous_pulses,
                        omegas, deltas):
-    """K and the (amp, w, phi) of each harmonic of
-    ``dynamics._pulse_plan`` output, one ``_su2_elements`` call per pulse."""
+    """K and the (c, w) of each harmonic of ``dynamics._pulse_plan``
+    output, P(3P2)(t) = K + sum_d Re(c_d e^{i w_d t}), one
+    ``_su2_elements`` call per pulse."""
     pulses, frees, terms, harmonics = plan
     n, sets = omegas.size, deltas.shape[0]
     elems = [_su2_elements(1.0, 0.0, size) if instantaneous_pulses
@@ -224,6 +226,5 @@ def pulse_coefficients(plan, omega_rad_s, f_fringe_hz, instantaneous_pulses,
     for d, pairs in harmonics:
         c = sum(2.0 * amps[q] * np.conj(amps[p]) for p, q in pairs)
         w = sum(x * slopes[v] for v, x in enumerate(d) if x)
-        out.append(tuple(np.broadcast_to(x, (n,))
-                         for x in (np.abs(c), w, np.angle(c))))
+        out.append((np.broadcast_to(c, (n,)), np.broadcast_to(w, (n,))))
     return np.broadcast_to(k, (n,)), out

@@ -526,12 +526,12 @@ def _replicate_oracle(protocol, trap, temp, noise, t, trials, seed, sets):
             plan, OMEGA, F_FR, False, OMEGA * om_f, deltas)
     starts, offsets, cell = dynamics._run_plan(t.tobytes())
     p = k[:, None, None]
-    for amp, w, phi in harmonics:
+    for c, w in harmonics:
         # (trials, C, 1) start angles, (trials, 1, R) offset angles
-        a = starts[:, None] * w[:, None, None] + phi[:, None, None]
+        a = starts[:, None] * w[:, None, None]
         b = offsets * w[:, None, None]
-        amp = amp[:, None, None]
-        p = p + (amp * np.cos(a)) * np.cos(b) - (amp * np.sin(a)) * np.sin(b)
+        head = c[:, None, None] * (np.cos(a) + 1j * np.sin(a))
+        p = p + head.real * np.cos(b) - head.imag * np.sin(b)
     p = p.reshape(trials, -1)[:, cell]
     reps = min(trials, dynamics._REPLICATES)
     replicate = np.arange(trials) % dynamics._REPLICATES
@@ -600,17 +600,17 @@ def _non_unitary(monkeypatch, protocol):
 
 
 def _nan_coefficient(monkeypatch, protocol):
-    # one trial's phase of the first harmonic is NaN
+    # one trial's coefficient of the first harmonic is NaN
     name = ("_drive_coefficients" if protocol == "rabi"
             else "_pulse_coefficients")
     coefficients = getattr(dynamics, name)
 
     def with_nan(*args):
         k, harmonics = coefficients(*args)
-        amp, w, phi = harmonics[0]
-        phi = phi.copy()
-        phi[3] = math.nan
-        return k, [(amp, w, phi), *harmonics[1:]]
+        c, w = harmonics[0]
+        c = c.copy()
+        c[3] = math.nan
+        return k, [(c, w), *harmonics[1:]]
 
     monkeypatch.setattr(dynamics, name, with_nan)
 
@@ -783,8 +783,8 @@ def test_grid_split_accepts_only_points_on_their_run():
     amp = rng.uniform(0.2, 0.5, shape)
     w = 2 * math.pi * F_FR + rng.normal(0.0, 1e4, shape)
     phi = rng.uniform(-math.pi, math.pi, shape)
-    signed = amp[:, None, :] * np.array([[1.0], [-1.0]])
-    got = dynamics._block_products(starts, offsets, signed, w, phi)
+    coef = amp * np.exp(1j * phi)
+    got = dynamics._block_products(starts, offsets, coef, w)
     want = (amp[:, :, None]
             * np.cos(w[:, :, None] * t + phi[:, :, None])).sum(axis=1)
     np.testing.assert_allclose(
@@ -851,8 +851,8 @@ def test_block_products_within_stated_bound_on_long_phases():
         amp = rng.uniform(0.0, 0.5, shape)
         w = -2 * math.pi * F_FR + rng.normal(0.0, 2e4, shape)
         phi = rng.uniform(-math.pi, math.pi, shape)
-        signed = amp[:, None, :] * np.array([[1.0], [-1.0]])
-        got = dynamics._block_products(starts, offsets, signed, w, phi)
+        coef = amp * np.exp(1j * phi)
+        got = dynamics._block_products(starts, offsets, coef, w)
         cells = starts[:, None] + offsets
         want = (amp[..., None, None]
                 * np.cos(w[..., None, None] * cells
@@ -878,8 +878,8 @@ def test_block_products_reorder_heads_and_powers_within_bound():
     amp = rng.uniform(0.0, 0.5, shape)
     w = -2 * math.pi * F_FR + rng.normal(0.0, 2e4, shape)
     phi = rng.uniform(-math.pi, math.pi, shape)
-    signed = amp[:, None, :] * np.array([[1.0], [-1.0]])
-    got = dynamics._block_products(starts, offsets, signed, w, phi)
+    coef = amp * np.exp(1j * phi)
+    got = dynamics._block_products(starts, offsets, coef, w)
     cells = starts[:, None] + offsets
     want = (amp[..., None, None] * np.cos(w[..., None, None] * cells
                                           + phi[..., None, None])).sum(axis=1)

@@ -268,13 +268,15 @@ def _names_and_complex_literals(fn: ast.AST):
 
 def test_dynamics_engine_builds_no_complex_time_arrays():
     """The Monte-Carlo engine closes on real cosines: none of its helpers
-    calls np.exp, the ones on the grid take no conj, angle or SU(2)
-    element and write no imaginary literal, and the ones that hold a value
-    per grid point (the run plan, the sequence and the replicate
-    statistics) touch no complex number. Only the power tables of
-    ``_block_products`` and ``_fill_powers`` are complex, one entry per
-    trial and head or offset, never per point; the test below bounds the
-    memory a long trace takes."""
+    calls np.exp, the coefficient functions take no angle (each harmonic
+    keeps its complex coefficient), the ones on the grid take no conj,
+    angle or SU(2) element and write no imaginary literal, and the ones
+    that hold a value per grid point (the run plan, the sequence and the
+    replicate statistics) touch no complex number. Only the coefficient
+    arrays and the power tables of ``_block_products`` and
+    ``_fill_powers`` are complex, one entry per trial and harmonic, head or
+    offset, never per point; the test below bounds the memory a long trace
+    takes."""
     tree = ast.parse((SRC / "dynamics.py").read_text())
     fns = {node.name: node for node in tree.body
            if isinstance(node, ast.FunctionDef)}
@@ -284,6 +286,9 @@ def test_dynamics_engine_builds_no_complex_time_arrays():
                            "_drive_coefficients"):
         names, _ = _names_and_complex_literals(fns[name])
         assert "exp" not in names, name
+    for name in ("_pulse_coefficients", "_drive_coefficients"):
+        names, _ = _names_and_complex_literals(fns[name])
+        assert "angle" not in names, name
     for name in on_grid:
         names, literals = _names_and_complex_literals(fns[name])
         assert not literals, name
