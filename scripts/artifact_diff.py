@@ -7,8 +7,10 @@ change and the largest relative change. The relative change counts only
 where max(|a|, |b|) exceeds REL_FLOOR: a value that moves from 0 to
 1.7e-17 is round-off about zero, not a change of 100%. Files only in one
 tree, and differences that are not numeric (a changed header, string or
-row count), are reported as such. Typical use, with trees kept by
-``scripts/artifact_hashes.py DIR``:
+row count), are reported as such. Exits 0 when the two trees are byte
+for byte identical, 1 when any file differs or is in one tree only, and 2
+on a wrong argument count, so "no artifact moved" is one command. Typical
+use, with trees kept by ``scripts/artifact_hashes.py DIR``:
 
     python scripts/artifact_diff.py parent_runs/ new_runs/
 """
@@ -91,12 +93,15 @@ def main(argv: list[str]) -> int:
     ra, rb = (pathlib.Path(p) for p in argv)
     rel_a = {p.relative_to(ra) for p in ra.rglob("*") if p.is_file()}
     rel_b = {p.relative_to(rb) for p in rb.rglob("*") if p.is_file()}
+    status = 0
     for rel in sorted(rel_a | rel_b):
         if rel not in rel_b or rel not in rel_a:
             print(f"{rel}: only in {ra if rel in rel_a else rb}")
+            status = 1
         elif (ra / rel).read_bytes() != (rb / rel).read_bytes():
             print(f"{rel}: {compare(ra / rel, rb / rel)}")
-    return 0
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

@@ -11,21 +11,23 @@ free-frequency fringe and the envelope each have one nonlinear parameter
 (f, or beta = 1 / 2 T2^2), so both are fitted by variable projection: the
 linear parameters are solved exactly at every trial value, the profiled
 sum of squared residuals is scanned on a grid, and its minimum is refined
-to the sign change of the analytic profiled slope. The thermal dephasing
-estimate converts the position-averaged spread of a differential shift map
-into the 1/e time of the equivalent Gaussian decay, 1 / (2 pi sigma).
+to the sign change of the analytic profiled slope. A span that shows no
+decay is an outcome, not an error: the envelope fit then carries status
+"no_decay_observed" and a lower bound on T2 in place of the fitted values.
+The thermal dephasing estimate converts the position-averaged spread of a
+differential shift map into the 1/e time of the equivalent Gaussian decay,
+1 / (2 pi sigma).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .constants import K_B, MASS_SR88
-from .errors import (_MAX_VIF, FitFailed, GridTooCoarse, NoDecayObserved,
-                     WindowTooShort)
+from .errors import _MAX_VIF, FitFailed, GridTooCoarse, WindowTooShort
 
 # Free-frequency scan: grid points per 1/span of frequency resolution.
 _SCAN_OVERSAMPLE = 4
@@ -69,39 +71,30 @@ class SinusoidFit:
         return self.rms < self.amplitude
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": "sinusoid",
-            "amplitude": self.amplitude,
-            "freq_hz": self.freq_hz,
-            "phase_rad": self.phase_rad,
-            "offset": self.offset,
-            "amplitude_err": self.amplitude_err,
-            "freq_err_hz": self.freq_err_hz,
-            "phase_err_rad": self.phase_err_rad,
-            "offset_err": self.offset_err,
-            "rms": self.rms,
-        }
+        return {"model": "sinusoid", **asdict(self)}
 
 
 @dataclass(frozen=True)
 class EnvelopeFit:
-    """Gaussian contrast envelope C0 exp(-t^2 / 2 T2^2)."""
+    """Gaussian contrast envelope C0 exp(-t^2 / 2 T2^2).
 
-    t2_s: float
-    c0: float
-    t2_err_s: float
-    c0_err: float
-    rms: float
+    ``status`` is "ok", with the fitted fields set, or "no_decay_observed",
+    with only ``t2_lower_bound_s`` set: the largest scanned time, a
+    conservative lower bound on the coherence time.
+    """
+
+    status: str
+    t2_s: float | None = None
+    c0: float | None = None
+    t2_err_s: float | None = None
+    c0_err: float | None = None
+    rms: float | None = None
+    t2_lower_bound_s: float | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "model": "gaussian_envelope",
-            "t2_s": self.t2_s,
-            "c0": self.c0,
-            "t2_err_s": self.t2_err_s,
-            "c0_err": self.c0_err,
-            "rms": self.rms,
-        }
+        """The set fields, under ``model``; an unset field has no key."""
+        return {"model": "gaussian_envelope",
+                **{k: v for k, v in asdict(self).items() if v is not None}}
 
 
 def _gram_inverse(design, norm_sq=None):
@@ -288,11 +281,11 @@ def extract_contrast(t, y, fringe_hz: float,
     from an exact linear fit, one batched solve per window length. Raises
     :class:`FitFailed` for a non-finite time or population.
     """
-    if window_periods < 1.0:
+    if not 1.0 <= window_periods < math.inf:
         raise WindowTooShort(f"window of {window_periods} fringe periods; "
-                             "need at least one full period")
-    if fringe_hz <= 0:
-        raise ValueError("fringe frequency must be positive")
+                             "need a finite window of at least one period")
+    if not 0 < fringe_hz < math.inf:
+        raise ValueError("fringe frequency must be positive and finite")
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
     t0, t1 = float(t.min()), float(t.max())  # t1 - t0 finite iff every t is
@@ -332,10 +325,12 @@ def fit_t2_envelope(t_s, contrast) -> EnvelopeFit:
     With g = exp(-beta t^2), the best C0 at each beta is g.c / g.g, so the
     sum of squared residuals is a function of beta alone. It is scanned on
     a geometric grid in beta t_max^2 and its minimum refined to the sign
-    change of the analytic slope. Raises :class:`NoDecayObserved` (carrying
-    a lower bound on T2) when the data show no decay over the scanned span,
-    :class:`FitFailed` when underdetermined, when the decay is too fast to
-    resolve, or when the fitted C0 is not positive.
+    change of the analytic slope. When the fit predicts under 2% decay over
+    the span, the data show no decay: the result then has status
+    "no_decay_observed" and the span's largest time as a lower bound on T2.
+    Raises :class:`FitFailed` when underdetermined, when the decay is too
+    fast to resolve, when the fitted C0 is not positive, or when a decay's
+    C0 is above 1.2 (input off the population scale).
     """
     t = np.asarray(t_s, dtype=float)
     c = np.asarray(contrast, dtype=float)
@@ -374,9 +369,7 @@ def fit_t2_envelope(t_s, contrast) -> EnvelopeFit:
     if c0 <= 0:
         raise FitFailed(f"fitted initial contrast {c0:.3g} is not positive")
     if 1.0 - math.exp(-beta * t_max ** 2) < 0.02:
-        raise NoDecayObserved(
-            "predicted decay over the span is below 2%",
-            t2_lower_bound_s=t_max)
+        return EnvelopeFit("no_decay_observed", t2_lower_bound_s=t_max)
     t2 = 1.0 / math.sqrt(2.0 * beta)
     r = c0 * g - c
     ssr = r @ r
@@ -386,7 +379,7 @@ def fit_t2_envelope(t_s, contrast) -> EnvelopeFit:
     if c0 > 1.2:
         raise FitFailed(f"fitted initial contrast {c0:.3g} outside (0, 1.2]"
                         "; input is not on the population scale")
-    return EnvelopeFit(t2_s=t2, c0=c0, c0_err=math.sqrt(cov[0, 0]),
+    return EnvelopeFit("ok", t2_s=t2, c0=c0, c0_err=math.sqrt(cov[0, 0]),
                        t2_err_s=math.sqrt(cov[1, 1]) * (2.0 * beta) ** -1.5,
                        rms=math.sqrt(ssr / t.size))
 
@@ -400,8 +393,8 @@ def thermal_dephasing_estimate(shift_map, trap,
     axes) and returns 1 / (2 pi sigma_dU). A map with no spread (or T = 0)
     gives an unbounded timescale, reported as ``inf``.
     """
-    if temperature_K < 0:
-        raise ValueError("temperature must be >= 0")
+    if not 0 <= temperature_K < math.inf:
+        raise ValueError("temperature must be finite and >= 0")
     if temperature_K == 0.0:
         return math.inf
     om = np.asarray(trap.omega_p0_rad_s, dtype=float)

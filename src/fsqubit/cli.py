@@ -48,7 +48,7 @@ from typing import TYPE_CHECKING, Callable, NamedTuple
 import fsqubit
 
 from . import atomstark
-from .errors import _MAX_VIF, FsqubitError, NoDecayObserved
+from .errors import _MAX_VIF, FsqubitError
 from .params import FieldEnvironment, MagneticField, NoiseModel, TweezerConfig
 
 if TYPE_CHECKING:
@@ -562,16 +562,9 @@ def _envelope_fit(points):
         ["t_s", "contrast", "contrast_err"],
         [[f"{p.t_s:.12e}", f"{p.contrast:.9e}", f"{p.contrast_err:.9e}"]
          for p in points]))
-    try:
-        fit = analysis.fit_t2_envelope([p.t_s for p in points],
-                                       [p.contrast for p in points])
-    except NoDecayObserved as exc:
-        return art, {"model": "gaussian_envelope",
-                     "status": "no_decay_observed",
-                     "t2_lower_bound_s": exc.t2_lower_bound_s}
-    out = fit.to_json_dict()
-    out["status"] = "ok"
-    return art, out
+    fit = analysis.fit_t2_envelope([p.t_s for p in points],
+                                   [p.contrast for p in points])
+    return art, fit.to_json_dict()
 
 
 def _cmd_t2(cfg, scn):

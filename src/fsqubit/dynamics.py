@@ -91,9 +91,9 @@ _TRIAL_BLOCK = 512
 _BLOCK_BYTES = 2 ** 20
 # Cost of a block's tables per trial and harmonic, in ns at a full block
 # (measured on a 2-CPU AVX-512 Xeon): a cos/sin pair of a head's phase
-# (large arguments) and of the step's (a small one), a cell of products, a
-# doubling level (its fixed numpy calls) and a cell of the matrix product
-_NS_START, _NS_OFFSET, _NS_POWER, _NS_LEVEL, _NS_SUM = 30, 12, 5, 21, 0.12
+# (large arguments), a cell of products, a doubling level (its fixed numpy
+# calls) and a cell of the matrix product
+_NS_START, _NS_POWER, _NS_LEVEL, _NS_SUM = 30, 5, 21, 0.12
 
 
 def _su2_elements(omega, delta, duration):
@@ -108,19 +108,18 @@ def _su2_elements(omega, delta, duration):
             cos_h + 1j * delta * sdur)
 
 
-def apply_spam(p_ideal, noise: NoiseModel, out=None):
+def apply_spam(p_ideal, noise: NoiseModel):
     """Observed population: eta_prep * F_read * P_ideal (dark-manifold
-    convention, zero additive offset); ``out=p_ideal`` works in place."""
+    convention, zero additive offset), in a new array."""
     p = np.asarray(p_ideal, dtype=float)
     lo, hi = (p.min(), p.max()) if p.size else (0.0, 0.0)
     # written so that a NaN fails both comparisons
     if not (lo >= -1e-12 and hi <= 1 + 1e-12):
         raise ValueError("ideal populations must lie in [0, 1]")
     if lo >= 0 and hi <= 1:  # the clip is the identity, -0.0 included
-        out = np.multiply(p, noise.spam_scale, out=out)
+        out = p * noise.spam_scale
     else:
-        out = np.clip(p, 0.0, 1.0, out=out)
-        out *= noise.spam_scale
+        out = np.clip(p, 0.0, 1.0) * noise.spam_scale
     return float(out) if np.ndim(p_ideal) == 0 else out
 
 
@@ -397,14 +396,16 @@ def _drive_coefficients(omegas, deltas):
 def _table_split(c: int, j: int):
     """How a block evaluates C heads by J offsets: (R, K, cost). The rows
     hold R offsets and each head K columns, R K >= J, with R about
-    sqrt(C J) so that both tables stay small. ``cost`` is in ns per trial
-    and harmonic: the one cost rule, which also picks a run plan's K and
+    sqrt(C J) so that both tables stay small. ``cost``, in ns per trial
+    and harmonic, ranks splits and plans and is not an absolute time: the
+    step's one cos/sin pair, which would add the same to every plan, is
+    left out. It is the one cost rule, which also picks a run plan's K and
     whether it has pieces at all. A lone offset (J = 1) is priced alike,
     though it computes no step and no powers."""
     k = -(-j // min(j, math.isqrt(max(c * j - 1, 0)) + 1))
     r = -(-j // k)
     levels = (r - 1).bit_length() + (k - 1).bit_length() + (k > 1)
-    return r, k, (_NS_START * c + _NS_OFFSET + _NS_POWER * (c * k + r)
+    return r, k, (_NS_START * c + _NS_POWER * (c * k + r)
                   + _NS_LEVEL * levels + _NS_SUM * c * j)
 
 
@@ -451,8 +452,7 @@ def _run_plan(key: bytes):
         def floor(c, j):
             # _table_split's cost of c or more rows of j > 1 cells, at
             # least: R + K C >= 2 sqrt(C J) and its levels >= log2(J)
-            return (_NS_START * c + _NS_OFFSET
-                    + 2 * _NS_POWER * math.sqrt(c * j)
+            return (_NS_START * c + 2 * _NS_POWER * math.sqrt(c * j)
                     + _NS_LEVEL * (j - 1).bit_length() + _NS_SUM * c * j)
 
         # in the order of that floor, until it passes the best cost found
@@ -711,8 +711,9 @@ def ramsey_burst_grid(t2_guess_s: float, f_fringe_hz: float,
     decay itself; motional-ladder envelopes level off past the decay (a
     finite weight sits in the motional ground state) and sampling that
     shoulder biases a Gaussian envelope fit upward."""
-    if t2_guess_s <= 0 or f_fringe_hz <= 0:
-        raise ValueError("t2 guess and fringe frequency must be positive")
+    if not (0 < t2_guess_s < math.inf and 0 < f_fringe_hz < math.inf):
+        raise ValueError("t2 guess and fringe frequency must be positive "
+                         "and finite")
     if n_windows < 2 or points_per_window < 6:
         raise ValueError("need >= 2 windows and >= 6 points per window")
     width = window_periods / f_fringe_hz

@@ -1,7 +1,9 @@
 """Exception types raised by the engine.
 
 Every error the public API can raise is defined here so callers (and the
-CLI's machine-readable error output) can switch on the class name.
+CLI's machine-readable error output) can switch on the class name. An
+outcome that is a result rather than a failure, such as a T2 fit that sees
+no decay, is not an error: it is a status of the result it belongs to.
 """
 
 from __future__ import annotations
@@ -61,18 +63,6 @@ class ModelMismatch(FsqubitError):
 
 class FitFailed(FsqubitError):
     """Fit is underdetermined or did not converge."""
-
-
-class NoDecayObserved(FsqubitError):
-    """Contrast does not decay over the scanned span.
-
-    Carries ``t2_lower_bound_s``: the largest scanned time, a conservative
-    lower bound on the coherence time.
-    """
-
-    def __init__(self, message: str, t2_lower_bound_s: float):
-        super().__init__(message)
-        self.t2_lower_bound_s = float(t2_lower_bound_s)
 
 
 class WindowTooShort(FsqubitError):

@@ -13,8 +13,7 @@ import pytest
 
 from fsqubit import analysis, dynamics, trapmodel
 from fsqubit.constants import K_B, MASS_SR88
-from fsqubit.errors import (FitFailed, GridTooCoarse, NoDecayObserved,
-                            WindowTooShort)
+from fsqubit.errors import FitFailed, GridTooCoarse, WindowTooShort
 from fsqubit.focalfield import LightShiftMap
 
 import oracles
@@ -259,6 +258,15 @@ class TestExtractContrast:
         with pytest.raises(WindowTooShort):
             analysis.extract_contrast(t, y, self.F, window_periods=0.8)
 
+    @pytest.mark.parametrize("fringe, periods, error", [
+        (math.nan, 5.0, ValueError), (math.inf, 5.0, ValueError),
+        (F, math.nan, WindowTooShort), (F, math.inf, WindowTooShort)])
+    def test_non_finite_scalars_fail_typed(self, fringe, periods, error):
+        t = self.grid(4)
+        y = 0.5 * (1 + np.cos(2 * math.pi * self.F * t))
+        with pytest.raises(error, match="finite"):
+            analysis.extract_contrast(t, y, fringe, window_periods=periods)
+
     def test_offset_invariance(self):
         t = self.grid(5)
         rng = np.random.default_rng(9)
@@ -435,15 +443,16 @@ class TestFitT2Envelope:
 
     def test_constant_contrast_no_decay(self):
         t = np.linspace(0.0, 1e-3, 8)
-        with pytest.raises(NoDecayObserved) as exc:
-            analysis.fit_t2_envelope(t, np.full(8, 0.8))
-        assert exc.value.t2_lower_bound_s == pytest.approx(1e-3)
+        fit = analysis.fit_t2_envelope(t, np.full(8, 0.8))
+        assert fit.status == "no_decay_observed"
+        assert fit.t2_lower_bound_s == pytest.approx(1e-3)
 
     def test_barely_decaying_no_decay(self):
         t = np.linspace(0.0, 1e-4, 8)
         c = 0.9 * np.exp(-t ** 2 / (2 * 0.05 ** 2))   # T2 = 50 ms >> span
-        with pytest.raises(NoDecayObserved):
-            analysis.fit_t2_envelope(t, c)
+        fit = analysis.fit_t2_envelope(t, c)
+        assert fit.status == "no_decay_observed"
+        assert fit.t2_lower_bound_s == pytest.approx(1e-4)
 
     def test_rescale_invariance(self):
         t = np.linspace(0.0, 1.2e-3, 12)
@@ -501,9 +510,9 @@ class TestFitT2Envelope:
     def test_rising_contrast_no_decay(self):
         # the SSR minimum lies below the grid's slowest decay
         t = np.linspace(0.0, 1e-3, 8)
-        with pytest.raises(NoDecayObserved) as exc:
-            analysis.fit_t2_envelope(t, 0.5 + 0.2 * t / t[-1])
-        assert exc.value.t2_lower_bound_s == pytest.approx(1e-3)
+        fit = analysis.fit_t2_envelope(t, 0.5 + 0.2 * t / t[-1])
+        assert fit.status == "no_decay_observed"
+        assert fit.t2_lower_bound_s == pytest.approx(1e-3)
 
     def test_decay_faster_than_grid_fails(self):
         # every time within 5% of t_max, so the grid's fastest decay row
@@ -600,6 +609,13 @@ class TestThermalDephasingEstimate:
         m = quadratic_map(self.KAPPA)
         tau = analysis.thermal_dephasing_estimate(m, trap_with(25e3), 0.0)
         assert math.isinf(tau)
+
+    @pytest.mark.parametrize("temperature", [math.nan, math.inf, -1e-6])
+    def test_temperature_must_be_finite_and_non_negative(self, temperature):
+        m = quadratic_map(self.KAPPA)
+        with pytest.raises(ValueError, match="temperature"):
+            analysis.thermal_dephasing_estimate(m, trap_with(25e3),
+                                                temperature)
 
 
 class TestJsonExport:

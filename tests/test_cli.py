@@ -593,6 +593,38 @@ class TestBurstWindows:
         assert refit["t2_s"] == pytest.approx(run["t2_s"], rel=1e-7)
 
 
+@pytest.mark.parametrize("status, keys", [
+    ("ok", {"model", "t2_s", "c0", "t2_err_s", "c0_err", "rms", "status"}),
+    ("no_decay_observed", {"model", "status", "t2_lower_bound_s"})])
+def test_fit_json_keys(tmp_path, status, keys):
+    # the keys of both outcomes, pinned on every host; a 20 us span at
+    # the magic angle shows no decay
+    path = next(p for p in T2_CONFIGS if p.stem == "t2_shallow_magic_8G")
+    cfg = json.loads(path.read_text())
+    cfg["trials"] = 200
+    if status != "ok":
+        cfg["burst_grid"].update(t2_guess_us=20.0, span_factor=1.0)
+    run_out = tmp_path / "run"
+    code, _, err = run_cli("t2", "--config", write_cfg(tmp_path, cfg),
+                           "--out", str(run_out))
+    assert code == 0, err
+    fit_cfg = {"schema_version": 1, "tweezer": cfg["tweezer"],
+               "field": cfg["field"],
+               "fit": {"trace_csv": str(run_out / "trace.csv"),
+                       "mode": "envelope",
+                       "f_fringe_MHz": cfg["drive"]["fringe_MHz"]}}
+    fit_out = tmp_path / "fit"
+    code, _, err = run_cli("fit", "--config",
+                           write_cfg(tmp_path, fit_cfg, "fit.json"),
+                           "--out", str(fit_out))
+    assert code == 0, err
+    for d in (run_out, fit_out):
+        fit = json.loads((d / "fit.json").read_text())
+        assert set(fit) == keys
+        assert (fit["model"], fit["status"]) == ("gaussian_envelope",
+                                                 status)
+
+
 def test_meta_records_package_version(tmp_path):
     root = pathlib.Path(__file__).resolve().parents[1]
     pyproject = (root / "pyproject.toml").read_text()
@@ -1298,3 +1330,19 @@ def test_artifact_diff_counts_moves_and_floors_relative_change(tmp_path):
     assert line.startswith("2 of 3 values moved")
     assert "max abs 2e-06" in line
     assert "max rel 1e-06 (at row 1 p32_sem" in line
+
+
+@pytest.mark.parametrize("change, code", [
+    (None, 0), ("differ", 1), ("one tree only", 1)])
+def test_artifact_diff_exit_code(tmp_path, capsys, change, code):
+    """0 when the trees are byte for byte identical, else 1."""
+    for tree in "ab":
+        (tmp_path / tree / "run").mkdir(parents=True)
+        (tmp_path / tree / "run" / "fit.json").write_text('{"t2_s": 0.001}\n')
+    if change == "differ":
+        (tmp_path / "b" / "run" / "fit.json").write_text('{"t2_s": 0.002}\n')
+    elif change == "one tree only":
+        (tmp_path / "b" / "run" / "meta.json").write_text("{}\n")
+    args = [str(tmp_path / tree) for tree in "ab"]
+    assert _script("artifact_diff").main(args) == code
+    assert bool(capsys.readouterr().out) == bool(code)

@@ -176,9 +176,8 @@ class TestApplySpam:
     def test_in_place(self):
         noise = NoiseModel(prep_efficiency=0.9, readout_fidelity=0.76)
         p = np.array([0.0, 0.5, 1.0 + 1e-13])
-        out = dynamics.apply_spam(p, noise, out=p)
-        assert out is p
-        np.testing.assert_array_equal(p, noise.spam_scale
+        out = dynamics.apply_spam(p, noise)
+        np.testing.assert_array_equal(out, noise.spam_scale
                                       * np.array([0.0, 0.5, 1.0]))
 
     def test_in_range_block_matches_the_clip_bit_for_bit(self):
@@ -200,7 +199,7 @@ class TestApplySpam:
     def test_nan_raises_in_place(self):
         p = np.array([0.5, math.nan, 0.25])
         with pytest.raises(ValueError, match="must lie in"):
-            dynamics.apply_spam(p, NOISELESS, out=p)
+            dynamics.apply_spam(p, NOISELESS)
 
     def test_new_array_leaves_input(self):
         noise = NoiseModel(prep_efficiency=0.9)
@@ -390,6 +389,13 @@ class TestBurstGrid:
         assert len(pts) == 9
         for p in pts:
             assert p.contrast == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("t2, f_fr", [
+        (math.nan, F_FR), (200e-6, math.nan), (math.inf, F_FR),
+        (200e-6, math.inf)])
+    def test_non_finite_scalars_fail(self, t2, f_fr):
+        with pytest.raises(ValueError, match="finite"):
+            dynamics.ramsey_burst_grid(t2, f_fr)
 
 
 def _scalar_mean(protocol, deltas, om_f, t_grid, instantaneous):
@@ -619,10 +625,10 @@ def _mean_past_one(monkeypatch, protocol):
     # SPAM sees one replicate's means raised by 1
     spam = dynamics.apply_spam
 
-    def pushed(p, noise, out=None):
+    def pushed(p, noise):
         p = p.copy()
         p[-1] += 1.0
-        return spam(p, noise, out=out)
+        return spam(p, noise)
 
     monkeypatch.setattr(dynamics, "apply_spam", pushed)
 
