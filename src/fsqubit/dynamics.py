@@ -79,11 +79,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomstark import axis_projection, differential_shift_from_projection
-from .params import FieldEnvironment, NoiseModel
+from .params import NoiseModel
 from .special import ndtri
-from .trapmodel import (detuning_for_sample, sample_fock_thermal,
-                        sample_position_classical)
+from .trapmodel import (angle_detuning, detuning_for_sample,
+                        sample_fock_thermal, sample_position_classical)
 
 # trials in a block (memory / determinism unit) where its trig tables fit
 # in _BLOCK_BYTES; wider cell tables take fewer
@@ -240,20 +239,6 @@ def _draw_trials(trap, temperature_K, noise, trials, master_seed,
     om_f = np.abs(1.0 + normal(noise.rabi_frac_std, _OMEGA_SLOT))
     phi_dev = normal(noise.phi_jitter_std_deg, _PHI_SLOT)
     return deltas, om_f, phi_dev
-
-
-def _phi_noise_delta_rad_s(field, env: FieldEnvironment, table,
-                           phi_dev_deg: np.ndarray) -> np.ndarray:
-    """Per-trial detuning from field-angle jitter, evaluated exactly at the
-    trap center."""
-    e = field.focus_jet()[0]
-    phi = env.field.phi_deg
-
-    def du_at(phi_deg):
-        return differential_shift_from_projection(
-            table, env.tweezer.wavelength_nm, *axis_projection(e, phi_deg))
-
-    return 2.0 * math.pi * (du_at(phi + phi_dev_deg) - du_at(phi))
 
 
 def _replicate_stats(sums, trials, noise: NoiseModel):
@@ -604,6 +589,9 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
     coefficients are laid out replicate-major, and blocks of
     ``_block_products`` enter the (_REPLICATES, C, J) sums in trial order;
     sum K per replicate is added to every cell last."""
+    if not (0 <= omega_rad_s < math.inf and 0 <= temperature_K < math.inf):
+        raise ValueError("Rabi frequency and temperature must be finite "
+                         "and >= 0")
     jitter = noise.phi_jitter_std_deg > 0
     if jitter and any(x is None for x in (field, env, table)):
         raise ValueError(
@@ -616,7 +604,7 @@ def _run_sequence(coefficients, trap, temperature_K, noise: NoiseModel,
                                          master_seed, motional_model,
                                          detuning_sets=detuning_sets)
     if jitter:
-        deltas = deltas + _phi_noise_delta_rad_s(field, env, table, phi_dev)
+        deltas = deltas + angle_detuning(field, env, table, phi_dev)
     k, harmonics = coefficients(omega_rad_s * om_f, deltas)
     _certify([np.isfinite(x).all()
               for x in (k, *itertools.chain(*harmonics))])
@@ -658,6 +646,16 @@ def simulate_rabi(trap, temperature_K, noise: NoiseModel, omega_rad_s,
                          motional_model, 1, field, env, table)
 
 
+def _pulse_protocol(segments, omega_rad_s, f_fringe_hz, instantaneous_pulses):
+    """The ``coefficients`` of a pulse protocol for ``_run_sequence``; its
+    pulses last size / Omega, so Omega must be positive."""
+    if not (0 < omega_rad_s < math.inf and math.isfinite(f_fringe_hz)):
+        raise ValueError("pulses need a positive finite Rabi frequency and "
+                         "a finite fringe frequency")
+    return functools.partial(_pulse_coefficients, _pulse_plan(segments),
+                             omega_rad_s, f_fringe_hz, instantaneous_pulses)
+
+
 def simulate_ramsey(trap, temperature_K, noise: NoiseModel, omega_rad_s,
                     f_fringe_hz, t_r_grid_s, trials: int, master_seed: int,
                     motional_model: str = "fock",
@@ -667,9 +665,8 @@ def simulate_ramsey(trap, temperature_K, noise: NoiseModel, omega_rad_s,
     phi_L = -2 pi f_fr t_R. Pulse durations are pi/(2 Omega_nominal); the
     per-trial Rabi amplitude and detuning act during the pulses unless
     ``instantaneous_pulses`` (oracle mode) is set."""
-    coefficients = functools.partial(
-        _pulse_coefficients, _pulse_plan(RAMSEY), omega_rad_s, f_fringe_hz,
-        instantaneous_pulses)
+    coefficients = _pulse_protocol(RAMSEY, omega_rad_s, f_fringe_hz,
+                                   instantaneous_pulses)
     return _run_sequence(coefficients, trap, temperature_K, noise,
                          omega_rad_s, t_r_grid_s, trials, master_seed,
                          motional_model, 1, field, env, table)
@@ -687,9 +684,8 @@ def simulate_echo(trap, temperature_K, noise: NoiseModel, omega_rad_s,
     the motional sample and detuning offset are redrawn for the second
     half (and the closing pulses), modeling a correlation time shorter
     than the sequence."""
-    coefficients = functools.partial(
-        _pulse_coefficients, _pulse_plan(ECHO), omega_rad_s, f_fringe_hz,
-        instantaneous_pulses)
+    coefficients = _pulse_protocol(ECHO, omega_rad_s, f_fringe_hz,
+                                   instantaneous_pulses)
     return _run_sequence(coefficients, trap, temperature_K, noise,
                          omega_rad_s, t_grid_s, trials, master_seed,
                          motional_model, 2 if fluctuating_detuning else 1,
@@ -716,6 +712,9 @@ def ramsey_burst_grid(t2_guess_s: float, f_fringe_hz: float,
                          "and finite")
     if n_windows < 2 or points_per_window < 6:
         raise ValueError("need >= 2 windows and >= 6 points per window")
+    if not (1 <= window_periods < math.inf and 0 < span_factor < math.inf):
+        raise ValueError("window_periods must be >= 1 and span_factor "
+                         "positive, both finite")
     width = window_periods / f_fringe_hz
     span = span_factor * t2_guess_s
     if span < n_windows * width:

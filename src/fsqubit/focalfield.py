@@ -320,6 +320,7 @@ def calibrate_filling_factor(config: TweezerConfig) -> float:
         raise ValueError("calibration needs target_waist_nm")
     r = np.array([0.0, config.target_waist_nm * 1e-9])
 
+    @lru_cache(maxsize=None)  # the root reuses the bracket's two values
     def gap(f0: float) -> float:
         i0, i_target = _intensity_along_x(TweezerField(config, f0), r)
         return i_target - i0 / math.e ** 2

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomstark import PolarizabilityTable, state_light_shift
+from .atomstark import (PolarizabilityTable,
+                        differential_shift_from_projection, state_light_shift)
 from .constants import H_PLANCK, HBAR, K_B, MASS_SR88
 from .errors import ModelMismatch, NotTrapping
 from .params import FieldEnvironment, TweezerConfig
@@ -132,9 +133,10 @@ def sample_fock_thermal(temperature_K: float, omega_rad_s, u):
     trailing axis); returns an int array of ``u``'s broadcast shape. T = 0
     gives the ground state exactly.
     """
+    if not 0 <= temperature_K < math.inf:
+        raise ValueError(f"no thermal occupation at T = {temperature_K!r} K:"
+                         " the temperature must be finite and >= 0")
     om = np.asarray(omega_rad_s, dtype=float)
-    if temperature_K < 0:
-        raise ValueError("temperature must be >= 0")
     if np.any(om <= 0):
         raise ValueError("trap frequency must be positive")
     if temperature_K == 0.0:
@@ -153,11 +155,11 @@ def sample_position_classical(temperature_K: float, omega_rad_s, u):
     """Thermal positions in a 3D harmonic well from uniforms ``u`` of shape
     (..., 3): independent Gaussians with sigma_i = sqrt(kB T / m) / w_i,
     mapped through the normal quantile ``special.ndtri``."""
+    if not 0 <= temperature_K < math.inf:
+        raise ValueError("temperature must be finite and >= 0")
     om = np.asarray(omega_rad_s, dtype=float)
     if om.shape != (3,) or np.any(om <= 0):
         raise ValueError("need three positive trap frequencies")
-    if temperature_K < 0:
-        raise ValueError("temperature must be >= 0")
     if np.shape(u)[-1:] != (3,):
         raise ValueError("need one uniform per axis in the last dimension")
     if temperature_K == 0.0:
@@ -184,3 +186,16 @@ def detuning_for_sample(sample, trap: TrapCharacterization,
         r2 = np.asarray(sample, dtype=float) ** 2
         return 2.0 * math.pi * (trap.du_center_hz + r2 @ quad)
     raise ModelMismatch(f"unknown motional model {motional_model!r}")
+
+
+def angle_detuning(field, env: FieldEnvironment, table: PolarizabilityTable,
+                   dphi_deg) -> np.ndarray:
+    """Detunings (rad/s) of bias-field angle deviations ``dphi_deg``: the
+    x-polarized center field makes the shift D affine in u = cos^2 phi, so
+    -2 pi A sin(dphi) sin(2 phi + dphi), A = D(u=1) - D(u=0) at its e0sq."""
+    e0sq = float(np.sum(np.abs(field.focus_jet()[0]) ** 2)) / 4.0
+    d1, d0 = (differential_shift_from_projection(
+        table, env.tweezer.wavelength_nm, u, e0sq) for u in (1.0, 0.0))
+    dphi = np.radians(dphi_deg)
+    return (-2.0 * math.pi * (d1 - d0) * np.sin(dphi)
+            * np.sin(2.0 * math.radians(env.field.phi_deg) + dphi))

@@ -22,6 +22,9 @@
   evaluation per pulse, the reference for
   ``dynamics._pulse_coefficients``, which evaluates each distinct pulse
   once.
+* :func:`fock_lattice_mean`: the exact ensemble mean of P(3P2)(t) with
+  finite pulses over the thermal Fock ladder of one mismatched axis, a
+  weighted sum of :func:`pulse_coefficients` at the ladder's detunings.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ import numpy as np
 
 from fsqubit.analysis import (_EDGE_TOL, ContrastPoint, SinusoidFit,
                              fit_sinusoid)
+from fsqubit.constants import HBAR, K_B
 from fsqubit.dynamics import _su2_elements
 from fsqubit.focalfield import LightShiftMap
 from fsqubit.trapmodel import _JSON_KEYS, TrapCharacterization
@@ -228,3 +232,24 @@ def pulse_coefficients(plan, omega_rad_s, f_fringe_hz, instantaneous_pulses,
         w = sum(x * slopes[v] for v, x in enumerate(d) if x)
         out.append((np.broadcast_to(c, (n,)), np.broadcast_to(w, (n,))))
     return np.broadcast_to(k, (n,)), out
+
+
+def fock_lattice_mean(plan, omega_rad_s, f_fringe_hz, trap, temperature_K,
+                      t, weight_loss=1e-16):
+    """Exact noiseless ensemble mean of P(3P2)(t) with finite pulses on a
+    trap whose frequencies match on every axis but one:
+    sum_n P(n) [K(delta_n) + sum_d Re(c_d(delta_n) e^{i w_d(delta_n) t})]
+    over that axis's Fock ladder, P(n) = (1 - q) q^n with
+    q = exp(-hbar w_3P0 / kB T) and delta_n = n (w_3P0 - w_3P2), the drive
+    locked at n = 0. The ladder stops at the first N with q^N, the weight
+    left out, at most ``weight_loss``."""
+    (axis,) = np.flatnonzero(trap.delta_omega_rad_s)
+    q = math.exp(-HBAR * trap.omega_p0_rad_s[axis] / (K_B * temperature_K))
+    n = np.arange(math.ceil(math.log(weight_loss) / math.log(q)))
+    deltas = n * trap.delta_omega_rad_s[axis]
+    k, harmonics = pulse_coefficients(plan, omega_rad_s, f_fringe_hz, False,
+                                      np.full(n.size, omega_rad_s),
+                                      deltas[None, :])
+    p = k[:, None] + sum(np.real(c[:, None] * np.exp(1j * np.outer(w, t)))
+                         for c, w in harmonics)
+    return (1.0 - q) * q ** n @ p

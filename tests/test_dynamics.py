@@ -397,6 +397,16 @@ class TestBurstGrid:
         with pytest.raises(ValueError, match="finite"):
             dynamics.ramsey_burst_grid(t2, f_fr)
 
+    @pytest.mark.parametrize("shape", [
+        dict(window_periods=math.nan), dict(window_periods=math.inf),
+        dict(window_periods=0.5), dict(span_factor=math.nan),
+        dict(span_factor=math.inf), dict(span_factor=0.0)],
+        ids=["periods-nan", "periods-inf", "half-period", "span-nan",
+             "span-inf", "span-zero"])
+    def test_out_of_range_shape_fails(self, shape):
+        with pytest.raises(ValueError, match="window_periods"):
+            dynamics.ramsey_burst_grid(200e-6, F_FR, **shape)
+
 
 def _scalar_mean(protocol, deltas, om_f, t_grid, instantaneous):
     """Trial-mean P(3P2) from chaining the scalar ``evolve_segment`` over
@@ -927,6 +937,22 @@ def test_ramsey_matches_exact_ensemble_mean():
     assert np.all(np.abs(tr.p32_mean - exact) <= 4.5 * tr.p32_sem + 1e-12)
 
 
+def test_finite_pulse_ramsey_matches_fock_lattice_mean():
+    # finite pulses, so each Fock number's detuning acts during the pulses
+    # too; only x is mismatched, so the exact mean is a sum over one ladder
+    om = 2 * math.pi * np.array([25e3, 26e3, 4.3e3])
+    trap = trapmodel.TrapCharacterization(
+        depth_p0_hz=4.6e5, depth_p2_hz=4.5e5, omega_p0_rad_s=om,
+        omega_p2_rad_s=om * [0.99, 1.0, 1.0], du_center_hz=300.0)
+    t = dynamics.ramsey_burst_grid(500e-6, F_FR)
+    tr = dynamics.simulate_ramsey(trap, 3e-6, NOISELESS, OMEGA, F_FR, t,
+                                  trials=20_000, master_seed=2718)
+    exact = oracles.fock_lattice_mean(
+        dynamics._pulse_plan(dynamics.RAMSEY), OMEGA, F_FR, trap, 3e-6, t)
+    assert t.size == 252
+    assert np.all(np.abs(tr.p32_mean - exact) <= 4.5 * tr.p32_sem + 1e-12)
+
+
 def _classical_coherence(trap, temperature_K, sigma_off, t):
     """phi(t) = E[e^{i delta t}] for thermal classical positions: delta is
     2 pi sum_i q_i x_i^2 about the trap center with x_i ~ N(0, s_i^2),
@@ -1204,6 +1230,25 @@ def test_engine_rejects_bad_time_grid_before_drawing(protocol, grid,
     with pytest.raises(ValueError, match="time grid"):
         _simulate(protocol, mismatched_trap(), 3e-6, NOISELESS, t, 64, 5,
                   False, 1)
+
+
+@pytest.mark.parametrize("omega, f_fr, temp", [
+    (0.0, F_FR, 3e-6), (-OMEGA, F_FR, 3e-6), (math.nan, F_FR, 3e-6),
+    (math.inf, F_FR, 3e-6), (OMEGA, math.nan, 3e-6), (OMEGA, F_FR, math.nan),
+    (OMEGA, F_FR, math.inf), (OMEGA, F_FR, -1e-6)],
+    ids=["omega-zero", "omega-negative", "omega-nan", "omega-inf",
+         "fringe-nan", "temperature-nan", "temperature-inf",
+         "temperature-negative"])
+def test_ramsey_rejects_bad_scalars_before_drawing(omega, f_fr, temp,
+                                                   monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("trials drawn for a bad scalar")
+
+    monkeypatch.setattr(dynamics, "_draw_trials", no_draws)
+    with pytest.raises(ValueError, match="finite"):
+        dynamics.simulate_ramsey(mismatched_trap(), temp, NOISELESS, omega,
+                                 f_fr, np.linspace(0.0, 20e-6, 40),
+                                 trials=64, master_seed=5)
 
 
 @pytest.mark.parametrize("grid", ["burst_direct", "random"])

@@ -146,6 +146,18 @@ class TestCalibration:
         focalfield.build_field(REF)
         assert len(calls) == 1
 
+    def test_calibration_repeats_no_field_evaluation(self, monkeypatch):
+        calls = []
+        field_at = focalfield.TweezerField.field_at
+
+        def recorded(field, x, y, z):
+            calls.append((field.filling_factor, *(
+                np.asarray(v, dtype=float).tobytes() for v in (x, y, z))))
+            return field_at(field, x, y, z)
+        monkeypatch.setattr(focalfield.TweezerField, "field_at", recorded)
+        focalfield.calibrate_filling_factor(REF)
+        assert len(calls) == len(set(calls))
+
     def test_calibration_off_target_raises(self, ref_field, monkeypatch):
         f0 = ref_field.filling_factor
         monkeypatch.setattr(focalfield, "calibrate_filling_factor",

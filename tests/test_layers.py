@@ -41,7 +41,7 @@ LAYERS = {
     "atomstark": {"constants", "errors", "params"},
     "focalfield": {"atomstark", "constants", "errors", "params", "special"},
     "trapmodel": {"atomstark", "constants", "errors", "params", "special"},
-    "dynamics": {"atomstark", "params", "special", "trapmodel"},
+    "dynamics": {"params", "special", "trapmodel"},
     "cli": {"analysis", "atomstark", "dynamics", "errors", "focalfield",
             "params", "trapmodel"},
 }

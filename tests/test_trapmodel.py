@@ -200,6 +200,12 @@ class TestFockSampling:
             trapmodel.sample_fock_thermal(t, self.OMEGA,
                                           rng_from(4).random(8))
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_temperature_fails_as_temperature(self, t):
+        with pytest.raises(ValueError, match="temperature"):
+            trapmodel.sample_fock_thermal(t, self.OMEGA,
+                                          rng_from(4).random(8))
+
     def test_seeded_reproducibility(self):
         a = trapmodel.sample_fock_thermal(3e-6, self.OMEGA,
                                           rng_from(7).random(64))
@@ -223,6 +229,12 @@ class TestClassicalSampling:
         r = trapmodel.sample_position_classical(
             0.0, self.OMEGAS, rng_from(6).random((10, 3)))
         assert np.all(r == 0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1e-6])
+    def test_temperature_must_be_finite_and_non_negative(self, t):
+        with pytest.raises(ValueError, match="temperature"):
+            trapmodel.sample_position_classical(
+                t, self.OMEGAS, rng_from(6).random((4, 3)))
 
     def test_axes_uncorrelated(self):
         r = trapmodel.sample_position_classical(
@@ -302,3 +314,30 @@ class TestDetuning:
                 * (om0 ** 2 - tc.omega_p2_rad_s ** 2))
         mean_c = np.mean(2 * math.pi * (pos ** 2 @ quad))
         assert abs(mean_c - mean_q) / abs(mean_q) < 0.10
+
+
+def table_route_angle_detuning(field, env, table, dphi_deg):
+    """Angle-jitter detunings through the light-shift tables: the center
+    field's polarization projected on the bias field at phi + dphi and at
+    phi, 2 pi (D(phi + dphi) - D(phi))."""
+    e = field.focus_jet()[0]
+
+    def shift(phi_deg):
+        return atomstark.differential_shift_from_projection(
+            table, env.tweezer.wavelength_nm,
+            *atomstark.axis_projection(e, phi_deg))
+
+    phi = env.field.phi_deg
+    return 2 * math.pi * (shift(phi + dphi_deg) - shift(phi))
+
+
+@pytest.mark.parametrize("tweezer", ["shallow46", "deep1450"])
+def test_angle_detuning_matches_table_route(table, shallow46, request,
+                                            tweezer):
+    tw = request.getfixturevalue(tweezer)
+    dphi = np.linspace(-30.0, 30.0, 2001)
+    for phi in (0.0, shallow46["phi_magic_deg"], 20.0, 45.0):
+        env = FieldEnvironment(tw["config"], MagneticField(8.0, phi))
+        want = table_route_angle_detuning(tw["field"], env, table, dphi)
+        got = trapmodel.angle_detuning(tw["field"], env, table, dphi)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
