@@ -173,6 +173,8 @@ _MAP_MAX_HALF_EXTENT_NM = _MAX_WAIST_NM = 40_000
 # 1 GHz, far above any fringe; 1e300 collapses a magic-scan window onto
 # one float time and overflows the contrast-window index of a fit
 _FRINGE = _number(gt=0, le=1e3)
+# |B| tan(delta_phi) is a transverse field only below 90 degrees
+_PHI_NOISE = _number(ge=0, lt=90)
 _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
     None: ((), {
         "schema_version": _Key(_choice(SCHEMA_VERSION), required=_ALL),
@@ -230,9 +232,9 @@ _SCHEMA = {  # section (None: top level) -> (commands needing it, its keys)
         "window_periods": _Key(_PERIODS, 5.0),
         "points_per_window": _Key(_WINDOW_POINTS, 28)}),
     "phi_noise_scan": (("phinoise",), {  # values_deg, or the ramp below
-        "values_deg": _Key(_nonempty_list(_NONNEG)),
-        "start_deg": _Key(_NONNEG),
-        "stop_deg": _Key(_POS),
+        "values_deg": _Key(_nonempty_list(_PHI_NOISE)),
+        "start_deg": _Key(_PHI_NOISE),
+        "stop_deg": _Key(_number(gt=0, lt=90)),
         "points": _Key(_number(int, ge=2))}),
     "map_grid": ((), {
         "half_extent_nm": _Key(_number(gt=0, le=_MAP_MAX_HALF_EXTENT_NM)),
@@ -512,6 +514,15 @@ def _burst_grid_s(cfg, f_fringe_hz) -> tuple[np.ndarray, float]:
     return grid, wp
 
 
+def _scan_window_s(cfg, f_fringe_hz) -> tuple[np.ndarray, float]:
+    import numpy as np
+    sc = partial(_get, cfg, "angle_scan")
+    wp, ppw = float(sc("window_periods")), int(sc("points_per_window"))
+    grid = (float(sc("t_r_us")) * 1e-6
+            + (np.arange(ppw) / ppw) * (wp / f_fringe_hz))
+    return grid, wp
+
+
 # ---------------------------------------------------------------- writers
 
 def _write_json(obj):
@@ -549,15 +560,20 @@ def _trace_artifacts(trace, noise):
 
 
 # ------------------------------------------------------------- subcommands
+# Each returns its artifacts and the keys it adds to meta.json's resolved
+# block, which _run puts beside the scenario's own.
 
 def _cmd_trace(cfg, scn):
     trace = scn.simulate(_time_grid_s(cfg), int(cfg["seed"]))
-    return _trace_artifacts(trace, scn.noise), scn.resolved()
+    return _trace_artifacts(trace, scn.noise), {}
 
 
-def _envelope_fit(points):
-    """contrast.csv artifact and envelope-fit JSON of windowed contrasts."""
+def _envelope_fit(trace, f_fringe_hz, window_periods):
+    """contrast.csv artifact and envelope-fit JSON of the trace's windowed
+    contrasts: the one step from a trace to T2."""
     from . import analysis
+    points = analysis.extract_contrast(trace.t_s, trace.p32_mean, f_fringe_hz,
+                                       window_periods=window_periods)
     art = ("contrast.csv", _write_rows(
         ["t_s", "contrast", "contrast_err"],
         [[f"{p.t_s:.12e}", f"{p.contrast:.9e}", f"{p.contrast_err:.9e}"]
@@ -568,18 +584,13 @@ def _envelope_fit(points):
 
 
 def _cmd_t2(cfg, scn):
-    from . import analysis
     f_fr = scn.f_fringe_hz()
     t, wp = _burst_grid_s(cfg, f_fr)
     trace = scn.simulate(t, int(cfg["seed"]))
-    points = analysis.extract_contrast(trace.t_s, trace.p32_mean, f_fr,
-                                       window_periods=wp)
-    contrast_csv, fit = _envelope_fit(points)
+    contrast_csv, fit = _envelope_fit(trace, f_fr, wp)
     arts = _trace_artifacts(trace, scn.noise)
     arts += [contrast_csv, ("fit.json", _write_json(fit))]
-    resolved = scn.resolved()
-    resolved["fit"] = fit
-    return arts, resolved
+    return arts, {"fit": fit}
 
 
 def _cmd_magic_scan(cfg, scn):
@@ -588,11 +599,7 @@ def _cmd_magic_scan(cfg, scn):
     from . import analysis, dynamics
     sc = partial(_get, cfg, "angle_scan")
     f_fr = scn.f_fringe_hz()
-    wp = float(sc("window_periods"))
-    ppw = int(sc("points_per_window"))
-    width = wp / f_fr
-    t0 = float(sc("t_r_us")) * 1e-6
-    t = t0 + (np.arange(ppw) / ppw) * width
+    t, wp = _scan_window_s(cfg, f_fr)
     phis = np.linspace(float(sc("start_deg")), float(sc("stop_deg")),
                        int(sc("points")))
     contrasts = []
@@ -611,10 +618,7 @@ def _cmd_magic_scan(cfg, scn):
             for phi, c, cerr in contrasts]
     arts = [("scan.csv", _write_rows(
         ["phi_deg", "contrast", "contrast_err", "contrast_norm"], rows))]
-    resolved = scn.resolved()
-    resolved["t_r_us"] = float(sc("t_r_us"))
-    resolved["contrast_max"] = cmax
-    return arts, resolved
+    return arts, {"t_r_us": float(sc("t_r_us")), "contrast_max": cmax}
 
 
 def _cmd_phinoise(cfg, scn):
@@ -625,7 +629,7 @@ def _cmd_phinoise(cfg, scn):
     of ``t2_s`` and ``t2_err_s``, and leaves those two CSV cells empty."""
     import numpy as np
 
-    from . import analysis, dynamics
+    from . import dynamics
     ps = cfg["phi_noise_scan"]
     values = ps.get("values_deg")
     if values is None:
@@ -638,9 +642,7 @@ def _cmd_phinoise(cfg, scn):
         trace = scn.simulate(
             grid, dynamics.spawn_seed(int(cfg["seed"]), 10_000 + k),
             noise=replace(scn.noise, phi_jitter_std_deg=dphi))
-        contrasts = analysis.extract_contrast(trace.t_s, trace.p32_mean,
-                                              f_fr, window_periods=wp)
-        _, fit = _envelope_fit(contrasts)
+        _, fit = _envelope_fit(trace, f_fr, wp)
         t2_keys = (("t2_s", "t2_err_s") if fit["status"] == "ok"
                    else ("status", "t2_lower_bound_s"))
         points.append({"delta_phi_deg": dphi,
@@ -653,9 +655,7 @@ def _cmd_phinoise(cfg, scn):
              f"{p['db_x_G']:.9e}"] for p in points]
     arts = [("phinoise.csv", _write_rows(
         ["delta_phi_deg", "t2_s", "t2_err_s", "db_x_G"], rows))]
-    resolved = scn.resolved()
-    resolved["points"] = points
-    return arts, resolved
+    return arts, {"points": points}
 
 
 def _cmd_shiftmap(cfg, scn):
@@ -666,10 +666,8 @@ def _cmd_shiftmap(cfg, scn):
         half_extent_m=None if half is None else float(half) * 1e-9,
         n=int(_get(cfg, "map_grid", "points")))
     arts = [("map.csv", lambda p: focalfield.write_map_csv(shift_map, p))]
-    resolved = scn.resolved()
-    resolved["center_hz"] = shift_map.center_hz
-    resolved["peak_abs_hz"] = float(abs(shift_map.du_hz).max())
-    return arts, resolved
+    return arts, {"center_hz": shift_map.center_hz,
+                  "peak_abs_hz": float(abs(shift_map.du_hz).max())}
 
 
 def _cmd_magic_find(cfg, scn):
@@ -681,10 +679,7 @@ def _cmd_magic_find(cfg, scn):
          "magic_phi_deg"],
         [[f"{scn.tweezer.wavelength_nm:.6f}", f"{scn.phi_deg:.6f}",
           fmt(wavelength, 4), fmt(angle, 6)]]))]
-    resolved = scn.resolved()
-    resolved["magic_wavelength_nm"] = wavelength
-    resolved["magic_phi_deg"] = angle
-    return arts, resolved
+    return arts, {"magic_wavelength_nm": wavelength, "magic_phi_deg": angle}
 
 
 def _cmd_fit(cfg, _):
@@ -693,7 +688,6 @@ def _cmd_fit(cfg, _):
     from . import analysis, dynamics
     ft = partial(_get, cfg, "fit")
     trace = dynamics.read_trace_csv(ft("trace_csv"))
-    wp = float(ft("window_periods"))
     f_fr = (None if ft("f_fringe_MHz") is None
             else float(ft("f_fringe_MHz")) * 1e6)
     if ft("mode") == "sinusoid":
@@ -709,9 +703,8 @@ def _cmd_fit(cfg, _):
         out = fit.to_json_dict()
         out["status"] = "ok"
     else:
-        points = analysis.extract_contrast(trace.t_s, trace.p32_mean,
-                                           f_fr, window_periods=wp)
-        contrast_csv, out = _envelope_fit(points)
+        contrast_csv, out = _envelope_fit(trace, f_fr,
+                                          float(ft("window_periods")))
         arts = [contrast_csv]
     arts.append(("fit.json", _write_json(out)))
     return arts, {"fit": out}
@@ -747,7 +740,8 @@ def _run(subcommand: str, args) -> int:
     issues, scn = _preflight(cfg, subcommand)
     if issues:
         raise ConfigError("; ".join(issues))
-    artifacts, resolved = _HANDLERS[subcommand](cfg, scn)
+    artifacts, added = _HANDLERS[subcommand](cfg, scn)
+    resolved = ({} if scn is None else scn.resolved()) | added
     meta = {"schema_version": SCHEMA_VERSION, "subcommand": subcommand,
             "config": cfg, "resolved": resolved,
             "tool": {"name": "fsqubit", "version": fsqubit.__version__}}

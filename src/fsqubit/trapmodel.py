@@ -192,10 +192,10 @@ def angle_detuning(field, env: FieldEnvironment, table: PolarizabilityTable,
                    dphi_deg) -> np.ndarray:
     """Detunings (rad/s) of bias-field angle deviations ``dphi_deg``: the
     x-polarized center field makes the shift D affine in u = cos^2 phi, so
-    -2 pi A sin(dphi) sin(2 phi + dphi), A = D(u=1) - D(u=0) at its e0sq."""
-    e0sq = float(np.sum(np.abs(field.focus_jet()[0]) ** 2)) / 4.0
+    -2 pi A sin(dphi) sin(2 phi + dphi), A = D(u=1) - D(u=0) at center_e0sq."""
     d1, d0 = (differential_shift_from_projection(
-        table, env.tweezer.wavelength_nm, u, e0sq) for u in (1.0, 0.0))
+        table, env.tweezer.wavelength_nm, u, field.center_e0sq)
+        for u in (1.0, 0.0))
     dphi = np.radians(dphi_deg)
     return (-2.0 * math.pi * (d1 - d0) * np.sin(dphi)
             * np.sin(2.0 * math.radians(env.field.phi_deg) + dphi))

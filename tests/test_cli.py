@@ -659,6 +659,41 @@ def test_phinoise_ramp_matches_values(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+@pytest.mark.parametrize("value, want", [(89.9, 0), (90.0, 2), (120.0, 2)])
+def test_phinoise_amplitudes_stay_below_90_deg(tmp_path, value, want):
+    # db_x_G = |B| tan(delta_phi) is a transverse field only below 90 deg
+    cfg = _shipped("phinoise_magic_8G")
+    for scan in ({"values_deg": [0.0, value]},
+                 {"start_deg": 0.0, "stop_deg": value, "points": 2}):
+        cfg["phi_noise_scan"] = scan
+        code, out, _ = run_cli("validate", "--config",
+                               write_cfg(tmp_path, cfg),
+                               "--subcommand", "phinoise")
+        assert code == want, out
+
+
+def test_echo_protocol_runs_simulate_echo(tmp_path):
+    # ramsey with protocol.name "echo": trace.csv is simulate_echo's trace
+    # on the scenario's trap, grid and seed
+    cfg = _shipped("ramsey_shallow_magic_8G")
+    cfg["trials"] = 64
+    cfg["protocol"] = {"name": "echo", "fluctuating_detuning": True}
+    out = tmp_path / "out"
+    code, _, err = run_cli("ramsey", "--config", write_cfg(tmp_path, cfg),
+                           "--out", str(out))
+    assert code == 0, err
+    scn = cli._Scenario(cfg, "ramsey")
+    trace = dynamics.simulate_echo(
+        scn.trap, scn.temperature_K, scn.noise,
+        2 * math.pi * cfg["drive"]["rabi_kHz"] * 1e3,
+        cfg["drive"]["fringe_MHz"] * 1e6, cli._time_grid_s(cfg),
+        cfg["trials"], cfg["seed"], fluctuating_detuning=True,
+        field=scn.field, env=scn.env, table=scn.table)
+    dynamics.write_trace_csv(trace, tmp_path / "direct.csv")
+    assert (out / "trace.csv").read_bytes() \
+        == (tmp_path / "direct.csv").read_bytes()
+
+
 class TestPointsPerWindowCeiling:
     @pytest.mark.parametrize("name,sub,section", [
         ("t2_shallow_magic_8G", "t2", "burst_grid"),

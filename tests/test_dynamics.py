@@ -9,7 +9,6 @@ for a fluctuating detuning.
 """
 
 import csv
-import functools
 import json
 import math
 import os
@@ -1178,13 +1177,8 @@ def _shipped_grids():
             f_fr = float(cfg["drive"]["fringe_MHz"]) * 1e6
             yield path.stem, cli._burst_grid_s(cfg, f_fr)[0]
         elif path.stem.startswith("magic_scan"):
-            # the window of _cmd_magic_scan
-            sc = functools.partial(cli._get, cfg, "angle_scan")
             f_fr = float(cfg["drive"]["fringe_MHz"]) * 1e6
-            ppw = int(sc("points_per_window"))
-            width = float(sc("window_periods")) / f_fr
-            yield path.stem, (float(sc("t_r_us")) * 1e-6
-                              + (np.arange(ppw) / ppw) * width)
+            yield path.stem, cli._scan_window_s(cfg, f_fr)[0]
 
 
 _SHIPPED_PLANS = {
