@@ -71,7 +71,9 @@ class SinusoidFit:
         return self.rms < self.amplitude
 
     def to_json_dict(self) -> dict:
-        return {"model": "sinusoid", **asdict(self)}
+        """The fields under ``model``, and ``status`` "ok": a sinusoid fit
+        that fails raises instead of returning a record."""
+        return {"model": "sinusoid", **asdict(self), "status": "ok"}
 
 
 @dataclass(frozen=True)

@@ -701,7 +701,6 @@ def _cmd_fit(cfg, _):
             [[f"{t:.12e}", f"{y:.9e}", f"{m:.9e}", f"{y - m:.9e}"]
              for t, y, m in zip(trace.t_s, trace.p32_mean, model)]))]
         out = fit.to_json_dict()
-        out["status"] = "ok"
     else:
         contrast_csv, out = _envelope_fit(trace, f_fr,
                                           float(ft("window_periods")))

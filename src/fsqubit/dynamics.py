@@ -22,10 +22,11 @@ Free evolution, diag(e^{-i delta t/2}, e^{+i delta t/2}), is
 diag(1, e^{i delta t}) up to a global phase, and a pulse at laser phase
 theta is R_z(theta) U(0) R_z(-theta) with R_z(x) = diag(1, e^{ix}), so its
 element from state s to s' is U0[s', s] e^{i theta (s' - s)}, U0 depending
-on the trial alone. Expanded over the states between the pulses, the final
-3P2 amplitude is a sum of paths whose phases are linear in t, with slopes
-set by the trial (delta times the free fraction, -2 pi f_fr for the
-fringe). P(3P2) of a trial is therefore K + sum_d Re(c_d e^{i w_d t})
+on the trial alone. Carried through the segments from 3P0, the amplitude
+splits by state and by the integer combination d of the phase variables
+its phase is linear in t with: each free segment spent in 3P2 (slope delta
+times the free fraction) and the fringe (-2 pi f_fr), both set by the
+trial. P(3P2) of a trial is therefore K + sum_d Re(c_d e^{i w_d t})
 with trial-only K, complex c_d and w_d: one harmonic for Ramsey, four for
 the echo, and one for a single drive (Rabi), (Omega sin(Omega_eff t/2) /
 Omega_eff)^2 = K - K cos(Omega_eff t), c = -K real. Each e^{i w t} is
@@ -75,6 +76,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,88 +280,71 @@ ECHO = (("pulse", math.pi / 2, 0.0, 0),
         ("pulse", math.pi / 2, "fringe", 1))
 
 
-@functools.lru_cache(maxsize=None)
-def _pulse_plan(segments):
-    """Expansion of the final 3P2 amplitude of a pulse/free protocol over
-    bit strings, grouped by phase.
-
-    A path fixes the state s (0 = 3P0, 1 = 3P2) after each pulse, the last
-    one 1. A pulse at laser phase theta contributes the element
-    U0[s', s] e^{i theta (s' - s)}, and a free segment in state s the phase
-    s * delta * size * t, so a path's phase is an integer combination of
-    the phase variables: the free segments, in order, then the fringe.
-    Paths with the same combination add into one term. Returns (pulses,
-    frees, terms, harmonics): (size, set) of each pulse and free segment;
-    per term its paths as ((s', s) per pulse, constant phase factor); and
-    per harmonic d = n_q - n_p (first nonzero entry positive) the term
-    pairs (p, q) whose combinations differ by d.
-    """
-    pulses = tuple((size, dset) for kind, size, _, dset in segments
-                   if kind == "pulse")
-    frees = tuple((size, dset) for kind, size, _, dset in segments
-                  if kind == "free")
-    terms = {}
-    for bits in itertools.product((0, 1), repeat=len(pulses) - 1):
-        states = iter(bits + (1,))
-        s, f, phase = 0, 0, 0.0
-        steps, coef = [], [0] * (len(frees) + 1)
-        for kind, _, phi_l, _ in segments:
-            if kind == "free":
-                coef[f] = s
-                f += 1
-                continue
-            s_new = next(states)
-            steps.append((s_new, s))
-            if phi_l == "fringe":
-                coef[-1] += s_new - s
-            else:
-                phase += phi_l * (s_new - s)
-            s = s_new
-        terms.setdefault(tuple(coef), []).append(
-            (tuple(steps), complex(math.cos(phase), math.sin(phase))))
-    coefs = list(terms)
-    harmonics = {}
-    for q, nq in enumerate(coefs):
-        for p, np_ in enumerate(coefs[:q]):
-            d = tuple(a - b for a, b in zip(nq, np_))
-            if next(x for x in d if x) > 0:
-                harmonics.setdefault(d, []).append((p, q))
-            else:
-                harmonics.setdefault(tuple(-x for x in d), []).append((q, p))
-    return (pulses, frees, tuple(tuple(paths) for paths in terms.values()),
-            tuple((d, tuple(pairs)) for d, pairs in harmonics.items()))
-
-
-def _pulse_coefficients(plan, omega_rad_s, f_fringe_hz, instantaneous_pulses,
-                        omegas, deltas):
+def _pulse_coefficients(segments, omega_rad_s, f_fringe_hz,
+                        instantaneous_pulses, omegas, deltas):
     """Per trial, P(3P2)(t) = K + sum_d Re(c_d e^{i w_d t}): returns K and
-    the (c, w) of each harmonic, c complex, every one of shape (trials,)."""
-    pulses, frees, terms, harmonics = plan
+    the (c, w) of each harmonic, c complex, every one of shape (trials,).
+
+    One amplitude per (state s, combination d) is carried through the
+    segments from 3P0 at 1; d counts the phase variables (the free
+    segments, in order, then the fringe) in its phase. A free segment in
+    3P2 enters d; a pulse at laser phase theta takes s to s' with
+    U0[s', s] e^{i theta (s' - s)}, the fringe's theta entering d. The 3P2
+    amplitudes a after the last pulse pair into harmonics
+    d = d_q - d_p (first nonzero entry positive), c = sum 2 a_q conj(a_p)
+    over (q, p < q). Visiting s' = 0 before 1 fixes their order, which
+    sets the engine's block layout and so a trace's bytes.
+    """
     n, sets = omegas.size, deltas.shape[0]
     # one SU(2) evaluation per distinct (pulse area, detuning set)
     keys = [(size, 0 if instantaneous_pulses else min(dset, sets - 1))
-            for size, dset in pulses]
+            for kind, size, _, dset in segments if kind == "pulse"]
     su2 = {key: _su2_elements(1.0, 0.0, key[0]) if instantaneous_pulses
            else _su2_elements(omegas, deltas[key[1]], key[0] / omega_rad_s)
            for key in dict.fromkeys(keys)}
-    # unitary elements keep every path sum, so P(3P2) at any t, in [0, 1]
+    # unitary elements keep every amplitude, so P(3P2) at any t, in [0, 1]
     for u00, coupling, _ in su2.values():
         _certify(np.abs(np.abs(u00) ** 2 + np.abs(coupling) ** 2 - 1.0)
                  <= 1e-12)
-    elems = [su2[key] for key in keys]
-
-    def path_amp(steps, amp):
-        for (u00, coupling, u11), (row, col) in zip(elems, steps):
-            amp = amp * (coupling if row != col else u11 if row else u00)
-        return amp
-
-    amps = [sum(path_amp(*path) for path in paths) for paths in terms]
-    k = sum(np.abs(amp) ** 2 for amp in amps)
-    slopes = [deltas[min(dset, sets - 1)] * size for size, dset in frees]
+    slopes = [deltas[min(dset, sets - 1)] * size
+              for kind, size, _, dset in segments if kind == "free"]
     slopes.append(-2.0 * math.pi * f_fringe_hz)
+    amps, free = {(0, (0,) * len(slopes)): 1 + 0j}, 0
+    for kind, _, phi_l, _ in segments:
+        if kind == "free":
+            amps = {(s, d[:free] + (s,) + d[free + 1:]): amp
+                    for (s, d), amp in amps.items()}
+            free += 1
+            continue
+        u00, coupling, u11 = su2[keys.pop(0)]
+        step = {}
+        for (s, d), amp in amps.items():
+            # only 3P2 is kept after the last pulse
+            for s_new in (0, 1) if keys else (1,):
+                turn = s_new - s
+                if phi_l == "fringe":
+                    key, theta = (s_new, d[:-1] + (d[-1] + turn,)), 0.0
+                else:
+                    key, theta = (s_new, d), phi_l * turn
+                x = (amp * complex(math.cos(theta), math.sin(theta))
+                     if theta else amp)
+                x = x * (coupling if turn else u11 if s else u00)
+                step[key] = step[key] + x if key in step else x
+        amps = step
+    terms = [(d, amp) for (_, d), amp in amps.items()]
+    k = sum(np.abs(amp) ** 2 for _, amp in terms)
+    harmonics, zero = {}, (0,) * len(slopes)
+    for q, (dq, aq) in enumerate(terms):
+        for dp, ap in terms[:q]:
+            d = tuple(map(operator.sub, dq, dp))
+            # tuples compare lexicographically: d's first nonzero entry > 0
+            if d > zero:
+                c = 2.0 * aq * np.conj(ap)
+            else:
+                d, c = tuple(map(operator.neg, d)), 2.0 * ap * np.conj(aq)
+            harmonics[d] = harmonics.get(d, 0) + c
     out = []
-    for d, pairs in harmonics:
-        c = sum(2.0 * amps[q] * np.conj(amps[p]) for p, q in pairs)
+    for d, c in harmonics.items():
         w = sum(x * slopes[v] for v, x in enumerate(d) if x)
         out.append((np.broadcast_to(c, (n,)), np.broadcast_to(w, (n,))))
     return np.broadcast_to(k, (n,)), out
@@ -652,8 +637,8 @@ def _pulse_protocol(segments, omega_rad_s, f_fringe_hz, instantaneous_pulses):
     if not (0 < omega_rad_s < math.inf and math.isfinite(f_fringe_hz)):
         raise ValueError("pulses need a positive finite Rabi frequency and "
                          "a finite fringe frequency")
-    return functools.partial(_pulse_coefficients, _pulse_plan(segments),
-                             omega_rad_s, f_fringe_hz, instantaneous_pulses)
+    return functools.partial(_pulse_coefficients, segments, omega_rad_s,
+                             f_fringe_hz, instantaneous_pulses)
 
 
 def simulate_ramsey(trap, temperature_K, noise: NoiseModel, omega_rad_s,

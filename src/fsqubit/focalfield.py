@@ -121,7 +121,6 @@ class TweezerField:
         self.wavelength_m = config.wavelength_nm * 1e-9
         self.k = 2 * math.pi / self.wavelength_m
         self.theta_max = math.asin(config.na)
-        self.sin_max = config.na
         self.waist_m: float | None = None
         self.center_e0sq: float | None = None
 
@@ -132,7 +131,7 @@ class TweezerField:
         wq = 0.5 * self.theta_max * w_gl
         st = np.sin(th)
         ct = np.cos(th)
-        apod = np.exp(-((st / (self.filling_factor * self.sin_max)) ** 2))
+        apod = np.exp(-((st / (self.filling_factor * self.config.na)) ** 2))
         return st, ct, apod, wq
 
     def _unit_flux(self) -> float:

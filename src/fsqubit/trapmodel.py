@@ -193,6 +193,9 @@ def angle_detuning(field, env: FieldEnvironment, table: PolarizabilityTable,
     """Detunings (rad/s) of bias-field angle deviations ``dphi_deg``: the
     x-polarized center field makes the shift D affine in u = cos^2 phi, so
     -2 pi A sin(dphi) sin(2 phi + dphi), A = D(u=1) - D(u=0) at center_e0sq."""
+    if field.center_e0sq is None:
+        raise ValueError("the field has no center intensity (center_e0sq); "
+                         "make it with focalfield.build_field")
     d1, d0 = (differential_shift_from_projection(
         table, env.tweezer.wavelength_nm, u, field.center_e0sq)
         for u in (1.0, 0.0))

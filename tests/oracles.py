@@ -18,10 +18,11 @@
 * :func:`write_trace_csv`: one f-string per row, the reference for the
   bytes of ``dynamics.write_trace_csv``.
 * :func:`pulse_coefficients`: the complex harmonic coefficients c_d of a
-  pulse plan, P(3P2)(t) = K + sum_d Re(c_d e^{i w_d t}), with one SU(2)
-  evaluation per pulse, the reference for
-  ``dynamics._pulse_coefficients``, which evaluates each distinct pulse
-  once.
+  pulse protocol's segment list, P(3P2)(t) = K + sum_d Re(c_d e^{i w_d t}),
+  expanded over the paths of states between the pulses with one SU(2)
+  evaluation per pulse, the reference for ``dynamics._pulse_coefficients``,
+  which carries each amplitude through the segments and evaluates each
+  distinct pulse once.
 * :func:`fock_lattice_mean`: the exact ensemble mean of P(3P2)(t) with
   finite pulses over the thermal Fock ladder of one mismatched axis, a
   weighted sum of :func:`pulse_coefficients` at the ladder's detunings.
@@ -29,6 +30,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -205,36 +207,69 @@ def write_trace_csv(trace, path) -> None:
         fh.write("".join(["t_s,p32_mean,p32_sem\r\n", *rows]))
 
 
-def pulse_coefficients(plan, omega_rad_s, f_fringe_hz, instantaneous_pulses,
-                       omegas, deltas):
-    """K and the (c, w) of each harmonic of ``dynamics._pulse_plan``
-    output, P(3P2)(t) = K + sum_d Re(c_d e^{i w_d t}), one
-    ``_su2_elements`` call per pulse."""
-    pulses, frees, terms, harmonics = plan
+def pulse_coefficients(segments, omega_rad_s, f_fringe_hz,
+                       instantaneous_pulses, omegas, deltas):
+    """K and the (c, w) of each harmonic of a pulse/free segment list
+    (``dynamics.RAMSEY``, ``dynamics.ECHO``),
+    P(3P2)(t) = K + sum_d Re(c_d e^{i w_d t}), one ``_su2_elements`` call
+    per pulse.
+
+    The final 3P2 amplitude is expanded over paths, the bit strings of the
+    state after each pulse, the last one 3P2. A path's amplitude is its
+    constant phase factor times the element U0[s', s] of each pulse, and
+    its phase is linear in t with the integer combination d of the phase
+    variables (the free segments in 3P2, then the fringe's s' - s). Paths
+    with the same d add into one term; the harmonic d = d_q - d_p (first
+    nonzero entry positive) sums 2 a_q conj(a_p) over its term pairs.
+    """
     n, sets = omegas.size, deltas.shape[0]
+    pulses = [(size, dset) for kind, size, _, dset in segments
+              if kind == "pulse"]
     elems = [_su2_elements(1.0, 0.0, size) if instantaneous_pulses
              else _su2_elements(omegas, deltas[min(dset, sets - 1)],
                                 size / omega_rad_s)
              for size, dset in pulses]
-
-    def path_amp(steps, amp):
+    terms = {}
+    for bits in itertools.product((0, 1), repeat=len(pulses) - 1):
+        states = iter(bits + (1,))
+        s, phase, fringe, steps, coef = 0, 0.0, 0, [], []
+        for kind, _, phi_l, _ in segments:
+            if kind == "free":
+                coef.append(s)
+                continue
+            s_new = next(states)
+            steps.append((s_new, s))
+            if phi_l == "fringe":
+                fringe += s_new - s
+            else:
+                phase += phi_l * (s_new - s)
+            s = s_new
+        amp = complex(math.cos(phase), math.sin(phase))
         for (u00, coupling, u11), (row, col) in zip(elems, steps):
             amp = amp * (coupling if row != col else u11 if row else u00)
-        return amp
-
-    amps = [sum(path_amp(*path) for path in paths) for paths in terms]
+        terms.setdefault((*coef, fringe), []).append(amp)
+    coefs, amps = list(terms), [sum(paths) for paths in terms.values()]
+    harmonics = {}
+    for q, nq in enumerate(coefs):
+        for p, np_ in enumerate(coefs[:q]):
+            d = tuple(a - b for a, b in zip(nq, np_))
+            if next(x for x in d if x) > 0:
+                harmonics.setdefault(d, []).append((p, q))
+            else:
+                harmonics.setdefault(tuple(-x for x in d), []).append((q, p))
     k = sum(np.abs(amp) ** 2 for amp in amps)
-    slopes = [deltas[min(dset, sets - 1)] * size for size, dset in frees]
+    slopes = [deltas[min(dset, sets - 1)] * size
+              for kind, size, _, dset in segments if kind == "free"]
     slopes.append(-2.0 * math.pi * f_fringe_hz)
     out = []
-    for d, pairs in harmonics:
+    for d, pairs in harmonics.items():
         c = sum(2.0 * amps[q] * np.conj(amps[p]) for p, q in pairs)
         w = sum(x * slopes[v] for v, x in enumerate(d) if x)
         out.append((np.broadcast_to(c, (n,)), np.broadcast_to(w, (n,))))
     return np.broadcast_to(k, (n,)), out
 
 
-def fock_lattice_mean(plan, omega_rad_s, f_fringe_hz, trap, temperature_K,
+def fock_lattice_mean(segments, omega_rad_s, f_fringe_hz, trap, temperature_K,
                       t, weight_loss=1e-16):
     """Exact noiseless ensemble mean of P(3P2)(t) with finite pulses on a
     trap whose frequencies match on every axis but one:
@@ -247,8 +282,8 @@ def fock_lattice_mean(plan, omega_rad_s, f_fringe_hz, trap, temperature_K,
     q = math.exp(-HBAR * trap.omega_p0_rad_s[axis] / (K_B * temperature_K))
     n = np.arange(math.ceil(math.log(weight_loss) / math.log(q)))
     deltas = n * trap.delta_omega_rad_s[axis]
-    k, harmonics = pulse_coefficients(plan, omega_rad_s, f_fringe_hz, False,
-                                      np.full(n.size, omega_rad_s),
+    k, harmonics = pulse_coefficients(segments, omega_rad_s, f_fringe_hz,
+                                      False, np.full(n.size, omega_rad_s),
                                       deltas[None, :])
     p = k[:, None] + sum(np.real(c[:, None] * np.exp(1j * np.outer(w, t)))
                          for c, w in harmonics)

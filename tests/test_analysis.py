@@ -624,7 +624,7 @@ class TestJsonExport:
         fit = analysis.fit_sinusoid(t, sinusoid(t, 0.3, 1.3e6, 0.2, 0.5),
                                     fixed_freq_hz=1.3e6)
         d = fit.to_json_dict()
-        assert d["model"] == "sinusoid"
+        assert (d["model"], d["status"]) == ("sinusoid", "ok")
         assert d["freq_hz"] == 1.3e6
         assert "amplitude_err" in d and "rms" in d
 

@@ -455,6 +455,25 @@ class TestFitSubcommand:
         assert res.shape == (400, 4)
         assert np.max(np.abs(res[:, 3])) < 1e-6
 
+    def test_sinusoid_fit_json_keys(self, tmp_path):
+        # the keys of fit.json in sinusoid mode, pinned on every host by a
+        # synthetic trace; the record itself says "ok"
+        t = np.linspace(0.0, 10e-6, 200)
+        y = 0.5 + 0.4 * np.sin(2 * math.pi * self.F * t)
+        cfg = {"schema_version": 1,
+               "fit": {"trace_csv": _synthetic_trace(tmp_path, t, y),
+                       "mode": "sinusoid"}}
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli("fit", "--config", write_cfg(tmp_path, cfg),
+                               "--out", str(out_dir))
+        assert code == 0, err
+        fit = json.loads((out_dir / "fit.json").read_text())
+        assert set(fit) == {"model", "status", "amplitude", "freq_hz",
+                            "phase_rad", "offset", "amplitude_err",
+                            "freq_err_hz", "phase_err_rad", "offset_err",
+                            "rms"}
+        assert (fit["model"], fit["status"]) == ("sinusoid", "ok")
+
     def test_fit_needs_only_its_section(self, tmp_path):
         # fit reads its trace alone: no tweezer, field or table
         t = np.linspace(0.0, 10e-6, 200)

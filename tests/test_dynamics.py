@@ -535,10 +535,10 @@ def _replicate_oracle(protocol, trap, temp, noise, t, trials, seed, sets):
     if protocol == "rabi":
         k, harmonics = dynamics._drive_coefficients(OMEGA * om_f, deltas)
     else:
-        plan = dynamics._pulse_plan({"ramsey": dynamics.RAMSEY,
-                                     "echo": dynamics.ECHO}[protocol])
+        segments = {"ramsey": dynamics.RAMSEY,
+                    "echo": dynamics.ECHO}[protocol]
         k, harmonics = dynamics._pulse_coefficients(
-            plan, OMEGA, F_FR, False, OMEGA * om_f, deltas)
+            segments, OMEGA, F_FR, False, OMEGA * om_f, deltas)
     starts, offsets, cell = dynamics._run_plan(t.tobytes())
     p = k[:, None, None]
     for c, w in harmonics:
@@ -947,7 +947,7 @@ def test_finite_pulse_ramsey_matches_fock_lattice_mean():
     tr = dynamics.simulate_ramsey(trap, 3e-6, NOISELESS, OMEGA, F_FR, t,
                                   trials=20_000, master_seed=2718)
     exact = oracles.fock_lattice_mean(
-        dynamics._pulse_plan(dynamics.RAMSEY), OMEGA, F_FR, trap, 3e-6, t)
+        dynamics.RAMSEY, OMEGA, F_FR, trap, 3e-6, t)
     assert t.size == 252
     assert np.all(np.abs(tr.p32_mean - exact) <= 4.5 * tr.p32_sem + 1e-12)
 
@@ -1274,9 +1274,8 @@ def test_pulse_coefficients_match_per_pulse_oracle(
     deltas, om_f, _ = dynamics._draw_trials(mismatched_trap(), 3e-6, noise,
                                             700, 71, "fock",
                                             detuning_sets=sets)
-    plan = dynamics._pulse_plan({"ramsey": dynamics.RAMSEY,
-                                 "echo": dynamics.ECHO}[protocol])
-    args = (plan, OMEGA, F_FR, instantaneous, OMEGA * om_f, deltas)
+    segments = {"ramsey": dynamics.RAMSEY, "echo": dynamics.ECHO}[protocol]
+    args = (segments, OMEGA, F_FR, instantaneous, OMEGA * om_f, deltas)
     want_k, want = oracles.pulse_coefficients(*args)
     calls = []
     su2 = dynamics._su2_elements
@@ -1289,6 +1288,31 @@ def test_pulse_coefficients_match_per_pulse_oracle(
     for got_h, want_h in zip(harmonics, want):
         for a, b in zip(got_h, want_h):
             assert a.tobytes() == b.tobytes()
+
+
+ECHO_HARMONICS = [(0, 1, -1), (1, 0, 0), (1, -1, 1), (1, 1, -1)]
+
+
+@pytest.mark.parametrize("protocol,sets,combinations", [
+    ("ramsey", 1, [(1, -1)]), ("echo", 1, ECHO_HARMONICS),
+    ("echo", 2, ECHO_HARMONICS)])
+def test_pulse_harmonics_keep_their_order(protocol, sets, combinations):
+    # the harmonics' order sets the engine's block layout, and so a
+    # trace's bytes: harmonic h has the slope w = d_h . (free-segment
+    # slopes, fringe slope -2 pi f_fr), d_h in this order
+    noise = NoiseModel(detuning_offset_std=2 * math.pi * 2e3)
+    deltas, om_f, _ = dynamics._draw_trials(mismatched_trap(), 3e-6, noise,
+                                            700, 71, "fock",
+                                            detuning_sets=sets)
+    segments = {"ramsey": dynamics.RAMSEY, "echo": dynamics.ECHO}[protocol]
+    _, harmonics = dynamics._pulse_coefficients(
+        segments, OMEGA, F_FR, False, OMEGA * om_f, deltas)
+    slopes = [deltas[min(dset, sets - 1)] * size
+              for kind, size, _, dset in segments if kind == "free"]
+    slopes.append(np.full(700, -2 * math.pi * F_FR))
+    assert len(harmonics) == len(combinations)
+    for (_, w), d in zip(harmonics, combinations):
+        np.testing.assert_allclose(w, np.dot(d, slopes), rtol=0, atol=1e-6)
 
 
 @pytest.mark.slow

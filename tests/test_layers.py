@@ -282,8 +282,7 @@ def test_dynamics_engine_builds_no_complex_time_arrays():
            if isinstance(node, ast.FunctionDef)}
     per_point = ("_run_sequence", "_run_plan", "_replicate_stats")
     on_grid = per_point + ("_block_products", "_fill_powers")
-    for name in on_grid + ("_pulse_plan", "_pulse_coefficients",
-                           "_drive_coefficients"):
+    for name in on_grid + ("_pulse_coefficients", "_drive_coefficients"):
         names, _ = _names_and_complex_literals(fns[name])
         assert "exp" not in names, name
     for name in ("_pulse_coefficients", "_drive_coefficients"):

@@ -341,3 +341,13 @@ def test_angle_detuning_matches_table_route(table, shallow46, request,
         want = table_route_angle_detuning(tw["field"], env, table, dphi)
         got = trapmodel.angle_detuning(tw["field"], env, table, dphi)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_angle_detuning_needs_a_built_field(table, shallow46):
+    # a field made directly has no center intensity (build_field sets
+    # it), so the jitter law has no scale: a typed error, not a TypeError
+    config = shallow46["config"]
+    field = focalfield.TweezerField(config, 1.0)
+    env = FieldEnvironment(config, MagneticField(8.0, 20.0))
+    with pytest.raises(ValueError, match="build_field"):
+        trapmodel.angle_detuning(field, env, table, np.array([1.0]))
